@@ -24,11 +24,6 @@ def norm_cdf(x, mean=0.0, sd=1.0):
     return 0.5 * special.erfc(-z / _SQRT2)
 
 
-def norm_sf(x, mean=0.0, sd=1.0):
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    return 0.5 * special.erfc(z / _SQRT2)
-
-
 def std_pdf(z):
     z = np.asarray(z, dtype=float)
     return np.exp(-0.5 * z * z) * _INV_SQRT_2PI

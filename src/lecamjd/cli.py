@@ -71,6 +71,8 @@ def _need(data: dict, key: str):
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite (got {value!r})")
     return float(value)
 
 

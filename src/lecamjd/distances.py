@@ -21,11 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import _gauss
+from ._quadrature import integrate
 from .model import (ContinuousJumps, Grid, HolderClassParams,
-                    IncrementSummaries, JumpLaw, ModelSpec, QuadratureError,
+                    IncrementSummaries, JumpLaw, ModelSpec,
                     as_time_function, piecewise_drift)
 
 __all__ = [
@@ -126,20 +126,11 @@ def l1_gaussian_processes(drift_a, drift_b, sigma_n, horizon: float,
     fa = as_time_function(drift_a)
     fb = as_time_function(drift_b)
     sn = as_time_function(sigma_n)
-
-    def integrand(t: float) -> float:
-        return ((float(fa(t)) - float(fb(t))) / float(sn(t))) ** 2
-
-    pts = sorted({0.0, float(horizon), *(b for b in breakpoints
-                                         if 0.0 < b < horizon)})
-    d2 = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        res = integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-10,
-                             limit=200, full_output=True)
-        if len(res) > 3:
-            raise QuadratureError(
-                f"drift distance integral on [{a:g}, {b:g}] failed: {res[3]}")
-        d2 += res[0]
+    pts = np.array(sorted({0.0, float(horizon),
+                           *(b for b in breakpoints if 0.0 < b < horizon)}))
+    d2 = np.sum(integrate(lambda t: ((fa(t) - fb(t)) / sn(t)) ** 2,
+                          pts[:-1], pts[1:], epsabs=1e-13,
+                          what="drift distance integral"))
     d = math.sqrt(max(d2, 0.0))
     return 2.0 * (1.0 - 2.0 * _gauss.std_cdf(-0.5 * d))
 
@@ -238,19 +229,11 @@ def continuous_kernel_aggregate_bound(
     sig = np.sqrt(summaries.sigma2)
     beta = L + sig ** (1.0 - epsilon)
     lo, hi = jump_law.support
-    tail = np.empty(summaries.n)
-    for i in range(summaries.n):
-        a, b = max(lo, -2.0 * beta[i]), min(hi, 2.0 * beta[i])
-        if a >= b:
-            tail[i] = 0.0
-            continue
-        res = integrate.quad(lambda y: float(jump_law.density(y)), a, b,
-                             epsabs=1e-12, epsrel=1e-10, limit=200,
-                             full_output=True)
-        if len(res) > 3:
-            raise QuadratureError(
-                f"jump mass integral on [{a:g}, {b:g}] failed: {res[3]}")
-        tail[i] = min(res[0], 1.0)
+    a, b = np.maximum(lo, -2.0 * beta), np.minimum(hi, 2.0 * beta)
+    near = a < b
+    tail = np.zeros(summaries.n)
+    tail[near] = np.minimum(integrate(jump_law.density, a[near], b[near],
+                                      what="jump mass integral"), 1.0)
     per = (8.0 * _gauss.std_cdf(-sig ** (-epsilon))
            + summaries.alpha * np.abs(summaries.m) / (_SQRT2 * sig)
            + 2.0 * summaries.alpha * tail)
@@ -273,17 +256,10 @@ def drift_discretization_error(f, spec: ModelSpec, grid: Grid) -> float:
     """
     tf = as_time_function(f)
     fbar = piecewise_drift(tf, grid)
-    d2 = 0.0
-    for a, b in zip(grid.times[:-1], grid.times[1:]):
-        res = integrate.quad(
-            lambda t: ((float(tf(t)) - float(fbar(t)))
-                       / float(spec.sigma_n(t))) ** 2,
-            a, b, epsabs=1e-13, epsrel=1e-10, limit=200, full_output=True)
-        if len(res) > 3:
-            raise QuadratureError(
-                f"discretization integral on [{a:g}, {b:g}] failed: {res[3]}")
-        d2 += res[0]
-    return d2
+    return float(np.sum(integrate(
+        lambda t: ((tf(t) - fbar(t)) / spec.sigma_n(t)) ** 2,
+        grid.times[:-1], grid.times[1:], epsabs=1e-13,
+        what="discretization integral")))
 
 
 def theorem_rate(delta_n: float, horizon: float, epsilon_n: float,

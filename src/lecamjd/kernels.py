@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from . import _gauss
+from ._quadrature import integrate
 from .laws import Density, mixture_pdf
-from .model import Grid, QuadratureError, as_time_function
+from .model import Grid, as_time_function
 from .simulate import PathSample, RngStream, bin_jump_sums
 
 __all__ = [
@@ -167,22 +166,15 @@ def truncate_resample(x, params: TruncateResampleParams, rng: RngStream):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _ball_mass(d: Density, beta: float) -> float:
+def _escaped_mass(d: Density, beta: float) -> float:
+    """Mass of ``d`` outside the closed ball ``[-beta, beta]``."""
     lo, hi = d.support
-    a, b = max(lo, -beta), min(hi, beta)
-    cont = 0.0
-    if a < b:
-        points = sorted({a, b, *(p for p in d.breakpoints if a < p < b)})
-        for p0, p1 in zip(points[:-1], points[1:]):
-            res = integrate.quad(lambda x: float(d.pdf(x)), p0, p1,
-                                 epsabs=1e-12, epsrel=1e-10, limit=200,
-                                 full_output=True)
-            if len(res) > 3:
-                raise QuadratureError(
-                    f"ball-mass panel [{p0:g}, {p1:g}] failed: {res[3]}")
-            cont += res[0]
-    atom = sum(mass for loc, mass in d.atoms if abs(loc) <= beta)
-    return cont + atom
+    edges = (-beta, beta, *d.breakpoints)
+    points = np.array(sorted({lo, hi, *(p for p in edges if lo < p < hi)}))
+    cont = integrate(d.pdf, points[:-1], points[1:], what="escaped mass")
+    outside = np.abs(0.5 * (points[:-1] + points[1:])) > beta
+    atom = sum(mass for loc, mass in d.atoms if abs(loc) > beta)
+    return float(np.sum(cont[outside])) + atom
 
 
 def truncate_resample_pushforward(d: Density,
@@ -195,8 +187,7 @@ def truncate_resample_pushforward(d: Density,
     """
     beta = params.beta
     sd = params.sigma_i
-    total = _ball_mass(d, float("inf"))
-    out_mass = max(total - _ball_mass(d, beta), 0.0)
+    out_mass = _escaped_mass(d, beta)
     base_pdf = d.pdf
     gauss = mixture_pdf([0.0], [sd], [1.0])
 
@@ -254,13 +245,7 @@ def weighted_integral_statistic(increments, sigma_n2, grid: Grid) -> np.ndarray:
     vals = np.asarray(s2(probe), dtype=float)
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0):
         raise ValueError("sigma_n2 must be positive on the grid span")
-    out = np.empty(grid.n)
-    for i, (a, b) in enumerate(zip(grid.times[:-1], grid.times[1:])):
-        res = integrate.quad(lambda t: 1.0 / float(s2(t)), a, b,
-                             epsabs=1e-12, epsrel=1e-10, limit=200,
-                             full_output=True)
-        if len(res) > 3:
-            raise QuadratureError(
-                f"1/sigma_n^2 integral on [{a:g}, {b:g}] failed: {res[3]}")
-        out[i] = inc[i] * res[0] / (b - a)
-    return out
+    inv = integrate(lambda t: 1.0 / np.asarray(s2(t), dtype=float),
+                    grid.times[:-1], grid.times[1:],
+                    what="1/sigma_n^2 integral")
+    return inc * inv / grid.deltas

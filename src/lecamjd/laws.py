@@ -74,19 +74,20 @@ def mixture_pdf(means, sds, weights,
     means = np.asarray(means, dtype=float)
     sds = np.asarray(sds, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    scaled = weights / sds
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
         flat = np.atleast_1d(x).ravel()
         out = np.zeros(flat.size)
         if means.size:
-            # chunk so n_points * n_components stays bounded in memory
-            chunk = max(1, int(4_000_000 // means.size))
+            # chunk so each n_points * n_components temporary (3.2 MB)
+            # stays in cache; row sums do not depend on the chunking
+            chunk = max(1, int(400_000 // means.size))
             for s in range(0, flat.size, chunk):
                 xs = flat[s:s + chunk, None]
                 z = (xs - means[None, :]) / sds[None, :]
-                out[s:s + chunk] = ((weights[None, :] / sds[None, :])
-                                    * _gauss.std_pdf(z)).sum(axis=1)
+                out[s:s + chunk] = (scaled * _gauss.std_pdf(z)).sum(axis=1)
         for w, fn in extra:
             out += w * np.asarray(fn(flat), dtype=float)
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])

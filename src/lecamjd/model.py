@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
+
+from ._quadrature import QuadratureError, integrate
 
 __all__ = [
     "QuadratureError",
@@ -54,25 +55,6 @@ __all__ = [
 #: absolute tolerance for every adaptive time integral in this module
 QUAD_ABS_TOL = 1e-10
 
-_MASK64 = (1 << 64) - 1
-
-
-class QuadratureError(RuntimeError):
-    """An adaptive integral failed to converge to its tolerance."""
-
-
-def _quad(fn, a, b, *, name: str, epsabs: float = QUAD_ABS_TOL) -> float:
-    res = integrate.quad(fn, a, b, epsabs=epsabs, epsrel=1e-10, limit=200,
-                         full_output=True)
-    if len(res) > 3:
-        raise QuadratureError(
-            f"{name} integral over [{a:g}, {b:g}] did not converge: {res[3]}")
-    value = res[0]
-    if not math.isfinite(value):
-        raise QuadratureError(
-            f"{name} integral over [{a:g}, {b:g}] is not finite")
-    return float(value)
-
 
 # ---------------------------------------------------------------------------
 # time functions
@@ -84,7 +66,8 @@ class TimeFunction:
 
     ``fn`` must accept scalars and numpy arrays.  ``integral(a, b)`` and
     ``square_integral(a, b)`` return the exact integral of ``fn`` and of
-    ``fn**2`` when closed forms exist; quadrature fills in otherwise.
+    ``fn**2`` over ``[a, b]`` when closed forms exist, elementwise for
+    arrays of interval ends; quadrature fills in otherwise.
     ``label``/``params`` record how the function was built so configs can be
     round-tripped.
     """
@@ -119,7 +102,10 @@ def linear(intercept: float, slope: float) -> TimeFunction:
     def _int_sq(a, b):
         if q == 0.0:
             return p * p * (b - a)
-        return ((p + q * b) ** 3 - (p + q * a) ** 3) / (3.0 * q)
+        # float_power, not **: numpy's SIMD power loop may differ from the
+        # scalar pow behind Python's ** in the last bit
+        return (np.float_power(p + q * b, 3)
+                - np.float_power(p + q * a, 3)) / (3.0 * q)
 
     return TimeFunction(
         fn=lambda t: p + q * np.asarray(t, dtype=float),
@@ -139,14 +125,14 @@ def sine(offset: float, amplitude: float, angular_frequency: float,
 
     def _int(a, b):
         return (c * (b - a)
-                - (amp / w) * (math.cos(w * b + ph) - math.cos(w * a + ph)))
+                - (amp / w) * (np.cos(w * b + ph) - np.cos(w * a + ph)))
 
     def _int_sq(a, b):
-        cross = -(2.0 * c * amp / w) * (math.cos(w * b + ph)
-                                        - math.cos(w * a + ph))
+        cross = -(2.0 * c * amp / w) * (np.cos(w * b + ph)
+                                        - np.cos(w * a + ph))
         square = (amp * amp) * (0.5 * (b - a)
-                                - (math.sin(2 * (w * b + ph))
-                                   - math.sin(2 * (w * a + ph))) / (4.0 * w))
+                                - (np.sin(2 * (w * b + ph))
+                                   - np.sin(2 * (w * a + ph))) / (4.0 * w))
         return c * c * (b - a) + cross + square
 
     return TimeFunction(
@@ -174,18 +160,20 @@ def as_time_function(obj) -> TimeFunction:
     raise TypeError(f"cannot interpret {obj!r} as a function of time")
 
 
-def integral_of(tf: TimeFunction, a: float, b: float, *,
-                name: str = "function") -> float:
+def integral_of(tf: TimeFunction, a, b, *, name: str = "function"):
+    """Integral of ``tf`` over ``[a, b]``, elementwise for array ends."""
     if tf.integral is not None:
-        return float(tf.integral(a, b))
-    return _quad(lambda t: float(tf.fn(t)), a, b, name=name)
+        return tf.integral(a, b)
+    return integrate(tf.fn, a, b, epsabs=QUAD_ABS_TOL,
+                     what=f"{name} integral")
 
 
-def integral_of_square(tf: TimeFunction, a: float, b: float, *,
-                       name: str = "function") -> float:
+def integral_of_square(tf: TimeFunction, a, b, *, name: str = "function"):
+    """Integral of ``tf**2`` over ``[a, b]``, elementwise for array ends."""
     if tf.square_integral is not None:
-        return float(tf.square_integral(a, b))
-    return _quad(lambda t: float(tf.fn(t)) ** 2, a, b, name=f"squared {name}")
+        return tf.square_integral(a, b)
+    return integrate(lambda t: np.asarray(tf.fn(t), dtype=float) ** 2, a, b,
+                     epsabs=QUAD_ABS_TOL, what=f"squared {name} integral")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +216,7 @@ class LatticeJumps(JumpLaw):
         if any(not float(v).is_integer() for v in vals):
             raise ValueError("lattice jump values must be integers")
         probs = np.asarray(self.probs, dtype=float)
-        if np.any(probs < 0):
+        if not np.all(probs >= 0):
             raise ValueError("lattice jump masses must be non-negative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(
@@ -272,9 +260,11 @@ class ContinuousJumps(JumpLaw):
 
     ``n1``/``n2`` record the near-zero envelope (density bounded by ``n2``
     on ``[-1/n1, 1/n1]``) that the resampling-kernel bound integrates over.
-    Optional hooks supply a closed-form sampler, characteristic function,
-    and Gaussian convolution; quadrature and a shared evaluation grid fill
-    in when they are missing.  ``exact_gauss_conv(k, m, s2)`` may return
+    ``density`` must accept numpy arrays: quadrature evaluates it on whole
+    node arrays, and a scalar-only callable raises.  Optional hooks supply
+    a closed-form sampler, characteristic function, and Gaussian
+    convolution; quadrature and a shared evaluation grid fill in when they
+    are missing.  ``exact_gauss_conv(k, m, s2)`` may return
     ``("gaussian", mu, var)``, ``("pdf", fn, support, breakpoints)``, or
     ``None`` to request the grid fallback.
     """
@@ -296,8 +286,8 @@ class ContinuousJumps(JumpLaw):
         object.__setattr__(self, "support", (lo, hi))
         if self.n1 <= 0:
             raise ValueError("n1 must be positive")
-        mass = _quad(lambda y: float(self.density(y)), lo, hi,
-                     name="jump density", epsabs=1e-11)
+        mass = integrate(self.density, lo, hi, epsabs=1e-11,
+                         what="jump density mass")
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(
                 f"jump density integrates to {mass!r}, expected 1")
@@ -313,8 +303,8 @@ class ContinuousJumps(JumpLaw):
 
     def mean(self) -> float:
         lo, hi = self.support
-        return _quad(lambda y: y * float(self.density(y)), lo, hi,
-                     name="jump mean", epsabs=1e-11)
+        return integrate(lambda y: y * self.density(y), lo, hi,
+                         epsabs=1e-11, what="jump mean")
 
     def cf(self, u):
         if self.cf_fn is not None:
@@ -323,10 +313,10 @@ class ContinuousJumps(JumpLaw):
         lo, hi = self.support
 
         def _one(uu: float) -> complex:
-            re = _quad(lambda y: float(self.density(y)) * math.cos(uu * y),
-                       lo, hi, name="jump cf (real)", epsabs=1e-11)
-            im = _quad(lambda y: float(self.density(y)) * math.sin(uu * y),
-                       lo, hi, name="jump cf (imag)", epsabs=1e-11)
+            re = integrate(lambda y: self.density(y) * np.cos(uu * y),
+                           lo, hi, epsabs=1e-11, what="jump cf (real)")
+            im = integrate(lambda y: self.density(y) * np.sin(uu * y),
+                           lo, hi, epsabs=1e-11, what="jump cf (imag)")
             return complex(re, im)
 
         if u.ndim == 0:
@@ -511,10 +501,15 @@ class ModelSpec:
         object.__setattr__(self, "sigma", as_time_function(self.sigma))
         object.__setattr__(self, "intensity",
                            as_time_function(self.intensity))
-        if not self.epsilon_n > 0:
-            raise ValueError("epsilon_n must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.epsilon_n < math.inf:
+            raise ValueError("epsilon_n must be positive and finite")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
+        if not math.isfinite(self.initial):
+            raise ValueError("initial must be finite")
+        if (self.intensity_max is not None
+                and not 0.0 <= self.intensity_max < math.inf):
+            raise ValueError("intensity_max must be finite and non-negative")
         if not isinstance(self.jump_law, JumpLaw):
             raise TypeError("jump_law must be a JumpLaw instance")
         probe = np.linspace(0.0, self.horizon, 257)
@@ -594,22 +589,17 @@ def build_increment_summaries(spec: ModelSpec, grid: Grid) -> IncrementSummaries
     """Integrate drift, squared noise volatility, and intensity per interval."""
     if grid.horizon > spec.horizon + 1e-12:
         raise ValueError("grid extends past the model horizon")
-    times = grid.times
-    n = grid.n
-    m = np.empty(n)
-    sigma2 = np.empty(n)
-    lam = np.empty(n)
-    eps2 = spec.epsilon_n ** 2
-    for i in range(n):
-        a, b = float(times[i]), float(times[i + 1])
-        m[i] = integral_of(spec.drift, a, b, name="drift")
-        sigma2[i] = eps2 * integral_of_square(spec.sigma, a, b, name="sigma")
-        lam_i = integral_of(spec.intensity, a, b, name="intensity")
-        if lam_i < -1e-12:
-            raise ValueError(f"negative intensity mass on [{a:g}, {b:g}]")
-        lam[i] = max(lam_i, 0.0)
-        if sigma2[i] <= 0:
-            raise ValueError(f"vanishing noise variance on [{a:g}, {b:g}]")
+    a, b = grid.times[:-1], grid.times[1:]
+    m = integral_of(spec.drift, a, b, name="drift")
+    sigma2 = spec.epsilon_n ** 2 * integral_of_square(spec.sigma, a, b,
+                                                      name="sigma")
+    lam = integral_of(spec.intensity, a, b, name="intensity")
+    for bad, what in ((lam < -1e-12, "negative intensity mass"),
+                      (sigma2 <= 0, "vanishing noise variance")):
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(f"{what} on [{a[i]:g}, {b[i]:g}]")
+    lam = np.maximum(lam, 0.0)
     alpha = lam * np.exp(-lam)
     return IncrementSummaries(m=m, sigma2=sigma2, lam=lam, alpha=alpha)
 

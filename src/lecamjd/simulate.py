@@ -89,11 +89,15 @@ def sample_inhomogeneous_poisson(intensity, lambda_max: float,
     probability ``intensity(t) / lambda_max``.  Raises if the intensity
     exceeds the dominating rate anywhere it is probed.
     """
-    if lambda_max < 0 or not math.isfinite(lambda_max):
-        raise ValueError("lambda_max must be a finite nonnegative rate")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    gen = rng.generator()
+    return _thinned_times(rng.generator(), intensity, lambda_max, horizon)
+
+
+def _thinned_times(gen, intensity, lambda_max: float, horizon: float):
+    """Thinning on ``gen``: candidate count, times, acceptance uniforms."""
+    if lambda_max < 0 or not math.isfinite(lambda_max):
+        raise ValueError("lambda_max must be a finite nonnegative rate")
     if lambda_max == 0.0:
         return np.empty(0)
     count = int(gen.poisson(lambda_max * horizon))
@@ -114,7 +118,7 @@ def find_intensity_bound(spec: ModelSpec) -> float:
         return float(spec.intensity_max)
     probe = np.linspace(0.0, spec.horizon, 4097)
     peak = float(np.max(np.asarray(spec.intensity(probe), dtype=float)))
-    return peak * 1.05
+    return max(peak, 0.0) * 1.05  # ModelSpec lets rates dip to -1e-12
 
 
 def bin_jump_sums(times: np.ndarray, jump_times: np.ndarray,
@@ -138,18 +142,8 @@ def sample_path(spec: ModelSpec, grid: Grid, summaries: IncrementSummaries,
     gen = rng.generator()
     n = grid.n
     gaussian = summaries.m + np.sqrt(summaries.sigma2) * gen.standard_normal(n)
-    lambda_max = find_intensity_bound(spec)
-    if lambda_max > 0:
-        count = int(gen.poisson(lambda_max * grid.horizon))
-        candidates = np.sort(gen.uniform(0.0, grid.horizon, count))
-        accept_u = gen.random(count)
-        rates = np.asarray(spec.intensity(candidates), dtype=float)
-        if np.any(rates > lambda_max * (1.0 + 1e-12)):
-            raise ValueError("intensity exceeds its dominating rate")
-        keep = accept_u * lambda_max < rates
-        jump_times = candidates[keep]
-    else:
-        jump_times = np.empty(0)
+    jump_times = _thinned_times(gen, spec.intensity,
+                                find_intensity_bound(spec), grid.horizon)
     jump_sizes = (spec.jump_law.sample(gen, jump_times.size)
                   if jump_times.size else np.empty(0))
     increments = gaussian + bin_jump_sums(grid.times, jump_times, jump_sizes)

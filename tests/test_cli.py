@@ -1,11 +1,18 @@
 """Command-line front door: config schema, CSV shapes, determinism,
 and exit codes.  Everything runs in-process through ``main(argv)``."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lecamjd as lj
 from lecamjd.cli import (ConfigError, load_config, main, parse_config,
@@ -299,6 +306,67 @@ class TestRiskTransferCommand:
         a = capsys.readouterr().out
         assert main(argv) == 0
         assert a == capsys.readouterr().out
+
+
+NONFINITE_LAWS = {
+    "dirac": {"kind": "dirac", "location": 1.0},
+    "lattice": {"kind": "lattice", "values": [-1, 2], "probs": [0.5, 0.5]},
+    "uniform": {"kind": "uniform", "low": -0.5, "high": 0.5},
+    "gaussian": {"kind": "gaussian", "mean": 0.0, "sd": 0.5},
+}
+NONFINITE_COMMON = [("drift", "offset"), ("drift", "amplitude"),
+                    ("drift", "angular_frequency"), ("sigma", "value"),
+                    ("intensity", "value"), ("epsilon_n",), ("horizon",),
+                    ("initial",), ("intensity_max",),
+                    ("sigma_log_derivative_bound",)]
+#: (jump law, key path) pairs that reach every number a config can hold
+NONFINITE_CASES = (
+    [(law, path) for law in NONFINITE_LAWS for path in NONFINITE_COMMON]
+    + [("dirac", ("jump_law", "location")),
+       ("lattice", ("jump_law", "values", 0)),
+       ("lattice", ("jump_law", "probs", 1)),
+       ("uniform", ("jump_law", "low")), ("uniform", ("jump_law", "high")),
+       ("gaussian", ("jump_law", "mean")), ("gaussian", ("jump_law", "sd"))])
+
+
+class TestNonFiniteConfigs:
+    """NaN and infinities anywhere in a config are config errors."""
+
+    @given(case=st.sampled_from(NONFINITE_CASES),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=80, deadline=None)
+    def test_any_non_finite_number_exits_one(self, case, value):
+        law, path = case
+        data = copy.deepcopy(dict(BASE_CONFIG, jump_law=NONFINITE_LAWS[law],
+                                  initial=0.0, intensity_max=2.0,
+                                  sigma_log_derivative_bound=1.0))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "config.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            with contextlib.redirect_stderr(err):
+                code = main(["validate", "--config", cfg])
+        assert code == 1
+        assert err.getvalue().startswith("config error: ")
+
+    def test_infinite_drift_writes_no_rows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"drift": {"kind": "constant",
+                                                "value": math.inf}})
+        assert main(["simulate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "drift.value must be finite" in captured.err
+
+    def test_model_spec_rejects_non_finite_scalars(self):
+        base = parse_config(dict(BASE_CONFIG))[0]
+        for key in ("initial", "intensity_max", "epsilon_n", "horizon"):
+            with pytest.raises(ValueError, match=key):
+                lj.ModelSpec(**dict(vars(base), **{key: math.nan}))
 
 
 class TestValidateCommand:

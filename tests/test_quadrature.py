@@ -1,0 +1,135 @@
+"""The batched Gauss-Kronrod integrator against QUADPACK, its failure
+modes, and the import path it keeps free of ``scipy.integrate``.
+
+This is the one test module that imports ``scipy.integrate``: QUADPACK's
+``quad`` is the independent reference the package's own integrator is
+checked against, panel by panel.
+"""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate as scipy_integrate
+
+import lecamjd as lj
+from lecamjd._quadrature import EPSREL, LIMIT, QuadratureError, integrate
+from lecamjd.model import IntervalSummary
+from lecamjd.oracle import _panel_points
+
+
+def quad_panels(fn, a, b):
+    """QUADPACK value of each panel, through scalar calls of ``fn``."""
+    return np.array([
+        scipy_integrate.quad(lambda x: float(fn(np.array([x]))[0]), lo, hi,
+                             epsabs=1e-12, epsrel=EPSREL, limit=LIMIT)[0]
+        for lo, hi in zip(a, b)])
+
+
+def assert_matches_quad(fn, a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    got = integrate(fn, a, b)
+    assert got.shape == a.shape
+    np.testing.assert_allclose(got, quad_panels(fn, a, b),
+                               rtol=0.0, atol=1e-12)
+
+
+def oracle_panels(*densities):
+    points = _panel_points(*densities)
+    return points[:-1], points[1:]
+
+
+class TestAgainstQuadpack:
+    def test_smooth_gaussian(self):
+        d = lj.gaussian_density(0.4, 0.7)
+        assert_matches_quad(d.pdf, *oracle_panels(d))
+        assert_matches_quad(d.pdf, [-12.0], [12.0])
+
+    def test_absolute_difference_with_interior_kinks(self):
+        # |p - q| crosses zero twice inside the single panel
+        p = lj.gaussian_density(0.0, 1.0)
+        q = lj.gaussian_density(0.7, 4.0)
+        fn = lambda x: np.abs(p.pdf(x) - q.pdf(x))  # noqa: E731
+        assert_matches_quad(fn, [-25.0], [25.0])
+        assert_matches_quad(fn, *oracle_panels(p, q))
+
+    def test_narrow_bump(self):
+        p = lj.mixture_density([(0.0, 1.0, 0.5), (3.0, 0.001, 0.5)])
+        q = lj.gaussian_density(0.0, 1.0)
+        fn = lambda x: np.abs(p.pdf(x) - q.pdf(x))  # noqa: E731
+        assert_matches_quad(fn, *oracle_panels(p, q))
+        assert_matches_quad(p.pdf, *oracle_panels(p))
+
+    def test_uniform_jump_edges(self):
+        law = lj.uniform_jumps(-1.0, 1.0)
+        s = IntervalSummary(m=0.1, sigma2=1e-4, lam=0.2)
+        d = lj.bernoulli_density(s, law)
+        assert_matches_quad(d.pdf, *oracle_panels(d))
+        assert_matches_quad(law.density, [-2.0, -1.0, 1.0], [-1.0, 1.0, 2.0])
+
+    def test_non_contiguous_and_nested_panels(self):
+        # the jump-mass bound integrates one jump density over nested
+        # windows [lo, 2 beta_i]; panels may also leave gaps
+        law = lj.gaussian_jumps(7.5, 0.5)
+        lo, hi = law.support
+        assert_matches_quad(law.density, [lo, lo, lo, 5.0, 9.0],
+                            [6.0, 7.5, 9.25, 6.5, hi])
+
+    def test_shapes(self):
+        got = integrate(lambda x: 2.0 * x, np.zeros((2, 3)), 1.0)
+        np.testing.assert_allclose(got, np.ones((2, 3)), atol=1e-15)
+        assert integrate(np.cos, 0.0, 0.5 * math.pi) == pytest.approx(1.0)
+        assert integrate(np.cos, [], []).shape == (0,)
+
+
+class TestFailures:
+    def test_exhausted_limit_names_the_panel(self):
+        # 400 kinks need more than LIMIT = 200 subpanels
+        with pytest.raises(QuadratureError,
+                           match=r"test integral over \[0, 1\] cannot "
+                                 r"converge within 200 subpanels"):
+            integrate(lambda x: np.abs(np.sin(400 * np.pi * x)), 0.0, 1.0,
+                      what="test integral")
+
+    def test_roundoff_width_panel(self):
+        step = lambda x: np.where(x < 1.0 + 2e-15, 0.0, 1e20)  # noqa: E731
+        with pytest.raises(QuadratureError, match="too narrow"):
+            integrate(step, 1.0, 1.0 + 8e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, bad):
+        fn = lambda x: np.where(x > 2.5, bad, 1.0)  # noqa: E731
+        with pytest.raises(QuadratureError,
+                           match=r"over \[2, 3\] has a non-finite "
+                                 r"integrand value"):
+            integrate(fn, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_scalar_only_jump_density_fails_loudly(self):
+        with pytest.raises((TypeError, ValueError)):
+            lj.ContinuousJumps(density=lambda y: 1.0 if 0 <= y <= 1 else 0.0,
+                               support=(0.0, 1.0))
+
+
+@given(mu1=st.floats(-3.0, 3.0), mu2=st.floats(-3.0, 3.0),
+       sd=st.floats(0.05, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_tv_of_equal_variance_gaussians_matches_closed_form(mu1, mu2, sd):
+    tv = lj.tv_quadrature(lj.gaussian_density(mu1, sd * sd),
+                          lj.gaussian_density(mu2, sd * sd))
+    assert abs(tv - 0.5 * lj.l1_gaussians_same_var(mu1, mu2, sd)) < 1e-10
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lj.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, lecamjd, lecamjd.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
