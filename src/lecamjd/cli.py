@@ -27,13 +27,14 @@ laws are ``{"kind": "dirac", "location": x}``, ``{"kind": "lattice",
 
 Exit codes: 0 success, 1 config error, 2 numerical failure.  Output is
 deterministic for fixed (config, seed, flags): floats are rendered with
-``repr`` and rows are assembled in index order.
+``repr``, integers with ``str``, and rows are in index order.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -44,14 +45,15 @@ import numpy as np
 from .distances import (bernoulli_aggregate_bound,
                         continuous_kernel_aggregate_bound,
                         discrete_kernel_aggregate_bound)
-from .experiments import (default_drift_estimator, run_convergence,
+from .experiments import (DEFAULT_EPSILON, DEFAULT_L, ConvergenceRow,
+                          RiskRow, default_drift_estimator, run_convergence,
                           run_risk_transfer)
 from .kernels import TruncateResampleParams, apply_round_kernel, \
     truncate_resample
 from .model import (ContinuousJumps, DiracJump, Grid, LatticeJumps,
-                    ModelSpec, QuadratureError, TimeFunction,
-                    build_increment_summaries, check_sigma_log_derivative,
-                    constant, gaussian_jumps, linear, sine, uniform_jumps)
+                    ModelSpec, QuadratureError, build_increment_summaries,
+                    check_sigma_log_derivative, constant, gaussian_jumps,
+                    linear, sine, uniform_jumps)
 from .simulate import RngStream, bin_jump_sums, sample_path
 
 __all__ = ["ConfigError", "parse_config", "load_config", "serialize_config",
@@ -76,49 +78,55 @@ def _as_float(value, key: str) -> float:
     return float(value)
 
 
-def _parse_time_function(obj, key: str) -> TimeFunction:
+#: Config kinds by family: kind -> (constructor, its number fields in
+#: argument order).  ``phase`` may be omitted (default 0) and
+#: ``values``/``probs`` are lists of numbers.
+_KINDS = {
+    "time function": {
+        "constant": (constant, ("value",)),
+        "linear": (linear, ("intercept", "slope")),
+        "sine": (sine, ("offset", "amplitude", "angular_frequency", "phase")),
+    },
+    "jump law": {
+        "dirac": (DiracJump, ("location",)),
+        "lattice": (LatticeJumps, ("values", "probs")),
+        "uniform": (uniform_jumps, ("low", "high")),
+        "gaussian": (gaussian_jumps, ("mean", "sd")),
+    },
+}
+#: config key -> family of its kind
+_FAMILIES = {"drift": "time function", "sigma": "time function",
+             "intensity": "time function", "jump_law": "jump law"}
+
+
+def _parse_field(obj: dict, field: str, key: str):
+    name = f"{key}.{field}"
+    if field == "phase":
+        return _as_float(obj.get(field, 0.0), name)
+    if field not in obj:
+        raise ConfigError(f"missing key: {name}")
+    raw = obj[field]
+    if field in ("values", "probs"):
+        if not isinstance(raw, list):
+            raise ConfigError(f"{name} must be a list of numbers")
+        return tuple(_as_float(v, f"{name}[{j}]") for j, v in enumerate(raw))
+    return _as_float(raw, name)
+
+
+def _parse_kind(obj, key: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{key} must be an object with a 'kind'")
+    kinds = _KINDS[_FAMILIES[key]]
     kind = obj.get("kind")
-    if kind == "constant":
-        return constant(_as_float(_need(obj, "value"), f"{key}.value"))
-    if kind == "linear":
-        return linear(_as_float(_need(obj, "intercept"), f"{key}.intercept"),
-                      _as_float(_need(obj, "slope"), f"{key}.slope"))
-    if kind == "sine":
-        return sine(_as_float(_need(obj, "offset"), f"{key}.offset"),
-                    _as_float(_need(obj, "amplitude"), f"{key}.amplitude"),
-                    _as_float(_need(obj, "angular_frequency"),
-                              f"{key}.angular_frequency"),
-                    _as_float(obj.get("phase", 0.0), f"{key}.phase"))
-    raise ConfigError(
-        f"{key}.kind must be one of constant, linear, sine (got {kind!r})")
-
-
-def _parse_jump_law(obj):
-    if not isinstance(obj, dict):
-        raise ConfigError("jump_law must be an object with a 'kind'")
-    kind = obj.get("kind")
+    if kind not in kinds:
+        raise ConfigError(
+            f"{key}.kind must be one of {', '.join(kinds)} (got {kind!r})")
+    make, names = kinds[kind]
+    args = [_parse_field(obj, name, key) for name in names]
     try:
-        if kind == "dirac":
-            return DiracJump(_as_float(_need(obj, "location"),
-                                       "jump_law.location"))
-        if kind == "lattice":
-            return LatticeJumps(
-                values=tuple(_need(obj, "values")),
-                probs=tuple(_need(obj, "probs")))
-        if kind == "uniform":
-            return uniform_jumps(_as_float(_need(obj, "low"), "jump_law.low"),
-                                 _as_float(_need(obj, "high"),
-                                           "jump_law.high"))
-        if kind == "gaussian":
-            return gaussian_jumps(_as_float(_need(obj, "mean"),
-                                            "jump_law.mean"),
-                                  _as_float(_need(obj, "sd"), "jump_law.sd"))
+        return make(*args)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"jump_law: {exc}") from exc
-    raise ConfigError("jump_law.kind must be one of dirac, lattice, "
-                      f"uniform, gaussian (got {kind!r})")
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def parse_config(data: dict) -> tuple[ModelSpec, dict]:
@@ -129,10 +137,7 @@ def parse_config(data: dict) -> tuple[ModelSpec, dict]:
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    drift = _parse_time_function(_need(data, "drift"), "drift")
-    sigma = _parse_time_function(_need(data, "sigma"), "sigma")
-    intensity = _parse_time_function(_need(data, "intensity"), "intensity")
-    jump_law = _parse_jump_law(_need(data, "jump_law"))
+    parsed = {key: _parse_kind(_need(data, key), key) for key in _FAMILIES}
     epsilon_n = _as_float(_need(data, "epsilon_n"), "epsilon_n")
     horizon = _as_float(_need(data, "horizon"), "horizon")
     initial = _as_float(data.get("initial", 0.0), "initial")
@@ -143,10 +148,8 @@ def parse_config(data: dict) -> tuple[ModelSpec, dict]:
     if isinstance(n_raw, bool) or not isinstance(n_raw, int) or n_raw < 1:
         raise ConfigError("n must be a positive integer")
     try:
-        spec = ModelSpec(drift=drift, sigma=sigma, epsilon_n=epsilon_n,
-                         intensity=intensity, jump_law=jump_law,
-                         horizon=horizon, initial=initial,
-                         intensity_max=intensity_max)
+        spec = ModelSpec(**parsed, epsilon_n=epsilon_n, horizon=horizon,
+                         initial=initial, intensity_max=intensity_max)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     options = {"n": int(n_raw)}
@@ -173,48 +176,32 @@ def load_config(path: str) -> tuple[ModelSpec, dict]:
     return parse_config(data)
 
 
-def _serialize_time_function(tf: TimeFunction, key: str) -> dict:
-    if tf.label == "constant":
-        return {"kind": "constant", "value": tf.params[0]}
-    if tf.label == "linear":
-        return {"kind": "linear", "intercept": tf.params[0],
-                "slope": tf.params[1]}
-    if tf.label == "sine":
-        return {"kind": "sine", "offset": tf.params[0],
-                "amplitude": tf.params[1],
-                "angular_frequency": tf.params[2], "phase": tf.params[3]}
-    raise ConfigError(f"{key}: custom time functions cannot be serialized")
-
-
-def _serialize_jump_law(law) -> dict:
-    if isinstance(law, DiracJump):
-        return {"kind": "dirac", "location": float(law.location)}
-    if isinstance(law, LatticeJumps):
-        return {"kind": "lattice",
-                "values": [int(v) for v in np.asarray(law.values)],
-                "probs": [float(p) for p in np.asarray(law.probs)]}
-    if isinstance(law, ContinuousJumps):
-        if law.label == "uniform":
-            return {"kind": "uniform", "low": law.params[0],
-                    "high": law.params[1]}
-        if law.label == "gaussian":
-            return {"kind": "gaussian", "mean": law.params[0],
-                    "sd": law.params[1]}
-    raise ConfigError("jump_law: custom jump laws cannot be serialized")
+def _serialize_kind(obj, key: str) -> dict:
+    if isinstance(obj, DiracJump):
+        kind, params = "dirac", (obj.location,)
+    elif isinstance(obj, LatticeJumps):
+        kind, params = "lattice", (obj.values, obj.probs)
+    else:
+        kind, params = getattr(obj, "label", None), getattr(obj, "params", ())
+    kinds = _KINDS[_FAMILIES[key]]
+    if kind not in kinds:
+        raise ConfigError(
+            f"{key}: custom {_FAMILIES[key]}s cannot be serialized")
+    out = {"kind": kind}
+    for field, value in zip(kinds[kind][1], params):
+        out[field] = list(value) if isinstance(value, tuple) else float(value)
+    return out
 
 
 def serialize_config(spec: ModelSpec, options: dict) -> dict:
     """Config object that parses back to the same model (see parse_config)."""
-    out = {
-        "drift": _serialize_time_function(spec.drift, "drift"),
-        "sigma": _serialize_time_function(spec.sigma, "sigma"),
-        "intensity": _serialize_time_function(spec.intensity, "intensity"),
-        "jump_law": _serialize_jump_law(spec.jump_law),
+    out = {key: _serialize_kind(getattr(spec, key), key) for key in _FAMILIES}
+    out.update({
         "epsilon_n": float(spec.epsilon_n),
         "horizon": float(spec.horizon),
         "initial": float(spec.initial),
         "n": int(options["n"]),
-    }
+    })
     if spec.intensity_max is not None:
         out["intensity_max"] = float(spec.intensity_max)
     if "sigma_log_derivative_bound" in options:
@@ -227,26 +214,36 @@ def serialize_config(spec: ModelSpec, options: dict) -> dict:
 # CSV plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _emit_csv(columns: dict, out_path: str | None, last_row=None) -> None:
+    """Write equal-length named columns, plus an optional row of text.
 
-
-def _emit_csv(header, rows, out_path: str | None) -> None:
+    Each column is formatted in one pass: float arrays with ``repr``,
+    everything else (integers, strings) with ``str``.
+    """
+    cells = []
+    for column in columns.values():
+        arr = np.asarray(column)
+        cells.append(map(repr if arr.dtype.kind == "f" else str,
+                         arr.tolist()))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerow(columns)
+    writer.writerows(zip(*cells))
+    if last_row is not None:
+        writer.writerow(last_row)
     text = buf.getvalue()
     if out_path is None:
         sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _record_columns(records: list, cls) -> dict:
+    """One column per dataclass field, typed as the field declares."""
+    return {f.name: np.array([getattr(r, f.name) for r in records],
+                             dtype=f.type)
+            for f in dataclasses.fields(cls)}
 
 
 def _parse_n_list(raw: str) -> list[int]:
@@ -270,11 +267,10 @@ def _cmd_simulate(args) -> int:
     path = sample_path(spec, grid, summaries, RngStream(args.seed))
     counts = bin_jump_sums(grid.times, path.jump_times,
                            np.ones_like(path.jump_sizes))
-    rows = [(float(grid.times[i + 1]), float(path.increments[i]),
-             float(path.gaussian_parts[i]), int(round(counts[i])))
-            for i in range(grid.n)]
-    _emit_csv(["t_i", "increment", "gaussian_part", "n_jumps_in_interval"],
-              rows, args.out)
+    _emit_csv({"t_i": grid.times[1:], "increment": path.increments,
+               "gaussian_part": path.gaussian_parts,
+               "n_jumps_in_interval": np.rint(counts).astype(np.int64)},
+              args.out)
     return 0
 
 
@@ -318,19 +314,18 @@ def _cmd_filter(args) -> int:
             grid = Grid.uniform(spec.horizon, inc.size)
         if grid.n != inc.size:
             raise ConfigError("t_i column and increment count disagree")
-        summaries = build_increment_summaries(spec, grid)
+        sigma = np.sqrt(build_increment_summaries(spec, grid).sigma2)
+        params = TruncateResampleParams(args.L, args.epsilon, sigma)
         rng = RngStream(args.seed)
-        filtered = np.empty(inc.size)
-        for i in range(inc.size):
-            params = TruncateResampleParams(
-                L=args.L, epsilon=args.epsilon,
-                sigma_i=math.sqrt(float(summaries.sigma2[i])))
-            filtered[i] = truncate_resample(float(inc[i]), params,
-                                            rng.child(i))
+        # rows inside the ball pass through; escaped row i redraws from
+        # its own stream rng.child(i)
+        filtered = inc.copy()
+        for i in np.flatnonzero(params.escaped(inc)):
+            row = TruncateResampleParams(args.L, args.epsilon, sigma[i])
+            filtered[i] = truncate_resample(inc[i], row, rng.child(i))
     if times is None:
         times = np.arange(1, inc.size + 1, dtype=float)
-    rows = [(float(times[i]), float(filtered[i])) for i in range(inc.size)]
-    _emit_csv(["t_i", "filtered_increment"], rows, args.out)
+    _emit_csv({"t_i": times, "filtered_increment": filtered}, args.out)
     return 0
 
 
@@ -354,15 +349,14 @@ def _cmd_bounds(args) -> int:
         report = bernoulli_aggregate_bound(summaries)
     for note in report.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    sigma = np.sqrt(summaries.sigma2)
-    rows = [(i + 1, float(summaries.lam[i]), float(sigma[i]),
-             float(summaries.m[i]), float(report.per_increment[i]),
-             report.formula_name)
-            for i in range(summaries.n)]
-    rows.append(("aggregate", "", "", "", float(report.aggregate),
-                 report.formula_name))
-    _emit_csv(["i", "lambda_i", "sigma_i", "m_i", "per_increment_bound",
-               "formula_name"], rows, args.out)
+    aggregate = repr(float(report.aggregate))
+    _emit_csv({"i": np.arange(1, summaries.n + 1),
+               "lambda_i": summaries.lam,
+               "sigma_i": np.sqrt(summaries.sigma2), "m_i": summaries.m,
+               "per_increment_bound": report.per_increment,
+               "formula_name": [report.formula_name] * summaries.n},
+              args.out, last_row=("aggregate", "", "", "", aggregate,
+                                  report.formula_name))
     return 0
 
 
@@ -373,10 +367,7 @@ def _cmd_convergence(args) -> int:
                  else "lattice")
     rows = run_convergence(spec, n_list, jump_case, L=args.L,
                            epsilon=args.epsilon)
-    _emit_csv(["n", "delta_n", "aggregate_bound", "oracle_product_bound",
-               "rate_prediction"],
-              [(r.n, r.delta_n, r.aggregate_bound, r.oracle_product_bound,
-                r.rate_prediction) for r in rows], args.out)
+    _emit_csv(_record_columns(rows, ConvergenceRow), args.out)
     return 0
 
 
@@ -385,11 +376,7 @@ def _cmd_risk_transfer(args) -> int:
     n_list = _parse_n_list(args.n_list)
     rows = run_risk_transfer(spec, default_drift_estimator, n_list,
                              args.reps, RngStream(args.seed))
-    _emit_csv(["n", "mise_direct_gaussian", "mise_transferred",
-               "mise_naive_on_jumps", "replications"],
-              [(r.n, r.mise_direct_gaussian, r.mise_transferred,
-                r.mise_naive_on_jumps, r.replications) for r in rows],
-              args.out)
+    _emit_csv(_record_columns(rows, RiskRow), args.out)
     return 0
 
 
@@ -412,6 +399,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="write CSV here instead of standard output")
 
+    def truncate_options(p):
+        p.add_argument("--L", type=float, default=DEFAULT_L,
+                       help="drift cap for the truncate kernel")
+        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                       help="radius exponent for the truncate kernel")
+
     p_sim = sub.add_parser("simulate", help="sample one observed path")
     common(p_sim)
     p_sim.set_defaults(handler=_cmd_simulate)
@@ -421,10 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_filt, config_required=False)
     p_filt.add_argument("--kernel", choices=["round", "truncate"],
                         default="round")
-    p_filt.add_argument("--L", type=float, default=1.0 / 3.0,
-                        help="drift cap for the truncate kernel")
-    p_filt.add_argument("--epsilon", type=float, default=0.5,
-                        help="radius exponent for the truncate kernel")
+    truncate_options(p_filt)
     p_filt.set_defaults(handler=_cmd_filter)
 
     p_bounds = sub.add_parser("bounds",
@@ -433,16 +423,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--kernel",
                           choices=["auto", "round", "truncate", "bernoulli"],
                           default="auto")
-    p_bounds.add_argument("--L", type=float, default=1.0 / 3.0)
-    p_bounds.add_argument("--epsilon", type=float, default=0.5)
+    truncate_options(p_bounds)
     p_bounds.set_defaults(handler=_cmd_bounds)
 
     p_conv = sub.add_parser("convergence", help="bound sweep over grid sizes")
     common(p_conv)
     p_conv.add_argument("--n-list", required=True,
                         help="comma-separated grid sizes, increasing")
-    p_conv.add_argument("--L", type=float, default=1.0 / 3.0)
-    p_conv.add_argument("--epsilon", type=float, default=0.5)
+    truncate_options(p_conv)
     p_conv.set_defaults(handler=_cmd_convergence)
 
     p_risk = sub.add_parser("risk-transfer",

@@ -219,8 +219,8 @@ def continuous_kernel_aggregate_bound(
                         "jump law with a density")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be finite and positive (got {L!r})")
     over = np.abs(summaries.m) > L + 1e-12
     if np.any(over):
         i = int(np.flatnonzero(over)[0])

@@ -127,26 +127,35 @@ class TruncateResampleParams:
     """Ball radius data for the truncate-and-resample filter.
 
     ``L`` caps the interval drifts ``|m_i|``, ``epsilon`` in (0, 1) sets
-    the radius exponent, ``sigma_i`` is the interval's noise SD; the kept
-    region is the closed ball of radius ``beta = L + sigma_i**(1 -
-    epsilon)``.
+    the radius exponent, ``sigma_i`` is the interval's noise SD (a scalar,
+    or an array giving one radius per interval); the kept region is the
+    closed ball of radius ``beta = L + sigma_i**(1 - epsilon)``.
     """
 
     L: float
     epsilon: float
-    sigma_i: float
+    sigma_i: float | np.ndarray
 
     def __post_init__(self):
-        if self.L < 0:
-            raise ValueError("L must be nonnegative")
+        if not (math.isfinite(self.L) and self.L >= 0):
+            raise ValueError(
+                f"L must be finite and nonnegative (got {self.L!r})")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.sigma_i <= 0:
+        if not np.all(np.asarray(self.sigma_i) > 0):
             raise ValueError("sigma_i must be positive")
 
     @property
-    def beta(self) -> float:
-        return self.L + self.sigma_i ** (1.0 - self.epsilon)
+    def beta(self):
+        # float_power, not **: numpy's SIMD power loop may differ from the
+        # scalar pow behind Python's ** in the last bit, and array radii
+        # must equal the scalar ones exactly
+        beta = self.L + np.float_power(self.sigma_i, 1.0 - self.epsilon)
+        return float(beta) if np.ndim(beta) == 0 else beta
+
+    def escaped(self, x) -> np.ndarray:
+        """Where ``x`` lies outside the closed ball (elementwise)."""
+        return np.abs(x) > self.beta
 
 
 def truncate_resample(x, params: TruncateResampleParams, rng: RngStream):
@@ -158,7 +167,7 @@ def truncate_resample(x, params: TruncateResampleParams, rng: RngStream):
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = x_arr.copy()
-    escaped = np.abs(x_arr) > params.beta
+    escaped = params.escaped(x_arr)
     k = int(np.count_nonzero(escaped))
     if k:
         gen = rng.generator()

@@ -16,6 +16,7 @@ independent streams for parallel replications.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,8 @@ class RngStream:
 
     def child(self, offset: int) -> "RngStream":
         """Derived stream; callers compose offsets to keep ids distinct."""
-        return RngStream(self.seed, (self.stream_id << 20) ^ offset)
+        return RngStream(self.seed,
+                         (self.stream_id << 20) ^ operator.index(offset))
 
 
 @dataclass(frozen=True)

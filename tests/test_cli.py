@@ -70,6 +70,17 @@ class TestParseConfig:
         assert isinstance(spec.jump_law, cls)
         assert serialize_config(spec, options)["jump_law"]["kind"] == kind
 
+    def test_custom_kinds_cannot_be_serialized(self):
+        spec, options = parse_config(dict(BASE_CONFIG))
+        drift = lj.from_callable(lambda t: 0.0 * np.asarray(t))
+        law = lj.ContinuousJumps(density=lambda y: 1.0 + 0.0 * y,
+                                 support=(0.0, 1.0))
+        for key, value, noun in (("drift", drift, "time function"),
+                                 ("jump_law", law, "jump law")):
+            custom = lj.ModelSpec(**dict(vars(spec), **{key: value}))
+            with pytest.raises(ConfigError, match=f"{key}: custom {noun}"):
+                serialize_config(custom, options)
+
     def test_missing_key_is_named(self):
         data = dict(BASE_CONFIG)
         del data["horizon"]
@@ -102,6 +113,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="jump_law"):
             parse_config(data)
 
+    @pytest.mark.parametrize("law, where", [
+        ({"values": ["1", "2"], "probs": ["0.5", "0.5"]}, "values[0]"),
+        ({"values": [True, 2], "probs": [0.5, 0.5]}, "values[0]"),
+        ({"values": [1, 2], "probs": [0.5, False]}, "probs[1]"),
+        ({"values": 3, "probs": [1.0]}, "values"),
+    ])
+    def test_lattice_entries_must_be_json_numbers(self, tmp_path, capsys,
+                                                  law, where):
+        cfg = write_config(tmp_path, {"jump_law": {"kind": "lattice", **law}})
+        assert main(["validate", "--config", cfg]) == 1
+        assert f"jump_law.{where} must be" in capsys.readouterr().err
+
+    def test_jump_law_errors_name_the_key_once(self):
+        data = dict(BASE_CONFIG)
+        data["jump_law"] = {"kind": "dirac", "location": math.nan}
+        with pytest.raises(ConfigError) as info:
+            parse_config(data)
+        assert str(info.value).startswith("jump_law.location must be finite")
+
     def test_volatility_slope_declaration_checked(self):
         data = dict(BASE_CONFIG)
         data["sigma"] = {"kind": "sine", "offset": 1.0, "amplitude": 0.5,
@@ -120,6 +150,77 @@ class TestParseConfig:
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(bad))
+
+
+def _numbers(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _time_function(positive: bool):
+    """Every time-function kind; positive ones stay above 0.1 on [0, 1]."""
+    lo = 0.5 if positive else -5.0
+    sine = st.fixed_dictionaries(
+        {"kind": st.just("sine"), "offset": _numbers(lo + 2.0, 5.0),
+         "amplitude": _numbers(-1.0, 1.0),
+         "angular_frequency": _numbers(-20.0, 20.0)},
+        optional={"phase": _numbers(-4.0, 4.0)})
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("constant"),
+                               "value": _numbers(lo, 5.0)}),
+        st.fixed_dictionaries({"kind": st.just("linear"),
+                               "intercept": _numbers(lo, 5.0),
+                               "slope": _numbers(-0.4 if positive else -5.0,
+                                                 5.0)}),
+        sine)
+
+
+def _lattice(values, weights):
+    probs = [w / sum(weights) for w in weights]
+    return {"kind": "lattice", "values": values, "probs": probs}
+
+
+JUMP_LAWS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("dirac"),
+                           "location": _numbers(-3.0, 3.0)}),
+    st.integers(1, 4).flatmap(lambda k: st.builds(
+        _lattice, st.lists(st.integers(-5, 5), min_size=k, max_size=k,
+                           unique=True),
+        st.lists(st.integers(1, 9), min_size=k, max_size=k))),
+    st.builds(lambda low, width: {"kind": "uniform", "low": low,
+                                  "high": low + width},
+              _numbers(-3.0, 3.0), _numbers(0.01, 3.0)),
+    st.fixed_dictionaries({"kind": st.just("gaussian"),
+                           "mean": _numbers(-3.0, 3.0),
+                           "sd": _numbers(0.01, 2.0)}))
+
+
+def summary_bytes(spec, grid):
+    """Raw bytes of every summary array, or the error that stopped them."""
+    try:
+        s = lj.build_increment_summaries(spec, grid)
+    except ValueError as exc:
+        return str(exc)
+    return [getattr(s, name).tobytes()
+            for name in ("m", "sigma2", "lam", "alpha")]
+
+
+class TestRoundTripProperty:
+    @given(drift=_time_function(False), sigma=_time_function(True),
+           intensity=_time_function(True), jump_law=JUMP_LAWS)
+    @settings(max_examples=150, deadline=None)
+    def test_every_kind_round_trips(self, drift, sigma, intensity,
+                                    jump_law):
+        data = dict(BASE_CONFIG, drift=drift, sigma=sigma,
+                    intensity=intensity, jump_law=jump_law, n=8)
+        spec, options = parse_config(data)
+        once = serialize_config(spec, options)
+        spec2, options2 = parse_config(json.loads(json.dumps(once)))
+        assert serialize_config(spec2, options2) == once
+        grid = lj.Grid.uniform(spec.horizon, options["n"])
+        assert summary_bytes(spec, grid) == summary_bytes(spec2, grid)
+        us = np.linspace(-4.0, 4.0, 9)
+        np.testing.assert_array_equal(spec.jump_law.cf(us),
+                                      spec2.jump_law.cf(us))
 
 
 class TestSimulateCommand:
@@ -367,6 +468,31 @@ class TestNonFiniteConfigs:
         for key in ("initial", "intensity_max", "epsilon_n", "horizon"):
             with pytest.raises(ValueError, match=key):
                 lj.ModelSpec(**dict(vars(base), **{key: math.nan}))
+
+
+class TestNonFiniteKernelOptions:
+    """A non-finite drift cap is an error, never a CSV."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["filter", "bounds", "convergence"])
+    def test_non_finite_L_exits_nonzero_without_output(self, tmp_path,
+                                                       capsys, command,
+                                                       value):
+        cfg = write_config(tmp_path, {"jump_law": {"kind": "gaussian",
+                                                   "mean": 2.0, "sd": 0.5},
+                                      "epsilon_n": 0.2, "n": 4})
+        inc = tmp_path / "inc.csv"
+        inc.write_text("increment\n0.01\n3.0\n-0.02\n-4.0\n",
+                       encoding="utf-8")
+        argv = {"filter": ["filter", str(inc), "--kernel", "truncate",
+                           "--config", cfg],
+                "bounds": ["bounds", "--config", cfg],
+                "convergence": ["convergence", "--config", cfg,
+                                "--n-list", "4,8"]}[command]
+        assert main(argv + ["--L", value]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "L must be finite" in captured.err
 
 
 class TestValidateCommand:

@@ -255,9 +255,10 @@ class TestContinuousKernelBound:
         with pytest.raises(ValueError, match="epsilon"):
             lj.continuous_kernel_aggregate_bound(s, L=0.1, epsilon=1.0,
                                                  jump_law=law)
-        with pytest.raises(ValueError, match="L must be"):
-            lj.continuous_kernel_aggregate_bound(s, L=0.0, epsilon=0.5,
-                                                 jump_law=law)
+        for bad_L in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="L must be"):
+                lj.continuous_kernel_aggregate_bound(s, L=bad_L, epsilon=0.5,
+                                                     jump_law=law)
 
 
 class TestDriftDiscretization:

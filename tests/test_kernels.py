@@ -116,10 +116,22 @@ class TestTruncateResampleParams:
         dict(L=0.1, epsilon=0.0, sigma_i=0.1),
         dict(L=0.1, epsilon=1.0, sigma_i=0.1),
         dict(L=0.1, epsilon=0.5, sigma_i=0.0),
+        dict(L=math.nan, epsilon=0.5, sigma_i=0.1),
+        dict(L=math.inf, epsilon=0.5, sigma_i=0.1),
+        dict(L=0.1, epsilon=0.5, sigma_i=np.array([0.1, 0.0])),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             lj.TruncateResampleParams(**kwargs)
+
+    def test_array_radii_equal_scalar_radii_bitwise(self):
+        sigma = np.geomspace(1e-6, 3.0, 5001)
+        for eps in (0.5, 0.3, 0.9):
+            radii = lj.TruncateResampleParams(1 / 3, eps, sigma).beta
+            one_by_one = [lj.TruncateResampleParams(1 / 3, eps, s).beta
+                          for s in sigma.tolist()]
+            np.testing.assert_array_equal(radii, one_by_one)
+            assert one_by_one[7] == 1 / 3 + sigma[7] ** (1 - eps)
 
 
 class TestTruncateResample:

@@ -43,6 +43,14 @@ class TestRngStream:
     def test_child_is_deterministic(self):
         assert lj.RngStream(9, 3).child(5) == lj.RngStream(9, 3).child(5)
 
+    def test_numpy_integer_offsets_match_python_ints(self):
+        for offset in (np.int64(3), np.intp(3), np.uint32(3)):
+            child = lj.RngStream(0).child(offset)
+            assert child == lj.RngStream(0).child(3)
+            np.testing.assert_array_equal(
+                child.generator().standard_normal(4),
+                lj.RngStream(0).child(3).generator().standard_normal(4))
+
 
 class TestPoissonThinning:
     def test_mean_count_matches_integral(self):
@@ -158,6 +166,19 @@ class TestSamplePath:
         p = hit / (loops * 4)
         want = 1.0 - math.exp(-0.125)
         assert abs(p - want) < 4 * math.sqrt(want * (1 - want) / (loops * 4))
+
+    def test_lattice_jump_sizes_follow_probs(self):
+        law = lj.LatticeJumps(values=(-1, 2, 5), probs=(0.2, 0.5, 0.3))
+        spec = unit_spec(intensity=lj.constant(4000.0), jump_law=law)
+        grid = lj.Grid.uniform(1.0, 8)
+        summ = lj.build_increment_summaries(spec, grid)
+        path = lj.sample_path(spec, grid, summ, lj.RngStream(500))
+        sizes = path.jump_sizes
+        assert sizes.size > 3000
+        assert set(np.unique(sizes)) <= {-1.0, 2.0, 5.0}
+        for value, p in zip(law.values, law.probs):
+            freq = np.count_nonzero(sizes == value) / sizes.size
+            assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / sizes.size)
 
     def test_single_interval_ecf_matches_law(self):
         spec = unit_spec(drift=lj.constant(0.3), epsilon_n=0.4,
