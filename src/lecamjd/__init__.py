@@ -25,7 +25,7 @@ from .model import (ContinuousJumps, DiracJump, Grid, HolderClassParams,
                     constant, from_callable, gaussian_jumps, linear,
                     piecewise_drift, sine, uniform_jumps)
 from .oracle import (hellinger_quadrature, l1_quadrature, total_mass,
-                     tv_quadrature)
+                     tv_quadrature, tv_quadrature_many)
 from .simulate import (PathSample, RngStream, bin_jump_sums,
                        find_intensity_bound, sample_bernoulli_approx,
                        sample_increment_batch, sample_inhomogeneous_poisson,
@@ -54,5 +54,6 @@ __all__ = [
     "sample_white_noise_increments", "sine", "theorem_rate", "total_mass",
     "transfer_estimator", "truncate_resample",
     "truncate_resample_pushforward", "tv_gaussians_bound", "tv_quadrature",
-    "uniform_jumps", "weighted_integral_statistic", "find_intensity_bound",
+    "tv_quadrature_many", "uniform_jumps", "weighted_integral_statistic",
+    "find_intensity_bound",
 ]

@@ -38,7 +38,7 @@ def _kronrod(fn, lo, hi, owner, fail):
     """Kronrod values and ``qk21`` error estimates of the subpanels."""
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    f = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+    f = np.asarray(fn(x.ravel(), owner), dtype=float).reshape(x.shape)
     finite = np.isfinite(f).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -54,7 +54,8 @@ def _kronrod(fn, lo, hi, owner, fail):
     return resk * half, err
 
 
-def integrate(fn, a, b, *, epsabs: float = 1e-12, what: str = "integral"):
+def integrate(fn, a, b, *, epsabs: float = 1e-12, what: str = "integral",
+              by_panel: bool = False):
     """Integral of ``fn`` over each panel ``[a[j], b[j]]``.
 
     ``a`` and ``b`` broadcast to the panel shape, and the result has that
@@ -62,10 +63,12 @@ def integrate(fn, a, b, *, epsabs: float = 1e-12, what: str = "integral"):
     converges on its own to ``max(epsabs, EPSREL * |value|)`` with at most
     ``LIMIT`` subpanels.  Each round calls ``fn`` once, on a flat array of
     the Kronrod nodes of all new subpanels, so it must map arrays to arrays
-    of the same shape.  Raises :class:`QuadratureError`, naming ``what``
-    and the panel, when a panel cannot converge within ``LIMIT``, when a
-    subpanel gets too narrow to bisect, or when the integrand is not finite
-    at a node.
+    of the same shape.  With ``by_panel`` it is called as ``fn(x, panel)``,
+    ``panel`` holding the flat index of the panel each node belongs to, so
+    one call can integrate a different function on each panel.  Raises
+    :class:`QuadratureError`, naming ``what`` and the panel, when a panel
+    cannot converge within ``LIMIT``, when a subpanel gets too narrow to
+    bisect, or when the integrand is not finite at a node.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(b, dtype=float))
@@ -73,12 +76,15 @@ def integrate(fn, a, b, *, epsabs: float = 1e-12, what: str = "integral"):
     n = a.size
     values, count = np.zeros(n), np.ones(n, dtype=np.intp)
 
+    def call(x, owner):
+        return fn(x, np.repeat(owner, _NODES.size)) if by_panel else fn(x)
+
     def fail(j, why):
         raise QuadratureError(f"{what} over [{a[j]:g}, {b[j]:g}] {why}")
 
     # live subpanels: ends, owning panel, Kronrod value, error estimate
     lo, hi, owner = a, b, np.arange(n)
-    res, err = _kronrod(fn, lo, hi, owner, fail) if n else (a, b)
+    res, err = _kronrod(call, lo, hi, owner, fail) if n else (a, b)
     while True:
         total = np.bincount(owner, res, n)
         tol = np.maximum(epsabs, EPSREL * np.abs(total))
@@ -118,6 +124,7 @@ def integrate(fn, a, b, *, epsabs: float = 1e-12, what: str = "integral"):
         hi = np.concatenate((hi[keep], mid, s_hi))
         owner = np.concatenate((owner[keep], s_owner, s_owner))
         new = slice(np.count_nonzero(keep), None)
-        new_res, new_err = _kronrod(fn, lo[new], hi[new], owner[new], fail)
+        new_res, new_err = _kronrod(call, lo[new], hi[new], owner[new],
+                                    fail)
         res = np.concatenate((res[keep], new_res))
         err = np.concatenate((err[keep], new_err))

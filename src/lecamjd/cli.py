@@ -277,19 +277,28 @@ def _cmd_simulate(args) -> int:
 def _read_increment_csv(path: str):
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            records = list(reader)
-            fields = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]  # blank lines skipped
     except OSError as exc:
         raise ConfigError(f"cannot read input {path}: {exc}") from exc
-    if "increment" not in fields:
+
+    def column(name):
+        # the last column of that name, as a header-keyed dict would keep
+        i = len(header) - 1 - header[::-1].index(name)
+        try:
+            return np.array([float(row[i]) for row in rows])
+        except IndexError:
+            raise ConfigError(f"input {path} has a non-numeric row: a row "
+                              f"has no {name!r} field") from None
+        except ValueError as exc:
+            raise ConfigError(
+                f"input {path} has a non-numeric row: {exc}") from None
+
+    if "increment" not in header:
         raise ConfigError(f"input {path} lacks an 'increment' column")
-    try:
-        inc = np.array([float(r["increment"]) for r in records])
-        times = (np.array([float(r["t_i"]) for r in records])
-                 if "t_i" in fields else None)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"input {path} has a non-numeric row: {exc}")
+    inc = column("increment")
+    times = column("t_i") if "t_i" in header else None
     if inc.size == 0:
         raise ConfigError(f"input {path} has no data rows")
     return inc, times

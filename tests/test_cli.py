@@ -300,6 +300,42 @@ class TestFilterCommand:
         assert main(["filter", str(path)]) == 1
         assert "non-numeric" in capsys.readouterr().err
 
+    def read_filtered(self, tmp_path, text, capsys):
+        path = tmp_path / "inc.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["filter", str(path)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        return [tuple(float(v) for v in line.split(","))
+                for line in lines[1:]]
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        got = self.read_filtered(
+            tmp_path, "t_i,increment\n\n0.5,0.25\n\n\n1.0,-0.125\n\n",
+            capsys)
+        assert got == [(0.5, 0.25), (1.0, -0.125)]
+
+    def test_extra_columns_are_ignored(self, tmp_path, capsys):
+        got = self.read_filtered(
+            tmp_path, "note,increment,t_i,more\nx,0.25,0.5,y,z\n"
+                      "x,-0.125,1.0,y\n", capsys)
+        assert got == [(0.5, 0.25), (1.0, -0.125)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("t_i,increment\n0.5,0.25\n1.0\n", "non-numeric"),  # short rows
+        ("increment,t_i\n0.25,0.5\n-0.125\n", "non-numeric"),
+        ("increment\n0.25\n \n", "non-numeric"),
+        ("", "lacks an 'increment' column"),
+        ("\nincrement\n0.25\n", "lacks an 'increment' column"),
+        ("t_i,increments\n0.5,0.25\n", "lacks an 'increment' column"),
+        ("t_i,increment\n\n\n", "no data rows"),
+    ])
+    def test_malformed_input_is_config_error(self, tmp_path, capsys, text,
+                                             message):
+        path = tmp_path / "inc.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["filter", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestBoundsCommand:
     def test_table_has_n_plus_one_rows(self, tmp_path, capsys):

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 import lecamjd as lj
-from lecamjd.experiments import worker_count
+from lecamjd.experiments import DEFAULT_EPSILON, DEFAULT_L, worker_count
 
 LATTICE_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
                             sigma=lj.constant(1.0), epsilon_n=1.0,
                             intensity=lj.constant(0.5),
                             jump_law=lj.DiracJump(1.0), horizon=1.0)
+CONTINUOUS_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
+                               sigma=lj.constant(1.0), epsilon_n=0.2,
+                               intensity=lj.constant(0.5),
+                               jump_law=lj.gaussian_jumps(7.5, 0.5),
+                               horizon=1.0)
 
 
 def synthetic_rows(ns, column_fn):
@@ -84,14 +89,45 @@ class TestRunConvergence:
             assert r.oracle_product_bound == 0.0
 
     def test_continuous_case_runs_and_dominates_oracle(self):
-        spec = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
-                            sigma=lj.constant(1.0), epsilon_n=0.2,
-                            intensity=lj.constant(0.5),
-                            jump_law=lj.gaussian_jumps(7.5, 0.5),
-                            horizon=1.0)
-        rows = lj.run_convergence(spec, [16, 32], "continuous")
+        rows = lj.run_convergence(CONTINUOUS_SPEC, [16, 32], "continuous")
         for r in rows:
             assert r.oracle_product_bound <= r.aggregate_bound + 1e-8
+
+    @pytest.mark.parametrize("case", ["lattice", "continuous"])
+    def test_batched_oracle_matches_per_interval_loop(self, case):
+        # criterion 6's specs: the sweep's one batch per grid gives the
+        # product bound of one tv_quadrature call per interval
+        spec = LATTICE_SPEC if case == "lattice" else CONTINUOUS_SPEC
+        ns = [4, 8, 16]
+        rows = lj.run_convergence(spec, ns, case)
+        for n, row in zip(ns, rows):
+            summaries = lj.build_increment_summaries(
+                spec, lj.Grid.uniform(spec.horizon, n))
+            per_tv = []
+            for i in range(n):
+                s_i = summaries.interval(i)
+                centered = lj.IntervalSummary(m=0.0, sigma2=s_i.sigma2,
+                                              lam=s_i.lam)
+                bern = lj.tv_quadrature(
+                    lj.increment_density_exact(centered, spec.jump_law),
+                    lj.bernoulli_density(centered, spec.jump_law))
+                approx = lj.bernoulli_density(s_i, spec.jump_law)
+                target = lj.gaussian_density(s_i.m, s_i.sigma2)
+                if case == "lattice":
+                    kernel = lj.tv_quadrature(
+                        lj.fold_density_to_lattice_cell(approx),
+                        lj.fold_density_to_lattice_cell(target))
+                else:
+                    params = lj.TruncateResampleParams(
+                        L=DEFAULT_L, epsilon=DEFAULT_EPSILON,
+                        sigma_i=s_i.sigma)
+                    kernel = lj.tv_quadrature(
+                        lj.truncate_resample_pushforward(approx, params),
+                        target)
+                per_tv.append(min(1.0, bern + kernel))
+            want = lj.hellinger_product_tv_bound(np.array(per_tv))
+            assert row.n == n
+            assert abs(row.oracle_product_bound - want) <= 1e-12
 
     def test_n_values_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -145,3 +145,79 @@ class TestPanelSplitting:
                             alpha=0.1 * math.exp(-0.1))
         d = lj.increment_density_exact(s, law)
         assert abs(lj.total_mass(d) - 1.0) < 1e-8
+
+
+def _truncated_unit_gaussian():
+    # N(0, 1) through the truncate-and-resample kernel with sigma_i = 1,
+    # L = 0.5, epsilon = 0.5: ball radius 1.5, escaped mass e redrawn from
+    # N(0, 1), so the output law is N(0, 1) moved by e (1 - e) in TV
+    params = lj.TruncateResampleParams(L=0.5, epsilon=0.5, sigma_i=1.0)
+    e = math.erfc(1.5 / math.sqrt(2.0))
+    return (lj.truncate_resample_pushforward(lj.gaussian_density(0.0, 1.0),
+                                             params),
+            lj.gaussian_density(0.0, 1.0)), e * (1.0 - e)
+
+
+#: (p, q) pairs of every kind the sweeps compare, with closed-form TVs
+MIXED_BATCH = [
+    ((lj.gaussian_density(0.0, 1.0), lj.gaussian_density(1.0, 1.0)),
+     0.38292492254802624),
+    ((lj.gaussian_density(0.0, 1.0), lj.gaussian_density(40.0, 1.0)), 1.0),
+    ((atom_plus_gaussian(0.0, 0.3), lj.gaussian_density(0.0, 1.0)), 0.3),
+    # folded N(0.1, 0.05^2) and N(2.3, 0.05^2) are wrapped Gaussians 0.2
+    # apart whose other windings are 16 sd away: TV = 2 Phi(2) - 1
+    ((lj.fold_density_to_lattice_cell(lj.gaussian_density(0.1, 0.0025)),
+      lj.fold_density_to_lattice_cell(lj.gaussian_density(2.3, 0.0025))),
+     math.erf(math.sqrt(2.0))),
+    _truncated_unit_gaussian(),
+]
+
+
+class TestBatch:
+    PAIRS = [pair for pair, _ in MIXED_BATCH]
+
+    def test_mixed_batch_matches_closed_forms(self):
+        got = lj.tv_quadrature_many(self.PAIRS)
+        want = [tv for _, tv in MIXED_BATCH]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_batch_equals_one_pair_calls(self):
+        got = lj.tv_quadrature_many(self.PAIRS)
+        one = [lj.tv_quadrature(p, q) for p, q in self.PAIRS]
+        np.testing.assert_allclose(got, one, rtol=0.0, atol=1e-15)
+
+    @given(order=st.permutations(range(len(MIXED_BATCH))),
+           cut=st.integers(0, len(MIXED_BATCH)),
+           extra=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                    st.floats(0.05, 4.0)), max_size=3))
+    @settings(max_examples=20, deadline=None)
+    def test_permuting_or_splitting_changes_nothing(self, order, cut, extra):
+        pairs = self.PAIRS + [(lj.gaussian_density(0.0, 1.0),
+                               lj.gaussian_density(mu, s2))
+                              for mu, s2 in extra]
+        whole = lj.tv_quadrature_many(pairs)
+        order = list(order) + list(range(len(MIXED_BATCH), len(pairs)))
+        permuted = lj.tv_quadrature_many([pairs[k] for k in order])
+        np.testing.assert_allclose(permuted, whole[order], rtol=0.0,
+                                   atol=1e-15)
+        split = np.concatenate((lj.tv_quadrature_many(pairs[:cut]),
+                                lj.tv_quadrature_many(pairs[cut:])))
+        np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-15)
+
+    def test_empty_batch(self):
+        got = lj.tv_quadrature_many([])
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    def test_non_finite_pair_names_its_panel(self):
+        # the middle pair's integrand is NaN on the right half of [2, 3];
+        # the whole batch raises, so no pair's value is returned
+        flat = Density(pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                       support=(2.0, 3.0))
+        broken = Density(pdf=lambda x: np.where(np.asarray(x) > 2.5, np.nan,
+                                                1.0),
+                         support=(2.0, 3.0))
+        pairs = [self.PAIRS[0], (broken, flat), self.PAIRS[1]]
+        with pytest.raises(lj.QuadratureError,
+                           match=r"oracle panel over \[2, 3\] has a "
+                                 r"non-finite integrand value"):
+            lj.tv_quadrature_many(pairs)

@@ -87,6 +87,31 @@ class TestAgainstQuadpack:
         assert integrate(np.cos, [], []).shape == (0,)
 
 
+    def test_by_panel_gives_each_panel_its_own_integrand(self):
+        # four abutting panels, four functions; the peaked third one needs
+        # several rounds, and every node arrives tagged with its panel
+        fns = [np.ones_like, lambda x: x,
+               lambda x: 1.0 / (1e-4 + (x - 2.5) ** 2), np.exp]
+        a, b = np.arange(4.0), np.arange(1.0, 5.0)
+        tags = []
+
+        def fn(x, panel):
+            assert panel.shape == x.shape
+            assert np.all((a[panel] <= x) & (x <= b[panel]))
+            tags.append(np.unique(panel))
+            return np.choose(panel, [f(x) for f in fns])
+
+        got = integrate(fn, a, b, by_panel=True)
+        # equal to each panel integrated alone up to the last bits, which
+        # BLAS may round differently for a one-row Kronrod product
+        alone = [integrate(f, lo, hi) for f, lo, hi in zip(fns, a, b)]
+        np.testing.assert_allclose(got, alone, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(
+            got, [1.0, 1.5, 200.0 * math.atan(50.0), math.e ** 4 - math.e ** 3],
+            rtol=1e-10)
+        assert len(tags) > 2 and all(t.tolist() == [2] for t in tags[1:])
+
+
 class TestFailures:
     def test_exhausted_limit_names_the_panel(self):
         # 400 kinks need more than LIMIT = 200 subpanels
