@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _gauss
 from ._quadrature import integrate
+from .kernels import TruncateResampleParams
 from .model import (ContinuousJumps, Grid, HolderClassParams,
                     IncrementSummaries, JumpLaw, ModelSpec,
                     as_time_function, piecewise_drift)
@@ -217,17 +218,15 @@ def continuous_kernel_aggregate_bound(
     if not isinstance(jump_law, ContinuousJumps):
         raise TypeError("truncate-and-resample bound needs a continuous "
                         "jump law with a density")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be finite and positive (got {L!r})")
+    sig = np.sqrt(summaries.sigma2)
+    beta = TruncateResampleParams(L, epsilon, sig).beta
+    if not L > 0:
+        raise ValueError(f"L must be positive (got {L!r})")
     over = np.abs(summaries.m) > L + 1e-12
     if np.any(over):
         i = int(np.flatnonzero(over)[0])
         raise ValueError(
             f"|m_{i}| = {abs(summaries.m[i]):g} exceeds the drift cap L={L:g}")
-    sig = np.sqrt(summaries.sigma2)
-    beta = L + sig ** (1.0 - epsilon)
     lo, hi = jump_law.support
     a, b = np.maximum(lo, -2.0 * beta), np.minimum(hi, 2.0 * beta)
     near = a < b

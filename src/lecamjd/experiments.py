@@ -13,17 +13,14 @@ Three harnesses:
   fractional-part filter, and its integrated squared error is compared
   against the same estimator on clean Gaussian data and on raw jump data.
 
-Monte Carlo replications are distributed over a thread pool whose size is
-capped by the ``LECAM_THREADS`` environment variable; replication streams
-are derived from the caller's stream id and results are reduced in
-replication order, so outputs are bitwise identical at any worker count.
+Monte Carlo replications run one after another in replication order;
+each replication draws from streams derived from the caller's stream id
+and its index, so outputs are bitwise reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +45,6 @@ __all__ = [
     "fit_rate_slope",
     "run_risk_transfer",
     "default_drift_estimator",
-    "worker_count",
 ]
 
 #: default drift cap and exponent for the truncate-and-resample kernel
@@ -85,14 +81,8 @@ class RiskRow:
 
 
 def worker_count() -> int:
-    """Thread-pool size: LECAM_THREADS when set, else a small default."""
-    env = os.environ.get("LECAM_THREADS", "").strip()
-    if env:
-        count = int(env)
-        if count < 1:
-            raise ValueError("LECAM_THREADS must be a positive integer")
-        return count
-    return min(4, os.cpu_count() or 1)
+    """Always 1, as replications run in one loop; only bench/run.py reads it."""
+    return 1
 
 
 def _is_lattice_law(jump_law) -> bool:
@@ -241,23 +231,19 @@ def run_risk_transfer(spec: ModelSpec, delta, n_values, replications: int,
         summaries = build_increment_summaries(spec, grid)
         f_at_times = np.asarray(spec.drift(grid.times), dtype=float)
 
-        def one_rep(rep: int, _ni=ni, _grid=grid, _summ=summaries,
-                    _f=f_at_times):
-            base = (_ni * replications + rep) * 4
-            path = sample_path(spec, _grid, _summ, rng.child(base))
-            wn = sample_white_noise_increments(spec, _grid, _summ,
+        results = []
+        for rep in range(replications):
+            base = (ni * replications + rep) * 4
+            path = sample_path(spec, grid, summaries, rng.child(base))
+            wn = sample_white_noise_increments(spec, grid, summaries,
                                                rng.child(base + 1))
             obs = spec.initial + np.concatenate(
                 ([0.0], np.cumsum(path.increments)))
-            raw_inc = np.diff(obs)
-            direct = _integrated_squared_error(delta(wn, _grid), _f, _grid)
-            transferred = _integrated_squared_error(
-                transfer_estimator(lambda v: delta(v, _grid), obs), _f, _grid)
-            naive = _integrated_squared_error(delta(raw_inc, _grid), _f, _grid)
-            return direct, transferred, naive
-
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            results = list(pool.map(one_rep, range(replications)))
+            direct = delta(wn, grid)
+            transferred = transfer_estimator(lambda v: delta(v, grid), obs)
+            naive = delta(np.diff(obs), grid)
+            results.append([_integrated_squared_error(est, f_at_times, grid)
+                            for est in (direct, transferred, naive)])
         arr = np.asarray(results)  # ordered by replication index
         rows.append(RiskRow(
             n=n,

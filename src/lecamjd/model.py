@@ -524,6 +524,24 @@ class ModelSpec:
         return self.epsilon_n * np.asarray(self.sigma(t), dtype=float)
 
 
+def _check_summaries(m, sigma2, lam, alpha) -> None:
+    """Finite ``m``, finite positive ``sigma2``, finite non-negative ``lam``
+    and ``alpha = lam * exp(-lam)`` to a relative 1e-13, on floats or
+    elementwise on arrays."""
+    def holds(ok) -> bool:  # np.all costs microseconds on a float
+        return bool(ok.all() if isinstance(ok, np.ndarray) else ok)
+
+    if not holds(abs(m) < math.inf):
+        raise ValueError("m must be finite")
+    if not holds((sigma2 > 0) & (sigma2 < math.inf)):
+        raise ValueError("sigma2 must be finite and positive")
+    if not holds((lam >= 0) & (lam < math.inf)):
+        raise ValueError("lam must be finite and non-negative")
+    expected = lam * np.exp(-lam)
+    if not holds(abs(alpha - expected) <= 1e-13 * expected + 1e-300):
+        raise ValueError("alpha must equal lam * exp(-lam)")
+
+
 @dataclass(frozen=True)
 class IntervalSummary:
     """Summary integrals of one observation interval."""
@@ -534,15 +552,9 @@ class IntervalSummary:
     alpha: float | None = None
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        expected = self.lam * math.exp(-self.lam)
         if self.alpha is None:
-            object.__setattr__(self, "alpha", expected)
-        elif abs(self.alpha - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError("alpha must equal lam * exp(-lam)")
+            object.__setattr__(self, "alpha", self.lam * math.exp(-self.lam))
+        _check_summaries(self.m, self.sigma2, self.lam, self.alpha)
 
     @property
     def sigma(self) -> float:
@@ -568,13 +580,7 @@ class IncrementSummaries:
         n = arrays["m"].size
         if any(a.size != n for a in arrays.values()) or n == 0:
             raise ValueError("summary arrays must share a positive length")
-        if np.any(arrays["sigma2"] <= 0):
-            raise ValueError("sigma2 entries must be positive")
-        if np.any(arrays["lam"] < 0):
-            raise ValueError("lam entries must be non-negative")
-        expected = arrays["lam"] * np.exp(-arrays["lam"])
-        if not np.allclose(arrays["alpha"], expected, rtol=1e-13, atol=1e-300):
-            raise ValueError("alpha must equal lam * exp(-lam) elementwise")
+        _check_summaries(**arrays)
 
     @property
     def n(self) -> int:
@@ -594,7 +600,10 @@ def build_increment_summaries(spec: ModelSpec, grid: Grid) -> IncrementSummaries
     sigma2 = spec.epsilon_n ** 2 * integral_of_square(spec.sigma, a, b,
                                                       name="sigma")
     lam = integral_of(spec.intensity, a, b, name="intensity")
-    for bad, what in ((lam < -1e-12, "negative intensity mass"),
+    for bad, what in ((~np.isfinite(m), "non-finite drift integral"),
+                      (~np.isfinite(sigma2), "non-finite noise variance"),
+                      (~np.isfinite(lam), "non-finite intensity mass"),
+                      (lam < -1e-12, "negative intensity mass"),
                       (sigma2 <= 0, "vanishing noise variance")):
         if np.any(bad):
             i = int(np.argmax(bad))

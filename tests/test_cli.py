@@ -3,6 +3,7 @@ and exit codes.  Everything runs in-process through ``main(argv)``."""
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
@@ -466,6 +467,19 @@ NONFINITE_CASES = (
        ("gaussian", ("jump_law", "mean")), ("gaussian", ("jump_law", "sd"))])
 
 
+def config_with(case, value):
+    """A full config with ``value`` at the key path of ``case``."""
+    law, path = case
+    data = copy.deepcopy(dict(BASE_CONFIG, jump_law=NONFINITE_LAWS[law],
+                              initial=0.0, intensity_max=2.0,
+                              sigma_log_derivative_bound=1.0))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
 class TestNonFiniteConfigs:
     """NaN and infinities anywhere in a config are config errors."""
 
@@ -473,14 +487,7 @@ class TestNonFiniteConfigs:
            value=st.sampled_from([math.nan, math.inf, -math.inf]))
     @settings(max_examples=80, deadline=None)
     def test_any_non_finite_number_exits_one(self, case, value):
-        law, path = case
-        data = copy.deepcopy(dict(BASE_CONFIG, jump_law=NONFINITE_LAWS[law],
-                                  initial=0.0, intensity_max=2.0,
-                                  sigma_log_derivative_bound=1.0))
-        target = data
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
+        data = config_with(case, value)
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "config.json")
@@ -504,6 +511,70 @@ class TestNonFiniteConfigs:
         for key in ("initial", "intensity_max", "epsilon_n", "horizon"):
             with pytest.raises(ValueError, match=key):
                 lj.ModelSpec(**dict(vars(base), **{key: math.nan}))
+
+
+#: finite configs whose summary integrals overflow: sigma2 = inf, and a
+#: sine drift whose closed form computes inf * 0 = NaN
+OVERFLOWING_CONFIGS = {
+    "huge_sigma": {"sigma": {"kind": "constant", "value": 1e200}},
+    "nan_drift_integral": {"drift": {"kind": "sine", "offset": 1e200,
+                                     "amplitude": 1e200,
+                                     "angular_frequency": 1e-300}},
+}
+
+
+class TestNonFiniteSummaries:
+    """Finite configs with non-finite summaries exit 2, never a CSV."""
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_CONFIGS))
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "filter"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exits_two_without_output(self, tmp_path, capsys, command,
+                                      name):
+        cfg = write_config(tmp_path, OVERFLOWING_CONFIGS[name])
+        inc = tmp_path / "inc.csv"
+        inc.write_text("increment\n0.01\n3.0\n", encoding="utf-8")
+        argv = {"bounds": ["bounds", "--config", cfg],
+                "simulate": ["simulate", "--config", cfg],
+                "filter": ["filter", str(inc), "--kernel", "truncate",
+                           "--config", cfg]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+        assert "on [0, " in captured.err  # names the first interval
+
+    @given(case=st.sampled_from(NONFINITE_CASES),
+           sign=st.sampled_from([1.0, -1.0]),
+           exponent=st.floats(-300.0, 300.0),
+           n=st.integers(1, 8),
+           kernel=st.sampled_from(["auto", "bernoulli"]))
+    @example(case=("dirac", ("sigma", "value")), sign=1.0, exponent=200.0,
+             n=8, kernel="auto")
+    @example(case=("uniform", ("sigma", "value")), sign=1.0,
+             exponent=250.0, n=1, kernel="bernoulli")
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bounds_rows_are_finite_or_absent(self, case, sign, exponent,
+                                              n, kernel):
+        # any finite number at any magnitude: either an error with nothing
+        # on stdout, or a table whose summary columns are all finite
+        data = dict(config_with(case, sign * 10.0 ** exponent), n=n)
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "config.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["bounds", "--config", cfg, "--kernel", kernel])
+        if code != 0:
+            assert out.getvalue() == ""
+            return
+        rows = list(csv.DictReader(io.StringIO(out.getvalue())))[:-1]
+        assert len(rows) == n
+        for column in ("lambda_i", "sigma_i", "m_i"):
+            assert all(math.isfinite(float(row[column])) for row in rows)
 
 
 class TestNonFiniteKernelOptions:

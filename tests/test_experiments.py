@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lecamjd as lj
-from lecamjd.experiments import DEFAULT_EPSILON, DEFAULT_L, worker_count
+from lecamjd.experiments import DEFAULT_EPSILON, DEFAULT_L
 
 LATTICE_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
                             sigma=lj.constant(1.0), epsilon_n=1.0,
@@ -233,31 +233,3 @@ class TestRunRiskTransfer:
                                         [n], 40, lj.RngStream(11))
             mises.append(rows[0].mise_direct_gaussian)
         assert mises[0] > mises[1] > mises[2]
-
-    def test_deterministic_across_thread_counts(self, monkeypatch):
-        monkeypatch.setenv("LECAM_THREADS", "1")
-        serial = lj.run_risk_transfer(self.SPEC, lj.default_drift_estimator,
-                                      [64], 12, lj.RngStream(3))
-        monkeypatch.setenv("LECAM_THREADS", "4")
-        threaded = lj.run_risk_transfer(self.SPEC,
-                                        lj.default_drift_estimator,
-                                        [64], 12, lj.RngStream(3))
-        assert serial == threaded
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("LECAM_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_default_is_bounded(self, monkeypatch):
-        monkeypatch.delenv("LECAM_THREADS", raising=False)
-        assert 1 <= worker_count() <= 4
-
-    def test_invalid_values_rejected(self, monkeypatch):
-        monkeypatch.setenv("LECAM_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("LECAM_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count()
