@@ -6,8 +6,9 @@ the wrap bound of the fractional-part filter against the true wrapped
 tail mass.
 """
 
+import math
+
 import numpy as np
-from scipy.stats import norm
 
 import lecamjd as lj
 
@@ -28,7 +29,9 @@ print("sigma_i   wrapped tail mass   filter bound   ratio")
 for sig in (0.2, 0.15, 0.1, 0.08):
     gauss = lj.gaussian_density(0.2, sig * sig)
     wrap = lj.tv_quadrature(lj.fold_density_to_lattice_cell(gauss), gauss)
-    closed = norm.cdf(-0.3 / sig) + norm.cdf(-0.7 / sig)
+    # Phi(-a / sig) = erfc(a / (sig sqrt 2)) / 2 for the two wrap tails
+    closed = 0.5 * (math.erfc(0.3 / (sig * math.sqrt(2.0)))
+                    + math.erfc(0.7 / (sig * math.sqrt(2.0))))
     summaries = lj.IncrementSummaries(m=[0.2], sigma2=[sig * sig],
                                       lam=[0.1],
                                       alpha=[0.1 * np.exp(-0.1)])

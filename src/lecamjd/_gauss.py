@@ -1,14 +1,16 @@
-"""Shared scalar Gaussian helpers.
+"""Shared Gaussian helpers for scalars and arrays.
 
 Tail probabilities go through the complementary error function so that
 values like Phi(-15) keep full relative accuracy instead of rounding to
-zero; several bound formulas live entirely in that tail regime.
+zero; several bound formulas live entirely in that tail regime.  The erfc
+is ``math.erfc`` per element: within 3 ulp on [-30, 30], subnormals too.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -20,8 +22,7 @@ def norm_pdf(x, mean=0.0, sd=1.0):
 
 
 def norm_cdf(x, mean=0.0, sd=1.0):
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    return 0.5 * special.erfc(-z / _SQRT2)
+    return std_cdf((np.asarray(x, dtype=float) - mean) / sd)
 
 
 def std_pdf(z):
@@ -30,4 +31,6 @@ def std_pdf(z):
 
 
 def std_cdf(z):
-    return 0.5 * special.erfc(-np.asarray(z, dtype=float) / _SQRT2)
+    x = np.asarray(-np.asarray(z, dtype=float) / _SQRT2)
+    erfc = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size)
+    return 0.5 * erfc.reshape(x.shape)[()]

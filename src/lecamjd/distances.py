@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_VACUOUS = ("a per-increment term >= 1", "the bound is vacuous there")
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,13 @@ class BoundReport:
 
 def _aggregate(per_increment: np.ndarray) -> float:
     return math.sqrt(2.0 * float(np.sum(per_increment)))
+
+
+def _flagged(bad: np.ndarray, what: str, so: str) -> tuple[str, ...]:
+    """One warning counting the increments where ``bad`` holds, or none."""
+    idx = np.flatnonzero(bad)
+    return (f"{idx.size} increment(s) have {what} (first at index "
+            f"{idx[0]}); {so}",) if idx.size else ()
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +140,7 @@ def l1_gaussian_processes(drift_a, drift_b, sigma_n, horizon: float,
     d2 = np.sum(integrate(lambda t: ((fa(t) - fb(t)) / sn(t)) ** 2,
                           pts[:-1], pts[1:], epsabs=1e-13,
                           what="drift distance integral"))
-    d = math.sqrt(max(d2, 0.0))
-    return 2.0 * (1.0 - 2.0 * _gauss.std_cdf(-0.5 * d))
+    return l1_gaussians_same_var(0.0, math.sqrt(max(d2, 0.0)), 1.0)
 
 
 def hellinger_product_tv_bound(tv_entries) -> float:
@@ -160,11 +167,13 @@ def bernoulli_aggregate_bound(summaries: IncrementSummaries) -> BoundReport:
 
     Per increment the replacement costs at most ``2 lam_i^2`` in total
     variation; the increments aggregate through the Hellinger route to
-    ``2 sqrt(sum lam_i^2)``.
+    ``2 sqrt(sum lam_i^2)``.  Terms >= 1 are vacuous and flagged in warnings.
     """
-    per = 2.0 * summaries.lam ** 2
-    return BoundReport(per_increment=per, aggregate=_aggregate(per),
-                       formula_name="bernoulli_count")
+    with np.errstate(over="ignore"):
+        per = 2.0 * summaries.lam ** 2
+        return BoundReport(per_increment=per, aggregate=_aggregate(per),
+                           formula_name="bernoulli_count",
+                           warnings=_flagged(per >= 1.0, *_VACUOUS))
 
 
 def discrete_kernel_aggregate_bound(
@@ -180,22 +189,12 @@ def discrete_kernel_aggregate_bound(
     sig = np.sqrt(summaries.sigma2)
     per = ((6.0 / sig) * _gauss.std_pdf(1.0 / (6.0 * sig))
            + 4.0 * _gauss.std_cdf(-1.0 / (6.0 * sig)))
-    warnings: list[str] = []
-    bad = np.abs(summaries.m) > 1.0 / 3.0
-    if np.any(bad):
-        idx = np.flatnonzero(bad)
-        warnings.append(
-            f"{idx.size} increment(s) have |m_i| > 1/3 (first at index "
-            f"{idx[0]}); the wrap-around bound is not guaranteed there")
-    vacuous = per >= 1.0
-    if np.any(vacuous):
-        idx = np.flatnonzero(vacuous)
-        warnings.append(
-            f"{idx.size} increment(s) have a per-increment term >= 1 "
-            f"(first at index {idx[0]}); the bound is vacuous there")
+    warnings = (_flagged(np.abs(summaries.m) > 1.0 / 3.0, "|m_i| > 1/3",
+                         "the wrap-around bound is not guaranteed there")
+                + _flagged(per >= 1.0, *_VACUOUS))
     return BoundReport(per_increment=per, aggregate=_aggregate(per),
                        formula_name="fractional_part_filter",
-                       warnings=tuple(warnings))
+                       warnings=warnings)
 
 
 def continuous_kernel_aggregate_bound(

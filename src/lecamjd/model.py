@@ -596,10 +596,12 @@ def build_increment_summaries(spec: ModelSpec, grid: Grid) -> IncrementSummaries
     if grid.horizon > spec.horizon + 1e-12:
         raise ValueError("grid extends past the model horizon")
     a, b = grid.times[:-1], grid.times[1:]
-    m = integral_of(spec.drift, a, b, name="drift")
-    sigma2 = spec.epsilon_n ** 2 * integral_of_square(spec.sigma, a, b,
-                                                      name="sigma")
-    lam = integral_of(spec.intensity, a, b, name="intensity")
+    # closed forms may overflow to inf or NaN (inf * 0): the checks name those
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = integral_of(spec.drift, a, b, name="drift")
+        sigma2 = spec.epsilon_n ** 2 * integral_of_square(spec.sigma, a, b,
+                                                          name="sigma")
+        lam = integral_of(spec.intensity, a, b, name="intensity")
     for bad, what in ((~np.isfinite(m), "non-finite drift integral"),
                       (~np.isfinite(sigma2), "non-finite noise variance"),
                       (~np.isfinite(lam), "non-finite intensity mass"),

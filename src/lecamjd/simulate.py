@@ -134,6 +134,10 @@ def bin_jump_sums(times: np.ndarray, jump_times: np.ndarray,
     return np.bincount(idx, weights=jump_sizes, minlength=n)
 
 
+def _gaussian_parts(gen, summaries: IncrementSummaries, n: int) -> np.ndarray:
+    return summaries.m + np.sqrt(summaries.sigma2) * gen.standard_normal(n)
+
+
 def sample_path(spec: ModelSpec, grid: Grid, summaries: IncrementSummaries,
                 rng: RngStream) -> PathSample:
     """One path of the jump-diffusion experiment, observed on the grid.
@@ -142,8 +146,7 @@ def sample_path(spec: ModelSpec, grid: Grid, summaries: IncrementSummaries,
     candidate count, candidate times, acceptance uniforms, jump sizes.
     """
     gen = rng.generator()
-    n = grid.n
-    gaussian = summaries.m + np.sqrt(summaries.sigma2) * gen.standard_normal(n)
+    gaussian = _gaussian_parts(gen, summaries, grid.n)
     jump_times = _thinned_times(gen, spec.intensity,
                                 find_intensity_bound(spec), grid.horizon)
     jump_sizes = (spec.jump_law.sample(gen, jump_times.size)
@@ -158,9 +161,7 @@ def sample_white_noise_increments(spec: ModelSpec, grid: Grid,
                                   summaries: IncrementSummaries,
                                   rng: RngStream) -> np.ndarray:
     """Independent Gaussian increments of the white-noise experiment."""
-    gen = rng.generator()
-    n = grid.n
-    return summaries.m + np.sqrt(summaries.sigma2) * gen.standard_normal(n)
+    return _gaussian_parts(rng.generator(), summaries, grid.n)
 
 
 def sample_bernoulli_approx(spec: ModelSpec, grid: Grid,
@@ -173,7 +174,7 @@ def sample_bernoulli_approx(spec: ModelSpec, grid: Grid,
     """
     gen = rng.generator()
     n = grid.n
-    gaussian = summaries.m + np.sqrt(summaries.sigma2) * gen.standard_normal(n)
+    gaussian = _gaussian_parts(gen, summaries, n)
     has_jump = gen.random(n) < summaries.alpha
     sizes = np.zeros(n)
     k = int(np.count_nonzero(has_jump))

@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -29,6 +31,15 @@ BASE_CONFIG = {
     "horizon": 1.0,
     "n": 16,
 }
+
+
+def run_python(*args):
+    """``python *args`` in a fresh process that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lj.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -376,6 +387,21 @@ class TestBoundsCommand:
         assert "warning:" in captured.err
         assert "warning" not in captured.out
 
+    def test_overflowing_bernoulli_terms_warn_once_without_numpy_noise(
+            self, tmp_path):
+        # 2 lam^2 overflows for lam = 2.5e159: the rows are inf and vacuous
+        cfg = write_config(tmp_path, {"intensity": {"kind": "constant",
+                                                    "value": 1e160},
+                                      "n": 4})
+        proc = run_python("-m", "lecamjd", "bounds", "--config", cfg,
+                          "--kernel", "bernoulli")
+        assert proc.returncode == 0
+        assert proc.stderr == ("warning: 4 increment(s) have a per-increment "
+                               "term >= 1 (first at index 0); the bound is "
+                               "vacuous there\n")
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert [r["per_increment_bound"] for r in rows] == ["inf"] * 5
+
     def test_truncate_on_lattice_law_is_config_error(self, tmp_path,
                                                      capsys):
         cfg = write_config(tmp_path)
@@ -544,6 +570,21 @@ class TestNonFiniteSummaries:
         assert "non-finite" in captured.err
         assert "on [0, " in captured.err  # names the first interval
 
+    @pytest.mark.parametrize("overrides, what", [
+        (OVERFLOWING_CONFIGS["nan_drift_integral"], "drift integral"),
+        ({"sigma": {"kind": "linear", "intercept": 1e200, "slope": 1.0}},
+         "noise variance")])
+    @pytest.mark.parametrize("command", ["bounds", "simulate"])
+    def test_stderr_is_the_one_failure_line(self, tmp_path, command,
+                                            overrides, what):
+        # the closed forms overflow to NaN or inf without numpy warnings
+        proc = run_python("-m", "lecamjd", command, "--config",
+                          write_config(tmp_path, overrides))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"numerical failure: non-finite {what} "
+                               f"on [0, 0.0625]\n")
+
     @given(case=st.sampled_from(NONFINITE_CASES),
            sign=st.sampled_from([1.0, -1.0]),
            exponent=st.floats(-300.0, 300.0),
@@ -616,10 +657,56 @@ class TestValidateCommand:
         assert "config error" in capsys.readouterr().err
 
 
+#: runs ``main`` on each argv of a JSON list with every ``scipy`` import
+#: failing, and prints the exit codes and any scipy module that got loaded
+WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from lecamjd.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                               if m.split(".")[0] == "scipy")]))
+"""
+
+
+class TestWithoutScipy:
+    def test_every_subcommand_runs_with_scipy_imports_blocked(self,
+                                                               tmp_path):
+        # uniform jumps take the truncate bound and the exact-convolution
+        # hook, which imports lecamjd._gauss lazily; risk transfer needs
+        # integer jumps, so it and one bounds run use the Dirac law
+        uni = write_config(tmp_path, {"jump_law": {"kind": "uniform",
+                                                   "low": 1.0, "high": 2.0},
+                                      "epsilon_n": 0.2, "n": 8},
+                           name="uniform.json")
+        dirac = write_config(tmp_path, name="dirac.json")
+        inc = tmp_path / "inc.csv"
+        inc.write_text("increment\n0.01\n3.0\n-0.02\n-4.0\n0.5\n0.1\n"
+                       "-0.3\n2.2\n", encoding="utf-8")
+        argvs = [["validate", "--config", uni],
+                 ["simulate", "--config", uni, "--seed", "3"],
+                 ["filter", str(inc)],
+                 ["filter", str(inc), "--kernel", "truncate", "--config",
+                  uni],
+                 ["bounds", "--config", uni],
+                 ["bounds", "--config", dirac],
+                 ["convergence", "--config", uni, "--n-list", "4,8"],
+                 ["risk-transfer", "--config", dirac, "--n-list", "8",
+                  "--reps", "2"]]
+        proc = run_python("-c", WITHOUT_SCIPY, json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stdout.strip().split("\n")[-1]
+        assert json.loads(last) == [[0] * len(argvs), []]
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs(self, tmp_path):
-        import subprocess
-        import sys
         cfg = write_config(tmp_path)
         proc = subprocess.run(
             [sys.executable, "-m", "lecamjd", "validate", "--config", cfg],

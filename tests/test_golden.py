@@ -47,7 +47,7 @@ GOLDEN = {
     "bounds_auto":
         "ba4d94deebedd9bbd4e7eff4c2e926c0f6605aaee19ea7b8cb29a8964c037b7b",
     "bounds_round":
-        "71aef0c2e4a38d4d961b457896f16a6a008e308f087b85e4f4d2e11ca32193b0",
+        "39d6ababa64003fde4ebeac7e9c1a053acdd4edc4cef3eabe6fc27b66ae16006",
     "bounds_bernoulli":
         "4548c84750ed19fc9732d4002c6b3214c588c8aa7d33343c67dde3d5c0793c7d",
     "convergence":
