@@ -362,9 +362,9 @@ def uniform_jumps(lo: float, hi: float) -> ContinuousJumps:
         sd = math.sqrt(s2)
 
         def pdf(x):
-            x = np.asarray(x, dtype=float)
-            return (_gauss.norm_cdf((x - m - lo) / sd)
-                    - _gauss.norm_cdf((x - m - hi) / sd)) * dens
+            d = np.asarray(x, dtype=float) - m
+            cdf = _gauss.std_cdf(np.stack((d - lo, d - hi)) / sd)
+            return (cdf[0] - cdf[1]) * dens
 
         support = (m + lo - 12.0 * sd, m + hi + 12.0 * sd)
         return ("pdf", pdf, support, (m + lo, m + hi))

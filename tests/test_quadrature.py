@@ -7,9 +7,6 @@ checked against, panel by panel.
 """
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -149,14 +146,10 @@ def test_tv_of_equal_variance_gaussians_matches_closed_form(mu1, mu2, sd):
     assert abs(tv - 0.5 * lj.l1_gaussians_same_var(mu1, mu2, sd)) < 1e-10
 
 
-def test_package_import_leaves_scipy_integrate_unloaded():
+def test_package_import_leaves_scipy_integrate_unloaded(run_python):
     # numpy is the only runtime dependency: no scipy module at all
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lj.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = ("import sys, lecamjd, lecamjd.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = run_python("-c", "import sys, lecamjd, lecamjd.cli; "
+                      "print(sorted(m for m in sys.modules "
+                      "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
