@@ -236,7 +236,8 @@ def continuous_kernel_aggregate_bound(
            + summaries.alpha * np.abs(summaries.m) / (_SQRT2 * sig)
            + 2.0 * summaries.alpha * tail)
     return BoundReport(per_increment=per, aggregate=_aggregate(per),
-                       formula_name="truncate_resample_filter")
+                       formula_name="truncate_resample_filter",
+                       warnings=_flagged(per >= 1.0, *_VACUOUS))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from .distances import (bernoulli_aggregate_bound,
                         hellinger_product_tv_bound, theorem_rate)
 from .kernels import (TruncateResampleParams, fold_density_to_lattice_cell,
                       transfer_estimator, truncate_resample_pushforward)
-from .laws import bernoulli_density, gaussian_density, increment_density_exact
+from .laws import (bernoulli_density, gaussian_density, has_mixture_rows,
+                   increment_density_exact)
 from .model import (ContinuousJumps, DiracJump, Grid, HolderClassParams,
                     IntervalSummary, LatticeJumps, ModelSpec,
                     build_increment_summaries)
@@ -114,8 +115,11 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
     quadrature TVs (one-jump step, plus the filtered jump law against the
     Gaussian law) capped at 1 each.  The one-jump step TV is translation
     invariant in the interval drift, so it is computed once per distinct
-    ``(lambda_i, sigma_i^2)`` pair with the drift zeroed; the filtering
-    TVs of all intervals are integrated as one batch per grid.
+    ``(lambda_i, sigma_i^2)`` pair with the drift zeroed.  The filtering
+    step compares two mixture tables built from the grid's summary arrays,
+    a row per interval, and integrates all their TVs as one batch; a jump
+    law whose one-jump law has a closed-form pdf piece (no table) gives
+    one density pair per interval in that batch instead.
     """
     n_values = [int(n) for n in n_values]
     if len(n_values) == 0 or any(b <= a for a, b in zip(n_values, n_values[1:])):
@@ -136,25 +140,28 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
                 summaries, L, epsilon, spec.jump_law)
         aggregate = min(1.0, bern_report.aggregate + kernel_report.aggregate)
 
-        bern_tv, pairs = np.empty(summaries.n), []
-        for i in range(summaries.n):
-            s_i = summaries.interval(i)
-            key = (s_i.lam, s_i.sigma2)
-            if key not in bern_tv_cache:
-                centered = IntervalSummary(m=0.0, sigma2=s_i.sigma2,
-                                           lam=s_i.lam)
-                bern_tv_cache[key] = tv_quadrature(
-                    increment_density_exact(centered, spec.jump_law),
-                    bernoulli_density(centered, spec.jump_law))
-            bern_tv[i] = bern_tv_cache[key]
-            approx = bernoulli_density(s_i, spec.jump_law)
-            target = gaussian_density(s_i.m, s_i.sigma2)
+        keys = list(zip(summaries.lam.tolist(), summaries.sigma2.tolist()))
+        for lam, sigma2 in set(keys) - bern_tv_cache.keys():
+            centered = IntervalSummary(m=0.0, sigma2=sigma2, lam=lam)
+            bern_tv_cache[lam, sigma2] = tv_quadrature(
+                increment_density_exact(centered, spec.jump_law),
+                bernoulli_density(centered, spec.jump_law))
+        bern_tv = np.array([bern_tv_cache[key] for key in keys])
+        # one pair of tables with a row per interval; a one-jump law with
+        # a closed-form pdf piece has no table, so it goes interval by
+        # interval
+        batches = ([summaries] if has_mixture_rows(spec.jump_law) else
+                   [summaries.interval(i) for i in range(summaries.n)])
+        pairs = []
+        for s in batches:
+            approx = bernoulli_density(s, spec.jump_law)
+            target = gaussian_density(s.m, s.sigma2)
             if jump_case == "lattice":
                 pairs.append((fold_density_to_lattice_cell(approx),
                               fold_density_to_lattice_cell(target)))
             else:
                 params = TruncateResampleParams(L=L, epsilon=epsilon,
-                                                sigma_i=s_i.sigma)
+                                                sigma_i=np.sqrt(s.sigma2))
                 pairs.append((truncate_resample_pushforward(approx, params),
                               target))
         per_tv = np.minimum(1.0, bern_tv + tv_quadrature_many(pairs))

@@ -9,8 +9,10 @@ Two filters map jump-contaminated increments toward Gaussian ones:
 
 Both come with pushforward constructors on :class:`~lecamjd.laws.Density`
 so the quadrature oracle can measure exactly what each filter does to a
-law, plus the estimator-transfer wrapper and the two statistics used to
-pass between continuously and discretely observed Gaussian experiments.
+law; a mixture table with a row per interval is pushed forward row by
+row into another table.  Also here: the estimator-transfer wrapper and
+the two statistics used to pass between continuously and discretely
+observed Gaussian experiments.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _gauss
 from ._quadrature import integrate
-from .laws import Density, mixture_pdf
+from .laws import Density, MixtureTable
 from .model import Grid, as_time_function
+from .oracle import _row_panels, _segment_sums
 from .simulate import PathSample, RngStream, bin_jump_sums
 
 __all__ = [
@@ -54,72 +58,88 @@ def apply_round_kernel(samples) -> np.ndarray:
     return np.asarray(round_to_lattice(np.asarray(samples, dtype=float)))
 
 
-def _folded_center(mean: float) -> float:
-    return mean - float(np.rint(mean))
+def _fold_table(t: MixtureTable) -> MixtureTable:
+    """Fold bare mixture rows onto the lattice cell, row by row.
+
+    Per row, in component order, a component joins the first earlier slot
+    with the same sd whose center (mean minus its nearest integer) lies
+    within a few ulps of its own, adding its weight; each slot then
+    contributes its center shifted by every integer up to 12 sds plus one.
+    """
+    rows, width = t.means.shape
+    centers = t.means - np.rint(t.means)
+    tol = (32.0 * np.finfo(float).eps) * np.maximum(1.0, np.abs(t.means))
+    c, sd, w = np.zeros((rows, width)), np.ones((rows, width)), \
+        np.zeros((rows, width))
+    used = np.zeros(rows, dtype=np.intp)
+    everyone = np.arange(rows)
+    for j in range(width):
+        match = ((np.arange(width) < used[:, None])
+                 & (sd == t.sds[:, j, None])
+                 & (np.abs(c - centers[:, j, None]) <= tol[:, j, None]))
+        real = j < t.size
+        hit = real & match.any(axis=1)
+        r = everyone[hit]
+        w[r, match[hit].argmax(axis=1)] += t.weights[hit, j]
+        r = everyone[real & ~hit]
+        c[r, used[r]], sd[r, used[r]], w[r, used[r]] = (
+            centers[r, j], t.sds[r, j], t.weights[r, j])
+        used[r] += 1
+    slot = np.arange(width) < used[:, None]
+    reach = np.where(slot, np.ceil(12.0 * sd).astype(np.intp) + 1, 0)
+    counts = np.where(slot, 2 * reach + 1, 0)
+    size = counts.sum(axis=1)
+    # one entry per output component: its row, its slot and its shift
+    r, s = np.nonzero(slot)
+    n = counts[r, s]
+    rr, ss = np.repeat(r, n), np.repeat(s, n)
+    step = np.arange(rr.size) - np.repeat(np.cumsum(n) - n, n)
+    col = np.repeat((np.cumsum(counts, axis=1) - counts)[r, s], n) + step
+    shape = (rows, int(size.max()))
+    means, sds, weights = np.zeros(shape), np.ones(shape), np.zeros(shape)
+    means[rr, col] = c[rr, ss] + (step - reach[rr, ss])
+    sds[rr, col], weights[rr, col] = sd[rr, ss], w[rr, ss]
+    return MixtureTable(means, sds, weights, size=size, beta=0.5, fold=True)
 
 
 def fold_density_to_lattice_cell(d: Density) -> Density:
     """Pushforward of a density under the fractional-part map.
 
     The result lives on ``[-0.5, 0.5]`` and equals the sum of the input
-    over all integer shifts.  Pure Gaussian mixtures are folded
-    structurally: components whose centers coincide modulo 1 (within a few
-    ulps, to absorb the rounding of integer-shifted means) are merged, so
-    laws that the filter maps to the same wrapped Gaussian produce
-    literally identical component lists instead of agreeing only up to
-    floating-point noise.
+    over all integer shifts.  Gaussian mixture tables are folded
+    structurally, row by row: components whose centers coincide modulo 1
+    (within a few ulps, to absorb the rounding of integer-shifted means)
+    are merged, so laws that the filter maps to the same wrapped Gaussian
+    produce literally identical component lists instead of agreeing only
+    up to floating-point noise.  Other densities (one law) are folded by
+    summing their pdf over the integer shifts that meet their support.
     """
+    if d.table is not None and d.table.plain.all():
+        return Density.from_table(_fold_table(d.table))
+    if d.rows > 1:
+        raise ValueError("only bare mixture rows fold row by row")
     lo, hi = d.support
-    if d.gauss_components is not None:
-        merged: list[list[float]] = []  # [center, sd, weight]
-        for mean, sd, weight in d.gauss_components:
-            c = _folded_center(mean)
-            tol = 32.0 * np.finfo(float).eps * max(1.0, abs(mean))
-            for slot in merged:
-                if slot[1] == sd and abs(slot[0] - c) <= tol:
-                    slot[2] += weight
-                    break
-            else:
-                merged.append([c, sd, weight])
-        comps: list[tuple[float, float, float]] = []
-        for c, sd, weight in merged:
-            k = int(math.ceil(12.0 * sd)) + 1
-            comps.extend((c + shift, sd, weight)
-                         for shift in range(-k, k + 1))
-        inner = mixture_pdf([m for m, _, _ in comps],
-                            [s for _, s, _ in comps],
-                            [w for _, _, w in comps])
-        folded_breaks = sorted({c for c, _, _ in merged
-                                if -0.5 < c < 0.5})
-    else:
-        l_lo = int(math.floor(lo + 0.5))
-        l_hi = int(math.ceil(hi - 0.5))
-        shifts = np.arange(l_lo, l_hi + 1, dtype=float)
-        base_pdf = d.pdf
-
-        def inner(x):
-            x_arr = np.asarray(x, dtype=float)
-            acc = np.zeros(np.shape(x_arr))
-            for s in shifts:
-                acc = acc + np.asarray(base_pdf(x_arr + s), dtype=float)
-            return acc
-
-        folded_breaks = sorted({_folded_center(b) for b in d.breakpoints
-                                if -0.5 < _folded_center(b) < 0.5})
+    shifts = np.arange(math.floor(lo + 0.5), math.ceil(hi - 0.5) + 1,
+                       dtype=float)
+    base_pdf = d.pdf
 
     def pdf(x):
         x_arr = np.asarray(x, dtype=float)
-        in_cell = (x_arr >= -0.5) & (x_arr <= 0.5)
-        vals = np.where(in_cell, np.asarray(inner(x_arr), dtype=float), 0.0)
+        acc = np.zeros(np.shape(x_arr))
+        for s in shifts:
+            acc = acc + np.asarray(base_pdf(x_arr + s), dtype=float)
+        vals = np.where(np.abs(x_arr) <= 0.5, acc, 0.0)
         return float(vals) if np.ndim(x) == 0 else vals
 
+    folded = {b - float(np.rint(b)) for b in d.breakpoints}
     atom_map: dict[float, float] = {}
     for loc, mass in d.atoms:
-        c = _folded_center(loc)
+        c = loc - float(np.rint(loc))
         atom_map[c] = atom_map.get(c, 0.0) + mass
     return Density(pdf=pdf, support=(-0.5, 0.5),
                    atoms=tuple(sorted(atom_map.items())),
-                   breakpoints=tuple(folded_breaks))
+                   breakpoints=tuple(sorted(b for b in folded
+                                            if -0.5 < b < 0.5)))
 
 
 @dataclass(frozen=True)
@@ -175,15 +195,27 @@ def truncate_resample(x, params: TruncateResampleParams, rng: RngStream):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _escaped_mass(d: Density, beta: float) -> float:
-    """Mass of ``d`` outside the closed ball ``[-beta, beta]``."""
-    lo, hi = d.support
-    edges = (-beta, beta, *d.breakpoints)
-    points = np.array(sorted({lo, hi, *(p for p in edges if lo < p < hi)}))
-    cont = integrate(d.pdf, points[:-1], points[1:], what="escaped mass")
-    outside = np.abs(0.5 * (points[:-1] + points[1:])) > beta
-    atom = sum(mass for loc, mass in d.atoms if abs(loc) > beta)
-    return float(np.sum(cont[outside])) + atom
+def _escaped_masses(d: Density, beta) -> np.ndarray:
+    """Mass of each row of ``d`` outside its closed ball ``[-beta, beta]``.
+
+    Per row, the support is cut at its breakpoints and at the ball's edges
+    that lie inside it; the panels outside the ball of all rows are
+    integrated in one call.
+    """
+    lo, hi, pts = d.structure()
+    beta = np.broadcast_to(beta, lo.shape)
+    cuts = np.concatenate((np.stack((-beta, beta), axis=1), pts), axis=1)
+    cuts = np.where((cuts > lo[:, None]) & (cuts < hi[:, None]), cuts, np.nan)
+    edges = np.sort(np.concatenate((np.stack((lo, hi), axis=1), cuts),
+                                   axis=1), axis=1)
+    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
+    a, b, row = _row_panels(np.sort(edges, axis=1))
+    out = np.abs(0.5 * (a + b)) > beta[row]
+    a, b, row = a[out], b[out], row[out]
+    cont = integrate(lambda x, panel: d.values(x, row[panel]), a, b,
+                     what="escaped mass", by_panel=True)
+    mass = _segment_sums(cont, row, lo.size)
+    return mass + sum(m for loc, m in d.atoms if abs(loc) > beta[0])
 
 
 def truncate_resample_pushforward(d: Density,
@@ -192,19 +224,25 @@ def truncate_resample_pushforward(d: Density,
 
     Restriction of ``d`` to the ball plus the escaped mass times the
     resampling Gaussian; the escaped mass is measured by quadrature of
-    ``d`` itself.
+    ``d`` itself.  A Gaussian mixture table is pushed forward row by row,
+    with ``params.sigma_i`` holding one noise sd per row.
     """
-    beta = params.beta
-    sd = params.sigma_i
-    out_mass = _escaped_mass(d, beta)
-    base_pdf = d.pdf
-    gauss = mixture_pdf([0.0], [sd], [1.0])
+    beta, sd = params.beta, params.sigma_i
+    mass = _escaped_masses(d, beta)
+    t = d.table
+    if t is not None and t.plain.all():
+        return Density.from_table(MixtureTable(
+            t.means, t.sds, t.weights, size=t.size, beta=beta, mass=mass,
+            resample_sd=sd))
+    if d.rows > 1:
+        raise ValueError("only bare mixture rows are pushed row by row")
+    out_mass, base_pdf = float(mass[0]), d.pdf
 
     def pdf(x):
         x_arr = np.asarray(x, dtype=float)
         inside = np.abs(x_arr) <= beta
         kept = np.where(inside, np.asarray(base_pdf(x_arr), dtype=float), 0.0)
-        vals = kept + out_mass * np.asarray(gauss(x_arr), dtype=float)
+        vals = kept + out_mass * ((1.0 / sd) * _gauss.std_pdf(x_arr / sd))
         return float(vals) if np.ndim(x) == 0 else vals
 
     lo, hi = d.support

@@ -393,6 +393,25 @@ class TestBoundsCommand:
         rows = list(csv.DictReader(io.StringIO(captured.out)))
         assert [r["per_increment_bound"] for r in rows] == ["inf"] * 5
 
+    def test_vacuous_truncate_rows_warn_once(self, tmp_path, capsys):
+        # epsilon_n = 1 puts both terms of the truncate bound above 1; the
+        # CSV is the one written before the bound warned about such rows
+        cfg = write_config(tmp_path, {"jump_law": {"kind": "gaussian",
+                                                   "mean": 2.0, "sd": 0.5},
+                                      "epsilon_n": 1.0, "n": 2})
+        assert main(["bounds", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "i,lambda_i,sigma_i,m_i,per_increment_bound,formula_name\n"
+            "1,0.5,0.7071067811865476,0.13183098861837908,1.4366006106056426,"
+            "truncate_resample_filter\n"
+            "2,0.5,0.7071067811865476,0.06816901138162093,1.417294140079632,"
+            "truncate_resample_filter\n"
+            "aggregate,,,,2.3890980518535754,truncate_resample_filter\n")
+        assert captured.err == ("warning: 2 increment(s) have a "
+                                "per-increment term >= 1 (first at index 0); "
+                                "the bound is vacuous there\n")
+
     def test_truncate_on_lattice_law_is_config_error(self, tmp_path,
                                                      capsys):
         cfg = write_config(tmp_path)
