@@ -25,9 +25,11 @@ laws are ``{"kind": "dirac", "location": x}``, ``{"kind": "lattice",
 "values": [...], "probs": [...]}``, ``{"kind": "uniform", "low": a,
 "high": b}``, or ``{"kind": "gaussian", "mean": m, "sd": s}``.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure.  Output is
+Exit codes: 0 success, 1 config error, 2 numerical failure.  Seeds lie
+in [0, 2**64); ``--reps`` and ``--n-list`` sizes are positive.  Output is
 deterministic for fixed (config, seed, flags): floats are rendered with
-``repr``, integers with ``str``, and rows are in index order.
+``repr``, integers with ``str``, and rows are in index order.  A column
+whose cells are all bitwise identical is rendered once and repeated.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
@@ -214,21 +217,48 @@ def serialize_config(spec: ModelSpec, options: dict) -> dict:
 # CSV plumbing
 # ---------------------------------------------------------------------------
 
+def _field(text: str, alone: bool) -> str:
+    """``text`` as ``csv.writer`` writes it into a row; ``alone`` means as
+    the row's only field, where an empty text is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(
+        (text,) if alone else (text, ""))
+    return buf.getvalue()[:-1 if alone else -2]
+
+
 def _emit_csv(columns: dict, out_path: str | None, last_row=None) -> None:
     """Write equal-length named columns, plus an optional row of text.
 
-    Each column is formatted in one pass: float arrays with ``repr``,
-    everything else (integers, strings) with ``str``.
+    Floats are rendered with ``repr``, everything else with ``str``, and
+    text is quoted as ``csv.writer`` quotes it.  The body is one ``%``
+    format of a row template repeated once per row: ``%r`` for a float
+    column, ``%s`` for any other.  A column whose cells are all bitwise
+    identical is written into the template once, as literal text.
     """
-    cells = []
+    alone = len(columns) == 1
+    fields, cells, rows = [], [], 0
     for column in columns.values():
         arr = np.asarray(column)
-        cells.append(map(repr if arr.dtype.kind == "f" else str,
-                         arr.tolist()))
+        rows = arr.size
+        kind = arr.dtype.kind
+        render = repr if kind == "f" else str
+        # bit patterns, so that 0.0 and -0.0 are two texts
+        bits = arr.view(f"u{arr.itemsize}") if kind == "f" else arr
+        if rows and (bits == bits[0]).all():
+            fields.append(_field(render(arr.item(0)), alone)
+                          .replace("%", "%%"))
+        elif kind in "biuf":  # numbers are never quoted
+            fields.append("%r" if kind == "f" else "%s")
+            cells.append(arr.tolist())
+        else:
+            fields.append("%s")
+            cells.append([_field(str(v), alone) for v in arr.tolist()])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(zip(*cells))
+    template = ",".join(fields) + "\n"
+    buf.write((template * rows)
+              % tuple(itertools.chain.from_iterable(zip(*cells))))
     if last_row is not None:
         writer.writerow(last_row)
     text = buf.getvalue()
@@ -253,6 +283,8 @@ def _parse_n_list(raw: str) -> list[int]:
         raise ConfigError(f"--n-list must be comma-separated integers: {exc}")
     if not values:
         raise ConfigError("--n-list must name at least one grid size")
+    if min(values) < 1:
+        raise ConfigError("--n-list grid sizes must be positive")
     return values
 
 
@@ -383,6 +415,8 @@ def _cmd_convergence(args) -> int:
 def _cmd_risk_transfer(args) -> int:
     spec, options = load_config(args.config)
     n_list = _parse_n_list(args.n_list)
+    if args.reps < 1:
+        raise ConfigError("--reps must be at least 1")
     rows = run_risk_transfer(spec, default_drift_estimator, n_list,
                              args.reps, RngStream(args.seed))
     _emit_csv(_record_columns(rows, RiskRow), args.out)
@@ -404,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required,
                        help="JSON config path")
         p.add_argument("--seed", type=int, default=0,
-                       help="base seed (64-bit unsigned)")
+                       help="base seed, an integer in [0, 2**64)")
         p.add_argument("--out", default=None,
                        help="write CSV here instead of standard output")
 
@@ -461,6 +495,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= args.seed < 1 << 64:
+            raise ConfigError(
+                f"--seed must be in [0, 2**64) (got {args.seed})")
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

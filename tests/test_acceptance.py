@@ -15,6 +15,7 @@ from scipy.stats import norm
 
 import lecamjd as lj
 from lecamjd.cli import main
+from lecamjd.experiments import DEFAULT_EPSILON, DEFAULT_L
 
 
 def report(k: int, ok: bool, detail: str) -> None:
@@ -186,6 +187,56 @@ def test_criterion_06_aggregate_bound_rate_slopes():
            f"aggregate-bound slope vs interval width: lattice "
            f"{slope_lat:.4f} in [0.40, 0.60], continuous {slope_cont:.4f} "
            "in [0.20, 0.30]")
+
+
+def test_criterion_06_raw_aggregate_slopes_follow_theorem_rate():
+    """Companion to criterion 6 on the unclamped series at large n.
+
+    Criterion 6 fits the aggregate clamped at 1, where most lattice rows
+    are exactly 1.  Here the closed-form one-jump plus kernel aggregate is
+    fitted without the clamp over n = 2^14..2^20, dropping vacuous rows
+    (raw term >= 1).  Each window is the slope of ``theorem_rate`` on the
+    same grids, +-10 %, half the relative width criterion 6 allows.
+    """
+    ns = [1 << k for k in range(14, 21)]
+    holder = lj.HolderClassParams(alpha=1.0, M=1.0, B=1.0)
+    spec_lat = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
+                            sigma=lj.constant(1.0), epsilon_n=1.0,
+                            intensity=lj.constant(0.5),
+                            jump_law=lj.DiracJump(1.0), horizon=1.0)
+    spec_cont = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
+                             sigma=lj.constant(1.0), epsilon_n=0.2,
+                             intensity=lj.constant(0.5),
+                             jump_law=lj.gaussian_jumps(7.5, 0.5),
+                             horizon=1.0)
+    details, ok = [], True
+    for spec, case in ((spec_lat, "lattice"), (spec_cont, "continuous")):
+        rows = []
+        for n in ns:
+            grid = lj.Grid.uniform(spec.horizon, n)
+            summaries = lj.build_increment_summaries(spec, grid)
+            kernel = (lj.discrete_kernel_aggregate_bound(summaries)
+                      if case == "lattice" else
+                      lj.continuous_kernel_aggregate_bound(
+                          summaries, DEFAULT_L, DEFAULT_EPSILON,
+                          spec.jump_law))
+            raw = (lj.bernoulli_aggregate_bound(summaries).aggregate
+                   + kernel.aggregate)
+            if raw < 1.0:
+                rows.append(lj.ConvergenceRow(
+                    n=n, delta_n=grid.mesh, aggregate_bound=raw,
+                    oracle_product_bound=math.nan,
+                    rate_prediction=lj.theorem_rate(
+                        grid.mesh, spec.horizon, spec.epsilon_n, holder,
+                        case)))
+        slope = lj.fit_rate_slope(rows, "aggregate_bound")
+        predicted = lj.fit_rate_slope(rows, "rate_prediction")
+        lo, hi = 0.9 * predicted, 1.1 * predicted
+        ok = ok and lo <= slope <= hi
+        details.append(f"{case} {slope:.4f} in [{lo:.4f}, {hi:.4f}] "
+                       f"({len(rows)} rows)")
+    report(6, ok, "raw aggregate slope at n = 2^14..2^20: "
+           + ", ".join(details))
 
 
 def test_criterion_07_risk_transfer_matches_direct():

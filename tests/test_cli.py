@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
-from lecamjd.cli import (ConfigError, load_config, main, parse_config,
-                         serialize_config)
+from lecamjd.cli import (ConfigError, _emit_csv, load_config, main,
+                         parse_config, serialize_config)
 
 BASE_CONFIG = {
     "drift": {"kind": "sine", "offset": 0.2, "amplitude": 0.1,
@@ -224,6 +224,72 @@ class TestRoundTripProperty:
         us = np.linspace(-4.0, 4.0, 9)
         np.testing.assert_array_equal(spec.jump_law.cf(us),
                                       spec2.jump_law.cf(us))
+
+
+def reference_csv(columns, last_row=None):
+    """The CSV text of the row-by-row writer the row template replaced:
+    ``csv.writer`` over each cell's ``repr`` (floats) or ``str``."""
+    cells = []
+    for column in columns.values():
+        arr = np.asarray(column)
+        cells.append(map(repr if arr.dtype.kind == "f" else str,
+                         arr.tolist()))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*cells))
+    if last_row is not None:
+        writer.writerow(last_row)
+    return buf.getvalue()
+
+
+#: (dtype, cell strategy) of each column kind; floats include +-0.0, NaN
+#: (with any payload), +-inf and subnormals, text any quoting hazard
+CELL_KINDS = [
+    (np.float64, st.floats(width=64)),
+    (np.int64, st.integers(-(1 << 63), (1 << 63) - 1)),
+    (str, st.text()),
+]
+
+
+@st.composite
+def csv_columns(draw):
+    rows = draw(st.integers(0, 5))
+    names = draw(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    columns = {}
+    for name in names:
+        dtype, cells = draw(st.sampled_from(CELL_KINDS))
+        if draw(st.booleans()):  # all cells equal
+            values = [draw(cells)] * rows
+        else:
+            values = draw(st.lists(cells, min_size=rows, max_size=rows))
+        # callers pass arrays or, as bounds' formula_name, plain lists
+        columns[name] = (np.array(values, dtype=dtype)
+                         if draw(st.booleans()) else values)
+    return columns
+
+
+def emitted_csv(columns, last_row=None):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit_csv(columns, None, last_row)
+    return out.getvalue()
+
+
+class TestEmitCsv:
+    @given(columns=csv_columns(),
+           last_row=st.none() | st.lists(st.text(), max_size=4))
+    @example(columns={"x": np.array([0.0, -0.0])}, last_row=None)
+    @example(columns={"x": ["100%", "100%"], "y": [1, 2]},
+             last_row=["a", "", "1%"])
+    @example(columns={"x": ["", ""]}, last_row=None)
+    @example(columns={"v": np.array([0x7FF8000000000000, 0xFFF8000000000001,
+                                     0x7FF0000000000002],
+                                    dtype=np.uint64).view(np.float64)},
+             last_row=None)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_row_by_row_writer(self, columns, last_row):
+        assert emitted_csv(columns, last_row) == reference_csv(columns,
+                                                               last_row)
 
 
 class TestSimulateCommand:
@@ -480,6 +546,72 @@ class TestRiskTransferCommand:
         a = capsys.readouterr().out
         assert main(argv) == 0
         assert a == capsys.readouterr().out
+
+
+#: one argv per subcommand that takes ``--seed``
+SEEDED_ARGV = {
+    "simulate": lambda cfg, inc: ["simulate", "--config", cfg],
+    "filter": lambda cfg, inc: ["filter", inc, "--kernel", "truncate",
+                                "--config", cfg],
+    "bounds": lambda cfg, inc: ["bounds", "--config", cfg],
+    "convergence": lambda cfg, inc: ["convergence", "--config", cfg,
+                                     "--n-list", "4,8"],
+    "risk-transfer": lambda cfg, inc: ["risk-transfer", "--config", cfg,
+                                       "--n-list", "8", "--reps", "2"],
+    "validate": lambda cfg, inc: ["validate", "--config", cfg],
+}
+
+
+class TestSeedRange:
+    """Seeds are 64-bit unsigned; the stream masks to 64 bits, so a seed
+    outside [0, 2**64) would alias one inside it."""
+
+    @pytest.mark.parametrize("seed", [str(1 << 64), "-1"])
+    @pytest.mark.parametrize("command", sorted(SEEDED_ARGV))
+    def test_out_of_range_seed_is_config_error(self, tmp_path, capsys,
+                                               command, seed):
+        inc = tmp_path / "inc.csv"
+        inc.write_text("increment\n0.01\n3.0\n", encoding="utf-8")
+        argv = SEEDED_ARGV[command](write_config(tmp_path), str(inc))
+        assert main(argv + ["--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed must be in [0, 2**64)" in captured.err
+
+    @pytest.mark.parametrize("inside, outside",
+                             [("0", str(1 << 64)),
+                              (str((1 << 64) - 1), "-1")])
+    def test_aliasing_pairs_are_refused(self, tmp_path, capsys, inside,
+                                        outside):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", cfg, "--seed", inside]) == 0
+        assert capsys.readouterr().out.count("\n") == 17
+        assert main(["simulate", "--config", cfg, "--seed", outside]) == 1
+        assert capsys.readouterr().out == ""
+
+
+class TestArgumentErrors:
+    """Values the user got wrong are config errors (exit 1), not
+    numerical failures."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["risk-transfer", "--n-list", "8", "--reps", "0"],
+         "--reps must be at least 1"),
+        (["risk-transfer", "--n-list", "8", "--reps", "-3"],
+         "--reps must be at least 1"),
+        (["convergence", "--n-list", "0,4"],
+         "--n-list grid sizes must be positive"),
+        (["risk-transfer", "--n-list", "0"],
+         "--n-list grid sizes must be positive"),
+        (["convergence", "--n-list=-4,8"],
+         "--n-list grid sizes must be positive"),
+    ])
+    def test_exits_one_without_output(self, tmp_path, capsys, argv,
+                                      message):
+        assert main(argv + ["--config", write_config(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: " + message)
 
 
 NONFINITE_LAWS = {
