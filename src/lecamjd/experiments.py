@@ -31,7 +31,7 @@ from .distances import (bernoulli_aggregate_bound,
                         hellinger_product_tv_bound, theorem_rate)
 from .kernels import (TruncateResampleParams, fold_density_to_lattice_cell,
                       transfer_estimator, truncate_resample_pushforward)
-from .laws import (bernoulli_density, gaussian_density, has_mixture_rows,
+from .laws import (bernoulli_density, gaussian_density,
                    increment_density_exact)
 from .model import (ContinuousJumps, DiracJump, Grid, HolderClassParams,
                     IntervalSummary, LatticeJumps, ModelSpec,
@@ -116,10 +116,8 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
     Gaussian law) capped at 1 each.  The one-jump step TV is translation
     invariant in the interval drift, so it is computed once per distinct
     ``(lambda_i, sigma_i^2)`` pair with the drift zeroed.  The filtering
-    step compares two mixture tables built from the grid's summary arrays,
-    a row per interval, and integrates all their TVs as one batch; a jump
-    law whose one-jump law has a closed-form pdf piece (no table) gives
-    one density pair per interval in that batch instead.
+    step compares two tables built from the grid's summary arrays, a row
+    per interval, and integrates all their TVs as one batch.
     """
     n_values = [int(n) for n in n_values]
     if len(n_values) == 0 or any(b <= a for a, b in zip(n_values, n_values[1:])):
@@ -147,24 +145,16 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
                 increment_density_exact(centered, spec.jump_law),
                 bernoulli_density(centered, spec.jump_law))
         bern_tv = np.array([bern_tv_cache[key] for key in keys])
-        # one pair of tables with a row per interval; a one-jump law with
-        # a closed-form pdf piece has no table, so it goes interval by
-        # interval
-        batches = ([summaries] if has_mixture_rows(spec.jump_law) else
-                   [summaries.interval(i) for i in range(summaries.n)])
-        pairs = []
-        for s in batches:
-            approx = bernoulli_density(s, spec.jump_law)
-            target = gaussian_density(s.m, s.sigma2)
-            if jump_case == "lattice":
-                pairs.append((fold_density_to_lattice_cell(approx),
-                              fold_density_to_lattice_cell(target)))
-            else:
-                params = TruncateResampleParams(L=L, epsilon=epsilon,
-                                                sigma_i=np.sqrt(s.sigma2))
-                pairs.append((truncate_resample_pushforward(approx, params),
-                              target))
-        per_tv = np.minimum(1.0, bern_tv + tv_quadrature_many(pairs))
+        approx = bernoulli_density(summaries, spec.jump_law)
+        target = gaussian_density(summaries.m, summaries.sigma2)
+        if jump_case == "lattice":
+            pair = (fold_density_to_lattice_cell(approx),
+                    fold_density_to_lattice_cell(target))
+        else:
+            params = TruncateResampleParams(L=L, epsilon=epsilon,
+                                            sigma_i=np.sqrt(summaries.sigma2))
+            pair = (truncate_resample_pushforward(approx, params), target)
+        per_tv = np.minimum(1.0, bern_tv + tv_quadrature_many([pair]))
         oracle_product = hellinger_product_tv_bound(per_tv)
         rows.append(ConvergenceRow(
             n=n, delta_n=grid.mesh, aggregate_bound=aggregate,

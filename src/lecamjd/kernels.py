@@ -9,8 +9,8 @@ Two filters map jump-contaminated increments toward Gaussian ones:
 
 Both come with pushforward constructors on :class:`~lecamjd.laws.Density`
 so the quadrature oracle can measure exactly what each filter does to a
-law; a mixture table with a row per interval is pushed forward row by
-row into another table.  Also here: the estimator-transfer wrapper and
+law; a table with a row per interval is pushed forward row by row into
+another table.  Also here: the estimator-transfer wrapper and
 the two statistics used to pass between continuously and discretely
 observed Gaussian experiments.
 """
@@ -18,11 +18,10 @@ observed Gaussian experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _gauss
 from ._quadrature import integrate
 from .laws import Density, MixtureTable
 from .model import Grid, as_time_function
@@ -106,40 +105,19 @@ def fold_density_to_lattice_cell(d: Density) -> Density:
     """Pushforward of a density under the fractional-part map.
 
     The result lives on ``[-0.5, 0.5]`` and equals the sum of the input
-    over all integer shifts.  Gaussian mixture tables are folded
+    over all integer shifts.  Bare Gaussian mixture rows are folded
     structurally, row by row: components whose centers coincide modulo 1
     (within a few ulps, to absorb the rounding of integer-shifted means)
     are merged, so laws that the filter maps to the same wrapped Gaussian
     produce literally identical component lists instead of agreeing only
-    up to floating-point noise.  Other densities (one law) are folded by
-    summing their pdf over the integer shifts that meet their support.
+    up to floating-point noise.  Rows with a box term, a restriction or a
+    top-up raise ``ValueError``.
     """
-    if d.table is not None and d.table.plain.all():
-        return Density.from_table(_fold_table(d.table))
-    if d.rows > 1:
-        raise ValueError("only bare mixture rows fold row by row")
-    lo, hi = d.support
-    shifts = np.arange(math.floor(lo + 0.5), math.ceil(hi - 0.5) + 1,
-                       dtype=float)
-    base_pdf = d.pdf
-
-    def pdf(x):
-        x_arr = np.asarray(x, dtype=float)
-        acc = np.zeros(np.shape(x_arr))
-        for s in shifts:
-            acc = acc + np.asarray(base_pdf(x_arr + s), dtype=float)
-        vals = np.where(np.abs(x_arr) <= 0.5, acc, 0.0)
-        return float(vals) if np.ndim(x) == 0 else vals
-
-    folded = {b - float(np.rint(b)) for b in d.breakpoints}
-    atom_map: dict[float, float] = {}
-    for loc, mass in d.atoms:
-        c = loc - float(np.rint(loc))
-        atom_map[c] = atom_map.get(c, 0.0) + mass
-    return Density(pdf=pdf, support=(-0.5, 0.5),
-                   atoms=tuple(sorted(atom_map.items())),
-                   breakpoints=tuple(sorted(b for b in folded
-                                            if -0.5 < b < 0.5)))
+    t = d.table
+    if not (t.plain & ~t.boxed).all():
+        raise ValueError("only bare Gaussian mixture rows fold onto the "
+                         "lattice cell")
+    return Density(_fold_table(t))
 
 
 @dataclass(frozen=True)
@@ -195,14 +173,14 @@ def truncate_resample(x, params: TruncateResampleParams, rng: RngStream):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _escaped_masses(d: Density, beta) -> np.ndarray:
-    """Mass of each row of ``d`` outside its closed ball ``[-beta, beta]``.
+def _escaped_masses(t: MixtureTable, beta) -> np.ndarray:
+    """Mass of each row of ``t`` outside its closed ball ``[-beta, beta]``.
 
     Per row, the support is cut at its breakpoints and at the ball's edges
     that lie inside it; the panels outside the ball of all rows are
     integrated in one call.
     """
-    lo, hi, pts = d.structure()
+    lo, hi, pts = t.structure()
     beta = np.broadcast_to(beta, lo.shape)
     cuts = np.concatenate((np.stack((-beta, beta), axis=1), pts), axis=1)
     cuts = np.where((cuts > lo[:, None]) & (cuts < hi[:, None]), cuts, np.nan)
@@ -212,10 +190,9 @@ def _escaped_masses(d: Density, beta) -> np.ndarray:
     a, b, row = _row_panels(np.sort(edges, axis=1))
     out = np.abs(0.5 * (a + b)) > beta[row]
     a, b, row = a[out], b[out], row[out]
-    cont = integrate(lambda x, panel: d.values(x, row[panel]), a, b,
+    cont = integrate(lambda x, panel: t.values(x, row[panel]), a, b,
                      what="escaped mass", by_panel=True)
-    mass = _segment_sums(cont, row, lo.size)
-    return mass + sum(m for loc, m in d.atoms if abs(loc) > beta[0])
+    return _segment_sums(cont, row, lo.size)
 
 
 def truncate_resample_pushforward(d: Density,
@@ -224,36 +201,18 @@ def truncate_resample_pushforward(d: Density,
 
     Restriction of ``d`` to the ball plus the escaped mass times the
     resampling Gaussian; the escaped mass is measured by quadrature of
-    ``d`` itself.  A Gaussian mixture table is pushed forward row by row,
-    with ``params.sigma_i`` holding one noise sd per row.
+    ``d`` itself.  A table is pushed forward row by row, with
+    ``params.sigma_i`` holding one noise sd per row; rows that are already
+    restricted or topped up raise ``ValueError``.
     """
-    beta, sd = params.beta, params.sigma_i
-    mass = _escaped_masses(d, beta)
     t = d.table
-    if t is not None and t.plain.all():
-        return Density.from_table(MixtureTable(
-            t.means, t.sds, t.weights, size=t.size, beta=beta, mass=mass,
-            resample_sd=sd))
-    if d.rows > 1:
-        raise ValueError("only bare mixture rows are pushed row by row")
-    out_mass, base_pdf = float(mass[0]), d.pdf
-
-    def pdf(x):
-        x_arr = np.asarray(x, dtype=float)
-        inside = np.abs(x_arr) <= beta
-        kept = np.where(inside, np.asarray(base_pdf(x_arr), dtype=float), 0.0)
-        vals = kept + out_mass * ((1.0 / sd) * _gauss.std_pdf(x_arr / sd))
-        return float(vals) if np.ndim(x) == 0 else vals
-
-    lo, hi = d.support
-    support = (min(-12.0 * sd, max(lo, -beta)),
-               max(12.0 * sd, min(hi, beta)))
-    breaks = {-beta, beta}
-    breaks.update(b for b in d.breakpoints if abs(b) < beta)
-    atoms = tuple((loc, mass) for loc, mass in d.atoms if abs(loc) <= beta)
-    return Density(pdf=pdf, support=support, atoms=atoms,
-                   breakpoints=tuple(sorted(b for b in breaks
-                                            if support[0] < b < support[1])))
+    if not t.plain.all():
+        raise ValueError("only unrestricted rows can be truncated and "
+                         "resampled")
+    beta = params.beta
+    return Density(replace(
+        t, beta=beta, mass=_escaped_masses(t, beta),
+        resample_sd=params.sigma_i))
 
 
 def transfer_estimator(delta, observations):

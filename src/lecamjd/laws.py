@@ -4,16 +4,16 @@ Conditionally on the jump count ``k``, an increment is Gaussian with mean
 ``m_i`` plus the sum of ``k`` jump sizes.  The exact density is therefore
 a Poisson-weighted series of Gaussian convolutions; truncating the series
 at a negligible tail gives a numerical density with fully known structure
-(component means and variances, extra closed-form pieces, atoms, and
-breakpoints) that the quadrature oracle can integrate reliably.
+(component means and variances, a smoothed box for a uniform jump sum,
+and breakpoints) that the quadrature oracle can integrate reliably.
 
 The one-jump (Bernoulli count) approximation keeps only the ``k = 0`` and
 ``k = 1`` terms with weights ``1 - alpha_i`` and ``alpha_i``.
 
-Every density the sweeps compare is a finite Gaussian mixture, possibly
-restricted to a ball and topped up by a resampling Gaussian.  Such
-densities are data: a :class:`MixtureTable` holds one law per row, its
-one evaluator gives every mixture pdf, and a density built from a whole
+Every density is data: a :class:`MixtureTable` holds one law per row (a
+finite Gaussian mixture plus at most one Gaussian-smoothed uniform box,
+possibly restricted to a ball and topped up by a resampling Gaussian),
+its one evaluator gives every pdf, and a density built from a whole
 grid's summaries is one table with a row per interval.  Lattice-cell
 folding merges components whose centers coincide modulo 1, which is what
 keeps the folded comparison of a jump law against a pure Gaussian
@@ -74,16 +74,22 @@ class MixtureTable:
 
     Row ``r`` is the density
 
-        where(|x| <= beta[r], sum_k (w/s) phi((x - m)/s), 0)
+        where(|x| <= beta[r], sum_k (w/s) phi((x - m)/s) + box(x), 0)
             + mass[r] * phi(x / sd[r]) / sd[r]
 
     over the row's first ``size[r]`` entries ``(m, s, w)`` of ``means``,
     ``sds`` and ``weights``; the rest of the row is padding ``(0, 1, 0)``.
-    ``beta`` is the restriction radius (inf: none); ``mass`` and
-    ``resample_sd`` are the escaped mass and resampling sd of the
-    truncate-and-resample output (0: none); ``fold`` marks rows folded onto
-    the lattice cell, which are restricted to radius 1/2.  Per-row fields
-    may be given as scalars.
+    ``box`` is the smoothed box
+
+        box_weight[r] * (Phi((x - box_lo[r]) / box_sd[r])
+                         - Phi((x - box_hi[r]) / box_sd[r])),
+
+    a uniform law on ``[box_lo, box_hi]`` convolved with N(0, box_sd^2)
+    (``box_weight`` 0: none).  ``beta`` is the restriction radius (inf:
+    none); ``mass`` and ``resample_sd`` are the escaped mass and resampling
+    sd of the truncate-and-resample output (0: none); ``fold`` marks rows
+    folded onto the lattice cell, which are restricted to radius 1/2.
+    Per-row fields may be given as scalars.
     """
 
     means: np.ndarray
@@ -94,6 +100,10 @@ class MixtureTable:
     mass: np.ndarray = 0.0
     resample_sd: np.ndarray = 0.0
     fold: np.ndarray = False
+    box_weight: np.ndarray = 0.0
+    box_lo: np.ndarray = 0.0
+    box_hi: np.ndarray = 0.0
+    box_sd: np.ndarray = 1.0
     _by_mean: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -104,7 +114,9 @@ class MixtureTable:
         for name, kind in (("means", float), ("sds", float),
                            ("weights", float), ("size", np.intp),
                            ("beta", float), ("mass", float),
-                           ("resample_sd", float), ("fold", bool)):
+                           ("resample_sd", float), ("fold", bool),
+                           ("box_weight", float), ("box_lo", float),
+                           ("box_hi", float), ("box_sd", float)):
             shape = (rows, width) if name in ("means", "sds", "weights") \
                 else (rows,)
             value = np.broadcast_to(np.asarray(getattr(self, name),
@@ -117,9 +129,14 @@ class MixtureTable:
 
     @property
     def plain(self) -> np.ndarray:
-        """Rows that are bare mixtures: no restriction, top-up or fold."""
+        """Rows with no restriction, top-up or fold (a box is allowed)."""
         return (np.isinf(self.beta) & (self.resample_sd == 0.0)
                 & ~self.fold)
+
+    @property
+    def boxed(self) -> np.ndarray:
+        """Rows with a smoothed box term."""
+        return self.box_weight > 0.0
 
     @cached_property
     def _scaled(self) -> np.ndarray:
@@ -135,6 +152,10 @@ class MixtureTable:
     @cached_property
     def _widths(self) -> list[int]:
         return sorted(set(self._width.tolist()))
+
+    @cached_property
+    def _has_box(self) -> bool:
+        return bool(self.boxed.any())
 
     @cached_property
     def _cut(self) -> bool:
@@ -160,6 +181,13 @@ class MixtureTable:
             out[at] = (self._windowed(x[at], rows[at])
                        if w > _MAX_PEAK_BREAKPOINTS
                        else self._dense(x[at], rows[at], w))
+        if self._has_box:
+            at = np.flatnonzero(self.boxed[rows])
+            r, xa = rows[at], x[at]
+            s = self.box_sd[r]
+            cdf = _gauss.std_cdf(np.stack(((xa - self.box_lo[r]) / s,
+                                           (xa - self.box_hi[r]) / s)))
+            out[at] += self.box_weight[r] * (cdf[0] - cdf[1])
         if self._cut:
             out = np.where(np.abs(x) <= self.beta[rows], out, 0.0)
         if self._topped:
@@ -218,21 +246,31 @@ class MixtureTable:
         return out
 
     def structure(self):
-        """Per row: support ends and breakpoints (a NaN-padded array).
+        """Per row: support ends and breakpoints (a NaN-padded array with
+        no all-NaN column).
 
         A bare mixture spans its components' means plus/minus 12 sds and
         breaks at each mean and its 6-sd shoulders, unless it has more than
-        ``_MAX_PEAK_BREAKPOINTS`` components; a restricted row keeps the
+        ``_MAX_PEAK_BREAKPOINTS`` components; a box reaches 12 of its sds
+        past each end and breaks at both ends; a restricted row keeps the
         breakpoints inside its ball and adds the ball's edges; a folded row
         is the cell ``[-1/2, 1/2]``, broken at its components' centers.
         """
         m, s = self.means, self.sds
         real = np.arange(m.shape[1]) < self.size[:, None]
+        box = self.boxed
         lo = np.where(real, m - 12.0 * s, np.inf).min(axis=1)
         hi = np.where(real, m + 12.0 * s, -np.inf).max(axis=1)
-        pts = np.concatenate((m - 6.0 * s, m, m + 6.0 * s), axis=1)
-        peaks = np.tile(real & (self.size <= _MAX_PEAK_BREAKPOINTS)[:, None],
-                        3)
+        lo = np.where(box, np.minimum(lo, self.box_lo - 12.0 * self.box_sd),
+                      lo)
+        hi = np.where(box, np.maximum(hi, self.box_hi + 12.0 * self.box_sd),
+                      hi)
+        pts = np.concatenate((m - 6.0 * s, m, m + 6.0 * s,
+                              np.stack((self.box_lo, self.box_hi), axis=1)),
+                             axis=1)
+        peaks = np.concatenate((
+            np.tile(real & (self.size <= _MAX_PEAK_BREAKPOINTS)[:, None], 3),
+            np.stack((box, box), axis=1)), axis=1)
         ok = peaks & (pts > lo[:, None]) & (pts < hi[:, None])
         beta, sd, fold = self.beta, self.resample_sd, self.fold
         cut = np.isfinite(beta) & ~fold
@@ -247,7 +285,7 @@ class MixtureTable:
                          np.nan)
         pts = np.concatenate((np.where(ok, pts, np.nan), edges), axis=1)
         inside = (pts > lo[:, None]) & (pts < hi[:, None])
-        return lo, hi, np.where(inside, pts, np.nan)
+        return lo, hi, np.where(inside, pts, np.nan)[:, inside.any(axis=0)]
 
     @staticmethod
     def concat(tables) -> "MixtureTable":
@@ -260,7 +298,8 @@ class MixtureTable:
               for name, fill in (("means", 0.0), ("sds", 1.0),
                                  ("weights", 0.0))),
             *(np.concatenate([getattr(t, name) for t in tables])
-              for name in ("size", "beta", "mass", "resample_sd", "fold")))
+              for name in ("size", "beta", "mass", "resample_sd", "fold",
+                           "box_weight", "box_lo", "box_hi", "box_sd")))
 
 
 def _stack_rows(arrays, fill) -> np.ndarray:
@@ -273,109 +312,72 @@ def _stack_rows(arrays, fill) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Density:
-    """Numerical density with the structure the oracle needs.
+    """A :class:`MixtureTable` as a numerical density for the oracle.
 
-    ``pdf`` evaluates the absolutely continuous part on arrays.  ``support``
-    bounds the region of non-negligible mass.  ``atoms`` lists point masses
-    as ``(location, mass)`` pairs.  ``breakpoints`` are interior points
-    where the pdf is non-smooth or sharply peaked, so quadrature panels can
-    be split there.
-
-    When the continuous part is a :class:`MixtureTable`, ``table`` holds
-    it, ``pdf`` is its evaluator and the structure is the table's.  A
-    table may hold many laws, one per row (say, one per interval of a
-    grid); then ``support`` is a pair of per-row arrays, ``breakpoints`` a
-    NaN-padded array with a row per law, and ``pdf(x, rows)`` evaluates
-    row ``rows``.  Densities without a table (closed-form pieces, custom
-    pdfs) are one law.
+    ``pdf`` evaluates the table (row ``rows`` of ``pdf(x, rows)``); a
+    wrapper may replace it, but the oracle and the kernels read ``table``
+    itself.  ``support`` bounds the region of non-negligible mass and
+    ``breakpoints`` are interior points where the pdf is non-smooth or
+    sharply peaked, so quadrature panels can be split there.  A table may
+    hold many laws, one per row (say, one per interval of a grid); then
+    ``support`` is a pair of per-row arrays and ``breakpoints`` a
+    NaN-padded array with a row per law.
     """
 
-    pdf: Callable
-    support: tuple[float, float]
-    atoms: tuple[tuple[float, float], ...] = ()
-    breakpoints: tuple[float, ...] = ()
-    table: MixtureTable | None = None
+    table: MixtureTable
+    pdf: Callable | None = None
+
+    def __post_init__(self):
+        if self.pdf is None:
+            object.__setattr__(self, "pdf", self.table.pdf)
 
     def __call__(self, x):
         return self.pdf(x)
 
-    @classmethod
-    def from_table(cls, table: MixtureTable) -> "Density":
-        lo, hi, pts = table.structure()
-        if table.rows > 1:
-            return cls(pdf=table.pdf, support=(lo, hi), breakpoints=pts,
-                       table=table)
-        return cls(pdf=table.pdf, support=(float(lo[0]), float(hi[0])),
-                   breakpoints=tuple(sorted(set(
-                       pts[0][~np.isnan(pts[0])].tolist()))),
-                   table=table)
-
     @property
     def rows(self) -> int:
-        return 1 if self.table is None else self.table.rows
+        return self.table.rows
+
+    def structure(self):
+        """Per row: support ends and breakpoints (a NaN-padded array)."""
+        return self.table.structure()
+
+    @property
+    def support(self):
+        lo, hi, _ = self.structure()
+        return (float(lo[0]), float(hi[0])) if self.rows == 1 else (lo, hi)
+
+    @property
+    def breakpoints(self):
+        pts = self.structure()[2]
+        if self.rows > 1:
+            return pts
+        return tuple(sorted(set(pts[0][~np.isnan(pts[0])].tolist())))
 
     @property
     def gauss_components(self) -> tuple[tuple[float, float, float], ...] | None:
         """The ``(mean, sd, weight)`` list when this one law is a bare
         Gaussian mixture; ``None`` otherwise."""
         t = self.table
-        if t is None or t.rows != 1 or not t.plain[0]:
+        if t.rows != 1 or not t.plain[0] or t.boxed[0]:
             return None
         k = t.size[0]
         return tuple(zip(t.means[0, :k].tolist(), t.sds[0, :k].tolist(),
                          t.weights[0, :k].tolist()))
 
-    def structure(self):
-        """Per row: support ends and breakpoints (a NaN-padded array)."""
-        lo, hi = (np.atleast_1d(np.asarray(e, dtype=float))
-                  for e in self.support)
-        return lo, hi, np.asarray(self.breakpoints,
-                                  dtype=float).reshape(lo.size, -1)
 
-    def values(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Row ``rows[j]`` at ``x[j]``, for flat arrays."""
-        if self.table is not None:
-            return self.table.values(x, rows)
-        return np.asarray(self.pdf(x), dtype=float)
+def mixture_density(components) -> Density:
+    """Gaussian mixture of ``(mean, sd, weight)`` components as a Density.
 
-
-def mixture_density(components, extra=(), extra_support=(),
-                    extra_breaks=()) -> Density:
-    """Build a Density from Gaussian components plus optional closures.
-
-    ``components`` is a sequence of ``(mean, sd, weight)``.  ``extra`` holds
-    ``(weight, pdf)`` closures whose mass lives inside ``extra_support``
-    intervals.  Component means and their 6-sd shoulders are exposed as
-    breakpoints unless the mixture is too dense to be spiky; the shoulders
-    give every narrow peak panels of its own scale, so quadrature cannot
-    skip over a bump that is much thinner than the union support.
+    Component means and their 6-sd shoulders are exposed as breakpoints
+    unless the mixture is too dense to be spiky; the shoulders give every
+    narrow peak panels of its own scale, so quadrature cannot skip over a
+    bump that is much thinner than the union support.
     """
     comps = np.asarray(components, dtype=float).reshape(-1, 3)
-    table = MixtureTable(*comps.T) if len(comps) else None
-    if table is None and not extra:
+    if not len(comps):
         raise ValueError("density needs at least one component")
-    if not extra:
-        return Density.from_table(table)
-    lo, hi = zip(*extra_support)
-    breaks = set(float(b) for b in extra_breaks)
-    if table is not None:
-        t_lo, t_hi, pts = table.structure()
-        lo, hi = lo + (t_lo[0],), hi + (t_hi[0],)
-        breaks.update(pts[0][~np.isnan(pts[0])].tolist())
-    lo, hi = float(min(lo)), float(max(hi))
-
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x).ravel()
-        out = (table.values(flat, np.zeros(flat.size, dtype=np.intp))
-               if table is not None else np.zeros(flat.size))
-        for w, fn in extra:
-            out += w * np.asarray(fn(flat), dtype=float)
-        return out.reshape(x.shape) if x.ndim else float(out[0])
-
-    return Density(pdf=pdf, support=(lo, hi),
-                   breakpoints=tuple(sorted(b for b in breaks
-                                            if lo < b < hi)))
+    return Density(MixtureTable(*comps.T))
 
 
 def gaussian_density(m, s2) -> Density:
@@ -386,7 +388,7 @@ def gaussian_density(m, s2) -> Density:
     s2 = np.asarray(s2, dtype=float)
     if np.any(s2 <= 0):
         raise ValueError("variance must be positive")
-    return Density.from_table(MixtureTable(
+    return Density(MixtureTable(
         np.reshape(m, (-1, 1)), np.sqrt(s2).reshape(-1, 1), 1.0))
 
 
@@ -408,58 +410,59 @@ def _poisson_weights(lam: float, tail_tol: float) -> np.ndarray:
     return np.asarray(weights)
 
 
-def _gauss_conv_rows(law: ContinuousJumps, k: int, m, s2):
-    """The law's ``exact_gauss_conv`` hook per row, or ``None`` unless
-    every row's result is a Gaussian; then ``(means, sds)`` columns."""
-    hook = law.exact_gauss_conv
-    if hook is None:
-        return None
-    res = [hook(k, mi, vi) for mi, vi in zip(np.ravel(m).tolist(),
-                                             np.ravel(s2).tolist())]
-    if not all(r is not None and r[0] == "gaussian" for r in res):
-        return None
-    mu, var = np.array([r[1:] for r in res]).T
-    return mu[:, None], np.sqrt(var)[:, None]
-
-
 def _kfold_components(jump_law: JumpLaw, k: int, m, s2, chain=None):
     """Structure of N(m, s2) convolved with a k-fold jump sum.
 
-    ``m`` and ``s2`` are floats, or arrays with one entry per row when the
-    result is a Gaussian mixture.  Returns ``(means, sds, weights, extra,
-    extra_support, extra_breaks)``: component ``means`` and ``sds`` with a
-    row per entry and a column per component, ``weights`` per column
-    summing to 1, and ``(weight, pdf)`` closures ``extra`` carrying weight
-    1 total (floats only).  ``chain`` is passed on to
-    :func:`_grid_convolution`.
+    ``m`` and ``s2`` hold one entry per row; a law without a closed form
+    for the sum goes through :func:`_grid_convolution`, which takes one
+    row and the ``chain`` it keeps.  Returns ``(means, sds, weights,
+    box)``: component ``means`` and ``sds`` with a row per entry and a
+    column per component, ``weights`` per column summing to 1, and
+    ``box``, ``None`` or a uniform sum as ``(height, lo, hi)`` with its
+    ends shifted by each row's ``m`` (it then carries weight 1 alone).
     """
     m = np.reshape(m, (-1, 1))
-    sd = np.sqrt(np.reshape(s2, (-1, 1)))
+    s2 = np.reshape(s2, (-1, 1))
+    sd = np.sqrt(s2)
     one = np.ones(1)
     if k == 0:
-        return m, sd, one, [], [], []
+        return m, sd, one, None
     if isinstance(jump_law, DiracJump):
-        return m + k * jump_law.location, sd, one, [], [], []
+        return m + k * jump_law.location, sd, one, None
     if isinstance(jump_law, LatticeJumps):
         support, pmf = jump_law.kfold_pmf(k)
         keep = pmf > 1e-300
         means = m + support[keep]
-        return means, np.broadcast_to(sd, means.shape), pmf[keep], [], [], []
+        return means, np.broadcast_to(sd, means.shape), pmf[keep], None
     if isinstance(jump_law, ContinuousJumps):
-        gauss = _gauss_conv_rows(jump_law, k, m, s2)
-        if gauss is not None:
-            return (*gauss, one, [], [], [])
-        m, s2 = float(m[0, 0]), float(s2)
-        hook = jump_law.exact_gauss_conv
-        res = hook(k, m, s2) if hook is not None else None
-        if res is not None and res[0] == "pdf":
-            _, fn, supp, breaks = res
-            empty = np.empty((1, 0))
-            return empty, empty, empty[0], [(1.0, fn)], [tuple(supp)], \
-                list(breaks)
-        return _grid_convolution(jump_law, k, m, s2, [] if chain is None
-                                 else chain)
+        law = _jump_sum(jump_law, k)
+        if law is None:
+            return _grid_convolution(jump_law, k, float(m[0, 0]),
+                                     float(s2[0, 0]),
+                                     [] if chain is None else chain)
+        kind, a, b = law
+        if kind == "gaussian":
+            return m + a, np.sqrt(s2 + b), one, None
+        if kind == "uniform":
+            none = np.empty((m.shape[0], 0))
+            return none, none, none[0], (1.0 / (b - a), m[:, 0] + a,
+                                         m[:, 0] + b)
+        raise ValueError(f"unknown k-fold jump law {kind!r}")
     raise TypeError(f"unsupported jump law {type(jump_law).__name__}")
+
+
+def _jump_sum(law: ContinuousJumps, k: int):
+    """The law's closed form of its k-fold jump sum, or ``None``."""
+    return None if law.kfold_law is None else law.kfold_law(k)
+
+
+def _box_fields(box, weight, sd) -> dict:
+    """:class:`MixtureTable` box fields of a ``box`` from
+    :func:`_kfold_components` carrying ``weight``, smoothed by ``sd``."""
+    if box is None:
+        return {}
+    height, lo, hi = box
+    return dict(box_weight=weight * height, box_lo=lo, box_hi=hi, box_sd=sd)
 
 
 def _grid_convolution(law: ContinuousJumps, k: int, m: float, s2: float,
@@ -496,39 +499,25 @@ def _grid_convolution(law: ContinuousJumps, k: int, m: float, s2: float,
     acc = acc / total
     keep = acc > 1e-15
     means = m + offs[keep][None, :]
-    return means, np.full(means.shape, sd), acc[keep], [], [], []
+    return means, np.full(means.shape, sd), acc[keep], None
 
 
 def _series_density(weights: np.ndarray, jump_law: JumpLaw, m: float,
                     s2: float) -> Density:
     components: list[np.ndarray] = [np.empty((0, 3))]
-    extra: list[tuple[float, Callable]] = []
-    extra_support: list[tuple[float, float]] = []
-    extra_breaks: list[float] = []
+    box: dict = {}
     chain: list = []
     for k, wk in enumerate(weights):
         if wk <= 1e-300:
             continue
-        means, sds, ws, ex, ex_sup, ex_br = _kfold_components(
-            jump_law, k, m, s2, chain)
+        means, sds, ws, edges = _kfold_components(jump_law, k, m, s2, chain)
         components.append(np.stack(np.broadcast_arrays(
             means[0], sds[0], wk * ws), axis=1))
-        extra.extend((wk * w, fn) for w, fn in ex)
-        extra_support.extend(ex_sup)
-        extra_breaks.extend(ex_br)
-    return mixture_density(np.concatenate(components), extra, extra_support,
-                           extra_breaks)
-
-
-def has_mixture_rows(jump_law: JumpLaw) -> bool:
-    """Whether one-jump laws of ``jump_law`` come as mixture-table rows.
-
-    True for Dirac and lattice jumps, and for continuous laws whose
-    ``exact_gauss_conv`` hook gives a Gaussian (probed at N(0, 1)).
-    """
-    if not isinstance(jump_law, ContinuousJumps):
-        return True
-    return _gauss_conv_rows(jump_law, 1, 0.0, 1.0) is not None
+        if edges is not None:
+            if box:
+                raise ValueError("a law may have one uniform k-fold sum")
+            box = _box_fields(edges, wk, math.sqrt(s2))
+    return Density(MixtureTable(*np.concatenate(components).T, **box))
 
 
 def increment_density_exact(summary: IntervalSummary, jump_law: JumpLaw,
@@ -549,24 +538,28 @@ def bernoulli_density(summary: IntervalSummary | IncrementSummaries,
     """One-jump approximation: no jump w.p. 1 - alpha, one jump w.p. alpha.
 
     For a whole grid's :class:`IncrementSummaries` the result is one table
-    with a row per interval; that needs a jump law for which
-    :func:`has_mixture_rows` holds.
+    with a row per interval; a continuous law with no closed form for one
+    jump is convolved on a grid interval by interval into that table.
     """
     if isinstance(summary, IntervalSummary):
         weights = np.array([1.0 - summary.alpha, summary.alpha])
         return _series_density(weights, jump_law, summary.m, summary.sigma2)
-    if not has_mixture_rows(jump_law):
-        raise ValueError("the one-jump law is not a Gaussian mixture")
+    if (isinstance(jump_law, ContinuousJumps)
+            and _jump_sum(jump_law, 1) is None):
+        return Density(MixtureTable.concat(
+            bernoulli_density(summary.interval(i), jump_law).table
+            for i in range(summary.n)))
     m, s2, alpha = summary.m, summary.sigma2, summary.alpha
     m0, sd0 = _kfold_components(jump_law, 0, m, s2)[:2]
-    m1, sd1, w1 = _kfold_components(jump_law, 1, m, s2)[:3]
+    m1, sd1, w1, box = _kfold_components(jump_law, 1, m, s2)
     jumps = (alpha > 1e-300)[:, None]
-    return Density.from_table(MixtureTable(
+    return Density(MixtureTable(
         np.concatenate((m0, np.where(jumps, m1, 0.0)), axis=1),
         np.concatenate((sd0, np.where(jumps, sd1, 1.0)), axis=1),
         np.concatenate(((1.0 - alpha)[:, None],
                         np.where(jumps, alpha[:, None] * w1, 0.0)), axis=1),
-        size=np.where(jumps[:, 0], 1 + w1.size, 1)))
+        size=np.where(jumps[:, 0], 1 + w1.size, 1),
+        **_box_fields(box, np.where(jumps[:, 0], alpha, 0.0), sd0[:, 0])))
 
 
 def increment_cf(summary: IntervalSummary, jump_law: JumpLaw, u):

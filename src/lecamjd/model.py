@@ -262,10 +262,10 @@ class ContinuousJumps(JumpLaw):
     on ``[-1/n1, 1/n1]``) that the resampling-kernel bound integrates over.
     ``density`` must accept numpy arrays: quadrature evaluates it on whole
     node arrays, and a scalar-only callable raises.  Optional hooks supply
-    a closed-form sampler, characteristic function, and Gaussian
-    convolution; quadrature and a shared evaluation grid fill in when they
-    are missing.  ``exact_gauss_conv(k, m, s2)`` may return
-    ``("gaussian", mu, var)``, ``("pdf", fn, support, breakpoints)``, or
+    a closed-form sampler, characteristic function, and k-fold jump sum;
+    quadrature and a shared evaluation grid fill in when they are missing.
+    ``kfold_law(k)`` describes the sum of ``k >= 1`` jumps as
+    ``("gaussian", mean, var)`` or ``("uniform", lo, hi)``, or returns
     ``None`` to request the grid fallback.
     """
 
@@ -275,7 +275,7 @@ class ContinuousJumps(JumpLaw):
     n2: float | None = None
     sampler: Callable | None = None
     cf_fn: Callable | None = None
-    exact_gauss_conv: Callable | None = None
+    kfold_law: Callable | None = None
     label: str = "custom"
     params: tuple[float, ...] = ()
 
@@ -355,25 +355,12 @@ def uniform_jumps(lo: float, hi: float) -> ContinuousJumps:
             vals = (np.exp(1j * u * hi) - np.exp(1j * u * lo)) / (1j * u * width)
         return np.where(u == 0, 1.0 + 0.0j, vals)
 
-    def _conv(k, m, s2):
-        if k != 1:
-            return None
-        from . import _gauss
-        sd = math.sqrt(s2)
-
-        def pdf(x):
-            d = np.asarray(x, dtype=float) - m
-            cdf = _gauss.std_cdf(np.stack((d - lo, d - hi)) / sd)
-            return (cdf[0] - cdf[1]) * dens
-
-        support = (m + lo - 12.0 * sd, m + hi + 12.0 * sd)
-        return ("pdf", pdf, support, (m + lo, m + hi))
-
     return ContinuousJumps(
         density=_density, support=(lo, hi),
         n1=1.0 / max(abs(lo), abs(hi), 1.0), n2=None,
         sampler=lambda gen, size: gen.uniform(lo, hi, size),
-        cf_fn=_cf, exact_gauss_conv=_conv,
+        cf_fn=_cf,
+        kfold_law=lambda k: ("uniform", lo, hi) if k == 1 else None,
         label="uniform", params=(lo, hi),
     )
 
@@ -385,9 +372,6 @@ def gaussian_jumps(mean: float, sd: float) -> ContinuousJumps:
         raise ValueError("sd must be positive")
     from . import _gauss
 
-    def _conv(k, m, s2):
-        return ("gaussian", m + k * mu, s2 + k * s * s)
-
     return ContinuousJumps(
         density=lambda y: _gauss.norm_pdf(y, mu, s),
         support=(mu - 12.0 * s, mu + 12.0 * s),
@@ -395,7 +379,7 @@ def gaussian_jumps(mean: float, sd: float) -> ContinuousJumps:
         sampler=lambda gen, size: gen.normal(mu, s, size),
         cf_fn=lambda u: np.exp(1j * np.asarray(u, dtype=float) * mu
                                - 0.5 * np.asarray(u, dtype=float) ** 2 * s * s),
-        exact_gauss_conv=_conv,
+        kfold_law=lambda k: ("gaussian", k * mu, k * s * s),
         label="gaussian", params=(mu, s),
     )
 

@@ -808,9 +808,10 @@ print(json.dumps([codes, sorted(m for m in sys.modules
 class TestWithoutScipy:
     def test_every_subcommand_runs_with_scipy_imports_blocked(
             self, tmp_path, run_python):
-        # uniform jumps take the truncate bound and the exact-convolution
-        # hook, which imports lecamjd._gauss lazily; risk transfer needs
-        # integer jumps, so it and one bounds run use the Dirac law
+        # uniform jumps take the truncate bound, and convergence evaluates
+        # the smoothed box of their one-jump law through lecamjd._gauss;
+        # risk transfer needs integer jumps, so it and one bounds run use
+        # the Dirac law
         uni = write_config(tmp_path, {"jump_law": {"kind": "uniform",
                                                    "low": 1.0, "high": 2.0},
                                       "epsilon_n": 0.2, "n": 8},

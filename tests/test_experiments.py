@@ -1,5 +1,6 @@
 """Convergence sweeps and the paired risk-transfer experiment."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ CONTINUOUS_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
                                intensity=lj.constant(0.5),
                                jump_law=lj.gaussian_jumps(7.5, 0.5),
                                horizon=1.0)
+UNIFORM_SPEC = dataclasses.replace(CONTINUOUS_SPEC,
+                                   jump_law=lj.uniform_jumps(1.0, 2.0))
 
 
 def synthetic_rows(ns, column_fn):
@@ -93,11 +96,14 @@ class TestRunConvergence:
         for r in rows:
             assert r.oracle_product_bound <= r.aggregate_bound + 1e-8
 
-    @pytest.mark.parametrize("case", ["lattice", "continuous"])
-    def test_batched_oracle_matches_per_interval_loop(self, case):
-        # criterion 6's specs: the sweep's one batch per grid gives the
-        # product bound of one tv_quadrature call per interval
-        spec = LATTICE_SPEC if case == "lattice" else CONTINUOUS_SPEC
+    @pytest.mark.parametrize("spec, case", [
+        (LATTICE_SPEC, "lattice"), (CONTINUOUS_SPEC, "continuous"),
+        (UNIFORM_SPEC, "continuous")], ids=["lattice", "continuous",
+                                             "uniform"])
+    def test_batched_oracle_matches_per_interval_loop(self, spec, case):
+        # criterion 6's specs, and uniform jumps: the sweep's one batch per
+        # grid gives the product bound of one tv_quadrature call per
+        # interval
         ns = [4, 8, 16]
         rows = lj.run_convergence(spec, ns, case)
         for n, row in zip(ns, rows):

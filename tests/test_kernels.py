@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import lecamjd as lj
-from lecamjd.laws import Density
 
 
 def std_phi(x, sd=1.0):
@@ -72,15 +71,6 @@ class TestFoldDensity:
         g = lj.fold_density_to_lattice_cell(lj.gaussian_density(0.0, 1e-4))
         assert lj.tv_quadrature(f, g) == 0.0
 
-    def test_wide_uniform_folds_flat(self):
-        d = Density(pdf=lambda x: np.where(np.abs(np.asarray(x)) <= 1.5,
-                                           1.0 / 3.0, 0.0),
-                    support=(-1.5, 1.5), breakpoints=(-1.5, 1.5))
-        f = lj.fold_density_to_lattice_cell(d)
-        xs = np.linspace(-0.49, 0.49, 7)
-        np.testing.assert_allclose(f(xs), 1.0, rtol=1e-12)
-        assert abs(lj.total_mass(f) - 1.0) < 1e-10
-
     def test_mass_preserved_for_wide_gaussian(self):
         d = lj.gaussian_density(0.3, 4.0)
         f = lj.fold_density_to_lattice_cell(d)
@@ -97,13 +87,17 @@ class TestFoldDensity:
         assert f(0.75) == 0.0
         assert f(-2.0) == 0.0
 
-    def test_atoms_fold_and_merge(self):
-        base = lj.gaussian_density(0.0, 1.0)
-        d = Density(pdf=lambda x: 0.5 * np.asarray(base.pdf(x)),
-                    support=base.support,
-                    atoms=((0.25, 0.2), (1.25, 0.2), (-0.3, 0.1)))
-        f = lj.fold_density_to_lattice_cell(d)
-        assert dict(f.atoms) == pytest.approx({0.25: 0.4, -0.3: 0.1})
+    def test_only_bare_gaussian_mixtures_fold(self):
+        s = lj.IntervalSummary(m=0.0, sigma2=0.01, lam=0.2)
+        uniform = lj.bernoulli_density(s, lj.uniform_jumps(-1.0, 1.0))
+        params = lj.TruncateResampleParams(L=0.5, epsilon=0.5, sigma_i=0.1)
+        pushed = lj.truncate_resample_pushforward(
+            lj.gaussian_density(0.0, 0.01), params)
+        folded = lj.fold_density_to_lattice_cell(
+            lj.gaussian_density(0.0, 0.01))
+        for d in (uniform, pushed, folded):
+            with pytest.raises(ValueError, match="bare Gaussian mixture"):
+                lj.fold_density_to_lattice_cell(d)
 
 
 class TestTruncateResampleParams:
@@ -198,6 +192,32 @@ class TestPushforward:
         push = lj.truncate_resample_pushforward(
             lj.gaussian_density(0.0, 1.0), params)
         assert abs(lj.total_mass(push) - 1.0) < 1e-9
+
+    def test_uniform_jumps_keep_their_box_inside_the_ball(self):
+        # N(0, 0.01) plus U[-1, 2] w.p. alpha in a ball of radius 1.5: the
+        # box's part past 1.5 escapes, and each smoothed box end, 5 sds
+        # from the ball, moves 0.1 (phi(5) - 5 Phi(-5)) more across it
+        s = lj.IntervalSummary(m=0.0, sigma2=0.01, lam=0.3)
+        d = lj.bernoulli_density(s, lj.uniform_jumps(-1.0, 2.0))
+        params = lj.TruncateResampleParams(L=1.0, epsilon=0.5, sigma_i=0.25)
+        push = lj.truncate_resample_pushforward(d, params)
+        xs = np.array([-1.4, -0.5, 0.0, 0.9, 1.49])
+        edge = 0.1 * (std_phi(5.0) - 2.5 * math.erfc(5.0 / math.sqrt(2.0)))
+        escaped = s.alpha * (0.5 + 2.0 * edge) / 3.0
+        want = d(xs) + escaped * np.array([std_phi(x, 0.25) for x in xs])
+        np.testing.assert_allclose(push(xs), want, rtol=1e-12)
+        assert push.table.mass[0] == pytest.approx(escaped, rel=1e-12)
+        assert abs(lj.total_mass(push) - 1.0) < 1e-9
+
+    def test_restricted_rows_are_refused(self):
+        params = lj.TruncateResampleParams(L=0.5, epsilon=0.5, sigma_i=0.25)
+        push = lj.truncate_resample_pushforward(
+            lj.gaussian_density(0.0, 1.0), params)
+        folded = lj.fold_density_to_lattice_cell(
+            lj.gaussian_density(0.0, 1.0))
+        for d in (push, folded):
+            with pytest.raises(ValueError, match="unrestricted"):
+                lj.truncate_resample_pushforward(d, params)
 
     def test_no_escape_means_identity(self):
         params = lj.TruncateResampleParams(L=20.0, epsilon=0.5, sigma_i=1.0)

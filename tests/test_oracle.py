@@ -8,15 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
-from lecamjd.laws import Density
-
-
-def atom_plus_gaussian(atom_loc: float, atom_mass: float) -> Density:
-    base = lj.gaussian_density(0.0, 1.0)
-    w = 1.0 - atom_mass
-    return Density(pdf=lambda x: w * np.asarray(base.pdf(x)),
-                   support=base.support,
-                   atoms=((atom_loc, atom_mass),))
+from lecamjd.model import IntervalSummary
 
 
 class TestL1:
@@ -89,28 +81,23 @@ class TestHellinger:
         assert tv <= h * math.sqrt(max(1.0 - h * h / 4.0, 0.0)) + 1e-9
 
 
-class TestAtoms:
-    def test_atom_mass_enters_l1(self):
-        p = atom_plus_gaussian(0.0, 0.3)
-        q = lj.gaussian_density(0.0, 1.0)
-        # continuous parts differ by 0.3 everywhere, atom adds 0.3
-        assert abs(lj.l1_quadrature(p, q) - 0.6) < 1e-10
+class TestOneLaw:
+    # two laws in one table: N(0, 1) and N(5, 1) against N(0, 1) twice;
+    # tv_quadrature_many compares them row by row
+    P = lj.gaussian_density([0.0, 0.0], [1.0, 1.0])
+    Q = lj.gaussian_density([0.0, 5.0], [1.0, 1.0])
 
-    def test_matching_atoms_cancel(self):
-        p = atom_plus_gaussian(1.0, 0.25)
-        q = atom_plus_gaussian(1.0, 0.25)
-        assert lj.l1_quadrature(p, q) < 1e-12
+    @pytest.mark.parametrize("distance", [lj.tv_quadrature, lj.l1_quadrature,
+                                          lj.hellinger_quadrature])
+    def test_one_pair_distances_refuse_many_rows(self, distance):
+        with pytest.raises(ValueError, match="tv_quadrature_many"):
+            distance(self.P, self.Q)
+        with pytest.raises(ValueError, match="tv_quadrature_many"):
+            distance(lj.gaussian_density(0.0, 1.0), self.Q)
 
-    def test_atoms_count_toward_total_mass(self):
-        p = atom_plus_gaussian(0.0, 0.3)
-        assert abs(lj.total_mass(p) - 1.0) < 1e-10
-
-    def test_hellinger_between_disjoint_atoms(self):
-        # sqrt-mass differences add in square: H^2 = 0.25 + 0.25
-        p = atom_plus_gaussian(-5.0, 0.25)
-        q = atom_plus_gaussian(5.0, 0.25)
-        h = lj.hellinger_quadrature(p, q)
-        assert abs(h - math.sqrt(0.5)) < 1e-9
+    def test_total_mass_refuses_many_rows(self):
+        with pytest.raises(ValueError, match="tv_quadrature_many"):
+            lj.total_mass(self.Q)
 
 
 class TestTotalMass:
@@ -118,7 +105,6 @@ class TestTotalMass:
         assert abs(lj.total_mass(lj.gaussian_density(1.0, 2.0)) - 1.0) < 1e-10
 
     def test_exact_increment_density_mass(self):
-        from lecamjd.model import IntervalSummary
         s = IntervalSummary(m=0.0, sigma2=0.04, lam=0.2,
                             alpha=0.2 * math.exp(-0.2))
         law = lj.LatticeJumps(np.array([-1.0, 2.0]), np.array([0.5, 0.5]))
@@ -140,7 +126,6 @@ class TestPanelSplitting:
 
     def test_uniform_density_edges_are_respected(self):
         law = lj.uniform_jumps(-1.0, 1.0)
-        from lecamjd.model import IntervalSummary
         s = IntervalSummary(m=0.0, sigma2=1e-6, lam=0.1,
                             alpha=0.1 * math.exp(-0.1))
         d = lj.increment_density_exact(s, law)
@@ -163,7 +148,11 @@ MIXED_BATCH = [
     ((lj.gaussian_density(0.0, 1.0), lj.gaussian_density(1.0, 1.0)),
      0.38292492254802624),
     ((lj.gaussian_density(0.0, 1.0), lj.gaussian_density(40.0, 1.0)), 1.0),
-    ((atom_plus_gaussian(0.0, 0.3), lj.gaussian_density(0.0, 1.0)), 0.3),
+    # one jump of size U[40, 41] w.p. alpha over N(0, 0.01): the box lies
+    # 400 sd away from the Gaussian, so TV = alpha = lam exp(-lam)
+    ((lj.bernoulli_density(IntervalSummary(m=0.0, sigma2=0.01, lam=0.5),
+                           lj.uniform_jumps(40.0, 41.0)),
+      lj.gaussian_density(0.0, 0.01)), 0.5 * math.exp(-0.5)),
     # folded N(0.1, 0.05^2) and N(2.3, 0.05^2) are wrapped Gaussians 0.2
     # apart whose other windings are 16 sd away: TV = 2 Phi(2) - 1
     ((lj.fold_density_to_lattice_cell(lj.gaussian_density(0.1, 0.0025)),
@@ -209,15 +198,13 @@ class TestBatch:
         assert isinstance(got, np.ndarray) and got.shape == (0,)
 
     def test_non_finite_pair_names_its_panel(self):
-        # the middle pair's integrand is NaN on the right half of [2, 3];
-        # the whole batch raises, so no pair's value is returned
-        flat = Density(pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                       support=(2.0, 3.0))
-        broken = Density(pdf=lambda x: np.where(np.asarray(x) > 2.5, np.nan,
-                                                1.0),
-                         support=(2.0, 3.0))
+        # the middle pair's integrand is NaN on all of [2, 3], whose first
+        # panel is [2, 2.25]; the whole batch raises, so no pair's value is
+        # returned
+        flat = lj.mixture_density([(2.5, 1.0 / 24.0, 1.0)])
+        broken = lj.mixture_density([(2.5, 1.0 / 24.0, math.nan)])
         pairs = [self.PAIRS[0], (broken, flat), self.PAIRS[1]]
         with pytest.raises(lj.QuadratureError,
-                           match=r"oracle panel over \[2, 3\] has a "
+                           match=r"oracle panel over \[2, 2.25\] has a "
                                  r"non-finite integrand value"):
             lj.tv_quadrature_many(pairs)

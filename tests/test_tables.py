@@ -1,6 +1,8 @@
 """Mixture tables: many laws as rows of one table, against one-law
 densities, and the convergence sweep they drive, pinned."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,18 +27,39 @@ PINNED_CONTINUOUS = {
     128: 0.2870996492832016,
     256: 0.24100477017640698,
 }
+#: the same spec with uniform jumps on [1, 2], as the sweep gave it with a
+#: pdf closure per interval for the one-jump law and its pushforward
+UNIFORM_SPEC = dataclasses.replace(CONTINUOUS_SPEC,
+                                   jump_law=lj.uniform_jumps(1.0, 2.0))
+PINNED_UNIFORM = {
+    4: 0.6528840531730141,
+    8: 0.5657162868793577,
+    16: 0.48169350488110224,
+    32: 0.406600691498779,
+    64: 0.34190533419627794,
+    128: 0.2870996492847696,
+    256: 0.2410047701777604,
+}
 
 LAWS = {
     "dirac": lj.DiracJump(1.0),
     "dirac2": lj.DiracJump(-2.0),
     "lattice": lj.LatticeJumps(np.array([-1.0, 2.0]), np.array([0.25, 0.75])),
     "gaussian": lj.gaussian_jumps(2.0, 0.5),
+    "uniform": lj.uniform_jumps(1.0, 2.5),
+    # no closed form: a grid convolution per interval
+    "custom": lj.ContinuousJumps(
+        density=lambda y: np.where((y >= 0.0) & (y <= 1.0), 2.0 * y, 0.0),
+        support=(0.0, 1.0)),
 }
+#: laws whose one-jump rows fold (bare Gaussian mixtures); the custom
+#: law's rows fold too, but into some 28,000 components, seconds per TV
+FOLDING = {"dirac", "dirac2", "lattice", "gaussian"}
 
 
 @st.composite
 def grids(draw, max_rows=5):
-    """Random summaries of a few intervals and a jump law with tables."""
+    """Random summaries of a few intervals and a jump law."""
     n = draw(st.integers(1, max_rows))
     floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n,  # noqa
                                      max_size=n)
@@ -44,7 +67,7 @@ def grids(draw, max_rows=5):
     summaries = lj.IncrementSummaries(
         m=draw(floats(-2.0, 2.0)), sigma2=draw(floats(1e-3, 1.0)), lam=lam,
         alpha=lam * np.exp(-lam))
-    return summaries, LAWS[draw(st.sampled_from(sorted(LAWS)))]
+    return summaries, draw(st.sampled_from(sorted(LAWS)))
 
 
 def params(sigma2, L=0.5, epsilon=0.5):
@@ -58,21 +81,31 @@ def test_sweep_is_pinned():
     assert {r.n: r.oracle_product_bound for r in rows} == PINNED_CONTINUOUS
 
 
+def test_uniform_sweep_is_pinned():
+    rows = lj.run_convergence(UNIFORM_SPEC, list(PINNED_UNIFORM),
+                              "continuous")
+    np.testing.assert_allclose([r.oracle_product_bound for r in rows],
+                               list(PINNED_UNIFORM.values()), rtol=0.0,
+                               atol=1e-15)
+
+
 @given(grid=grids(), x=st.lists(st.floats(-6.0, 8.0), min_size=1,
                                 max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_table_rows_equal_one_law_densities_bitwise(grid, x):
-    summaries, law = grid
+    summaries, name = grid
+    law = LAWS[name]
     x = np.array(x + [-0.5, 0.5])
     approx = lj.bernoulli_density(summaries, law)
     target = lj.gaussian_density(summaries.m, summaries.sigma2)
     for r in range(summaries.n):
         s = summaries.interval(r)
         one = lj.bernoulli_density(s, law)
-        for many, alone in ((approx, one),
-                            (target, lj.gaussian_density(s.m, s.sigma2)),
-                            (lj.fold_density_to_lattice_cell(approx),
-                             lj.fold_density_to_lattice_cell(one))):
+        cases = [(approx, one), (target, lj.gaussian_density(s.m, s.sigma2))]
+        if name in FOLDING:
+            cases.append((lj.fold_density_to_lattice_cell(approx),
+                          lj.fold_density_to_lattice_cell(one)))
+        for many, alone in cases:
             assert np.array_equal(many.pdf(x, r), alone.pdf(x))
             lo, hi, pts = many.structure()
             assert (lo[r], hi[r]) == alone.support
@@ -83,14 +116,17 @@ def test_table_rows_equal_one_law_densities_bitwise(grid, x):
 @given(grid=grids(), L=st.floats(0.0, 1.0), epsilon=st.floats(0.1, 0.9))
 @settings(max_examples=30, deadline=None)
 def test_batched_pushforwards_and_tvs_equal_one_law_calls(grid, L, epsilon):
-    summaries, law = grid
+    summaries, name = grid
+    law = LAWS[name]
     approx = lj.bernoulli_density(summaries, law)
     target = lj.gaussian_density(summaries.m, summaries.sigma2)
     pushed = lj.truncate_resample_pushforward(
         approx, params(summaries.sigma2, L, epsilon))
-    folded = (lj.fold_density_to_lattice_cell(approx),
-              lj.fold_density_to_lattice_cell(target))
-    many = lj.tv_quadrature_many([(pushed, target), folded])
+    pairs = [(pushed, target)]
+    if name in FOLDING:
+        pairs.append((lj.fold_density_to_lattice_cell(approx),
+                      lj.fold_density_to_lattice_cell(target)))
+    many = lj.tv_quadrature_many(pairs)
     mass, one = [], []
     for r in range(summaries.n):
         s = summaries.interval(r)
@@ -99,7 +135,7 @@ def test_batched_pushforwards_and_tvs_equal_one_law_calls(grid, L, epsilon):
             alone, lj.TruncateResampleParams(L, epsilon, s.sigma))
         mass.append(p.table.mass[0])
         one.append(lj.tv_quadrature(p, lj.gaussian_density(s.m, s.sigma2)))
-    for r in range(summaries.n):
+    for r in range(summaries.n if name in FOLDING else 0):
         s = summaries.interval(r)
         one.append(lj.tv_quadrature(
             lj.fold_density_to_lattice_cell(lj.bernoulli_density(s, law)),
@@ -133,11 +169,18 @@ def test_paired_densities_need_the_same_rows():
                                 lj.gaussian_density(0.0, 1.0))])
 
 
-def test_laws_without_tables_go_one_interval_at_a_time():
-    # uniform jumps convolve to a closed-form pdf piece, not a mixture
+def test_uniform_grids_give_one_table():
+    # the one-jump law of every interval is a row: a Gaussian plus a box
     law = lj.uniform_jumps(-1.0, 1.0)
-    summaries = lj.IncrementSummaries(m=[0.0], sigma2=[0.01], lam=[0.2],
-                                      alpha=[0.2 * np.exp(-0.2)])
-    assert not lj.laws.has_mixture_rows(law)
-    with pytest.raises(ValueError, match="not a Gaussian mixture"):
-        lj.bernoulli_density(summaries, law)
+    lam = np.array([0.2, 0.0, 0.5])
+    summaries = lj.IncrementSummaries(m=[0.0, 0.3, -1.0],
+                                      sigma2=[0.01, 0.02, 0.04], lam=lam,
+                                      alpha=lam * np.exp(-lam))
+    d = lj.bernoulli_density(summaries, law)
+    assert d.rows == 3
+    np.testing.assert_array_equal(d.table.boxed, [True, False, True])
+    np.testing.assert_array_equal(d.table.box_lo[[0, 2]], [-1.0, -2.0])
+    np.testing.assert_array_equal(d.table.box_hi[[0, 2]], [1.0, 0.0])
+    np.testing.assert_array_equal(d.table.box_weight,
+                                  [summaries.alpha[0] / 2.0, 0.0,
+                                   summaries.alpha[2] / 2.0])
