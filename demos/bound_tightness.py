@@ -16,10 +16,12 @@ law = lj.DiracJump(1.0)
 
 print("single-jump reduction, sigma_i = 0.05:")
 print("lambda_i     TV(exact, one-jump)   2 lambda^2   ratio")
-for lam in (0.4, 0.2, 0.1, 0.05, 0.02):
-    summ = lj.IntervalSummary(m=0.0, sigma2=0.0025, lam=lam)
-    tv = lj.tv_quadrature(lj.increment_density_exact(summ, law),
-                          lj.bernoulli_density(summ, law))
+# one grid of five intervals, one lambda_i each: one batch of five TVs
+lams = [0.4, 0.2, 0.1, 0.05, 0.02]
+summ = lj.IncrementSummaries(m=[0.0] * 5, sigma2=[0.0025] * 5, lam=lams)
+tvs = lj.tv_quadrature_many([(lj.increment_density_exact(summ, law),
+                              lj.bernoulli_density(summ, law))])
+for lam, tv in zip(lams, tvs):
     bound = 2.0 * lam * lam
     print(f"{lam:8.2f}     {tv:19.3e}   {bound:10.3e}   {tv / bound:.3f}")
 print("the ratio tends to 1/4: the bound wastes a factor 4 for rare jumps\n")
@@ -32,9 +34,7 @@ for sig in (0.2, 0.15, 0.1, 0.08):
     # Phi(-a / sig) = erfc(a / (sig sqrt 2)) / 2 for the two wrap tails
     closed = 0.5 * (math.erfc(0.3 / (sig * math.sqrt(2.0)))
                     + math.erfc(0.7 / (sig * math.sqrt(2.0))))
-    summaries = lj.IncrementSummaries(m=[0.2], sigma2=[sig * sig],
-                                      lam=[0.1],
-                                      alpha=[0.1 * np.exp(-0.1)])
+    summaries = lj.IncrementSummaries(m=0.2, sigma2=sig * sig, lam=0.1)
     term = float(lj.discrete_kernel_aggregate_bound(summaries)
                  .per_increment[0])
     assert np.isclose(wrap, closed, rtol=1e-9)

@@ -19,8 +19,8 @@ from .kernels import (TruncateResampleParams, apply_round_kernel,
 from .laws import (Density, bernoulli_density, gaussian_density,
                    increment_cf, increment_density_exact, mixture_density)
 from .model import (ContinuousJumps, DiracJump, Grid, HolderClassParams,
-                    IncrementSummaries, IntervalSummary, JumpLaw,
-                    LatticeJumps, ModelSpec, QuadratureError, TimeFunction,
+                    IncrementSummaries, JumpLaw, LatticeJumps, ModelSpec,
+                    QuadratureError, TimeFunction,
                     build_increment_summaries, check_sigma_log_derivative,
                     constant, from_callable, gaussian_jumps, linear,
                     piecewise_drift, sine, uniform_jumps)
@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "ContinuousJumps", "ConvergenceRow", "Density",
     "DiracJump", "Grid", "HolderClassParams", "IncrementSummaries",
-    "IntervalSummary", "JumpLaw", "LatticeJumps", "ModelSpec", "PathSample",
-    "QuadratureError", "RiskRow", "RngStream", "TimeFunction",
+    "JumpLaw", "LatticeJumps", "ModelSpec", "PathSample", "QuadratureError",
+    "RiskRow", "RngStream", "TimeFunction",
     "TruncateResampleParams", "apply_round_kernel",
     "bernoulli_aggregate_bound", "bernoulli_density", "bin_jump_sums",
     "build_increment_summaries", "check_sigma_log_derivative", "constant",

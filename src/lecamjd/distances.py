@@ -153,7 +153,7 @@ def hellinger_product_tv_bound(tv_entries) -> float:
     arr = np.asarray(tv_entries, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("need a non-empty 1-d array of TV values")
-    if np.any(arr < 0) or np.any(arr > 1.0 + 1e-12):
+    if not np.all((arr >= 0) & (arr <= 1.0 + 1e-12)):
         raise ValueError("TV entries must lie in [0, 1]")
     return _aggregate(np.clip(arr, 0.0, 1.0))
 

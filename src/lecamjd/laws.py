@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _gauss
 from .model import (ContinuousJumps, DiracJump, IncrementSummaries,
-                    IntervalSummary, JumpLaw, LatticeJumps)
+                    JumpLaw, LatticeJumps)
 
 __all__ = [
     "Density",
@@ -502,8 +502,8 @@ def _grid_convolution(law: ContinuousJumps, k: int, m: float, s2: float,
     return means, np.full(means.shape, sd), acc[keep], None
 
 
-def _series_density(weights: np.ndarray, jump_law: JumpLaw, m: float,
-                    s2: float) -> Density:
+def _series_table(weights: np.ndarray, jump_law: JumpLaw, m: float,
+                  s2: float) -> MixtureTable:
     components: list[np.ndarray] = [np.empty((0, 3))]
     box: dict = {}
     chain: list = []
@@ -517,39 +517,45 @@ def _series_density(weights: np.ndarray, jump_law: JumpLaw, m: float,
             if box:
                 raise ValueError("a law may have one uniform k-fold sum")
             box = _box_fields(edges, wk, math.sqrt(s2))
-    return Density(MixtureTable(*np.concatenate(components).T, **box))
+    return MixtureTable(*np.concatenate(components).T, **box)
 
 
-def increment_density_exact(summary: IntervalSummary, jump_law: JumpLaw,
+def _series_rows(summaries: IncrementSummaries, jump_law: JumpLaw,
+                 weights) -> Density:
+    """One table whose row ``i`` mixes the k-fold laws of interval ``i``
+    with weights ``weights[i][k]``, k = 0, 1, ..."""
+    return Density(MixtureTable.concat(
+        _series_table(w, jump_law, m, s2) for w, m, s2 in
+        zip(weights, summaries.m.tolist(), summaries.sigma2.tolist())))
+
+
+def increment_density_exact(summaries: IncrementSummaries, jump_law: JumpLaw,
                             tail_tol: float = 1e-12) -> Density:
-    """Exact increment density via the Poisson-count series.
+    """Exact increment laws via the Poisson-count series, a row per interval.
 
-    The series is truncated once the remaining Poisson tail mass drops
+    Each series is truncated once the remaining Poisson tail mass drops
     below ``tail_tol``; the kept weights are not renormalized (total mass
     falls short of one by at most ``tail_tol``) so the quadrature oracle
     sees the truncation honestly instead of a renormalized fake.
     """
-    weights = _poisson_weights(summary.lam, tail_tol)
-    return _series_density(weights, jump_law, summary.m, summary.sigma2)
+    return _series_rows(summaries, jump_law,
+                        [_poisson_weights(lam, tail_tol)
+                         for lam in summaries.lam.tolist()])
 
 
-def bernoulli_density(summary: IntervalSummary | IncrementSummaries,
+def bernoulli_density(summaries: IncrementSummaries,
                       jump_law: JumpLaw) -> Density:
     """One-jump approximation: no jump w.p. 1 - alpha, one jump w.p. alpha.
 
-    For a whole grid's :class:`IncrementSummaries` the result is one table
-    with a row per interval; a continuous law with no closed form for one
-    jump is convolved on a grid interval by interval into that table.
+    The result is one table with a row per interval, built in array form;
+    a continuous law with no closed form for one jump is convolved on a
+    grid interval by interval into that table.
     """
-    if isinstance(summary, IntervalSummary):
-        weights = np.array([1.0 - summary.alpha, summary.alpha])
-        return _series_density(weights, jump_law, summary.m, summary.sigma2)
     if (isinstance(jump_law, ContinuousJumps)
             and _jump_sum(jump_law, 1) is None):
-        return Density(MixtureTable.concat(
-            bernoulli_density(summary.interval(i), jump_law).table
-            for i in range(summary.n)))
-    m, s2, alpha = summary.m, summary.sigma2, summary.alpha
+        return _series_rows(summaries, jump_law, [
+            (1.0 - a, a) for a in summaries.alpha.tolist()])
+    m, s2, alpha = summaries.m, summaries.sigma2, summaries.alpha
     m0, sd0 = _kfold_components(jump_law, 0, m, s2)[:2]
     m1, sd1, w1, box = _kfold_components(jump_law, 1, m, s2)
     jumps = (alpha > 1e-300)[:, None]
@@ -562,16 +568,16 @@ def bernoulli_density(summary: IntervalSummary | IncrementSummaries,
         **_box_fields(box, np.where(jumps[:, 0], alpha, 0.0), sd0[:, 0])))
 
 
-def increment_cf(summary: IntervalSummary, jump_law: JumpLaw, u):
-    """Characteristic function of the exact increment law at ``u``.
+def increment_cf(summary: IncrementSummaries, jump_law: JumpLaw, u):
+    """CF at ``u`` of a one-interval grid's exact increment law.
 
     Uses the uncompensated form: the drift integral ``m_i`` is the actual
     increment mean rate of the continuous part, and the jump factor is
     ``exp(lam_i * (ghat(u) - 1))`` with ``ghat`` the jump-size CF.
+    Summaries of more intervals raise ``ValueError``.
     """
+    m, s2, lam, _ = summary.scalars()
     u_arr = np.asarray(u, dtype=float)
     ghat = np.asarray(jump_law.cf(u_arr))
-    val = np.exp(1j * u_arr * summary.m
-                 - 0.5 * u_arr ** 2 * summary.sigma2
-                 + summary.lam * (ghat - 1.0))
+    val = np.exp(1j * u_arr * m - 0.5 * u_arr ** 2 * s2 + lam * (ghat - 1.0))
     return complex(val) if np.ndim(u) == 0 else val

@@ -11,7 +11,9 @@ summary integrals
     lambda_i = integral of the jump intensity,
     alpha_i  = lambda_i * exp(-lambda_i),
 
-which every downstream law, kernel, and bound consumes.
+which every downstream law, kernel, and bound consumes.  They are held as
+arrays with one entry per interval (:class:`IncrementSummaries`); a single
+interval is a grid of one.
 
 Drift, volatility, and intensity are evaluation callbacks wrapped in
 :class:`TimeFunction`; exact antiderivative hooks are used when available
@@ -21,7 +23,7 @@ Drift, volatility, and intensity are evaluation callbacks wrapped in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +47,6 @@ __all__ = [
     "HolderClassParams",
     "Grid",
     "ModelSpec",
-    "IntervalSummary",
     "IncrementSummaries",
     "build_increment_summaries",
     "piecewise_drift",
@@ -508,71 +509,61 @@ class ModelSpec:
         return self.epsilon_n * np.asarray(self.sigma(t), dtype=float)
 
 
-def _check_summaries(m, sigma2, lam, alpha) -> None:
-    """Finite ``m``, finite positive ``sigma2``, finite non-negative ``lam``
-    and ``alpha = lam * exp(-lam)`` to a relative 1e-13, on floats or
-    elementwise on arrays."""
-    def holds(ok) -> bool:  # np.all costs microseconds on a float
-        return bool(ok.all() if isinstance(ok, np.ndarray) else ok)
-
-    if not holds(abs(m) < math.inf):
-        raise ValueError("m must be finite")
-    if not holds((sigma2 > 0) & (sigma2 < math.inf)):
-        raise ValueError("sigma2 must be finite and positive")
-    if not holds((lam >= 0) & (lam < math.inf)):
-        raise ValueError("lam must be finite and non-negative")
-    expected = lam * np.exp(-lam)
-    if not holds(abs(alpha - expected) <= 1e-13 * expected + 1e-300):
-        raise ValueError("alpha must equal lam * exp(-lam)")
-
-
-@dataclass(frozen=True)
-class IntervalSummary:
-    """Summary integrals of one observation interval."""
-
-    m: float
-    sigma2: float
-    lam: float
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", self.lam * math.exp(-self.lam))
-        _check_summaries(self.m, self.sigma2, self.lam, self.alpha)
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
-
-
 @dataclass(frozen=True)
 class IncrementSummaries:
-    """Per-interval summary integrals for a whole grid (arrays of length n)."""
+    """Per-interval summary integrals of a grid (arrays of length n).
+
+    Scalars stand for a grid of one interval.  ``m`` must be finite,
+    ``sigma2`` finite and positive, ``lam`` finite and non-negative, and
+    ``alpha`` equal to ``lam * exp(-lam)`` to a relative 1e-13; a missing
+    ``alpha`` is computed per element as ``lam * math.exp(-lam)``.
+    """
 
     m: np.ndarray
     sigma2: np.ndarray
     lam: np.ndarray
-    alpha: np.ndarray
+    alpha: np.ndarray | None = None
 
     def __post_init__(self):
-        arrays = {}
         for name in ("m", "sigma2", "lam", "alpha"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            value = getattr(self, name)
+            if value is None:
+                # math.exp, as np.exp may differ in the last bit; a negative
+                # lam, on which math.exp may overflow, is left to the checks
+                value = [lam * math.exp(-lam) if lam >= 0 else math.nan
+                         for lam in self.lam.tolist()]
+            arr = np.array(value, dtype=float, ndmin=1)
             arr.setflags(write=False)
-            arrays[name] = arr
             object.__setattr__(self, name, arr)
-        n = arrays["m"].size
-        if any(a.size != n for a in arrays.values()) or n == 0:
+        m, sigma2, lam, alpha = self.m, self.sigma2, self.lam, self.alpha
+        if any(a.size != m.size for a in (sigma2, lam, alpha)) or not m.size:
             raise ValueError("summary arrays must share a positive length")
-        _check_summaries(**arrays)
+        if not (abs(m) < math.inf).all():
+            raise ValueError("m must be finite")
+        if not ((sigma2 > 0) & (sigma2 < math.inf)).all():
+            raise ValueError("sigma2 must be finite and positive")
+        if not ((lam >= 0) & (lam < math.inf)).all():
+            raise ValueError("lam must be finite and non-negative")
+        expected = lam * np.exp(-lam)
+        if not (abs(alpha - expected) <= 1e-13 * expected + 1e-300).all():
+            raise ValueError("alpha must equal lam * exp(-lam)")
 
     @property
     def n(self) -> int:
         return self.m.size
 
-    def interval(self, i: int) -> IntervalSummary:
-        return IntervalSummary(m=float(self.m[i]), sigma2=float(self.sigma2[i]),
-                               lam=float(self.lam[i]), alpha=float(self.alpha[i]))
+    def interval(self, i: int) -> "IncrementSummaries":
+        """Interval ``i`` as a grid of one."""
+        return IncrementSummaries(self.m[[i]], self.sigma2[[i]],
+                                  self.lam[[i]], self.alpha[[i]])
+
+    def scalars(self) -> tuple[float, float, float, float]:
+        """``(m, sigma2, lam, alpha)`` of a grid of one interval."""
+        if self.n != 1:
+            raise ValueError(f"summaries of {self.n} intervals describe "
+                             f"{self.n} laws; pass one interval")
+        return (float(self.m[0]), float(self.sigma2[0]), float(self.lam[0]),
+                float(self.alpha[0]))
 
 
 def build_increment_summaries(spec: ModelSpec, grid: Grid) -> IncrementSummaries:

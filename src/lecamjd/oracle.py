@@ -15,8 +15,8 @@ puts the panels of every row of every pair into one integrator call, and
 each bisection round evaluates all rows of a side in one call of their
 concatenated table.  Panels converge on their own, so the rest of the
 batch can move a pair's value only by rounding (BLAS may round a one-row
-product differently).  The one-pair distances are batches of one and take
-one-law densities only.
+product differently).  The one-pair distances and ``total_mass`` are
+batches of one and take one-law densities only.
 """
 
 from __future__ import annotations
@@ -160,6 +160,4 @@ def hellinger_quadrature(p: Density, q: Density) -> float:
 
 def total_mass(p: Density) -> float:
     """Mass of a one-law density; should be 1 up to truncation error."""
-    points = _panel_points(p)
-    return float(np.sum(integrate(p.pdf, points[:-1], points[1:],
-                                  what="oracle panel")))
+    return _one_pair(lambda u, v: u, p, p)

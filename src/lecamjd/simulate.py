@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid, IncrementSummaries, IntervalSummary, JumpLaw, ModelSpec
+from .model import Grid, IncrementSummaries, JumpLaw, ModelSpec
 
 __all__ = [
     "RngStream",
@@ -183,21 +183,22 @@ def sample_bernoulli_approx(spec: ModelSpec, grid: Grid,
     return gaussian + sizes
 
 
-def sample_increment_batch(summary: IntervalSummary, jump_law: JumpLaw,
+def sample_increment_batch(summary: IncrementSummaries, jump_law: JumpLaw,
                            rng: RngStream, size: int) -> np.ndarray:
-    """Many independent draws of one interval's exact increment law.
+    """Many independent draws of a one-interval grid's exact increment law.
 
-    Draw order: Poisson counts, all jump sizes (flat), Gaussians.
+    Draw order: Poisson counts, all jump sizes (flat), Gaussians.  Summaries
+    of more intervals raise ``ValueError``.
     """
+    m, s2, lam, _ = summary.scalars()
     if size < 1:
         raise ValueError("size must be positive")
     gen = rng.generator()
-    counts = gen.poisson(summary.lam, size)
+    counts = gen.poisson(lam, size)
     total = int(counts.sum())
     jump_part = np.zeros(size)
     if total:
         draws = jump_law.sample(gen, total)
         ids = np.repeat(np.arange(size), counts)
         jump_part = np.bincount(ids, weights=draws, minlength=size)
-    sd = math.sqrt(summary.sigma2)
-    return summary.m + sd * gen.standard_normal(size) + jump_part
+    return m + math.sqrt(s2) * gen.standard_normal(size) + jump_part

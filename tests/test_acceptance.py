@@ -66,7 +66,7 @@ def test_criterion_03_single_jump_reduction_bound():
     detail = []
     for lam in (0.2, 0.1, 0.05, 0.01):
         for sig in (0.01, 0.05):
-            summ = lj.IntervalSummary(m=0.0, sigma2=sig * sig, lam=lam)
+            summ = lj.IncrementSummaries(m=0.0, sigma2=sig * sig, lam=lam)
             tv = lj.tv_quadrature(lj.increment_density_exact(summ, law),
                                   lj.bernoulli_density(summ, law))
             bound = 2.0 * lam * lam
@@ -92,12 +92,9 @@ def test_criterion_04_rounding_filter_bound_and_decay():
         prev_wrap = math.inf
         prev_term = math.inf
         for sig in sigmas:
-            summ = lj.IntervalSummary(m=m, sigma2=sig * sig, lam=0.3)
-            summaries = lj.IncrementSummaries(
-                m=[m], sigma2=[sig * sig], lam=[0.3], alpha=[summ.alpha])
+            summ = lj.IncrementSummaries(m=m, sigma2=sig * sig, lam=0.3)
             term = float(
-                lj.discrete_kernel_aggregate_bound(summaries)
-                .per_increment[0])
+                lj.discrete_kernel_aggregate_bound(summ).per_increment[0])
             gauss = lj.gaussian_density(m, sig * sig)
             folded_gauss = lj.fold_density_to_lattice_cell(gauss)
             folded = lj.fold_density_to_lattice_cell(
@@ -261,11 +258,12 @@ def test_criterion_08_empirical_cf_matches_model_cf():
     tol = 5.0 / math.sqrt(N)
     us = np.linspace(-6.0, 6.0, 13)
     configs = [
-        ("no jumps", lj.IntervalSummary(m=0.1, sigma2=0.04, lam=0.0),
+        ("no jumps", lj.IncrementSummaries(m=0.1, sigma2=0.04, lam=0.0),
          lj.DiracJump(1.0)),
-        ("unit jumps", lj.IntervalSummary(m=0.1, sigma2=0.04, lam=0.3),
+        ("unit jumps", lj.IncrementSummaries(m=0.1, sigma2=0.04, lam=0.3),
          lj.DiracJump(1.0)),
-        ("uniform jumps", lj.IntervalSummary(m=0.0, sigma2=0.01, lam=0.2),
+        ("uniform jumps",
+         lj.IncrementSummaries(m=0.0, sigma2=0.01, lam=0.2),
          lj.uniform_jumps(-1.0, 1.0)),
     ]
     worst = 0.0

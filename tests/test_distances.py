@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
-from lecamjd.model import IntervalSummary
 
 # lam solving lam * exp(-lam) = 0.01, so alpha_i is exactly 0.01
 LAM_FOR_ALPHA_001 = 0.010101527198538754
@@ -138,6 +137,8 @@ class TestHellingerProductBound:
             lj.hellinger_product_tv_bound([-0.1])
         with pytest.raises(ValueError):
             lj.hellinger_product_tv_bound([1.5])
+        with pytest.raises(ValueError):
+            lj.hellinger_product_tv_bound([0.1, math.nan])
 
     def test_monotone_in_each_entry(self):
         lo = lj.hellinger_product_tv_bound([0.01, 0.02])

@@ -20,6 +20,10 @@ CONTINUOUS_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
                                horizon=1.0)
 UNIFORM_SPEC = dataclasses.replace(CONTINUOUS_SPEC,
                                    jump_law=lj.uniform_jumps(1.0, 2.0))
+#: every interval has its own (lambda_i, sigma_i^2)
+DISTINCT_SPEC = dataclasses.replace(CONTINUOUS_SPEC,
+                                    sigma=lj.linear(1.0, 0.5),
+                                    intensity=lj.sine(0.5, 0.3, 3.0))
 
 
 def synthetic_rows(ns, column_fn):
@@ -56,6 +60,12 @@ class TestFitRateSlope:
 
     def test_rejects_nonpositive_values(self):
         rows = synthetic_rows([16, 32, 64, 128], lambda d: d - 1.0 / 16.0)
+        with pytest.raises(ValueError, match="positive"):
+            lj.fit_rate_slope(rows, "rate_prediction")
+
+    def test_rejects_nan_values(self):
+        rows = synthetic_rows([16, 32, 64, 128],
+                              lambda d: math.nan if d == 1.0 / 32 else d)
         with pytest.raises(ValueError, match="positive"):
             lj.fit_rate_slope(rows, "rate_prediction")
 
@@ -98,12 +108,12 @@ class TestRunConvergence:
 
     @pytest.mark.parametrize("spec, case", [
         (LATTICE_SPEC, "lattice"), (CONTINUOUS_SPEC, "continuous"),
-        (UNIFORM_SPEC, "continuous")], ids=["lattice", "continuous",
-                                             "uniform"])
+        (UNIFORM_SPEC, "continuous"), (DISTINCT_SPEC, "continuous")],
+        ids=["lattice", "continuous", "uniform", "distinct"])
     def test_batched_oracle_matches_per_interval_loop(self, spec, case):
-        # criterion 6's specs, and uniform jumps: the sweep's one batch per
-        # grid gives the product bound of one tv_quadrature call per
-        # interval
+        # criterion 6's specs, uniform jumps, and intervals with distinct
+        # (lambda_i, sigma_i^2): the sweep's batches per grid give the
+        # product bound of one tv_quadrature call per interval
         ns = [4, 8, 16]
         rows = lj.run_convergence(spec, ns, case)
         for n, row in zip(ns, rows):
@@ -112,8 +122,8 @@ class TestRunConvergence:
             per_tv = []
             for i in range(n):
                 s_i = summaries.interval(i)
-                centered = lj.IntervalSummary(m=0.0, sigma2=s_i.sigma2,
-                                              lam=s_i.lam)
+                centered = lj.IncrementSummaries(m=0.0, sigma2=s_i.sigma2,
+                                                 lam=s_i.lam)
                 bern = lj.tv_quadrature(
                     lj.increment_density_exact(centered, spec.jump_law),
                     lj.bernoulli_density(centered, spec.jump_law))
@@ -126,7 +136,7 @@ class TestRunConvergence:
                 else:
                     params = lj.TruncateResampleParams(
                         L=DEFAULT_L, epsilon=DEFAULT_EPSILON,
-                        sigma_i=s_i.sigma)
+                        sigma_i=np.sqrt(s_i.sigma2))
                     kernel = lj.tv_quadrature(
                         lj.truncate_resample_pushforward(approx, params),
                         target)

@@ -88,7 +88,7 @@ class TestFoldDensity:
         assert f(-2.0) == 0.0
 
     def test_only_bare_gaussian_mixtures_fold(self):
-        s = lj.IntervalSummary(m=0.0, sigma2=0.01, lam=0.2)
+        s = lj.IncrementSummaries(m=0.0, sigma2=0.01, lam=0.2)
         uniform = lj.bernoulli_density(s, lj.uniform_jumps(-1.0, 1.0))
         params = lj.TruncateResampleParams(L=0.5, epsilon=0.5, sigma_i=0.1)
         pushed = lj.truncate_resample_pushforward(
@@ -197,7 +197,7 @@ class TestPushforward:
         # N(0, 0.01) plus U[-1, 2] w.p. alpha in a ball of radius 1.5: the
         # box's part past 1.5 escapes, and each smoothed box end, 5 sds
         # from the ball, moves 0.1 (phi(5) - 5 Phi(-5)) more across it
-        s = lj.IntervalSummary(m=0.0, sigma2=0.01, lam=0.3)
+        s = lj.IncrementSummaries(m=0.0, sigma2=0.01, lam=0.3)
         d = lj.bernoulli_density(s, lj.uniform_jumps(-1.0, 2.0))
         params = lj.TruncateResampleParams(L=1.0, epsilon=0.5, sigma_i=0.25)
         push = lj.truncate_resample_pushforward(d, params)

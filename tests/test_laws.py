@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import lecamjd as lj
-from lecamjd.model import IntervalSummary
 
 
-def summ(m=0.0, sigma2=0.01, lam=0.1) -> IntervalSummary:
-    return IntervalSummary(m=m, sigma2=sigma2, lam=lam,
-                           alpha=lam * math.exp(-lam))
+def summ(m=0.0, sigma2=0.01, lam=0.1) -> lj.IncrementSummaries:
+    return lj.IncrementSummaries(m=m, sigma2=sigma2, lam=lam,
+                                 alpha=lam * math.exp(-lam))
 
 
 class TestGaussianDensity:
@@ -142,8 +141,8 @@ class TestBernoulliDensity:
 class TestIncrementCf:
     def test_dirac_closed_form(self):
         # exp(i u m - u^2 s2 / 2 + lam (e^{iu} - 1)) at u=1, m=0, s2=1
-        s = IntervalSummary(m=0.0, sigma2=1.0, lam=0.5,
-                            alpha=0.5 * math.exp(-0.5))
+        s = lj.IncrementSummaries(m=0.0, sigma2=1.0, lam=0.5,
+                                  alpha=0.5 * math.exp(-0.5))
         got = lj.increment_cf(s, lj.DiracJump(1.0), 1.0)
         want = np.exp(-0.5 + 0.5 * (np.exp(1j) - 1.0))
         assert abs(got - want) < 1e-15
@@ -178,6 +177,12 @@ class TestIncrementCf:
         law = lj.LatticeJumps(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         u = np.linspace(-30, 30, 401)
         assert np.all(np.abs(lj.increment_cf(s, law, u)) <= 1.0 + 1e-12)
+
+    def test_takes_one_interval_only(self):
+        s = lj.IncrementSummaries(m=[0.0, 0.1], sigma2=[1.0, 1.0],
+                                  lam=[0.5, 0.5])
+        with pytest.raises(ValueError, match="2 intervals"):
+            lj.increment_cf(s, lj.DiracJump(1.0), 1.0)
 
 
 class TestKfoldPmf:

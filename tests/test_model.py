@@ -203,10 +203,24 @@ class TestIncrementSummaries:
         spec = make_spec()
         s = lj.build_increment_summaries(spec, lj.Grid.uniform(1.0, 4))
         one = s.interval(2)
-        assert one.m == s.m[2]
-        assert one.sigma2 == s.sigma2[2]
-        assert one.lam == s.lam[2]
-        assert one.sigma == math.sqrt(s.sigma2[2])
+        assert one.n == 1
+        assert one.m[0] == s.m[2]
+        assert one.sigma2[0] == s.sigma2[2]
+        assert one.lam[0] == s.lam[2]
+        assert one.alpha[0] == s.alpha[2]
+        assert np.sqrt(one.sigma2) == math.sqrt(s.sigma2[2])
+
+    @given(lam=st.floats(0.0, 50.0))
+    @settings(max_examples=60, deadline=None)
+    def test_scalars_are_one_interval_with_math_exp_alpha(self, lam):
+        s = lj.IncrementSummaries(m=0.5, sigma2=0.25, lam=lam)
+        assert s.n == 1
+        assert s.alpha.tolist() == [lam * math.exp(-lam)]
+        assert s.scalars() == (0.5, 0.25, lam, lam * math.exp(-lam))
+
+    def test_negative_lam_without_alpha_is_rejected(self):
+        with pytest.raises(ValueError, match="lam"):
+            lj.IncrementSummaries(m=0.0, sigma2=1.0, lam=-800.0)
 
     def test_alpha_consistency_enforced(self):
         with pytest.raises(ValueError, match="alpha"):

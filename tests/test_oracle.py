@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
-from lecamjd.model import IntervalSummary
 
 
 class TestL1:
@@ -105,8 +104,8 @@ class TestTotalMass:
         assert abs(lj.total_mass(lj.gaussian_density(1.0, 2.0)) - 1.0) < 1e-10
 
     def test_exact_increment_density_mass(self):
-        s = IntervalSummary(m=0.0, sigma2=0.04, lam=0.2,
-                            alpha=0.2 * math.exp(-0.2))
+        s = lj.IncrementSummaries(m=0.0, sigma2=0.04, lam=0.2,
+                                  alpha=0.2 * math.exp(-0.2))
         law = lj.LatticeJumps(np.array([-1.0, 2.0]), np.array([0.5, 0.5]))
         d = lj.increment_density_exact(s, law)
         assert abs(lj.total_mass(d) - 1.0) < 1e-10
@@ -126,8 +125,8 @@ class TestPanelSplitting:
 
     def test_uniform_density_edges_are_respected(self):
         law = lj.uniform_jumps(-1.0, 1.0)
-        s = IntervalSummary(m=0.0, sigma2=1e-6, lam=0.1,
-                            alpha=0.1 * math.exp(-0.1))
+        s = lj.IncrementSummaries(m=0.0, sigma2=1e-6, lam=0.1,
+                                  alpha=0.1 * math.exp(-0.1))
         d = lj.increment_density_exact(s, law)
         assert abs(lj.total_mass(d) - 1.0) < 1e-8
 
@@ -150,7 +149,8 @@ MIXED_BATCH = [
     ((lj.gaussian_density(0.0, 1.0), lj.gaussian_density(40.0, 1.0)), 1.0),
     # one jump of size U[40, 41] w.p. alpha over N(0, 0.01): the box lies
     # 400 sd away from the Gaussian, so TV = alpha = lam exp(-lam)
-    ((lj.bernoulli_density(IntervalSummary(m=0.0, sigma2=0.01, lam=0.5),
+    ((lj.bernoulli_density(lj.IncrementSummaries(m=0.0, sigma2=0.01,
+                                                 lam=0.5),
                            lj.uniform_jumps(40.0, 41.0)),
       lj.gaussian_density(0.0, 0.01)), 0.5 * math.exp(-0.5)),
     # folded N(0.1, 0.05^2) and N(2.3, 0.05^2) are wrapped Gaussians 0.2

@@ -16,7 +16,6 @@ from scipy import integrate as scipy_integrate
 
 import lecamjd as lj
 from lecamjd._quadrature import EPSREL, LIMIT, QuadratureError, integrate
-from lecamjd.model import IntervalSummary
 from lecamjd.oracle import _panel_points
 
 
@@ -64,7 +63,7 @@ class TestAgainstQuadpack:
 
     def test_uniform_jump_edges(self):
         law = lj.uniform_jumps(-1.0, 1.0)
-        s = IntervalSummary(m=0.1, sigma2=1e-4, lam=0.2)
+        s = lj.IncrementSummaries(m=0.1, sigma2=1e-4, lam=0.2)
         d = lj.bernoulli_density(s, law)
         assert_matches_quad(d.pdf, *oracle_panels(d))
         assert_matches_quad(law.density, [-2.0, -1.0, 1.0], [-1.0, 1.0, 2.0])

@@ -250,8 +250,8 @@ class TestBernoulliApprox:
 
 class TestSampleIncrementBatch:
     def test_moments_match_compound_law(self):
-        s = lj.IntervalSummary(m=0.1, sigma2=0.04, lam=0.3,
-                               alpha=0.3 * math.exp(-0.3))
+        s = lj.IncrementSummaries(m=0.1, sigma2=0.04, lam=0.3,
+                                  alpha=0.3 * math.exp(-0.3))
         x = lj.sample_increment_batch(s, lj.DiracJump(1.0),
                                       lj.RngStream(21), 100_000)
         want_mean = 0.1 + 0.3
@@ -260,15 +260,22 @@ class TestSampleIncrementBatch:
         assert abs(x.var() - want_var) < 0.02
 
     def test_size_validation(self):
-        s = lj.IntervalSummary(m=0.0, sigma2=1.0, lam=0.0, alpha=0.0)
+        s = lj.IncrementSummaries(m=0.0, sigma2=1.0, lam=0.0, alpha=0.0)
         with pytest.raises(ValueError):
             lj.sample_increment_batch(s, lj.DiracJump(1.0), lj.RngStream(0),
                                       0)
 
     def test_reproducible(self):
-        s = lj.IntervalSummary(m=0.0, sigma2=1.0, lam=0.5,
-                               alpha=0.5 * math.exp(-0.5))
+        s = lj.IncrementSummaries(m=0.0, sigma2=1.0, lam=0.5,
+                                  alpha=0.5 * math.exp(-0.5))
         law = lj.gaussian_jumps(1.0, 0.2)
         a = lj.sample_increment_batch(s, law, lj.RngStream(8, 4), 64)
         b = lj.sample_increment_batch(s, law, lj.RngStream(8, 4), 64)
         np.testing.assert_array_equal(a, b)
+
+    def test_takes_one_interval_only(self):
+        s = lj.IncrementSummaries(m=[0.0, 0.1], sigma2=[1.0, 1.0],
+                                  lam=[0.5, 0.5])
+        with pytest.raises(ValueError, match="2 intervals"):
+            lj.sample_increment_batch(s, lj.DiracJump(1.0),
+                                      lj.RngStream(0), 8)

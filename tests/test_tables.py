@@ -96,18 +96,20 @@ def test_table_rows_equal_one_law_densities_bitwise(grid, x):
     summaries, name = grid
     law = LAWS[name]
     x = np.array(x + [-0.5, 0.5])
-    approx = lj.bernoulli_density(summaries, law)
-    target = lj.gaussian_density(summaries.m, summaries.sigma2)
-    for r in range(summaries.n):
-        s = summaries.interval(r)
+
+    def laws(s):
         one = lj.bernoulli_density(s, law)
-        cases = [(approx, one), (target, lj.gaussian_density(s.m, s.sigma2))]
-        if name in FOLDING:
-            cases.append((lj.fold_density_to_lattice_cell(approx),
-                          lj.fold_density_to_lattice_cell(one)))
-        for many, alone in cases:
+        folded = lj.fold_density_to_lattice_cell
+        return [one, lj.gaussian_density(s.m, s.sigma2),
+                lj.increment_density_exact(s, law)] + (
+                    [folded(one)] if name in FOLDING else [])
+
+    tables = laws(summaries)
+    structures = [many.structure() for many in tables]
+    for r in range(summaries.n):
+        for many, (lo, hi, pts), alone in zip(
+                tables, structures, laws(summaries.interval(r))):
             assert np.array_equal(many.pdf(x, r), alone.pdf(x))
-            lo, hi, pts = many.structure()
             assert (lo[r], hi[r]) == alone.support
             row = pts[r][~np.isnan(pts[r])]
             assert sorted(set(row)) == list(alone.breakpoints)
@@ -132,7 +134,7 @@ def test_batched_pushforwards_and_tvs_equal_one_law_calls(grid, L, epsilon):
         s = summaries.interval(r)
         alone = lj.bernoulli_density(s, law)
         p = lj.truncate_resample_pushforward(
-            alone, lj.TruncateResampleParams(L, epsilon, s.sigma))
+            alone, lj.TruncateResampleParams(L, epsilon, np.sqrt(s.sigma2)))
         mass.append(p.table.mass[0])
         one.append(lj.tv_quadrature(p, lj.gaussian_density(s.m, s.sigma2)))
     for r in range(summaries.n if name in FOLDING else 0):
