@@ -44,13 +44,18 @@ def _kronrod(fn, lo, hi, owner, fail):
         i = int(np.argmin(finite))
         fail(owner[i], "has a non-finite integrand value in "
                        f"[{lo[i]:.17g}, {hi[i]:.17g}]")
-    resk, resg = (f @ _WEIGHTS).T
+    # einsum without optimize sums each row node by node, in the same
+    # order however many rows there are (a BLAS product may not)
+    resk, resg = np.einsum("ij,jk->ki", f, _WEIGHTS, optimize=False)
     dh = np.abs(half)
-    resasc = (np.abs(f - 0.5 * resk[:, None]) @ _WEIGHTS[:, 0]) * dh
+    wk = _WEIGHTS[:, 0]
+    resasc = np.einsum("ij,j->i", np.abs(f - 0.5 * resk[:, None]), wk,
+                       optimize=False) * dh
     scale = np.divide(200.0 * np.abs(resk - resg) * dh, resasc,
                       out=np.ones_like(resasc), where=resasc > 0.0)
     err = np.maximum(resasc * np.minimum(scale, 1.0) ** 1.5,
-                     50.0 * _EPS * (np.abs(f) @ _WEIGHTS[:, 0]) * dh)
+                     50.0 * _EPS * np.einsum("ij,j->i", np.abs(f), wk,
+                                             optimize=False) * dh)
     return resk * half, err
 
 

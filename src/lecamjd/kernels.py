@@ -25,7 +25,7 @@ import numpy as np
 from ._quadrature import integrate
 from .laws import Density, MixtureTable
 from .model import Grid, as_time_function
-from .oracle import _row_panels, _segment_sums
+from .oracle import integrate_rows
 from .simulate import PathSample, RngStream, bin_jump_sums
 
 __all__ = [
@@ -173,28 +173,6 @@ def truncate_resample(x, params: TruncateResampleParams, rng: RngStream):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _escaped_masses(t: MixtureTable, beta) -> np.ndarray:
-    """Mass of each row of ``t`` outside its closed ball ``[-beta, beta]``.
-
-    Per row, the support is cut at its breakpoints and at the ball's edges
-    that lie inside it; the panels outside the ball of all rows are
-    integrated in one call.
-    """
-    lo, hi, pts = t.structure()
-    beta = np.broadcast_to(beta, lo.shape)
-    cuts = np.concatenate((np.stack((-beta, beta), axis=1), pts), axis=1)
-    cuts = np.where((cuts > lo[:, None]) & (cuts < hi[:, None]), cuts, np.nan)
-    edges = np.sort(np.concatenate((np.stack((lo, hi), axis=1), cuts),
-                                   axis=1), axis=1)
-    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
-    a, b, row = _row_panels(np.sort(edges, axis=1))
-    out = np.abs(0.5 * (a + b)) > beta[row]
-    a, b, row = a[out], b[out], row[out]
-    cont = integrate(lambda x, panel: t.values(x, row[panel]), a, b,
-                     what="escaped mass", by_panel=True)
-    return _segment_sums(cont, row, lo.size)
-
-
 def truncate_resample_pushforward(d: Density,
                                   params: TruncateResampleParams) -> Density:
     """Law of the truncate-and-resample output for input law ``d``.
@@ -209,10 +187,16 @@ def truncate_resample_pushforward(d: Density,
     if not t.plain.all():
         raise ValueError("only unrestricted rows can be truncated and "
                          "resampled")
-    beta = params.beta
-    return Density(replace(
-        t, beta=beta, mass=_escaped_masses(t, beta),
-        resample_sd=params.sigma_i))
+    beta = np.broadcast_to(params.beta, t.rows)
+    lo, hi, pts = t.structure()
+    # the ball's edges split the panels, so each lies inside or outside
+    escaped = integrate_rows(
+        lambda x, rows: np.where(np.abs(x) > beta[rows], t.values(x, rows),
+                                 0.0),
+        (lo, hi, pts), (lo, hi, np.stack((-beta, beta), axis=1)),
+        what="escaped mass")
+    return Density(replace(t, beta=params.beta, mass=escaped,
+                           resample_sd=params.sigma_i))
 
 
 def transfer_estimator(delta, observations):

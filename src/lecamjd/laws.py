@@ -50,12 +50,8 @@ _MAX_SERIES_TERMS = 200
 #: splits) and are evaluated only against the components near each point
 _MAX_PEAK_BREAKPOINTS = 64
 
-#: numpy sums at most this many terms of a row one after another, so
-#: rows this narrow may share a zero-padded block without a rounding change
-_PAD_WIDTH = 7
-
-#: point x component elements per evaluation block: a multi-row block
-#: gathers its rows' means, sds and weights, so it holds about six such
+#: component x point elements per evaluation block: a block gathers its
+#: points' means, sds and weights, so it holds about six such
 #: temporaries (256 kB each) at once
 _BLOCK = 32_768
 
@@ -143,15 +139,17 @@ class MixtureTable:
         return self.weights / self.sds
 
     @cached_property
-    def _width(self) -> np.ndarray:
-        # each row is summed over its own components; narrow rows share
-        # one padded width, which adds exact zeros
-        return np.where(self.size > _PAD_WIDTH, self.size,
-                        min(self.means.shape[1], _PAD_WIDTH))
+    def _wide(self) -> np.ndarray:
+        """Rows evaluated by :meth:`_windowed`."""
+        return self.size > _MAX_PEAK_BREAKPOINTS
 
     @cached_property
-    def _widths(self) -> list[int]:
-        return sorted(set(self._width.tolist()))
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """Means, sds and weight/sd of the rows that are not wide, as
+        (component, row) arrays as wide as the largest of those rows."""
+        w = int(self.size[~self._wide].max(initial=0))
+        return tuple(np.ascontiguousarray(a[:, :w].T)
+                     for a in (self.means, self.sds, self._scaled))
 
     @cached_property
     def _has_box(self) -> bool:
@@ -174,13 +172,14 @@ class MixtureTable:
 
     def values(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Density of row ``rows[j]`` at ``x[j]``, for flat arrays."""
-        out = np.empty(x.size)
-        for w in self._widths:
-            at = (slice(None) if len(self._widths) == 1
-                  else np.flatnonzero(self._width[rows] == w))
-            out[at] = (self._windowed(x[at], rows[at])
-                       if w > _MAX_PEAK_BREAKPOINTS
-                       else self._dense(x[at], rows[at], w))
+        if not self._wide.any():
+            out = self._dense(x, rows)
+        else:
+            out = np.empty(x.size)
+            wide = self._wide[rows]
+            for at, part in ((wide, self._windowed), (~wide, self._dense)):
+                at = np.flatnonzero(at)
+                out[at] = part(x[at], rows[at])
         if self._has_box:
             at = np.flatnonzero(self.boxed[rows])
             r, xa = rows[at], x[at]
@@ -198,16 +197,20 @@ class MixtureTable:
                 (1.0 / s) * _gauss.std_pdf(x[top] / s))
         return out
 
-    def _dense(self, x, rows, w):
-        means, sds = self.means[:, :w], self.sds[:, :w]
-        scaled = self._scaled[:, :w]
-        out = np.empty(x.size)
-        step = max(1, _BLOCK // w)
+    def _dense(self, x, rows):
+        """Sums over every component, in component order for each point,
+        so a row's padding adds exact zeros after its own terms."""
+        means, sds, scaled = self._columns
+        out = np.zeros(x.size)
+        step = max(1, _BLOCK // max(1, means.shape[0]))
         for s in range(0, x.size, step):
             part = slice(s, s + step)
-            r = 0 if self.rows == 1 else rows[part]
-            z = (x[part, None] - means[r]) / sds[r]
-            out[part] = (scaled[r] * _gauss.std_pdf(z)).sum(axis=1)
+            r = slice(None) if self.rows == 1 else rows[part]
+            terms = scaled[:, r] * _gauss.std_pdf(
+                (x[part] - means[:, r]) / sds[:, r])
+            acc = out[part]
+            for term in terms:
+                acc += term
         return out
 
     def _windowed(self, x, rows):
@@ -353,17 +356,6 @@ class Density:
         if self.rows > 1:
             return pts
         return tuple(sorted(set(pts[0][~np.isnan(pts[0])].tolist())))
-
-    @property
-    def gauss_components(self) -> tuple[tuple[float, float, float], ...] | None:
-        """The ``(mean, sd, weight)`` list when this one law is a bare
-        Gaussian mixture; ``None`` otherwise."""
-        t = self.table
-        if t.rows != 1 or not t.plain[0] or t.boxed[0]:
-            return None
-        k = t.size[0]
-        return tuple(zip(t.means[0, :k].tolist(), t.sds[0, :k].tolist(),
-                         t.weights[0, :k].tolist()))
 
 
 def mixture_density(components) -> Density:

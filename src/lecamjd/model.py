@@ -101,12 +101,9 @@ def linear(intercept: float, slope: float) -> TimeFunction:
         return p * (b - a) + 0.5 * q * (b * b - a * a)
 
     def _int_sq(a, b):
-        if q == 0.0:
-            return p * p * (b - a)
-        # float_power, not **: numpy's SIMD power loop may differ from the
-        # scalar pow behind Python's ** in the last bit
-        return (np.float_power(p + q * b, 3)
-                - np.float_power(p + q * a, 3)) / (3.0 * q)
+        # (v^3 - u^3) / (3q) without the cancellation of a small slope
+        u, v = p + q * a, p + q * b
+        return (b - a) * (u * u + u * v + v * v) / 3.0
 
     return TimeFunction(
         fn=lambda t: p + q * np.asarray(t, dtype=float),

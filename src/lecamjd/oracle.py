@@ -13,10 +13,11 @@ A batch may hold many pairs of densities, and a pair of tables with a row
 per interval stands for one comparison per row: ``tv_quadrature_many``
 puts the panels of every row of every pair into one integrator call, and
 each bisection round evaluates all rows of a side in one call of their
-concatenated table.  Panels converge on their own, so the rest of the
-batch can move a pair's value only by rounding (BLAS may round a one-row
-product differently).  The one-pair distances and ``total_mass`` are
-batches of one and take one-law densities only.
+concatenated table.  Panels converge on their own, and every sum on the
+way (Kronrod nodes, mixture components, a row's panels) runs in a fixed
+order, so a pair's value is the same bits in any batch.  The one-pair
+distances and ``total_mass`` are batches of one and take one-law
+densities only.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ __all__ = [
 def _merged_points(*sides) -> np.ndarray:
     """Per row, the sorted panel edges of densities compared row by row.
 
-    ``sides`` are ``(lo, hi, points)`` structures (see :func:`_edges`).
-    Edges are the union support's ends, every support end, and every
-    breakpoint inside the union; an edge within ``1e-13`` of the
-    span of the last kept one is merged into it, and the last kept edge
-    is the union's upper end.  Rows are NaN-padded.
+    ``sides`` are ``(lo, hi, points)`` structures as
+    :meth:`MixtureTable.structure` gives them.  Edges are the union
+    support's ends, every support end, and every breakpoint inside the
+    union; an edge within ``1e-13`` of the span of the last kept one is
+    merged into it, and the last kept edge is the union's upper end.  Rows
+    are NaN-padded.
     """
     lo = np.minimum.reduce([s[0] for s in sides])
     hi = np.maximum.reduce([s[1] for s in sides])
@@ -67,24 +69,20 @@ def _merged_points(*sides) -> np.ndarray:
     return np.sort(np.where(keep, pts, np.nan), axis=1)
 
 
-def _row_panels(points: np.ndarray):
-    """Panels between consecutive edges of each NaN-padded sorted row:
-    ends ``a`` and ``b`` and the row of each panel, row by row."""
+def integrate_rows(fn, *sides, what: str = "oracle panel") -> np.ndarray:
+    """Per row, the integral of ``fn(x, rows)`` over the panels between the
+    merged edges of ``sides`` (see :func:`_merged_points`).
+
+    The panels of all rows share one integrate call, and each row's panel
+    values are summed in order, so a row's integral does not depend on the
+    other rows.
+    """
+    points = _merged_points(*sides)
     ok = ~np.isnan(points[:, 1:])
-    return points[:, :-1][ok], points[:, 1:][ok], np.nonzero(ok)[0]
-
-
-def _segment_sums(values: np.ndarray, rows: np.ndarray, n: int
-                  ) -> np.ndarray:
-    """``np.sum`` of the values of each row (``rows`` sorted), bit for bit:
-    rows with the same count are summed as one 2-d array."""
-    counts = np.bincount(rows, minlength=n)
-    starts = np.cumsum(counts) - counts
-    out = np.zeros(n)
-    for c in set(counts[counts > 0].tolist()):
-        at = np.flatnonzero(counts == c)
-        out[at] = values[starts[at, None] + np.arange(c)].sum(axis=1)
-    return out
+    row = np.nonzero(ok)[0]
+    cont = integrate(lambda x, panel: fn(x, row[panel]), points[:, :-1][ok],
+                     points[:, 1:][ok], what=what, by_panel=True)
+    return np.bincount(row, cont, points.shape[0])
 
 
 def _one_law(d: Density) -> Density:
@@ -92,12 +90,6 @@ def _one_law(d: Density) -> Density:
         raise ValueError(f"a density of {d.rows} rows holds {d.rows} laws; "
                          "compare them row by row with tv_quadrature_many")
     return d
-
-
-def _panel_points(*densities: Density) -> np.ndarray:
-    """Panel edges of one-law densities compared with each other."""
-    pts = _merged_points(*(_one_law(d).structure() for d in densities))[0]
-    return pts[~np.isnan(pts)]
 
 
 def _pointwise_sums(g, pairs: Iterable[tuple[Density, Density]]
@@ -111,15 +103,9 @@ def _pointwise_sums(g, pairs: Iterable[tuple[Density, Density]]
         raise ValueError("paired densities must have the same rows")
     p, q = (MixtureTable.concat(d.table for d in side)
             for side in zip(*pairs))
-    a, b, row_of_panel = _row_panels(_merged_points(p.structure(),
-                                                    q.structure()))
-
-    def integrand(x, panel):
-        row = row_of_panel[panel]
-        return g(p.values(x, row), q.values(x, row))
-
-    cont = integrate(integrand, a, b, what="oracle panel", by_panel=True)
-    return _segment_sums(cont, row_of_panel, p.rows)
+    return integrate_rows(
+        lambda x, rows: g(p.values(x, rows), q.values(x, rows)),
+        p.structure(), q.structure())
 
 
 def _one_pair(g, p: Density, q: Density) -> float:

@@ -40,20 +40,39 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class RngStream:
-    """Seed plus stream id; distinct ids give independent streams."""
+    """Seed plus stream id; distinct ids give independent streams.
+
+    An id is an int, or the tuple ``(root, offset, ...)`` of a stream
+    derived by :meth:`child`.  It becomes the ``SeedSequence`` spawn key:
+    the root as numpy splits it (one 32-bit word below 2^32, two above),
+    then each offset as exactly two words.  The word count's parity tells
+    the root's width, so no two ids share a key.
+    """
 
     seed: int
-    stream_id: int = 0
+    stream_id: int | tuple[int, ...] = 0
+
+    @property
+    def _path(self) -> tuple[int, ...]:
+        return (self.stream_id if isinstance(self.stream_id, tuple)
+                else (self.stream_id,))
 
     def generator(self) -> np.random.Generator:
+        root, *offsets = self._path
+        key = [root & _MASK64]
+        for k in offsets:
+            key += [k & 0xFFFF_FFFF, k >> 32]
         ss = np.random.SeedSequence(entropy=self.seed & _MASK64,
-                                    spawn_key=(self.stream_id & _MASK64,))
+                                    spawn_key=tuple(key))
         return np.random.Generator(np.random.Philox(ss))
 
     def child(self, offset: int) -> "RngStream":
-        """Derived stream; callers compose offsets to keep ids distinct."""
-        return RngStream(self.seed,
-                         (self.stream_id << 20) ^ operator.index(offset))
+        """Derived stream: this id with ``offset`` (in [0, 2^64)) appended."""
+        offset = operator.index(offset)
+        if not 0 <= offset <= _MASK64:
+            raise ValueError(f"stream offset must lie in [0, 2^64) "
+                             f"(got {offset})")
+        return RngStream(self.seed, self._path + (offset,))
 
 
 @dataclass(frozen=True)

@@ -478,6 +478,15 @@ class TestBoundsCommand:
                                 "per-increment term >= 1 (first at index 0); "
                                 "the bound is vacuous there\n")
 
+    def test_tiny_linear_slope_has_a_noise_variance(self, tmp_path,
+                                                      capsys):
+        # sigma = 1 + 2.28e-197 t once gave a vanishing variance (exit 2)
+        cfg = write_config(tmp_path, {"sigma": {
+            "kind": "linear", "intercept": 1.0, "slope": 2.28e-197}})
+        assert main(["bounds", "--config", cfg]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert {r["sigma_i"] for r in rows[:-1]} == {repr(0.05 / 4.0)}
+
     def test_truncate_on_lattice_law_is_config_error(self, tmp_path,
                                                      capsys):
         cfg = write_config(tmp_path)

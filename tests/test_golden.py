@@ -41,19 +41,19 @@ GOLDEN = {
     "filter_round":
         "2186d318be359ec33c481366f78582c0feb49f1865725f79527147939d5a0c1b",
     "filter_truncate":
-        "9ea16220f0acbe475eeb7f2a8687f6a09a97fed50d5b08d1f28c99c029189fd1",
+        "a76f60aacf17428486804016d78cf66c88250e3a1a5f27c28b7fd26c5f470fb0",
     "filter_truncate_times":
-        "ea858f66335a07923da46b82b9e4d4b2677d5ddc731fdf438a1a43ad6695c8ec",
+        "fea44c48ffdca87e979b0b1cfae1c5c6b994df6e0749d1eaeb58776e21719e76",
     "bounds_auto":
-        "ba4d94deebedd9bbd4e7eff4c2e926c0f6605aaee19ea7b8cb29a8964c037b7b",
+        "d4de26ee4e78e8e7bd8fb23e039efc84c53e8c7bc7e83a1eefb814b97629f027",
     "bounds_round":
         "39d6ababa64003fde4ebeac7e9c1a053acdd4edc4cef3eabe6fc27b66ae16006",
     "bounds_bernoulli":
         "4548c84750ed19fc9732d4002c6b3214c588c8aa7d33343c67dde3d5c0793c7d",
     "convergence":
-        "a6d840e0189d66dbe3438326eb990b1443d7bc761e1e004f9525f37c0847b83c",
+        "22bf13a9ee443107abe894131171d8cf5c25a19836c138a71fa5dd720048c1a7",
     "risk_transfer":
-        "2f15e42cced1bbac15f8ad921c14aaf127bf49268e324dd474e7afd3baebd657",
+        "b4e3eb2145a350aab96341722433cf01e554f87b5ee3d9199762d11bcb784dd4",
 }
 
 

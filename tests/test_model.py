@@ -35,6 +35,14 @@ class TestTimeFunctions:
         want = integrate.quad(lambda t: 0.2 - 0.3 * t, 0.1, 0.9)[0]
         assert abs(got - want) < 1e-12
 
+    @given(p=st.floats(-2.0, 2.0), q=st.floats(-3.0, 3.0),
+           a=st.floats(0.0, 1.0), width=st.floats(0.01, 1.0))
+    def test_linear_square_integral_matches_quadrature(self, p, q, a, width):
+        b = a + width
+        got = lj.linear(p, q).square_integral(a, b)
+        want = integrate.quad(lambda t: (p + q * t) ** 2, a, b)[0]
+        assert abs(got - want) <= 1e-12 * max(1.0, want)
+
     @given(a=st.floats(0.0, 2.0), width=st.floats(0.01, 2.0),
            offset=st.floats(-1.0, 1.0), amp=st.floats(-1.0, 1.0),
            w=st.floats(0.1, 20.0))
@@ -188,6 +196,14 @@ class TestIncrementSummaries:
                                    coarse.sigma2, atol=1e-12)
         np.testing.assert_allclose(fine.lam.reshape(4, 2).sum(axis=1),
                                    coarse.lam, atol=1e-12)
+
+    def test_tiny_linear_slope_keeps_its_variance(self):
+        # (v^3 - u^3) / (3q) cancelled to 0.0 at this slope
+        grid = lj.Grid.uniform(1.0, 2)
+        s = lj.build_increment_summaries(
+            make_spec(sigma=lj.linear(1.0, 2.28e-197)), grid)
+        np.testing.assert_allclose(s.sigma2, 0.25 * grid.deltas * 1.0 ** 2,
+                                   rtol=1e-15, atol=0.0)
 
     def test_sine_drift_interval_means(self):
         # m_i = (cos(2 pi t_{i-1}) - cos(2 pi t_i)) / (2 pi) for f = sin(2 pi t)

@@ -173,7 +173,7 @@ class TestBatch:
     def test_batch_equals_one_pair_calls(self):
         got = lj.tv_quadrature_many(self.PAIRS)
         one = [lj.tv_quadrature(p, q) for p, q in self.PAIRS]
-        np.testing.assert_allclose(got, one, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(got, one)
 
     @given(order=st.permutations(range(len(MIXED_BATCH))),
            cut=st.integers(0, len(MIXED_BATCH)),
@@ -187,11 +187,10 @@ class TestBatch:
         whole = lj.tv_quadrature_many(pairs)
         order = list(order) + list(range(len(MIXED_BATCH), len(pairs)))
         permuted = lj.tv_quadrature_many([pairs[k] for k in order])
-        np.testing.assert_allclose(permuted, whole[order], rtol=0.0,
-                                   atol=1e-15)
+        np.testing.assert_array_equal(permuted, whole[order])
         split = np.concatenate((lj.tv_quadrature_many(pairs[:cut]),
                                 lj.tv_quadrature_many(pairs[cut:])))
-        np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(split, whole)
 
     def test_empty_batch(self):
         got = lj.tv_quadrature_many([])

@@ -16,7 +16,6 @@ from scipy import integrate as scipy_integrate
 
 import lecamjd as lj
 from lecamjd._quadrature import EPSREL, LIMIT, QuadratureError, integrate
-from lecamjd.oracle import _panel_points
 
 
 def quad_panels(fn, a, b):
@@ -36,7 +35,13 @@ def assert_matches_quad(fn, a, b):
 
 
 def oracle_panels(*densities):
-    points = _panel_points(*densities)
+    """Panels between the support ends and breakpoints of one-law
+    densities, inside their union support."""
+    ends = [np.concatenate(d.structure(), axis=None) for d in densities]
+    lo = min(d.support[0] for d in densities)
+    hi = max(d.support[1] for d in densities)
+    points = np.concatenate(ends)
+    points = np.unique(points[(points >= lo) & (points <= hi)])
     return points[:-1], points[1:]
 
 
@@ -98,10 +103,8 @@ class TestAgainstQuadpack:
             return np.choose(panel, [f(x) for f in fns])
 
         got = integrate(fn, a, b, by_panel=True)
-        # equal to each panel integrated alone up to the last bits, which
-        # BLAS may round differently for a one-row Kronrod product
         alone = [integrate(f, lo, hi) for f, lo, hi in zip(fns, a, b)]
-        np.testing.assert_allclose(got, alone, rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(got, alone)
         np.testing.assert_allclose(
             got, [1.0, 1.5, 200.0 * math.atan(50.0), math.e ** 4 - math.e ** 3],
             rtol=1e-10)
@@ -143,6 +146,21 @@ def test_tv_of_equal_variance_gaussians_matches_closed_form(mu1, mu2, sd):
     tv = lj.tv_quadrature(lj.gaussian_density(mu1, sd * sd),
                           lj.gaussian_density(mu2, sd * sd))
     assert abs(tv - 0.5 * lj.l1_gaussians_same_var(mu1, mu2, sd)) < 1e-10
+
+
+@given(panels=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(0.01, 4.0)),
+                       max_size=8),
+       kink=st.floats(-4.0, 4.0), at=st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_batch_panels_equal_lone_panels_bitwise(panels, kink, at):
+    # every panel of a batch is the same bits as the panel alone; [3, 4]
+    # under exp once came out 1 ulp apart through a BLAS product
+    panels.insert(min(at, len(panels)), (3.0, 1.0))
+    a = np.array([lo for lo, _ in panels])
+    b = a + np.array([width for _, width in panels])
+    fn = lambda x: np.exp(x) + np.abs(x - kink)  # noqa: E731
+    alone = [integrate(fn, lo, hi) for lo, hi in zip(a, b)]
+    assert integrate(fn, a, b).tolist() == alone
 
 
 def test_package_import_leaves_scipy_integrate_unloaded(run_python):

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import lecamjd as lj
@@ -21,6 +23,10 @@ def unit_spec(**overrides) -> lj.ModelSpec:
                 jump_law=lj.DiracJump(1.0), horizon=1.0)
     base.update(overrides)
     return lj.ModelSpec(**base)
+
+
+def draw(rng: lj.RngStream) -> bytes:
+    return rng.generator().standard_normal(2).tobytes()
 
 
 class TestRngStream:
@@ -36,9 +42,46 @@ class TestRngStream:
 
     def test_children_are_distinct(self):
         parent = lj.RngStream(9, 3)
-        ids = {parent.child(k).stream_id for k in range(100)}
-        assert len(ids) == 100
-        assert parent.stream_id not in ids
+        kids = [parent.child(k) for k in range(100)]
+        assert [c.stream_id for c in kids] == [(3, k) for k in range(100)]
+        draws = {draw(c) for c in kids + [parent, kids[7].child(0)]}
+        assert len(draws) == 102
+
+    @pytest.mark.parametrize("a, b", [
+        # (stream_id << 20) ^ offset gave both 1 << 20
+        ((1, 0, 1 << 20), (1, 1, 0)),
+        # ... and both 0 once shifted past 64 bits
+        ((1, 1 << 44, 0), (1, 0, None)),
+        # numpy splits 2^44 into the words (0, 4096)
+        ((1, 1 << 44, None), (1, 0, 4096)),
+    ])
+    def test_once_aliased_streams_draw_differently(self, a, b):
+        def stream(seed, sid, offset):
+            rng = lj.RngStream(seed, sid)
+            return rng if offset is None else rng.child(offset)
+        assert draw(stream(*a)) != draw(stream(*b))
+
+    @pytest.mark.parametrize("sid", [0, 7, 2 ** 32 - 1, 2 ** 44, -1])
+    def test_int_ids_are_their_own_spawn_key(self, sid):
+        ss = np.random.SeedSequence(5, spawn_key=(sid & (2 ** 64 - 1),))
+        gen = np.random.Generator(np.random.Philox(ss))
+        assert draw(lj.RngStream(5, sid)) == gen.standard_normal(2).tobytes()
+
+    @given(a=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3),
+           b=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_distinct_paths_draw_differently(self, a, b):
+        def stream(path):
+            rng = lj.RngStream(1, path[0])
+            for offset in path[1:]:
+                rng = rng.child(offset)
+            return rng
+        assert (draw(stream(a)) == draw(stream(b))) == (a == b)
+
+    def test_offsets_outside_64_bits_are_rejected(self):
+        for offset in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="offset"):
+                lj.RngStream(0).child(offset)
 
     def test_child_is_deterministic(self):
         assert lj.RngStream(9, 3).child(5) == lj.RngStream(9, 3).child(5)

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
+from lecamjd._gauss import std_pdf
 from lecamjd.laws import MixtureTable
 
-#: criterion 6's continuous spec and its oracle_product_bound, as the sweep
-#: gave it with one density and one pushforward per interval
+#: criterion 6's continuous spec and its oracle_product_bound, with every
+#: oracle sum in a fixed order
 CONTINUOUS_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
                                sigma=lj.constant(1.0), epsilon_n=0.2,
                                intensity=lj.constant(0.5),
@@ -20,23 +21,22 @@ CONTINUOUS_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
                                horizon=1.0)
 PINNED_CONTINUOUS = {
     4: 0.6528839526638636,
-    8: 0.5657162868765995,
-    16: 0.4816935048811246,
+    8: 0.5657162868765996,
+    16: 0.48169350488112456,
     32: 0.40660069149810857,
-    64: 0.34190533419516567,
-    128: 0.2870996492832016,
-    256: 0.24100477017640698,
+    64: 0.3419053341951657,
+    128: 0.28709964928320164,
+    256: 0.24100477017640695,
 }
-#: the same spec with uniform jumps on [1, 2], as the sweep gave it with a
-#: pdf closure per interval for the one-jump law and its pushforward
+#: the same spec with uniform jumps on [1, 2]
 UNIFORM_SPEC = dataclasses.replace(CONTINUOUS_SPEC,
                                    jump_law=lj.uniform_jumps(1.0, 2.0))
 PINNED_UNIFORM = {
-    4: 0.6528840531730141,
+    4: 0.652884053173014,
     8: 0.5657162868793577,
     16: 0.48169350488110224,
     32: 0.406600691498779,
-    64: 0.34190533419627794,
+    64: 0.341905334196278,
     128: 0.2870996492847696,
     256: 0.2410047701777604,
 }
@@ -143,8 +143,8 @@ def test_batched_pushforwards_and_tvs_equal_one_law_calls(grid, L, epsilon):
             lj.fold_density_to_lattice_cell(lj.bernoulli_density(s, law)),
             lj.fold_density_to_lattice_cell(lj.gaussian_density(s.m,
                                                                 s.sigma2))))
-    np.testing.assert_allclose(pushed.table.mass, mass, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(many, one, rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(pushed.table.mass, mass)
+    np.testing.assert_array_equal(many, one)
 
 
 @given(k=st.integers(65, 300), seed=st.integers(0, 2 ** 32 - 1))
@@ -158,8 +158,32 @@ def test_windowed_mixtures_match_dense_evaluation(k, seed):
                         table.means[0, :50]))
     rows = np.zeros(x.size, dtype=np.intp)
     windowed = table.values(x, rows)
-    dense = table._dense(x, rows, k)
+    m, sd, w = table.means[0], table.sds[0], table.weights[0]
+    dense = ((w / sd) * std_pdf((x[:, None] - m) / sd)).sum(axis=1)
     assert np.all(np.abs(windowed - dense) <= 1e-14 * dense)
+
+
+@given(sizes=st.permutations([st.integers(1, 7), st.integers(8, 64),
+                               st.integers(65, 150)]).flatmap(
+           lambda order: st.tuples(*order)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       x=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_mixed_width_rows_equal_their_one_row_tables_bitwise(sizes, seed, x):
+    # narrow, dense and windowed rows in one table: padding and the other
+    # rows change no bit of a row, at one point or at many
+    gen = np.random.default_rng(seed)
+    alone = [MixtureTable(gen.uniform(-3.0, 3.0, k),
+                          np.exp(gen.uniform(np.log(0.05), 0.0, k)),
+                          gen.uniform(0.0, 1.0, k) / k) for k in sizes]
+    mixed = MixtureTable.concat(alone)
+    x = np.array(x)
+    rows = np.repeat(np.arange(len(alone)), x.size)
+    batch = mixed.values(np.tile(x, len(alone)), rows)
+    for r, one in enumerate(alone):
+        want = one.values(x, np.zeros(x.size, dtype=np.intp))
+        assert np.array_equal(batch[rows == r], want)
+        assert [mixed.pdf(v, r) for v in x] == [one.pdf(v) for v in x]
 
 
 def test_paired_densities_need_the_same_rows():
