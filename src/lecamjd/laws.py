@@ -8,7 +8,9 @@ at a negligible tail gives a numerical density with fully known structure
 and breakpoints) that the quadrature oracle can integrate reliably.
 
 The one-jump (Bernoulli count) approximation keeps only the ``k = 0`` and
-``k = 1`` terms with weights ``1 - alpha_i`` and ``alpha_i``.
+``k = 1`` terms with weights ``1 - alpha_i`` and ``alpha_i``.  Both laws
+are k-fold mixtures that differ only in their weights, and one builder
+makes either for a whole grid.
 
 Every density is data: a :class:`MixtureTable` holds one law per row (a
 finite Gaussian mixture plus at most one Gaussian-smoothed uniform box,
@@ -244,7 +246,11 @@ class MixtureTable:
                     b = c
                 win = slice(first[a], last[b - 1])
                 z = (xs[a:b, None] - means[win]) / sds[win]
-                out[at[a:b]] = (scaled[win] * _gauss.std_pdf(z)).sum(axis=1)
+                # a running sum: the window's terms outside a point's own
+                # reach are exact zeros, so they change none of its bits
+                terms = scaled[win] * _gauss.std_pdf(z)
+                out[at[a:b]] = (np.cumsum(terms, axis=1)[:, -1]
+                                if terms.size else 0.0)
                 a = b
         return out
 
@@ -319,12 +325,10 @@ class Density:
 
     ``pdf`` evaluates the table (row ``rows`` of ``pdf(x, rows)``); a
     wrapper may replace it, but the oracle and the kernels read ``table``
-    itself.  ``support`` bounds the region of non-negligible mass and
-    ``breakpoints`` are interior points where the pdf is non-smooth or
-    sharply peaked, so quadrature panels can be split there.  A table may
-    hold many laws, one per row (say, one per interval of a grid); then
-    ``support`` is a pair of per-row arrays and ``breakpoints`` a
-    NaN-padded array with a row per law.
+    itself.  A table may hold many laws, one per row (say, one per
+    interval of a grid); ``structure`` gives each row's support ends, the
+    region of non-negligible mass, and its breakpoints, where the pdf is
+    non-smooth or sharply peaked, so quadrature panels can be split there.
     """
 
     table: MixtureTable
@@ -344,18 +348,6 @@ class Density:
     def structure(self):
         """Per row: support ends and breakpoints (a NaN-padded array)."""
         return self.table.structure()
-
-    @property
-    def support(self):
-        lo, hi, _ = self.structure()
-        return (float(lo[0]), float(hi[0])) if self.rows == 1 else (lo, hi)
-
-    @property
-    def breakpoints(self):
-        pts = self.structure()[2]
-        if self.rows > 1:
-            return pts
-        return tuple(sorted(set(pts[0][~np.isnan(pts[0])].tolist())))
 
 
 def mixture_density(components) -> Density:
@@ -384,39 +376,41 @@ def gaussian_density(m, s2) -> Density:
         np.reshape(m, (-1, 1)), np.sqrt(s2).reshape(-1, 1), 1.0))
 
 
-def _poisson_weights(lam: float, tail_tol: float) -> np.ndarray:
-    """Weights ``e^{-lam} lam^k / k!`` for k = 0..K with tail below tol."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    weights = [math.exp(-lam)]
+def _poisson_weights(lam: np.ndarray, tail_tol: float) -> np.ndarray:
+    """Weights ``e^{-lam} lam^k / k!``, a row per entry of ``lam``, for
+    k = 0..K: a row is 0 past the term where its tail drops below tol."""
+    # math.exp, as np.exp may differ in the last bit
+    weights = [np.array([math.exp(-x) for x in lam.tolist()])]
     cum = weights[0]
     k = 0
-    while 1.0 - cum > tail_tol:
+    while (short := 1.0 - cum > tail_tol).any():
         k += 1
         if k > _MAX_SERIES_TERMS:
             raise ValueError(
-                f"Poisson series for lam={lam:g} needs more than "
+                f"Poisson series for lam={lam[short][0]:g} needs more than "
                 f"{_MAX_SERIES_TERMS} terms to reach tail {tail_tol:g}")
-        weights.append(weights[-1] * lam / k)
-        cum += weights[-1]
-    return np.asarray(weights)
+        weights.append(np.where(short, weights[-1] * lam / k, 0.0))
+        cum = cum + weights[-1]
+    return np.stack(weights, axis=1)
 
 
-def _kfold_components(jump_law: JumpLaw, k: int, m, s2, chain=None):
-    """Structure of N(m, s2) convolved with a k-fold jump sum.
+def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
+                      s2: np.ndarray, live: np.ndarray, chains: dict):
+    """Structure of N(m, s2) convolved with a k-fold jump sum, a row per
+    entry of the arrays ``m`` and ``s2``.
 
-    ``m`` and ``s2`` hold one entry per row; a law without a closed form
-    for the sum goes through :func:`_grid_convolution`, which takes one
-    row and the ``chain`` it keeps.  Returns ``(means, sds, weights,
-    box)``: component ``means`` and ``sds`` with a row per entry and a
-    column per component, ``weights`` per column summing to 1, and
-    ``box``, ``None`` or a uniform sum as ``(height, lo, hi)`` with its
-    ends shifted by each row's ``m`` (it then carries weight 1 alone).
+    Returns ``(means, sds, weights, box)``: (row, component) arrays whose
+    weights are positive and sum to 1 along each row, a row with fewer
+    components than the widest padded with weight 0; and ``box``, ``None``
+    or a uniform sum as ``(height, lo, hi)`` with its ends shifted by each
+    row's ``m`` (it then carries weight 1 alone).  A law with no closed
+    form for the sum goes through :func:`_grid_convolution`, which keeps
+    its j-fold masses in ``chains`` from one ``k`` to the next and gives
+    right components to the ``live`` rows only.
     """
-    m = np.reshape(m, (-1, 1))
-    s2 = np.reshape(s2, (-1, 1))
-    sd = np.sqrt(s2)
-    one = np.ones(1)
+    sd = np.sqrt(s2)[:, None]
+    m = m[:, None]
+    one = np.ones_like(m)
     if k == 0:
         return m, sd, one, None
     if isinstance(jump_law, DiracJump):
@@ -425,100 +419,105 @@ def _kfold_components(jump_law: JumpLaw, k: int, m, s2, chain=None):
         support, pmf = jump_law.kfold_pmf(k)
         keep = pmf > 1e-300
         means = m + support[keep]
-        return means, np.broadcast_to(sd, means.shape), pmf[keep], None
+        return (means, np.broadcast_to(sd, means.shape),
+                np.broadcast_to(pmf[keep], means.shape), None)
     if isinstance(jump_law, ContinuousJumps):
-        law = _jump_sum(jump_law, k)
+        law = None if jump_law.kfold_law is None else jump_law.kfold_law(k)
         if law is None:
-            return _grid_convolution(jump_law, k, float(m[0, 0]),
-                                     float(s2[0, 0]),
-                                     [] if chain is None else chain)
+            return _grid_convolution(jump_law, k, m, s2, live, chains)
         kind, a, b = law
         if kind == "gaussian":
-            return m + a, np.sqrt(s2 + b), one, None
+            return m + a, np.sqrt(s2[:, None] + b), one, None
         if kind == "uniform":
             none = np.empty((m.shape[0], 0))
-            return none, none, none[0], (1.0 / (b - a), m[:, 0] + a,
-                                         m[:, 0] + b)
+            return none, none, none, (1.0 / (b - a), m[:, 0] + a,
+                                      m[:, 0] + b)
         raise ValueError(f"unknown k-fold jump law {kind!r}")
     raise TypeError(f"unsupported jump law {type(jump_law).__name__}")
 
 
-def _jump_sum(law: ContinuousJumps, k: int):
-    """The law's closed form of its k-fold jump sum, or ``None``."""
-    return None if law.kfold_law is None else law.kfold_law(k)
-
-
-def _box_fields(box, weight, sd) -> dict:
-    """:class:`MixtureTable` box fields of a ``box`` from
-    :func:`_kfold_components` carrying ``weight``, smoothed by ``sd``."""
-    if box is None:
-        return {}
-    height, lo, hi = box
-    return dict(box_weight=weight * height, box_lo=lo, box_hi=hi, box_sd=sd)
-
-
-def _grid_convolution(law: ContinuousJumps, k: int, m: float, s2: float,
-                      chain: list):
+def _grid_convolution(law: ContinuousJumps, k: int, m: np.ndarray,
+                      s2: np.ndarray, live: np.ndarray, chains: dict):
     """Fallback k-fold self convolution on a trapezoid grid.
 
     The convolved jump-sum density is approximated by point masses at grid
     nodes, each then smoothed by the interval's Gaussian; the result is a
     dense (hence smooth) Gaussian mixture normalized to trapezoid accuracy.
-    ``chain`` keeps the unnormalized j-fold masses and their grid for one
-    ``s2``, so the terms of a series cost one convolution each.
+    The grid depends on the variance alone, so ``chains[v]`` keeps the
+    unnormalized j-fold masses and their grid for variance ``v``: a series
+    costs one convolution per term and distinct variance of a ``live``
+    row.  The other rows get some live variance's components.
     """
-    sd = math.sqrt(s2)
-    if not chain:
-        lo, hi = law.support
-        step = min((hi - lo) / 1024.0, sd / 8.0)
-        npts = int(math.ceil((hi - lo) / step)) + 1
-        ys = np.linspace(lo, hi, npts)
-        dens = np.asarray(law.density(ys), dtype=float)
-        w = np.full(npts, ys[1] - ys[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        chain.append((dens * w, ys))
-    masses, ys = chain[0]
-    while len(chain) < k:
-        acc, offs = chain[-1]
-        acc = np.convolve(acc, masses)
-        chain.append((acc, np.linspace(offs[0] + ys[0], offs[-1] + ys[-1],
-                                       acc.size)))
-    acc, offs = chain[k - 1]
-    total = acc.sum()
-    if total <= 0:
-        raise ValueError("grid convolution lost all mass")
-    acc = acc / total
-    keep = acc > 1e-15
-    means = m + offs[keep][None, :]
-    return means, np.full(means.shape, sd), acc[keep], None
+    variances = np.unique(s2[live])
+    group = np.searchsorted(variances, s2).clip(max=variances.size - 1)
+    offsets, masses = [], []
+    for v in variances.tolist():
+        chain = chains.setdefault(v, [])
+        if not chain:
+            lo, hi = law.support
+            step = min((hi - lo) / 1024.0, math.sqrt(v) / 8.0)
+            npts = int(math.ceil((hi - lo) / step)) + 1
+            ys = np.linspace(lo, hi, npts)
+            dens = np.asarray(law.density(ys), dtype=float)
+            w = np.full(npts, ys[1] - ys[0])
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            chain.append((dens * w, ys))
+        base, ys = chain[0]
+        while len(chain) < k:
+            acc, offs = chain[-1]
+            acc = np.convolve(acc, base)
+            chain.append((acc, np.linspace(offs[0] + ys[0],
+                                           offs[-1] + ys[-1], acc.size)))
+        acc, offs = chain[k - 1]
+        total = acc.sum()
+        if total <= 0:
+            raise ValueError("grid convolution lost all mass")
+        acc = acc / total
+        keep = acc > 1e-15
+        offsets.append(offs[None, keep])
+        masses.append(acc[None, keep])
+    means = m + _stack_rows(offsets, 0.0)[group]
+    return (means, np.broadcast_to(np.sqrt(s2)[:, None], means.shape),
+            _stack_rows(masses, 0.0)[group], None)
 
 
-def _series_table(weights: np.ndarray, jump_law: JumpLaw, m: float,
-                  s2: float) -> MixtureTable:
-    components: list[np.ndarray] = [np.empty((0, 3))]
-    box: dict = {}
-    chain: list = []
-    for k, wk in enumerate(weights):
-        if wk <= 1e-300:
+def _kfold_table(summaries: IncrementSummaries, jump_law: JumpLaw,
+                 weights: np.ndarray) -> Density:
+    """One table whose row ``i`` mixes the k-fold laws of interval ``i``
+    with weights ``weights[i, k]``, k = 0, 1, ...
+
+    Terms of weight at most 1e-300 are dropped.  A row keeps its
+    components in k order, and within a term in the k-fold law's order,
+    so its sums do not depend on the other rows; padding ``(0, 1, 0)``
+    follows them.
+    """
+    m, s2 = summaries.m, summaries.sigma2
+    parts, box, chains = [], {}, {}
+    for k, wk in enumerate(weights.T):
+        live = wk > 1e-300
+        if not live.any():
             continue
-        means, sds, ws, edges = _kfold_components(jump_law, k, m, s2, chain)
-        components.append(np.stack(np.broadcast_arrays(
-            means[0], sds[0], wk * ws), axis=1))
+        means, sds, ws, edges = _kfold_components(jump_law, k, m, s2, live,
+                                                  chains)
+        parts.append((means, sds, wk[:, None] * ws,
+                      live[:, None] & (ws > 0.0)))
         if edges is not None:
             if box:
                 raise ValueError("a law may have one uniform k-fold sum")
-            box = _box_fields(edges, wk, math.sqrt(s2))
-    return MixtureTable(*np.concatenate(components).T, **box)
-
-
-def _series_rows(summaries: IncrementSummaries, jump_law: JumpLaw,
-                 weights) -> Density:
-    """One table whose row ``i`` mixes the k-fold laws of interval ``i``
-    with weights ``weights[i][k]``, k = 0, 1, ..."""
-    return Density(MixtureTable.concat(
-        _series_table(w, jump_law, m, s2) for w, m, s2 in
-        zip(weights, summaries.m.tolist(), summaries.sigma2.tolist())))
+            height, lo, hi = edges
+            box = dict(box_weight=np.where(live, wk * height, 0.0),
+                       box_lo=lo, box_hi=hi, box_sd=np.sqrt(s2))
+    means, sds, ws, real = (np.concatenate(a, axis=1) for a in zip(*parts))
+    size = real.sum(axis=1)
+    if not real.all():
+        # a stable sort keeps each row's components in order, padding last
+        order = np.argsort(~real, axis=1, kind="stable")[:, :size.max()]
+        pad = np.arange(order.shape[1]) >= size[:, None]
+        means, sds, ws = (
+            np.where(pad, fill, np.take_along_axis(a, order, axis=1))
+            for a, fill in ((means, 0.0), (sds, 1.0), (ws, 0.0)))
+    return Density(MixtureTable(means, sds, ws, size=size, **box))
 
 
 def increment_density_exact(summaries: IncrementSummaries, jump_law: JumpLaw,
@@ -530,34 +529,21 @@ def increment_density_exact(summaries: IncrementSummaries, jump_law: JumpLaw,
     falls short of one by at most ``tail_tol``) so the quadrature oracle
     sees the truncation honestly instead of a renormalized fake.
     """
-    return _series_rows(summaries, jump_law,
-                        [_poisson_weights(lam, tail_tol)
-                         for lam in summaries.lam.tolist()])
+    return _kfold_table(summaries, jump_law,
+                        _poisson_weights(summaries.lam, tail_tol))
 
 
 def bernoulli_density(summaries: IncrementSummaries,
                       jump_law: JumpLaw) -> Density:
     """One-jump approximation: no jump w.p. 1 - alpha, one jump w.p. alpha.
 
-    The result is one table with a row per interval, built in array form;
-    a continuous law with no closed form for one jump is convolved on a
-    grid interval by interval into that table.
+    The result is one table with a row per interval: the exact law's
+    builder with the weights ``(1 - alpha, alpha)`` in place of the
+    Poisson series.
     """
-    if (isinstance(jump_law, ContinuousJumps)
-            and _jump_sum(jump_law, 1) is None):
-        return _series_rows(summaries, jump_law, [
-            (1.0 - a, a) for a in summaries.alpha.tolist()])
-    m, s2, alpha = summaries.m, summaries.sigma2, summaries.alpha
-    m0, sd0 = _kfold_components(jump_law, 0, m, s2)[:2]
-    m1, sd1, w1, box = _kfold_components(jump_law, 1, m, s2)
-    jumps = (alpha > 1e-300)[:, None]
-    return Density(MixtureTable(
-        np.concatenate((m0, np.where(jumps, m1, 0.0)), axis=1),
-        np.concatenate((sd0, np.where(jumps, sd1, 1.0)), axis=1),
-        np.concatenate(((1.0 - alpha)[:, None],
-                        np.where(jumps, alpha[:, None] * w1, 0.0)), axis=1),
-        size=np.where(jumps[:, 0], 1 + w1.size, 1),
-        **_box_fields(box, np.where(jumps[:, 0], alpha, 0.0), sd0[:, 0])))
+    alpha = summaries.alpha
+    return _kfold_table(summaries, jump_law,
+                        np.stack((1.0 - alpha, alpha), axis=1))
 
 
 def increment_cf(summary: IncrementSummaries, jump_law: JumpLaw, u):

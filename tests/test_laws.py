@@ -41,7 +41,7 @@ class TestGaussianDensity:
 
     def test_support_covers_bulk(self):
         d = lj.gaussian_density(2.0, 0.25)
-        lo, hi = d.support
+        (lo,), (hi,), _ = d.structure()
         assert lo < 2.0 - 5 * 0.5 and hi > 2.0 + 5 * 0.5
 
 

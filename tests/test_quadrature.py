@@ -38,8 +38,8 @@ def oracle_panels(*densities):
     """Panels between the support ends and breakpoints of one-law
     densities, inside their union support."""
     ends = [np.concatenate(d.structure(), axis=None) for d in densities]
-    lo = min(d.support[0] for d in densities)
-    hi = max(d.support[1] for d in densities)
+    lo = min(d.structure()[0][0] for d in densities)
+    hi = max(d.structure()[1][0] for d in densities)
     points = np.concatenate(ends)
     points = np.unique(points[(points >= lo) & (points <= hi)])
     return points[:-1], points[1:]

@@ -47,7 +47,7 @@ LAWS = {
     "lattice": lj.LatticeJumps(np.array([-1.0, 2.0]), np.array([0.25, 0.75])),
     "gaussian": lj.gaussian_jumps(2.0, 0.5),
     "uniform": lj.uniform_jumps(1.0, 2.5),
-    # no closed form: a grid convolution per interval
+    # no closed form: a grid convolution per distinct variance
     "custom": lj.ContinuousJumps(
         density=lambda y: np.where((y >= 0.0) & (y <= 1.0), 2.0 * y, 0.0),
         support=(0.0, 1.0)),
@@ -84,9 +84,7 @@ def test_sweep_is_pinned():
 def test_uniform_sweep_is_pinned():
     rows = lj.run_convergence(UNIFORM_SPEC, list(PINNED_UNIFORM),
                               "continuous")
-    np.testing.assert_allclose([r.oracle_product_bound for r in rows],
-                               list(PINNED_UNIFORM.values()), rtol=0.0,
-                               atol=1e-15)
+    assert {r.n: r.oracle_product_bound for r in rows} == PINNED_UNIFORM
 
 
 @given(grid=grids(), x=st.lists(st.floats(-6.0, 8.0), min_size=1,
@@ -104,15 +102,28 @@ def test_table_rows_equal_one_law_densities_bitwise(grid, x):
                 lj.increment_density_exact(s, law)] + (
                     [folded(one)] if name in FOLDING else [])
 
+    def breakpoints(pts):
+        return sorted(set(pts[~np.isnan(pts)].tolist()))
+
     tables = laws(summaries)
     structures = [many.structure() for many in tables]
     for r in range(summaries.n):
         for many, (lo, hi, pts), alone in zip(
                 tables, structures, laws(summaries.interval(r))):
             assert np.array_equal(many.pdf(x, r), alone.pdf(x))
-            assert (lo[r], hi[r]) == alone.support
-            row = pts[r][~np.isnan(pts[r])]
-            assert sorted(set(row)) == list(alone.breakpoints)
+            (one_lo,), (one_hi,), one_pts = alone.structure()
+            assert (lo[r], hi[r]) == (one_lo, one_hi)
+            assert breakpoints(pts[r]) == breakpoints(one_pts[0])
+            t, one = many.table, alone.table
+            k = t.size[r]
+            assert k == one.size[0]
+            for name in ("means", "sds", "weights"):
+                assert np.array_equal(getattr(t, name)[r, :k],
+                                      getattr(one, name)[0, :k])
+            assert t.boxed[r] == one.boxed[0]
+            if t.boxed[r]:
+                for name in ("box_weight", "box_lo", "box_hi", "box_sd"):
+                    assert getattr(t, name)[r] == getattr(one, name)[0]
 
 
 @given(grid=grids(), L=st.floats(0.0, 1.0), epsilon=st.floats(0.1, 0.9))
@@ -161,6 +172,54 @@ def test_windowed_mixtures_match_dense_evaluation(k, seed):
     m, sd, w = table.means[0], table.sds[0], table.weights[0]
     dense = ((w / sd) * std_pdf((x[:, None] - m) / sd)).sum(axis=1)
     assert np.all(np.abs(windowed - dense) <= 1e-14 * dense)
+
+
+@given(tables=st.integers(1, 8), k=st.integers(65, 300),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_wide_rows_are_a_pure_function_of_x(tables, k, seed):
+    # narrow peaks spread wide: a block of points shares a window of
+    # components, yet each point's value is its own
+    gen = np.random.default_rng(seed)
+    table = MixtureTable.concat(
+        MixtureTable(gen.uniform(-50.0, 50.0, k),
+                     gen.uniform(1e-3, 0.05, k), gen.uniform(0.0, 1.0, k) / k)
+        for _ in range(tables))
+    x = gen.uniform(-55.0, 55.0, 300 * tables)
+    rows = np.repeat(np.arange(tables), 300)
+    batch = table.values(x, rows)
+    assert [table.pdf(v, r) for v, r in zip(x, rows)] == batch.tolist()
+
+
+def test_points_past_every_component_read_zero():
+    # a block of points whose window holds no component
+    table = MixtureTable(np.linspace(0.0, 1.0, 100), 0.01, 0.01)
+    for x in ([-5.0, -4.0], [9.0, 10.0], [-5.0]):
+        np.testing.assert_array_equal(table.pdf(np.array(x)), 0.0)
+
+
+@pytest.mark.parametrize("build", [lj.bernoulli_density,
+                                   lj.increment_density_exact])
+def test_grid_convolution_samples_once_per_variance(build):
+    calls = []
+
+    def density(y):
+        calls.append(y.size)
+        return np.where((y >= 0.0) & (y <= 1.0), 2.0 * y, 0.0)
+
+    law = lj.ContinuousJumps(density=density, support=(0.0, 1.0))
+    lam = np.array([0.3, 0.5, 0.4])
+    summaries = lj.IncrementSummaries(m=[0.0, 1.0, -1.0],
+                                      sigma2=[0.01, 0.01, 0.04], lam=lam,
+                                      alpha=lam * np.exp(-lam))
+    calls.clear()  # the law samples its density when it is made
+    d = build(summaries, law)
+    assert len(calls) == 2
+    for r in range(summaries.n):
+        alone = build(summaries.interval(r), law).table
+        k = alone.size[0]
+        assert d.table.size[r] == k
+        assert np.array_equal(d.table.means[r, :k], alone.means[0])
 
 
 @given(sizes=st.permutations([st.integers(1, 7), st.integers(8, 64),
