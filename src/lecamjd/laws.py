@@ -510,13 +510,12 @@ def _kfold_table(summaries: IncrementSummaries, jump_law: JumpLaw,
                        box_lo=lo, box_hi=hi, box_sd=np.sqrt(s2))
     means, sds, ws, real = (np.concatenate(a, axis=1) for a in zip(*parts))
     size = real.sum(axis=1)
-    if not real.all():
-        # a stable sort keeps each row's components in order, padding last
-        order = np.argsort(~real, axis=1, kind="stable")[:, :size.max()]
-        pad = np.arange(order.shape[1]) >= size[:, None]
-        means, sds, ws = (
-            np.where(pad, fill, np.take_along_axis(a, order, axis=1))
-            for a, fill in ((means, 0.0), (sds, 1.0), (ws, 0.0)))
+    # a stable sort keeps each row's components in order, padding last
+    order = np.argsort(~real, axis=1, kind="stable")[:, :size.max()]
+    pad = np.arange(order.shape[1]) >= size[:, None]
+    means, sds, ws = (
+        np.where(pad, fill, np.take_along_axis(a, order, axis=1))
+        for a, fill in ((means, 0.0), (sds, 1.0), (ws, 0.0)))
     return Density(MixtureTable(means, sds, ws, size=size, **box))
 
 

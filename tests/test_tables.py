@@ -109,7 +109,8 @@ def test_table_rows_equal_one_law_densities_bitwise(grid, x):
     structures = [many.structure() for many in tables]
     for r in range(summaries.n):
         for many, (lo, hi, pts), alone in zip(
-                tables, structures, laws(summaries.interval(r))):
+                tables, structures, laws(summaries.interval(r)),
+                strict=True):
             assert np.array_equal(many.pdf(x, r), alone.pdf(x))
             (one_lo,), (one_hi,), one_pts = alone.structure()
             assert (lo[r], hi[r]) == (one_lo, one_hi)
@@ -117,13 +118,13 @@ def test_table_rows_equal_one_law_densities_bitwise(grid, x):
             t, one = many.table, alone.table
             k = t.size[r]
             assert k == one.size[0]
-            for name in ("means", "sds", "weights"):
-                assert np.array_equal(getattr(t, name)[r, :k],
-                                      getattr(one, name)[0, :k])
+            for field in ("means", "sds", "weights"):
+                assert np.array_equal(getattr(t, field)[r, :k],
+                                      getattr(one, field)[0, :k])
             assert t.boxed[r] == one.boxed[0]
             if t.boxed[r]:
-                for name in ("box_weight", "box_lo", "box_hi", "box_sd"):
-                    assert getattr(t, name)[r] == getattr(one, name)[0]
+                for field in ("box_weight", "box_lo", "box_hi", "box_sd"):
+                    assert getattr(t, field)[r] == getattr(one, field)[0]
 
 
 @given(grid=grids(), L=st.floats(0.0, 1.0), epsilon=st.floats(0.1, 0.9))
