@@ -13,8 +13,8 @@ from .experiments import (ConvergenceRow, RiskRow, default_drift_estimator,
                           fit_rate_slope, run_convergence, run_risk_transfer)
 from .kernels import (TruncateResampleParams, apply_round_kernel,
                       continuous_part, fold_density_to_lattice_cell,
-                      round_to_lattice, transfer_estimator, truncate_resample,
-                      truncate_resample_pushforward,
+                      jump_case_of, round_to_lattice, transfer_estimator,
+                      truncate_resample, truncate_resample_pushforward,
                       weighted_integral_statistic)
 from .laws import (Density, bernoulli_density, gaussian_density,
                    increment_cf, increment_density_exact, mixture_density)
@@ -55,5 +55,5 @@ __all__ = [
     "transfer_estimator", "truncate_resample",
     "truncate_resample_pushforward", "tv_gaussians_bound", "tv_quadrature",
     "tv_quadrature_many", "uniform_jumps", "weighted_integral_statistic",
-    "find_intensity_bound",
+    "find_intensity_bound", "jump_case_of",
 ]

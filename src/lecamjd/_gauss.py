@@ -21,10 +21,6 @@ def norm_pdf(x, mean=0.0, sd=1.0):
     return np.exp(-0.5 * z * z) * (_INV_SQRT_2PI / sd)
 
 
-def norm_cdf(x, mean=0.0, sd=1.0):
-    return std_cdf((np.asarray(x, dtype=float) - mean) / sd)
-
-
 def std_pdf(z):
     z = np.asarray(z, dtype=float)
     return np.exp(-0.5 * z * z) * _INV_SQRT_2PI

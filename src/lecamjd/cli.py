@@ -10,7 +10,8 @@ filter
     optional ``t_i``); ``--kernel round`` needs no config, ``--kernel
     truncate`` rebuilds interval noise levels from ``--config``.
 bounds
-    Per-increment filtering bound table plus one aggregate row.
+    Per-increment filtering bound table plus one aggregate row; the
+    kernel follows from the jump law unless ``--kernel`` names one.
 convergence
     Bound sweep over ``--n-list`` grid sizes (ConvergenceRow columns).
 risk-transfer
@@ -51,10 +52,10 @@ from .distances import (bernoulli_aggregate_bound,
 from .experiments import (DEFAULT_EPSILON, DEFAULT_L, ConvergenceRow,
                           RiskRow, default_drift_estimator, run_convergence,
                           run_risk_transfer)
-from .kernels import TruncateResampleParams, apply_round_kernel, \
-    truncate_resample
-from .model import (ContinuousJumps, DiracJump, Grid, LatticeJumps,
-                    ModelSpec, QuadratureError, build_increment_summaries,
+from .kernels import (TruncateResampleParams, apply_round_kernel,
+                      jump_case_of, truncate_resample)
+from .model import (DiracJump, Grid, LatticeJumps, ModelSpec,
+                    QuadratureError, build_increment_summaries,
                     check_sigma_log_derivative, constant, gaussian_jumps,
                     linear, sine, uniform_jumps)
 from .simulate import RngStream, bin_jump_sums, sample_path
@@ -276,6 +277,15 @@ def _record_columns(records: list, cls) -> dict:
             for f in dataclasses.fields(cls)}
 
 
+def _jump_case(spec: ModelSpec) -> str:
+    """The jump case of the config's law; a law no kernel erases is a
+    config error."""
+    try:
+        return jump_case_of(spec.jump_law)
+    except ValueError as exc:
+        raise ConfigError(f"jump_law: {exc}") from None
+
+
 def _parse_n_list(raw: str) -> list[int]:
     try:
         values = [int(part) for part in raw.split(",") if part.strip()]
@@ -372,18 +382,19 @@ def _cmd_filter(args) -> int:
 
 def _cmd_bounds(args) -> int:
     spec, options = load_config(args.config)
+    kernel = args.kernel
+    if kernel != "bernoulli":
+        lattice = _jump_case(spec) == "lattice"
+        if kernel == ("truncate" if lattice else "round"):
+            raise ConfigError(f"--kernel {kernel} needs " + (
+                "a continuous" if lattice else "an integer-lattice")
+                + " jump law")
+        kernel = "round" if lattice else "truncate"
     grid = Grid.uniform(spec.horizon, options["n"])
     summaries = build_increment_summaries(spec, grid)
-    kernel = args.kernel
-    if kernel in (None, "auto"):
-        kernel = ("truncate" if isinstance(spec.jump_law, ContinuousJumps)
-                  else "round")
     if kernel == "round":
         report = discrete_kernel_aggregate_bound(summaries)
     elif kernel == "truncate":
-        if not isinstance(spec.jump_law, ContinuousJumps):
-            raise ConfigError(
-                "--kernel truncate needs a continuous jump law")
         report = continuous_kernel_aggregate_bound(
             summaries, args.L, args.epsilon, spec.jump_law)
     else:
@@ -404,9 +415,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_convergence(args) -> int:
     spec, options = load_config(args.config)
     n_list = _parse_n_list(args.n_list)
-    jump_case = ("continuous" if isinstance(spec.jump_law, ContinuousJumps)
-                 else "lattice")
-    rows = run_convergence(spec, n_list, jump_case, L=args.L,
+    rows = run_convergence(spec, n_list, _jump_case(spec), L=args.L,
                            epsilon=args.epsilon)
     _emit_csv(_record_columns(rows, ConvergenceRow), args.out)
     return 0
@@ -417,6 +426,8 @@ def _cmd_risk_transfer(args) -> int:
     n_list = _parse_n_list(args.n_list)
     if args.reps < 1:
         raise ConfigError("--reps must be at least 1")
+    if _jump_case(spec) != "lattice":
+        raise ConfigError("risk-transfer needs integer-lattice jumps")
     rows = run_risk_transfer(spec, default_drift_estimator, n_list,
                              args.reps, RngStream(args.seed))
     _emit_csv(_record_columns(rows, RiskRow), args.out)
@@ -498,6 +509,11 @@ def main(argv=None) -> int:
         if not 0 <= args.seed < 1 << 64:
             raise ConfigError(
                 f"--seed must be in [0, 2**64) (got {args.seed})")
+        if "L" in vars(args):  # the truncate kernel's options
+            try:
+                TruncateResampleParams(args.L, args.epsilon, sigma_i=1.0)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,11 +30,11 @@ from .distances import (bernoulli_aggregate_bound,
                         discrete_kernel_aggregate_bound,
                         hellinger_product_tv_bound, theorem_rate)
 from .kernels import (TruncateResampleParams, fold_density_to_lattice_cell,
-                      transfer_estimator, truncate_resample_pushforward)
+                      jump_case_of, transfer_estimator,
+                      truncate_resample_pushforward)
 from .laws import (bernoulli_density, gaussian_density,
                    increment_density_exact)
-from .model import (ContinuousJumps, DiracJump, Grid, HolderClassParams,
-                    IncrementSummaries, LatticeJumps, ModelSpec,
+from .model import (Grid, HolderClassParams, IncrementSummaries, ModelSpec,
                     build_increment_summaries)
 # tv_quadrature is unused here, but bench/tracing.py rebinds it by name
 from .oracle import tv_quadrature, tv_quadrature_many  # noqa: F401
@@ -87,24 +87,6 @@ def worker_count() -> int:
     return 1
 
 
-def _is_lattice_law(jump_law) -> bool:
-    if isinstance(jump_law, LatticeJumps):
-        return True
-    return (isinstance(jump_law, DiracJump)
-            and float(jump_law.location).is_integer())
-
-
-def _check_jump_case(spec: ModelSpec, jump_case: str) -> None:
-    if jump_case == "lattice":
-        if not _is_lattice_law(spec.jump_law):
-            raise ValueError("lattice case needs integer-lattice jumps")
-    elif jump_case == "continuous":
-        if not isinstance(spec.jump_law, ContinuousJumps):
-            raise ValueError("continuous case needs a jump size density")
-    else:
-        raise ValueError("jump_case must be 'lattice' or 'continuous'")
-
-
 def run_convergence(spec: ModelSpec, n_values, jump_case: str,
                     holder: HolderClassParams | None = None,
                     L: float = DEFAULT_L,
@@ -123,7 +105,12 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
     n_values = [int(n) for n in n_values]
     if len(n_values) == 0 or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
-    _check_jump_case(spec, jump_case)
+    if jump_case not in ("lattice", "continuous"):
+        raise ValueError("jump_case must be 'lattice' or 'continuous'")
+    if jump_case_of(spec.jump_law) != jump_case:
+        raise ValueError(f"{jump_case} case needs " + (
+            "integer-lattice jumps" if jump_case == "lattice"
+            else "a jump size density"))
     if holder is None:
         holder = HolderClassParams(alpha=1.0, M=1.0, B=1.0)
     rows: list[ConvergenceRow] = []
@@ -220,7 +207,7 @@ def run_risk_transfer(spec: ModelSpec, delta, n_values, replications: int,
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise ValueError("n_values must be non-empty")
-    if not _is_lattice_law(spec.jump_law):
+    if jump_case_of(spec.jump_law) != "lattice":
         raise ValueError(
             "transfer via the fractional-part filter needs integer jumps")
     rows: list[RiskRow] = []

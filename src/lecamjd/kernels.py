@@ -7,6 +7,7 @@ Two filters map jump-contaminated increments toward Gaussian ones:
 * truncate-and-resample, the identity on the closed ball ``[-beta, beta]``
   with an independent centered Gaussian redraw outside.
 
+Which one applies follows from the jump law (:func:`jump_case_of`).
 Both come with pushforward constructors on :class:`~lecamjd.laws.Density`
 so the quadrature oracle can measure exactly what each filter does to a
 law; a table with a row per interval is pushed forward row by row into
@@ -24,11 +25,13 @@ import numpy as np
 
 from ._quadrature import integrate
 from .laws import Density, MixtureTable
-from .model import Grid, as_time_function
+from .model import (ContinuousJumps, DiracJump, Grid, JumpLaw, LatticeJumps,
+                    as_time_function)
 from .oracle import integrate_rows
 from .simulate import PathSample, RngStream, bin_jump_sums
 
 __all__ = [
+    "jump_case_of",
     "round_to_lattice",
     "apply_round_kernel",
     "fold_density_to_lattice_cell",
@@ -39,6 +42,20 @@ __all__ = [
     "continuous_part",
     "weighted_integral_statistic",
 ]
+
+
+def jump_case_of(law: JumpLaw) -> str:
+    """``"lattice"`` for integer jumps, which the fractional-part map
+    erases; ``"continuous"`` for a jump density, which truncate-and-resample
+    erases.  Any other law (a Dirac jump off the integers) raises
+    ``ValueError``."""
+    if isinstance(law, LatticeJumps) or (
+            isinstance(law, DiracJump) and float(law.location).is_integer()):
+        return "lattice"
+    if isinstance(law, ContinuousJumps):
+        return "continuous"
+    raise ValueError(f"no kernel erases the jumps of {law!r}: they need "
+                     "integer-lattice sizes or a jump size density")
 
 
 def round_to_lattice(x):

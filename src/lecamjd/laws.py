@@ -379,7 +379,7 @@ def gaussian_density(m, s2) -> Density:
 def _poisson_weights(lam: np.ndarray, tail_tol: float) -> np.ndarray:
     """Weights ``e^{-lam} lam^k / k!``, a row per entry of ``lam``, for
     k = 0..K: a row is 0 past the term where its tail drops below tol."""
-    # math.exp, as np.exp may differ in the last bit
+    # math.exp, as in IncrementSummaries.alpha: the k = 1 terms equal it
     weights = [np.array([math.exp(-x) for x in lam.tolist()])]
     cum = weights[0]
     k = 0

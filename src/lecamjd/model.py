@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -256,8 +257,6 @@ class LatticeJumps(JumpLaw):
 class ContinuousJumps(JumpLaw):
     """Jump sizes with a Lebesgue density on a bounded effective support.
 
-    ``n1``/``n2`` record the near-zero envelope (density bounded by ``n2``
-    on ``[-1/n1, 1/n1]``) that the resampling-kernel bound integrates over.
     ``density`` must accept numpy arrays: quadrature evaluates it on whole
     node arrays, and a scalar-only callable raises.  Optional hooks supply
     a closed-form sampler, characteristic function, and k-fold jump sum;
@@ -269,8 +268,6 @@ class ContinuousJumps(JumpLaw):
 
     density: Callable
     support: tuple[float, float]
-    n1: float = 1.0
-    n2: float | None = None
     sampler: Callable | None = None
     cf_fn: Callable | None = None
     kfold_law: Callable | None = None
@@ -282,22 +279,11 @@ class ContinuousJumps(JumpLaw):
         if not lo < hi:
             raise ValueError("jump density support must be a proper interval")
         object.__setattr__(self, "support", (lo, hi))
-        if self.n1 <= 0:
-            raise ValueError("n1 must be positive")
         mass = integrate(self.density, lo, hi, epsabs=1e-11,
                          what="jump density mass")
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(
                 f"jump density integrates to {mass!r}, expected 1")
-        if self.n2 is None:
-            a, b = max(lo, -1.0 / self.n1), min(hi, 1.0 / self.n1)
-            if a < b:
-                probe = np.linspace(a, b, 513)
-                bound = float(np.max(np.asarray(self.density(probe),
-                                                dtype=float)))
-            else:
-                bound = 0.0
-            object.__setattr__(self, "n2", bound)
 
     def mean(self) -> float:
         lo, hi = self.support
@@ -355,7 +341,6 @@ def uniform_jumps(lo: float, hi: float) -> ContinuousJumps:
 
     return ContinuousJumps(
         density=_density, support=(lo, hi),
-        n1=1.0 / max(abs(lo), abs(hi), 1.0), n2=None,
         sampler=lambda gen, size: gen.uniform(lo, hi, size),
         cf_fn=_cf,
         kfold_law=lambda k: ("uniform", lo, hi) if k == 1 else None,
@@ -373,7 +358,6 @@ def gaussian_jumps(mean: float, sd: float) -> ContinuousJumps:
     return ContinuousJumps(
         density=lambda y: _gauss.norm_pdf(y, mu, s),
         support=(mu - 12.0 * s, mu + 12.0 * s),
-        n1=1.0, n2=None,
         sampler=lambda gen, size: gen.normal(mu, s, size),
         cf_fn=lambda u: np.exp(1j * np.asarray(u, dtype=float) * mu
                                - 0.5 * np.asarray(u, dtype=float) ** 2 * s * s),
@@ -511,29 +495,21 @@ class IncrementSummaries:
     """Per-interval summary integrals of a grid (arrays of length n).
 
     Scalars stand for a grid of one interval.  ``m`` must be finite,
-    ``sigma2`` finite and positive, ``lam`` finite and non-negative, and
-    ``alpha`` equal to ``lam * exp(-lam)`` to a relative 1e-13; a missing
-    ``alpha`` is computed per element as ``lam * math.exp(-lam)``.
+    ``sigma2`` finite and positive, and ``lam`` finite and non-negative.
+    ``alpha`` is derived from ``lam``, never passed.
     """
 
     m: np.ndarray
     sigma2: np.ndarray
     lam: np.ndarray
-    alpha: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("m", "sigma2", "lam", "alpha"):
-            value = getattr(self, name)
-            if value is None:
-                # math.exp, as np.exp may differ in the last bit; a negative
-                # lam, on which math.exp may overflow, is left to the checks
-                value = [lam * math.exp(-lam) if lam >= 0 else math.nan
-                         for lam in self.lam.tolist()]
-            arr = np.array(value, dtype=float, ndmin=1)
+        for name in ("m", "sigma2", "lam"):
+            arr = np.array(getattr(self, name), dtype=float, ndmin=1)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        m, sigma2, lam, alpha = self.m, self.sigma2, self.lam, self.alpha
-        if any(a.size != m.size for a in (sigma2, lam, alpha)) or not m.size:
+        m, sigma2, lam = self.m, self.sigma2, self.lam
+        if sigma2.size != m.size or lam.size != m.size or not m.size:
             raise ValueError("summary arrays must share a positive length")
         if not (abs(m) < math.inf).all():
             raise ValueError("m must be finite")
@@ -541,9 +517,15 @@ class IncrementSummaries:
             raise ValueError("sigma2 must be finite and positive")
         if not ((lam >= 0) & (lam < math.inf)).all():
             raise ValueError("lam must be finite and non-negative")
-        expected = lam * np.exp(-lam)
-        if not (abs(alpha - expected) <= 1e-13 * expected + 1e-300).all():
-            raise ValueError("alpha must equal lam * exp(-lam)")
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """One-jump probabilities ``lam * exp(-lam)`` by ``math.exp`` per
+        element: numpy's SIMD ``exp`` may differ in the last bit, and these
+        equal the k = 1 terms of the exact laws' Poisson series."""
+        arr = np.array([lam * math.exp(-lam) for lam in self.lam.tolist()])
+        arr.setflags(write=False)
+        return arr
 
     @property
     def n(self) -> int:
@@ -552,7 +534,7 @@ class IncrementSummaries:
     def interval(self, i: int) -> "IncrementSummaries":
         """Interval ``i`` as a grid of one."""
         return IncrementSummaries(self.m[[i]], self.sigma2[[i]],
-                                  self.lam[[i]], self.alpha[[i]])
+                                  self.lam[[i]])
 
     def scalars(self) -> tuple[float, float, float, float]:
         """``(m, sigma2, lam, alpha)`` of a grid of one interval."""
@@ -582,9 +564,7 @@ def build_increment_summaries(spec: ModelSpec, grid: Grid) -> IncrementSummaries
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError(f"{what} on [{a[i]:g}, {b[i]:g}]")
-    lam = np.maximum(lam, 0.0)
-    alpha = lam * np.exp(-lam)
-    return IncrementSummaries(m=m, sigma2=sigma2, lam=lam, alpha=alpha)
+    return IncrementSummaries(m=m, sigma2=sigma2, lam=np.maximum(lam, 0.0))
 
 
 def piecewise_drift(f, grid: Grid):

@@ -130,16 +130,15 @@ def test_criterion_05_truncate_resample_mc_lower_bound():
     worst_slack = math.inf
     for si, sig in enumerate((0.01, 0.03, 0.05)):
         for li, lam in enumerate((0.05, 0.2, 0.5)):
-            alpha = lam * math.exp(-lam)
             summaries = lj.IncrementSummaries(
-                m=[0.0], sigma2=[sig * sig], lam=[lam], alpha=[alpha])
+                m=[0.0], sigma2=[sig * sig], lam=[lam])
             term = float(
                 lj.continuous_kernel_aggregate_bound(summaries, L, eps, law)
                 .per_increment[0])
             base = lj.RngStream(20250816, (si * 3 + li) * 8)
             gen = base.generator()
             gauss = sig * gen.standard_normal(N)
-            has = gen.random(N) < alpha
+            has = gen.random(N) < summaries.alpha[0]
             jumps = np.where(has, gen.uniform(-10, 10, N), 0.0)
             params = lj.TruncateResampleParams(L=L, epsilon=eps,
                                                sigma_i=sig)

@@ -487,6 +487,30 @@ class TestBoundsCommand:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert {r["sigma_i"] for r in rows[:-1]} == {repr(0.05 / 4.0)}
 
+    @pytest.mark.parametrize("law, kernel", [
+        ({"kind": "dirac", "location": 0.5}, "auto"),
+        ({"kind": "dirac", "location": 0.5}, "round"),
+        ({"kind": "uniform", "low": 1.0, "high": 2.0}, "round"),
+    ])
+    def test_kernel_that_cannot_erase_the_law_is_config_error(
+            self, tmp_path, capsys, law, kernel):
+        # a Dirac jump at 0.5 (lam_i = 0.25) once got a fractional-part
+        # "bound" of 2.1e-8 per increment and exit 0, where the oracle TV
+        # of the folded laws is 0.197 per increment
+        cfg = write_config(tmp_path, {"jump_law": law, "n": 4})
+        assert main(["bounds", "--config", cfg, "--kernel", kernel]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+
+    def test_bernoulli_kernel_takes_any_law(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"jump_law": {"kind": "dirac",
+                                                   "location": 0.5},
+                                      "n": 4})
+        assert main(["bounds", "--config", cfg, "--kernel",
+                     "bernoulli"]) == 0
+        assert capsys.readouterr().out.count("\n") == 6
+
     def test_truncate_on_lattice_law_is_config_error(self, tmp_path,
                                                      capsys):
         cfg = write_config(tmp_path)
@@ -533,6 +557,35 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", cfg, "--n-list",
                      "16,8"]) == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+
+class TestJumpLawNoKernelErases:
+    """A Dirac jump at 0.5 is neither on the integer lattice nor a
+    density: no kernel erases it, so a sweep or a transfer over it is a
+    config error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--n-list", "4,8"],
+        ["risk-transfer", "--n-list", "8", "--reps", "2"],
+    ])
+    def test_exits_one_without_output(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, {"jump_law": {"kind": "dirac",
+                                                   "location": 0.5}})
+        assert main(argv + ["--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer-lattice" in captured.err
+
+    def test_risk_transfer_on_a_density_is_config_error(self, tmp_path,
+                                                        capsys):
+        cfg = write_config(tmp_path, {"jump_law": {"kind": "uniform",
+                                                   "low": 1.0,
+                                                   "high": 2.0}})
+        assert main(["risk-transfer", "--config", cfg, "--n-list", "8",
+                     "--reps", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer-lattice" in captured.err
 
 
 class TestRiskTransferCommand:
@@ -758,13 +811,11 @@ class TestNonFiniteSummaries:
 
 
 class TestNonFiniteKernelOptions:
-    """A non-finite drift cap is an error, never a CSV."""
+    """A drift cap or radius exponent the truncate kernel cannot take is
+    a config error, never a CSV."""
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("command", ["filter", "bounds", "convergence"])
-    def test_non_finite_L_exits_nonzero_without_output(self, tmp_path,
-                                                       capsys, command,
-                                                       value):
+    @staticmethod
+    def run(tmp_path, command, option, value):
         cfg = write_config(tmp_path, {"jump_law": {"kind": "gaussian",
                                                    "mean": 2.0, "sd": 0.5},
                                       "epsilon_n": 0.2, "n": 4})
@@ -776,10 +827,28 @@ class TestNonFiniteKernelOptions:
                 "bounds": ["bounds", "--config", cfg],
                 "convergence": ["convergence", "--config", cfg,
                                 "--n-list", "4,8"]}[command]
-        assert main(argv + ["--L", value]) != 0
+        return main(argv + [option, value])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["filter", "bounds", "convergence"])
+    def test_non_finite_L_exits_nonzero_without_output(self, tmp_path,
+                                                       capsys, command,
+                                                       value):
+        assert self.run(tmp_path, command, "--L", value) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "L must be finite" in captured.err
+
+    @pytest.mark.parametrize("value", ["0", "1", "nan"])
+    @pytest.mark.parametrize("command", ["filter", "bounds", "convergence"])
+    def test_epsilon_outside_zero_one_is_config_error(self, tmp_path,
+                                                      capsys, command,
+                                                      value):
+        assert self.run(tmp_path, command, "--epsilon", value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: epsilon must lie in "
+                                "(0, 1)\n")
 
 
 class TestValidateCommand:

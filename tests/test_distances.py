@@ -19,11 +19,7 @@ LAM_FOR_ALPHA_001 = 0.010101527198538754
 
 
 def summaries_from(m, sigma2, lam) -> lj.IncrementSummaries:
-    m = np.asarray(m, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    return lj.IncrementSummaries(m=m, sigma2=sigma2, lam=lam,
-                                 alpha=lam * np.exp(-lam))
+    return lj.IncrementSummaries(m=m, sigma2=sigma2, lam=lam)
 
 
 class TestTvGaussiansBound:

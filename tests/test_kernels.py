@@ -16,6 +16,23 @@ def std_phi(x, sd=1.0):
     return math.exp(-0.5 * (x / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
 
 
+class TestJumpCaseOf:
+    @pytest.mark.parametrize("law, case", [
+        (lj.DiracJump(1.0), "lattice"),
+        (lj.DiracJump(-3.0), "lattice"),
+        (lj.LatticeJumps((-1, 2), (0.5, 0.5)), "lattice"),
+        (lj.uniform_jumps(1.0, 2.0), "continuous"),
+        (lj.gaussian_jumps(0.5, 0.25), "continuous"),
+    ])
+    def test_the_law_decides_the_kernel(self, law, case):
+        assert lj.jump_case_of(law) == case
+
+    @pytest.mark.parametrize("law", [lj.DiracJump(0.5), lj.JumpLaw()])
+    def test_a_law_no_kernel_erases_is_refused(self, law):
+        with pytest.raises(ValueError, match="integer-lattice"):
+            lj.jump_case_of(law)
+
+
 class TestRoundToLattice:
     @pytest.mark.parametrize("x, want", [
         (1.7, -0.3), (0.3, 0.3), (-1.2, -0.2), (0.0, 0.0), (4.0, 0.0),

@@ -14,8 +14,7 @@ import lecamjd as lj
 
 
 def summ(m=0.0, sigma2=0.01, lam=0.1) -> lj.IncrementSummaries:
-    return lj.IncrementSummaries(m=m, sigma2=sigma2, lam=lam,
-                                 alpha=lam * math.exp(-lam))
+    return lj.IncrementSummaries(m=m, sigma2=sigma2, lam=lam)
 
 
 def components(d: lj.Density) -> list[tuple[float, float, float]]:
@@ -146,8 +145,7 @@ class TestBernoulliDensity:
 class TestIncrementCf:
     def test_dirac_closed_form(self):
         # exp(i u m - u^2 s2 / 2 + lam (e^{iu} - 1)) at u=1, m=0, s2=1
-        s = lj.IncrementSummaries(m=0.0, sigma2=1.0, lam=0.5,
-                                  alpha=0.5 * math.exp(-0.5))
+        s = lj.IncrementSummaries(m=0.0, sigma2=1.0, lam=0.5)
         got = lj.increment_cf(s, lj.DiracJump(1.0), 1.0)
         want = np.exp(-0.5 + 0.5 * (np.exp(1j) - 1.0))
         assert abs(got - want) < 1e-15

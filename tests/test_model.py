@@ -1,5 +1,6 @@
 """Time functions, jump laws, grids, and per-interval summary integrals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -238,10 +239,30 @@ class TestIncrementSummaries:
         with pytest.raises(ValueError, match="lam"):
             lj.IncrementSummaries(m=0.0, sigma2=1.0, lam=-800.0)
 
-    def test_alpha_consistency_enforced(self):
-        with pytest.raises(ValueError, match="alpha"):
-            lj.IncrementSummaries(m=np.zeros(2), sigma2=np.ones(2),
-                                  lam=np.full(2, 0.5), alpha=np.full(2, 0.5))
+    def test_alpha_is_derived_and_read_only(self):
+        with pytest.raises(TypeError, match="alpha"):
+            lj.IncrementSummaries(m=0.0, sigma2=1.0, lam=0.5, alpha=0.3)
+        s = lj.IncrementSummaries(m=0.0, sigma2=1.0, lam=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.alpha = np.array([0.3])
+        with pytest.raises(ValueError, match="read-only"):
+            s.alpha[0] = 0.3
+        assert s.alpha.tolist() == [0.5 * math.exp(-0.5)]
+
+    @given(rate=st.floats(0.01, 50.0), slope=st.floats(-0.9, 0.9),
+           n=st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_one_jump_weight_is_the_exact_k1_weight(self, rate, slope, n):
+        # alpha_i of the one-jump law and the k = 1 Poisson term of the
+        # exact law are one formula, bit for bit; a Dirac law puts the
+        # k = 1 term in column 1 of both tables
+        spec = make_spec(intensity=lj.linear(rate, rate * slope))
+        s = lj.build_increment_summaries(spec, lj.Grid.uniform(1.0, n))
+        law = lj.DiracJump(1.0)
+        exact = lj.increment_density_exact(s, law).table
+        bern = lj.bernoulli_density(s, law).table
+        assert np.array_equal(bern.weights[:, 1], exact.weights[:, 1])
+        assert np.array_equal(bern.weights[:, 1], s.alpha)
 
     def test_grid_beyond_horizon_rejected(self):
         spec = make_spec(horizon=0.5)

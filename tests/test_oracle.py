@@ -104,8 +104,7 @@ class TestTotalMass:
         assert abs(lj.total_mass(lj.gaussian_density(1.0, 2.0)) - 1.0) < 1e-10
 
     def test_exact_increment_density_mass(self):
-        s = lj.IncrementSummaries(m=0.0, sigma2=0.04, lam=0.2,
-                                  alpha=0.2 * math.exp(-0.2))
+        s = lj.IncrementSummaries(m=0.0, sigma2=0.04, lam=0.2)
         law = lj.LatticeJumps(np.array([-1.0, 2.0]), np.array([0.5, 0.5]))
         d = lj.increment_density_exact(s, law)
         assert abs(lj.total_mass(d) - 1.0) < 1e-10
@@ -125,8 +124,7 @@ class TestPanelSplitting:
 
     def test_uniform_density_edges_are_respected(self):
         law = lj.uniform_jumps(-1.0, 1.0)
-        s = lj.IncrementSummaries(m=0.0, sigma2=1e-6, lam=0.1,
-                                  alpha=0.1 * math.exp(-0.1))
+        s = lj.IncrementSummaries(m=0.0, sigma2=1e-6, lam=0.1)
         d = lj.increment_density_exact(s, law)
         assert abs(lj.total_mass(d) - 1.0) < 1e-8
 

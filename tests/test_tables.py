@@ -20,7 +20,7 @@ CONTINUOUS_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
                                jump_law=lj.gaussian_jumps(7.5, 0.5),
                                horizon=1.0)
 PINNED_CONTINUOUS = {
-    4: 0.6528839526638636,
+    4: 0.6528839526638637,
     8: 0.5657162868765996,
     16: 0.48169350488112456,
     32: 0.40660069149810857,
@@ -63,10 +63,9 @@ def grids(draw, max_rows=5):
     n = draw(st.integers(1, max_rows))
     floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n,  # noqa
                                      max_size=n)
-    lam = np.array(draw(floats(0.0, 2.0)))
     summaries = lj.IncrementSummaries(
-        m=draw(floats(-2.0, 2.0)), sigma2=draw(floats(1e-3, 1.0)), lam=lam,
-        alpha=lam * np.exp(-lam))
+        m=draw(floats(-2.0, 2.0)), sigma2=draw(floats(1e-3, 1.0)),
+        lam=draw(floats(0.0, 2.0)))
     return summaries, draw(st.sampled_from(sorted(LAWS)))
 
 
@@ -209,10 +208,9 @@ def test_grid_convolution_samples_once_per_variance(build):
         return np.where((y >= 0.0) & (y <= 1.0), 2.0 * y, 0.0)
 
     law = lj.ContinuousJumps(density=density, support=(0.0, 1.0))
-    lam = np.array([0.3, 0.5, 0.4])
     summaries = lj.IncrementSummaries(m=[0.0, 1.0, -1.0],
-                                      sigma2=[0.01, 0.01, 0.04], lam=lam,
-                                      alpha=lam * np.exp(-lam))
+                                      sigma2=[0.01, 0.01, 0.04],
+                                      lam=[0.3, 0.5, 0.4])
     calls.clear()  # the law samples its density when it is made
     d = build(summaries, law)
     assert len(calls) == 2
@@ -248,7 +246,7 @@ def test_mixed_width_rows_equal_their_one_row_tables_bitwise(sizes, seed, x):
 
 def test_paired_densities_need_the_same_rows():
     summaries = lj.IncrementSummaries(m=[0.0, 0.1], sigma2=[1.0, 1.0],
-                                      lam=[0.0, 0.0], alpha=[0.0, 0.0])
+                                      lam=[0.0, 0.0])
     with pytest.raises(ValueError, match="same rows"):
         lj.tv_quadrature_many([(lj.gaussian_density(summaries.m,
                                                     summaries.sigma2),
@@ -258,10 +256,9 @@ def test_paired_densities_need_the_same_rows():
 def test_uniform_grids_give_one_table():
     # the one-jump law of every interval is a row: a Gaussian plus a box
     law = lj.uniform_jumps(-1.0, 1.0)
-    lam = np.array([0.2, 0.0, 0.5])
     summaries = lj.IncrementSummaries(m=[0.0, 0.3, -1.0],
-                                      sigma2=[0.01, 0.02, 0.04], lam=lam,
-                                      alpha=lam * np.exp(-lam))
+                                      sigma2=[0.01, 0.02, 0.04],
+                                      lam=[0.2, 0.0, 0.5])
     d = lj.bernoulli_density(summaries, law)
     assert d.rows == 3
     np.testing.assert_array_equal(d.table.boxed, [True, False, True])
