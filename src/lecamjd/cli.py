@@ -8,7 +8,10 @@ simulate
 filter
     Apply a jump filter to an increment CSV (column ``increment``,
     optional ``t_i``); ``--kernel round`` needs no config, ``--kernel
-    truncate`` rebuilds interval noise levels from ``--config``.
+    truncate`` rebuilds interval noise levels from ``--config``.  Cells
+    are decimal float literals without underscores, read to the bits
+    ``float()`` gives; quoted cells are unquoted, blank lines skipped and
+    extra columns ignored.
 bounds
     Per-increment filtering bound table plus one aggregate row; the
     kernel follows from the jump law unless ``--kernel`` names one.
@@ -30,7 +33,10 @@ Exit codes: 0 success, 1 config error, 2 numerical failure.  Seeds lie
 in [0, 2**64); ``--reps`` and ``--n-list`` sizes are positive.  Output is
 deterministic for fixed (config, seed, flags): floats are rendered with
 ``repr``, integers with ``str``, and rows are in index order.  A column
-whose cells are all bitwise identical is rendered once and repeated.
+whose cells are all bitwise identical is rendered once and repeated, and
+a float cell with the bits of the same row of an earlier float column
+reuses that cell's text.  ``--L 0`` is a config error where the truncate
+bound is computed (``bounds``, ``convergence``).
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -227,17 +234,38 @@ def _field(text: str, alone: bool) -> str:
     return buf.getvalue()[:-1 if alone else -2]
 
 
+def _float_texts(values: np.ndarray, bits: np.ndarray, earlier: list) -> list:
+    """``repr`` of each float in ``values``.  A cell with the bits of the
+    same row of an earlier float column reuses that column's text;
+    ``earlier`` holds those columns as (bits, texts) pairs."""
+    texts, fresh = None, np.ones(values.size, dtype=bool)
+    for prev_bits, prev_texts in earlier:
+        if prev_bits.dtype != bits.dtype:  # equal bits, different values
+            continue
+        same = fresh & (bits == prev_bits)
+        if same.any():
+            if texts is None:
+                texts = np.empty(values.size, dtype=object)
+            texts[same] = np.array(prev_texts, dtype=object)[same]
+            fresh &= ~same
+    if texts is None:  # no cell matches
+        return list(map(repr, values.tolist()))
+    texts[fresh] = list(map(repr, values[fresh].tolist()))
+    return texts.tolist()
+
+
 def _emit_csv(columns: dict, out_path: str | None, last_row=None) -> None:
     """Write equal-length named columns, plus an optional row of text.
 
     Floats are rendered with ``repr``, everything else with ``str``, and
     text is quoted as ``csv.writer`` quotes it.  The body is one ``%``
-    format of a row template repeated once per row: ``%r`` for a float
-    column, ``%s`` for any other.  A column whose cells are all bitwise
-    identical is written into the template once, as literal text.
+    format of a row template repeated once per row.  A column whose cells
+    are all bitwise identical is written into the template once, as
+    literal text; a float cell with the bits of the same row of an
+    earlier float column reuses that cell's text.
     """
     alone = len(columns) == 1
-    fields, cells, rows = [], [], 0
+    fields, cells, floats, rows = [], [], [], 0
     for column in columns.values():
         arr = np.asarray(column)
         rows = arr.size
@@ -248,11 +276,14 @@ def _emit_csv(columns: dict, out_path: str | None, last_row=None) -> None:
         if rows and (bits == bits[0]).all():
             fields.append(_field(render(arr.item(0)), alone)
                           .replace("%", "%%"))
-        elif kind in "biuf":  # numbers are never quoted
-            fields.append("%r" if kind == "f" else "%s")
+            continue
+        fields.append("%s")
+        if kind == "f":
+            cells.append(_float_texts(arr, bits, floats))
+            floats.append((bits, cells[-1]))
+        elif kind in "biu":  # numbers are never quoted
             cells.append(arr.tolist())
         else:
-            fields.append("%s")
             cells.append([_field(str(v), alone) for v in arr.tolist()])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -284,6 +315,14 @@ def _jump_case(spec: ModelSpec) -> str:
         return jump_case_of(spec.jump_law)
     except ValueError as exc:
         raise ConfigError(f"jump_law: {exc}") from None
+
+
+def _check_bound_L(L: float) -> None:
+    """The truncate bound needs a positive drift cap; ``filter`` alone
+    takes ``--L 0``."""
+    if not L > 0:
+        raise ConfigError(
+            f"--L must be positive for the truncate bound (got {L!r})")
 
 
 def _parse_n_list(raw: str) -> list[int]:
@@ -319,31 +358,33 @@ def _cmd_simulate(args) -> int:
 def _read_increment_csv(path: str):
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [row for row in reader if row]  # blank lines skipped
-    except OSError as exc:
+            header = next(csv.reader(fh), [])
+            if "increment" not in header:
+                raise ConfigError(f"input {path} lacks an 'increment' column")
+            names = [name for name in ("increment", "t_i") if name in header]
+            # the last column of each name, as a header-keyed dict would keep
+            usecols = [len(header) - 1 - header[::-1].index(name)
+                       for name in names]
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", ".*input contained no data",
+                                        UserWarning)
+                try:
+                    # blank lines are skipped and quoted cells unquoted; a
+                    # cell reads to float()'s bits, but underscores and
+                    # non-ASCII digits are refused, as is a short row
+                    data = np.loadtxt(fh, delimiter=",", usecols=usecols,
+                                      ndmin=2, comments=None, quotechar='"',
+                                      dtype=float)
+                except UnicodeDecodeError:
+                    raise
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"input {path} has a non-numeric row: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read input {path}: {exc}") from exc
-
-    def column(name):
-        # the last column of that name, as a header-keyed dict would keep
-        i = len(header) - 1 - header[::-1].index(name)
-        try:
-            return np.array([float(row[i]) for row in rows])
-        except IndexError:
-            raise ConfigError(f"input {path} has a non-numeric row: a row "
-                              f"has no {name!r} field") from None
-        except ValueError as exc:
-            raise ConfigError(
-                f"input {path} has a non-numeric row: {exc}") from None
-
-    if "increment" not in header:
-        raise ConfigError(f"input {path} lacks an 'increment' column")
-    inc = column("increment")
-    times = column("t_i") if "t_i" in header else None
-    if inc.size == 0:
+    if data.shape[0] == 0:
         raise ConfigError(f"input {path} has no data rows")
-    return inc, times
+    return data[:, 0], (data[:, 1] if len(names) == 2 else None)
 
 
 def _cmd_filter(args) -> int:
@@ -390,6 +431,8 @@ def _cmd_bounds(args) -> int:
                 "a continuous" if lattice else "an integer-lattice")
                 + " jump law")
         kernel = "round" if lattice else "truncate"
+    if kernel == "truncate":
+        _check_bound_L(args.L)
     grid = Grid.uniform(spec.horizon, options["n"])
     summaries = build_increment_summaries(spec, grid)
     if kernel == "round":
@@ -415,7 +458,10 @@ def _cmd_bounds(args) -> int:
 def _cmd_convergence(args) -> int:
     spec, options = load_config(args.config)
     n_list = _parse_n_list(args.n_list)
-    rows = run_convergence(spec, n_list, _jump_case(spec), L=args.L,
+    case = _jump_case(spec)
+    if case == "continuous":
+        _check_bound_L(args.L)
+    rows = run_convergence(spec, n_list, case, L=args.L,
                            epsilon=args.epsilon)
     _emit_csv(_record_columns(rows, ConvergenceRow), args.out)
     return 0

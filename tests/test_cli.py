@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
-from lecamjd.cli import (ConfigError, _emit_csv, load_config, main,
-                         parse_config, serialize_config)
+from lecamjd.cli import (ConfigError, _emit_csv, _read_increment_csv,
+                         load_config, main, parse_config, serialize_config)
 
 BASE_CONFIG = {
     "drift": {"kind": "sine", "offset": 0.2, "amplitude": 0.1,
@@ -269,6 +269,35 @@ def csv_columns(draw):
     return columns
 
 
+#: floats whose texts are easy to confuse: 0.0 against -0.0, NaNs
+TRICKY_FLOATS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf,
+                                 5e-324])
+
+
+@st.composite
+def shared_float_columns(draw):
+    """Tables whose float columns share bits with a base row on some rows
+    and differ on others, mixed with integer and text columns."""
+    floats = TRICKY_FLOATS | st.floats(width=64)
+    rows = draw(st.integers(1, 6))
+    base = draw(st.lists(floats, min_size=rows, max_size=rows))
+    names = draw(st.lists(st.text(max_size=3), min_size=1, max_size=5,
+                          unique=True))
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(["float", "float", "float", "int", "text"]))
+        if kind == "float":
+            columns[name] = np.array(
+                [v if draw(st.booleans()) else draw(floats) for v in base])
+        elif kind == "int":
+            columns[name] = np.array(draw(st.lists(
+                st.integers(-9, 9), min_size=rows, max_size=rows)))
+        else:
+            columns[name] = draw(st.lists(st.text(max_size=3),
+                                          min_size=rows, max_size=rows))
+    return columns
+
+
 def emitted_csv(columns, last_row=None):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         _emit_csv(columns, None, last_row)
@@ -290,6 +319,18 @@ class TestEmitCsv:
     def test_bytes_match_row_by_row_writer(self, columns, last_row):
         assert emitted_csv(columns, last_row) == reference_csv(columns,
                                                                last_row)
+
+    @given(columns=shared_float_columns())
+    @example(columns={"a": np.array([0.0, 1.5]), "b": np.array([-0.0, 1.5]),
+                      "c": np.array([0.0, -0.0])})
+    # a float32 and a float64 column with equal bit patterns: 1.0 and
+    # 2.0 against two subnormals, four texts
+    @example(columns={"f": np.array([1.0, 2.0], dtype=np.float32),
+                      "d": np.array([0x3F800000, 0x40000000],
+                                    dtype=np.uint64).view(np.float64)})
+    @settings(max_examples=300, deadline=None)
+    def test_reused_float_texts_match_row_by_row_writer(self, columns):
+        assert emitted_csv(columns) == reference_csv(columns)
 
 
 class TestSimulateCommand:
@@ -404,6 +445,107 @@ class TestFilterCommand:
         path.write_text(text, encoding="utf-8")
         assert main(["filter", str(path)]) == 1
         assert message in capsys.readouterr().err
+
+
+    def test_underscore_in_a_number_is_config_error(self, tmp_path, capsys):
+        # float("1_0") is 10.0, but a CSV cell is a plain decimal literal
+        path = tmp_path / "inc.csv"
+        path.write_text("increment\n0.25\n1_0\n", encoding="utf-8")
+        assert main(["filter", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-numeric" in captured.err and "1_0" in captured.err
+
+    def test_no_data_rows_prints_one_line(self, tmp_path, run_python):
+        path = tmp_path / "inc.csv"
+        path.write_text("t_i,increment\n\n\n", encoding="utf-8")
+        proc = run_python("-W", "always", "-m", "lecamjd", "filter",
+                          str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"config error: input {path} has no data rows\n"
+
+    def test_undecodable_input_is_config_error(self, tmp_path, capsys):
+        # past the first block the text reader decodes, as at its start
+        path = tmp_path / "inc.csv"
+        path.write_bytes(b"increment\n" + b"0.5\n" * 50_000 + b"\xff\n")
+        assert main(["filter", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read input {path}: 'utf-8' codec")
+
+
+def reference_read(path):
+    """The reader ``np.loadtxt`` replaced: ``csv.reader`` rows and
+    ``float()`` per cell.  A short or non-numeric row raises IndexError or
+    ValueError."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+
+    def column(name):
+        i = len(header) - 1 - header[::-1].index(name)
+        return np.array([float(row[i]) for row in rows])
+
+    return column("increment"), column("t_i") if "t_i" in header else None
+
+
+@st.composite
+def float_cell(draw):
+    """Any float (NaN, +-inf, +-0.0, subnormals) as ``repr`` or ``%.17g``
+    writes it, quoted or not."""
+    value = draw(TRICKY_FLOATS | st.floats(width=64))
+    text = repr(value) if draw(st.booleans()) else "%.17g" % value
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+@st.composite
+def increment_files(draw):
+    """Increment CSV text: either column order, duplicate and extra
+    columns, ragged rows, blank lines, LF or CRLF, now and then a short
+    or whitespace-only row."""
+    names = ["increment"] + (["t_i"] if draw(st.booleans()) else [])
+    extras = draw(st.lists(st.sampled_from(["note", "increment", "t_i"]),
+                           max_size=2))
+    header = draw(st.permutations(names + extras))
+    words = st.text("ab ;.", max_size=3) | float_cell()
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 6))):
+        lines += [""] * draw(st.integers(0, 2))
+        row = [draw(float_cell()) for _ in header]
+        row += draw(st.lists(words, max_size=2))  # ragged extra columns
+        bad = draw(st.sampled_from([None] * 8 + ["short", "blank"]))
+        if bad == "short" and len(header) > 1:
+            row = row[:draw(st.integers(1, len(header) - 1))]
+        lines.append(" " if bad == "blank" else ",".join(row))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestReadIncrementCsv:
+    @given(text=increment_files())
+    @example(text='increment,t_i\r\n\r\n"-0.0",5e-324\r\nnan,-inf\n')
+    @example(text="t_i,increment\n0.5\n")
+    @example(text="increment\n0.25\n \n")
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_csv_reader_and_float(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inc.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            try:
+                want = reference_read(path)
+            except (IndexError, ValueError):
+                with pytest.raises(ConfigError, match="non-numeric row"):
+                    _read_increment_csv(path)
+                return
+            got = _read_increment_csv(path)
+        assert (got[1] is None) == (want[1] is None)
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g.dtype == np.float64 and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
 
 
 class TestBoundsCommand:
@@ -838,6 +980,21 @@ class TestNonFiniteKernelOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "L must be finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["bounds", "convergence"])
+    def test_zero_L_is_config_error_for_the_bound(self, tmp_path, capsys,
+                                                  command):
+        assert self.run(tmp_path, command, "--L", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: --L must be positive for "
+                                "the truncate bound (got 0.0)\n")
+
+    def test_zero_L_filters(self, tmp_path, capsys):
+        # L = 0 leaves a radius of sigma^(1 - epsilon): the filter runs
+        assert self.run(tmp_path, "filter", "--L", "0") == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "t_i,filtered_increment" and len(lines) == 5
 
     @pytest.mark.parametrize("value", ["0", "1", "nan"])
     @pytest.mark.parametrize("command", ["filter", "bounds", "convergence"])
