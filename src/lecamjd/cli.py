@@ -402,6 +402,9 @@ def _cmd_filter(args) -> int:
                 grid = Grid(np.concatenate(([0.0], times)))
             except ValueError as exc:
                 raise ConfigError(f"t_i column: {exc}") from exc
+            if grid.horizon > spec.horizon + 1e-12:
+                raise ConfigError(f"t_i column runs to {grid.horizon:g}, "
+                                  f"past the config horizon {spec.horizon:g}")
         else:
             grid = Grid.uniform(spec.horizon, inc.size)
         if grid.n != inc.size:

@@ -178,15 +178,15 @@ def truncate_resample(x, params: TruncateResampleParams, rng: RngStream):
 
     Accepts a scalar or an array.  The deterministic branch consumes no
     randomness; redraws are Normal(0, sigma_i^2), one per escaped entry in
-    order.
+    order, each with its own entry's sigma_i when that is an array.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = x_arr.copy()
     escaped = params.escaped(x_arr)
     k = int(np.count_nonzero(escaped))
     if k:
-        gen = rng.generator()
-        out[escaped] = params.sigma_i * gen.standard_normal(k)
+        sigma = np.broadcast_to(params.sigma_i, x_arr.shape)[escaped]
+        out[escaped] = sigma * rng.generator().standard_normal(k)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -403,10 +403,10 @@ def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
     weights are positive and sum to 1 along each row, a row with fewer
     components than the widest padded with weight 0; and ``box``, ``None``
     or a uniform sum as ``(height, lo, hi)`` with its ends shifted by each
-    row's ``m`` (it then carries weight 1 alone).  A law with no closed
-    form for the sum goes through :func:`_grid_convolution`, which keeps
-    its j-fold masses in ``chains`` from one ``k`` to the next and gives
-    right components to the ``live`` rows only.
+    row's ``m`` (it then carries weight 1 alone).  A sum with no closed
+    form extends a :func:`_self_convolution` chain kept in ``chains`` from
+    one ``k`` to the next: a lattice law's pmf, or the masses of
+    :func:`_grid_convolution`, which are right for the ``live`` rows only.
     """
     sd = np.sqrt(s2)[:, None]
     m = m[:, None]
@@ -416,7 +416,10 @@ def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
     if isinstance(jump_law, DiracJump):
         return m + k * jump_law.location, sd, one, None
     if isinstance(jump_law, LatticeJumps):
-        support, pmf = jump_law.kfold_pmf(k)
+        low = min(jump_law.values)  # the pmf on the integers from low up
+        seed = (np.bincount(np.subtract(jump_law.values, low), jump_law.probs),
+                np.arange(low, max(jump_law.values) + 1.0))
+        pmf, support = _self_convolution(chains.setdefault(None, [seed]), k)
         keep = pmf > 1e-300
         means = m + support[keep]
         return (means, np.broadcast_to(sd, means.shape),
@@ -436,6 +439,19 @@ def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
     raise TypeError(f"unsupported jump law {type(jump_law).__name__}")
 
 
+def _self_convolution(chain: list, k: int):
+    """``chain[k - 1]``, the k-fold sum of the ``(masses, nodes)`` of
+    ``chain[0]`` on evenly spaced nodes: ``chain[j]`` holds the (j + 1)-fold
+    sum, and the missing entries are appended, one convolution each."""
+    base, ys = chain[0]
+    while len(chain) < k:
+        acc, offs = chain[-1]
+        acc = np.convolve(acc, base)
+        chain.append((acc, np.linspace(offs[0] + ys[0], offs[-1] + ys[-1],
+                                       acc.size)))
+    return chain[k - 1]
+
+
 def _grid_convolution(law: ContinuousJumps, k: int, m: np.ndarray,
                       s2: np.ndarray, live: np.ndarray, chains: dict):
     """Fallback k-fold self convolution on a trapezoid grid.
@@ -452,8 +468,7 @@ def _grid_convolution(law: ContinuousJumps, k: int, m: np.ndarray,
     group = np.searchsorted(variances, s2).clip(max=variances.size - 1)
     offsets, masses = [], []
     for v in variances.tolist():
-        chain = chains.setdefault(v, [])
-        if not chain:
+        if v not in chains:
             lo, hi = law.support
             step = min((hi - lo) / 1024.0, math.sqrt(v) / 8.0)
             npts = int(math.ceil((hi - lo) / step)) + 1
@@ -462,14 +477,8 @@ def _grid_convolution(law: ContinuousJumps, k: int, m: np.ndarray,
             w = np.full(npts, ys[1] - ys[0])
             w[0] *= 0.5
             w[-1] *= 0.5
-            chain.append((dens * w, ys))
-        base, ys = chain[0]
-        while len(chain) < k:
-            acc, offs = chain[-1]
-            acc = np.convolve(acc, base)
-            chain.append((acc, np.linspace(offs[0] + ys[0],
-                                           offs[-1] + ys[-1], acc.size)))
-        acc, offs = chain[k - 1]
+            chains[v] = [(dens * w, ys)]
+        acc, offs = _self_convolution(chains[v], k)
         total = acc.sum()
         if total <= 0:
             raise ValueError("grid convolution lost all mass")

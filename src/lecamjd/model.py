@@ -238,20 +238,6 @@ class LatticeJumps(JumpLaw):
         return gen.choice(np.asarray(self.values, dtype=float),
                           p=probs, size=int(size))
 
-    def kfold_pmf(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Support and masses of the sum of ``k`` independent copies."""
-        if k == 0:
-            return np.array([0.0]), np.array([1.0])
-        vmin, vmax = min(self.values), max(self.values)
-        base = np.zeros(vmax - vmin + 1)
-        for v, p in zip(self.values, self.probs):
-            base[v - vmin] = p
-        acc = base
-        for _ in range(k - 1):
-            acc = np.convolve(acc, base)
-        support = np.arange(k * vmin, k * vmax + 1, dtype=float)
-        return support, acc
-
 
 @dataclass(frozen=True)
 class ContinuousJumps(JumpLaw):
@@ -293,19 +279,19 @@ class ContinuousJumps(JumpLaw):
     def cf(self, u):
         if self.cf_fn is not None:
             return self.cf_fn(u)
+        # one panel per frequency, each integrated on its own
         u = np.asarray(u, dtype=float)
         lo, hi = self.support
-
-        def _one(uu: float) -> complex:
-            re = integrate(lambda y: self.density(y) * np.cos(uu * y),
-                           lo, hi, epsabs=1e-11, what="jump cf (real)")
-            im = integrate(lambda y: self.density(y) * np.sin(uu * y),
-                           lo, hi, epsabs=1e-11, what="jump cf (imag)")
-            return complex(re, im)
-
+        flat = u.ravel()
+        re, im = (integrate(lambda y, j: self.density(y) * wave(flat[j] * y),
+                            np.full(u.shape, lo), hi, epsabs=1e-11,
+                            what=f"jump cf ({part})", by_panel=True)
+                  for wave, part in ((np.cos, "real"), (np.sin, "imag")))
         if u.ndim == 0:
-            return _one(float(u))
-        return np.array([_one(float(uu)) for uu in u])
+            return complex(re, im)
+        out = re.astype(complex)
+        out.imag = im
+        return out
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         if self.sampler is not None:

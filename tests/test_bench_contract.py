@@ -1,32 +1,38 @@
-"""The package names that the benchmark harness reaches into by name.
+"""The package names and call forms that the benchmark harness relies on.
 
 ``bench/tracing.py`` rebinds layer entry points of ``lecamjd.experiments``
 and ``lecamjd.cli`` and wraps the ``pdf`` field of the densities they
-return; ``bench/run.py`` reads ``lecamjd.experiments.worker_count``.
-Renaming or deleting any of these breaks only traced benchmark runs, so
-they are checked here.
+return; ``bench/run.py`` reads ``lecamjd.experiments.worker_count``; and
+``bench/workloads.py`` calls the two experiment drivers with positional
+arguments on the specs of ``bench/specs.py`` and reads fields of their
+rows.  Changing any of these breaks only benchmark runs, so they are
+checked here.
 """
 
 import dataclasses
 import importlib.util
+import math
 import pathlib
+import sys
 
 import lecamjd.cli
 import lecamjd.experiments
 from lecamjd.laws import Density
+from lecamjd.simulate import RngStream
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_exists():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     for module, spans in ((lecamjd.experiments, tracing._EXPERIMENT_SPANS),
                           (lecamjd.cli, tracing._CLI_SPANS)):
         missing = [name for names in spans.values() for name in names
@@ -41,3 +47,28 @@ def test_worker_count_exists():
 def test_density_has_a_pdf_field():
     assert dataclasses.is_dataclass(Density)
     assert "pdf" in {f.name for f in dataclasses.fields(Density)}
+
+
+def test_sweep_call_form_and_row_fields(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # specs prepends src
+    specs = load_bench("specs")
+    for case, spec in (("continuous", specs.continuous_spec()),
+                       ("lattice", specs.lattice_spec())):
+        # jump_case positional, as the sweep workloads pass it
+        rows = lecamjd.experiments.run_convergence(spec, [4], case)
+        assert len(rows) == 1 and rows[0].n == 4
+        for name in ("oracle_product_bound", "aggregate_bound",
+                     "rate_prediction", "delta_n"):
+            assert math.isfinite(getattr(rows[0], name)), (case, name)
+
+
+def test_risk_call_form_and_row_fields(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    specs = load_bench("specs")
+    rows = lecamjd.experiments.run_risk_transfer(
+        specs.risk_spec(), lecamjd.experiments.default_drift_estimator, [4],
+        2, RngStream(0, 0))
+    assert len(rows) == 1 and rows[0].n == 4 and rows[0].replications == 2
+    for name in ("mise_direct_gaussian", "mise_transferred",
+                 "mise_naive_on_jumps"):
+        assert math.isfinite(getattr(rows[0], name)), name

@@ -404,6 +404,19 @@ class TestFilterCommand:
         # noise sd is 0.05 / 2, so redraws are tiny compared to the inputs
         assert abs(vals[1]) < 1.0 and abs(vals[3]) < 1.0
 
+    def test_times_past_the_horizon_are_config_error(self, tmp_path,
+                                                     capsys):
+        # the fifth time is 1.25, past the config's horizon of 1
+        cfg = write_config(tmp_path, {"n": 5})
+        inc = self.write_increments(tmp_path, [0.1, 5.0, -0.05, -9.0, 0.2],
+                                    with_times=True)
+        assert main(["filter", inc, "--kernel", "truncate", "--config",
+                     cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: t_i column runs to 1.25, "
+                                "past the config horizon 1\n")
+
     def test_non_numeric_row_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "inc.csv"
         path.write_text("increment\nabc\n", encoding="utf-8")

@@ -183,6 +183,18 @@ class TestTruncateResample:
         assert stat > 0.01
         del p
 
+    def test_array_sigma_redraws_each_entry_at_its_own_scale(self):
+        sigma = np.array([0.1, 0.2, 0.3, 0.4])
+        params = lj.TruncateResampleParams(L=1.0 / 3.0, epsilon=0.5,
+                                           sigma_i=sigma)
+        x = np.array([0.0, 5.0, 0.1, -7.0])
+        got = lj.truncate_resample(x, params, lj.RngStream(1))
+        escaped = np.array([False, True, False, True])
+        want = x.copy()
+        want[escaped] = sigma[escaped] * (
+            lj.RngStream(1).generator().standard_normal(2))
+        np.testing.assert_array_equal(got, want)
+
     def test_mean_zero_after_heavy_truncation(self):
         params = lj.TruncateResampleParams(L=0.01, epsilon=0.5, sigma_i=0.5)
         x = np.full(50_000, 3.0)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lecamjd as lj
+from lecamjd import laws
 
 
 def summ(m=0.0, sigma2=0.01, lam=0.1) -> lj.IncrementSummaries:
@@ -188,22 +189,47 @@ class TestIncrementCf:
             lj.increment_cf(s, lj.DiracJump(1.0), 1.0)
 
 
-class TestKfoldPmf:
-    def test_twofold_convolution(self):
+TABLE_FIELDS = ("means", "sds", "weights", "size", "box_weight", "box_lo",
+                "box_hi", "box_sd")
+
+
+class TestKfoldChain:
+    def test_twofold_lattice_term(self):
         law = lj.LatticeJumps(np.array([-1.0, 2.0]), np.array([0.5, 0.5]))
-        support, probs = law.kfold_pmf(2)
-        got = {int(v): p for v, p in zip(support, probs) if p > 0}
-        assert got == {-2: 0.25, 1: 0.5, 4: 0.25}
+        # weights (0, 0, 1) keep the k = 2 term alone
+        t = laws._kfold_table(summ(m=0.0), law,
+                              np.array([[0.0, 0.0, 1.0]])).table
+        k = t.size[0]
+        got = dict(zip(t.means[0, :k].tolist(), t.weights[0, :k].tolist()))
+        assert got == {-2.0: 0.25, 1.0: 0.5, 4.0: 0.25}
 
-    def test_zerofold_is_point_mass_at_zero(self):
-        law = lj.LatticeJumps(np.array([3.0]), np.array([1.0]))
-        support, probs = law.kfold_pmf(0)
-        np.testing.assert_array_equal(support, [0.0])
-        np.testing.assert_array_equal(probs, [1.0])
+    @pytest.mark.parametrize("law", [
+        lj.LatticeJumps((2, -1, 0), (0.2, 0.5, 0.3)),
+        lj.ContinuousJumps(
+            density=lambda y: np.where((y >= 0.0) & (y <= 1.0), 2.0 * y, 0.0),
+            support=(0.0, 1.0))])
+    def test_one_convolution_per_term(self, law, monkeypatch):
+        s = lj.IncrementSummaries(m=[0.0, 1.0], sigma2=[0.04, 0.04],
+                                  lam=[3.0, 8.0])
+        last = laws._poisson_weights(s.lam, 1e-12).shape[1] - 1
+        calls = []
+        convolve = np.convolve
 
-    def test_masses_sum_to_one(self):
-        law = lj.LatticeJumps(np.array([-2.0, 0.0, 1.0]),
-                              np.array([0.2, 0.5, 0.3]))
-        for k in (1, 2, 5):
-            _, probs = law.kfold_pmf(k)
-            assert abs(probs.sum() - 1.0) < 1e-12
+        def spy(a, v):
+            calls.append(a.size)
+            return convolve(a, v)
+
+        monkeypatch.setattr(np, "convolve", spy)
+        lj.increment_density_exact(s, law)
+        assert last > 20
+        assert len(calls) == last - 1
+
+    def test_repeated_values_merge(self):
+        s = summ(m=0.1, sigma2=0.04, lam=2.0)
+        got = lj.increment_density_exact(
+            s, lj.LatticeJumps((1, 1, 2), (0.25, 0.25, 0.5))).table
+        want = lj.increment_density_exact(
+            s, lj.LatticeJumps((1, 2), (0.5, 0.5))).table
+        for name in TABLE_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert abs(lj.total_mass(lj.Density(got)) - 1.0) < 1e-10

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import lecamjd as lj
-from lecamjd.model import as_time_function, from_callable, integral_of
+from lecamjd.model import (as_time_function, from_callable, integral_of,
+                           integral_of_square)
 
 INV_E = math.exp(-1.0)
 
@@ -68,10 +69,23 @@ class TestTimeFunctions:
         tf = from_callable(lambda t: np.asarray(t) ** 2)
         assert abs(integral_of(tf, 0.0, 1.0, name="f") - 1.0 / 3.0) < 1e-10
 
+    def test_square_integral_falls_back_to_quadrature(self):
+        tf = from_callable(lambda t: 0.2 - 0.3 * np.asarray(t))
+        a, b = np.array([0.0, 0.1, 0.5]), np.array([1.0, 0.9, 0.75])
+        got = integral_of_square(tf, a, b, name="f")
+        want = lj.linear(0.2, -0.3).square_integral(a, b)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_as_time_function_accepts_scalars(self):
         tf = as_time_function(2.5)
         assert tf(0.9) == 2.5
         assert tf.label == "constant"
+
+
+#: a jump law with no cf, sampler or k-fold hook: every fallback runs
+RAMP = lj.ContinuousJumps(
+    density=lambda y: np.where((y >= 0.0) & (y <= 1.0), 2.0 * y, 0.0),
+    support=(0.0, 1.0))
 
 
 class TestJumpLaws:
@@ -118,6 +132,27 @@ class TestJumpLaws:
         assert lo < 7.5 - 5 * 0.5 and hi > 7.5 + 5 * 0.5
         mass = integrate.quad(lambda y: float(law.density(y)), lo, hi)[0]
         assert abs(mass - 1.0) < 1e-9
+
+    def test_fallback_cf_matches_closed_form(self):
+        u = np.array([-3.0, -0.5, 0.7, 2.0, 10.0])
+        iu = 1j * u
+        # the cf of density 2y on [0, 1], integrated by parts
+        want = 2.0 * (np.exp(iu) / iu - (np.exp(iu) - 1.0) / iu ** 2)
+        got = RAMP.cf(u)
+        assert got.dtype == complex and got.shape == u.shape
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        # one call for many frequencies gives each one's own integral
+        assert [RAMP.cf(float(v)) for v in u] == got.tolist()
+        assert RAMP.cf(0.0) == 1.0 + 0.0j
+
+    def test_fallback_sampler_moments(self):
+        # density 2y on [0, 1]: mean 2/3, variance 1/18, P(Y < 1/2) = 1/4
+        size = 40_000
+        y = RAMP.sample(lj.RngStream(8).generator(), size)
+        assert y.shape == (size,) and 0.0 <= y.min() and y.max() <= 1.0
+        assert abs(y.mean() - 2.0 / 3.0) < 4.0 * math.sqrt(1.0 / 18 / size)
+        assert abs(np.mean(y < 0.5) - 0.25) < 4.0 * math.sqrt(
+            0.25 * 0.75 / size)
 
     def test_uniform_jumps_needs_proper_interval(self):
         with pytest.raises(ValueError):
