@@ -30,13 +30,14 @@ laws are ``{"kind": "dirac", "location": x}``, ``{"kind": "lattice",
 "high": b}``, or ``{"kind": "gaussian", "mean": m, "sd": s}``.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure.  Seeds lie
-in [0, 2**64); ``--reps`` and ``--n-list`` sizes are positive.  Output is
-deterministic for fixed (config, seed, flags): floats are rendered with
-``repr``, integers with ``str``, and rows are in index order.  A column
-whose cells are all bitwise identical is rendered once and repeated, and
-a float cell with the bits of the same row of an earlier float column
-reuses that cell's text.  ``--L 0`` is a config error where the truncate
-bound is computed (``bounds``, ``convergence``).
+in [0, 2**64); ``--reps`` is positive, and ``--n-list`` sizes are
+positive and strictly increasing.  Output is deterministic for fixed
+(config, seed, flags): floats are rendered with ``repr``, integers with
+``str``, and rows are in index order.  A column whose cells are all
+bitwise identical is rendered once and repeated, and a float cell with
+the bits of the same row of an earlier float column reuses that cell's
+text.  ``--L 0`` is a config error where the truncate bound is computed
+(``bounds``, ``convergence``).
 """
 
 from __future__ import annotations
@@ -334,6 +335,8 @@ def _parse_n_list(raw: str) -> list[int]:
         raise ConfigError("--n-list must name at least one grid size")
     if min(values) < 1:
         raise ConfigError("--n-list grid sizes must be positive")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError("--n-list grid sizes must be strictly increasing")
     return values
 
 
@@ -409,7 +412,7 @@ def _cmd_filter(args) -> int:
             grid = Grid.uniform(spec.horizon, inc.size)
         if grid.n != inc.size:
             raise ConfigError("t_i column and increment count disagree")
-        sigma = np.sqrt(build_increment_summaries(spec, grid).sigma2)
+        sigma = build_increment_summaries(spec, grid).sigma
         params = TruncateResampleParams(args.L, args.epsilon, sigma)
         rng = RngStream(args.seed)
         # rows inside the ball pass through; escaped row i redraws from
@@ -450,7 +453,7 @@ def _cmd_bounds(args) -> int:
     aggregate = repr(float(report.aggregate))
     _emit_csv({"i": np.arange(1, summaries.n + 1),
                "lambda_i": summaries.lam,
-               "sigma_i": np.sqrt(summaries.sigma2), "m_i": summaries.m,
+               "sigma_i": summaries.sigma, "m_i": summaries.m,
                "per_increment_bound": report.per_increment,
                "formula_name": [report.formula_name] * summaries.n},
               args.out, last_row=("aggregate", "", "", "", aggregate,
@@ -532,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convergence", help="bound sweep over grid sizes")
     common(p_conv)
     p_conv.add_argument("--n-list", required=True,
-                        help="comma-separated grid sizes, increasing")
+                        help="comma-separated grid sizes, strictly increasing")
     truncate_options(p_conv)
     p_conv.set_defaults(handler=_cmd_convergence)
 
@@ -540,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="estimator transfer comparison")
     common(p_risk)
     p_risk.add_argument("--n-list", required=True,
-                        help="comma-separated grid sizes")
+                        help="comma-separated grid sizes, strictly increasing")
     p_risk.add_argument("--reps", type=int, default=100,
                         help="Monte Carlo replications per grid size")
     p_risk.set_defaults(handler=_cmd_risk_transfer)

@@ -186,7 +186,7 @@ def discrete_kernel_aggregate_bound(
     increments violating the drift condition, and increments where the
     formula itself exceeds the trivial ceiling 1, are flagged in warnings.
     """
-    sig = np.sqrt(summaries.sigma2)
+    sig = summaries.sigma
     per = ((6.0 / sig) * _gauss.std_pdf(1.0 / (6.0 * sig))
            + 4.0 * _gauss.std_cdf(-1.0 / (6.0 * sig)))
     warnings = (_flagged(np.abs(summaries.m) > 1.0 / 3.0, "|m_i| > 1/3",
@@ -217,7 +217,7 @@ def continuous_kernel_aggregate_bound(
     if not isinstance(jump_law, ContinuousJumps):
         raise TypeError("truncate-and-resample bound needs a continuous "
                         "jump law with a density")
-    sig = np.sqrt(summaries.sigma2)
+    sig = summaries.sigma
     beta = TruncateResampleParams(L, epsilon, sig).beta
     if not L > 0:
         raise ValueError(f"L must be positive (got {L!r})")

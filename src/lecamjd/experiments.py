@@ -87,6 +87,15 @@ def worker_count() -> int:
     return 1
 
 
+def _grid_sizes(n_values) -> list[int]:
+    """``n_values`` as ints, checked to be non-empty and strictly
+    increasing, so that no grid size gets two rows."""
+    sizes = [int(n) for n in n_values]
+    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("n_values must be strictly increasing")
+    return sizes
+
+
 def run_convergence(spec: ModelSpec, n_values, jump_case: str,
                     holder: HolderClassParams | None = None,
                     L: float = DEFAULT_L,
@@ -102,9 +111,7 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
     step compares two tables built from the grid's summary arrays, a row
     per interval, and integrates all their TVs as a second batch.
     """
-    n_values = [int(n) for n in n_values]
-    if len(n_values) == 0 or any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise ValueError("n_values must be strictly increasing")
+    n_values = _grid_sizes(n_values)
     if jump_case not in ("lattice", "continuous"):
         raise ValueError("jump_case must be 'lattice' or 'continuous'")
     if jump_case_of(spec.jump_law) != jump_case:
@@ -140,7 +147,7 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
                     fold_density_to_lattice_cell(target))
         else:
             params = TruncateResampleParams(L=L, epsilon=epsilon,
-                                            sigma_i=np.sqrt(summaries.sigma2))
+                                            sigma_i=summaries.sigma)
             pair = (truncate_resample_pushforward(approx, params), target)
         per_tv = np.minimum(1.0, bern_tv + tv_quadrature_many([pair]))
         oracle_product = hellinger_product_tv_bound(per_tv)
@@ -176,19 +183,32 @@ def default_drift_estimator(increments, grid: Grid) -> np.ndarray:
     if inc.size != n:
         raise ValueError("need one increment per grid interval")
     raw = inc / grid.deltas
-    window = max(1, math.ceil(n ** (1.0 / 3.0)))
-    kernel = np.ones(window)
-    num = np.convolve(raw, kernel, mode="same")
-    den = np.convolve(np.ones(n), kernel, mode="same")
+    window = max(1, math.ceil(n ** (1.0 / 3.0)))  # never above n
+    num = np.convolve(raw, np.ones(window), mode="same")
+    # den[j] counts the window positions inside [0, n): the exact integers,
+    # hence the bits, that np.convolve(np.ones(n), np.ones(window), "same")
+    # gives; the window overhangs `lead` entries left and `trail` right
+    trail = (window - 1) // 2
+    lead = window - 1 - trail
+    den = np.full(n, float(window))
+    den[:lead] -= np.arange(lead, 0, -1)
+    den[n - trail:] -= np.arange(1, trail + 1)
     return num / den
 
 
-def _integrated_squared_error(estimate: np.ndarray, f_at_times: np.ndarray,
-                              grid: Grid) -> float:
-    """Trapezoid integral of (estimate - f)^2 on the observation grid."""
-    left = (estimate - f_at_times[:-1]) ** 2
-    right = (estimate - f_at_times[1:]) ** 2
-    return float(np.sum(grid.deltas * 0.5 * (left + right)))
+def _squared_error_scorer(f_at_times: np.ndarray, grid: Grid):
+    """Scorer of per-interval estimates: the trapezoid integral of
+    (estimate - f)^2 on the observation grid.  The two endpoint slices of
+    f and ``grid.deltas * 0.5`` are made once per grid."""
+    f_left, f_right = f_at_times[:-1], f_at_times[1:]
+    half_deltas = grid.deltas * 0.5
+
+    def score(estimate: np.ndarray) -> float:
+        left = (estimate - f_left) ** 2
+        right = (estimate - f_right) ** 2
+        return float(np.sum(half_deltas * (left + right)))
+
+    return score
 
 
 def run_risk_transfer(spec: ModelSpec, delta, n_values, replications: int,
@@ -204,9 +224,7 @@ def run_risk_transfer(spec: ModelSpec, delta, n_values, replications: int,
     """
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    n_values = [int(n) for n in n_values]
-    if not n_values:
-        raise ValueError("n_values must be non-empty")
+    n_values = _grid_sizes(n_values)
     if jump_case_of(spec.jump_law) != "lattice":
         raise ValueError(
             "transfer via the fractional-part filter needs integer jumps")
@@ -215,20 +233,22 @@ def run_risk_transfer(spec: ModelSpec, delta, n_values, replications: int,
         grid = Grid.uniform(spec.horizon, n)
         summaries = build_increment_summaries(spec, grid)
         f_at_times = np.asarray(spec.drift(grid.times), dtype=float)
+        score = _squared_error_scorer(f_at_times, grid)
 
         results = []
         for rep in range(replications):
             base = (ni * replications + rep) * 4
-            path = sample_path(spec, grid, summaries, rng.child(base))
+            increments = sample_path(spec, grid, summaries,
+                                     rng.child(base)).increments
             wn = sample_white_noise_increments(spec, grid, summaries,
                                                rng.child(base + 1))
-            obs = spec.initial + np.concatenate(
-                ([0.0], np.cumsum(path.increments)))
-            direct = delta(wn, grid)
-            transferred = transfer_estimator(lambda v: delta(v, grid), obs)
-            naive = delta(np.diff(obs), grid)
-            results.append([_integrated_squared_error(est, f_at_times, grid)
-                            for est in (direct, transferred, naive)])
+            obs = spec.initial + np.concatenate(([0.0], np.cumsum(increments)))
+            # direct, transferred, naive: each estimate is scored as soon
+            # as it is made, so at most one is held at a time
+            results.append([
+                score(delta(wn, grid)),
+                score(transfer_estimator(lambda v: delta(v, grid), obs)),
+                score(delta(np.diff(obs), grid))])
         arr = np.asarray(results)  # ordered by replication index
         rows.append(RiskRow(
             n=n,

@@ -117,8 +117,15 @@ class MixtureTable:
                            ("box_hi", float), ("box_sd", float)):
             shape = (rows, width) if name in ("means", "sds", "weights") \
                 else (rows,)
-            value = np.broadcast_to(np.asarray(getattr(self, name),
-                                               dtype=kind), shape)
+            value = getattr(self, name)
+            if (type(value) is np.ndarray and value.dtype == kind
+                    and value.shape == shape):
+                # a full array needs only a read-only view: broadcasting
+                # it costs several times as much and gives the same bytes
+                value = value.view()
+                value.setflags(write=False)
+            else:
+                value = np.broadcast_to(np.asarray(value, dtype=kind), shape)
             object.__setattr__(self, name, value)
 
     @property

@@ -403,13 +403,16 @@ class Grid:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    @property
+    @cached_property
     def deltas(self) -> np.ndarray:
-        return np.diff(self.times)
+        """Interval lengths ``np.diff(times)``, computed once, read-only."""
+        arr = np.diff(self.times)
+        arr.setflags(write=False)
+        return arr
 
     @property
     def mesh(self) -> float:
-        return float(np.max(np.diff(self.times)))
+        return float(np.max(self.deltas))
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +440,9 @@ class ModelSpec:
     intensity_max:
         Optional known upper bound for the intensity; when missing, samplers
         find one by a dense scan with a safety factor.
+
+    ``intensity_bound``, the samplers' dominating rate, is derived once per
+    spec, never passed.
     """
 
     drift: TimeFunction
@@ -475,6 +481,17 @@ class ModelSpec:
     def sigma_n(self, t):
         return self.epsilon_n * np.asarray(self.sigma(t), dtype=float)
 
+    @cached_property
+    def intensity_bound(self) -> float:
+        """Dominating rate: ``intensity_max`` if declared, else the maximum
+        of a 4097-point scan of the intensity, padded by 5 %.  The scan
+        runs once per spec, however many paths are sampled from it."""
+        if self.intensity_max is not None:
+            return float(self.intensity_max)
+        probe = np.linspace(0.0, self.horizon, 4097)
+        peak = float(np.max(np.asarray(self.intensity(probe), dtype=float)))
+        return max(peak, 0.0) * 1.05  # __post_init__ lets rates dip to -1e-12
+
 
 @dataclass(frozen=True)
 class IncrementSummaries:
@@ -482,7 +499,8 @@ class IncrementSummaries:
 
     Scalars stand for a grid of one interval.  ``m`` must be finite,
     ``sigma2`` finite and positive, and ``lam`` finite and non-negative.
-    ``alpha`` is derived from ``lam``, never passed.
+    ``alpha`` is derived from ``lam`` and ``sigma`` from ``sigma2``, never
+    passed.
     """
 
     m: np.ndarray
@@ -510,6 +528,13 @@ class IncrementSummaries:
         element: numpy's SIMD ``exp`` may differ in the last bit, and these
         equal the k = 1 terms of the exact laws' Poisson series."""
         arr = np.array([lam * math.exp(-lam) for lam in self.lam.tolist()])
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Noise sds ``np.sqrt(sigma2)``, computed once, read-only."""
+        arr = np.sqrt(self.sigma2)
         arr.setflags(write=False)
         return arr
 

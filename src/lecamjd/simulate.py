@@ -3,8 +3,9 @@
 The continuous part of an increment is drawn exactly from its Gaussian law
 (no Euler stepping, hence no discretization bias in any distance check);
 jumps come from an inhomogeneous Poisson process sampled by thinning with a
-dominating constant rate.  The white-noise and one-jump experiments reuse
-the same summary integrals.
+dominating constant rate, found once per spec (a declared bound, or one
+scan of the intensity) however many paths are drawn.  The white-noise and
+one-jump experiments reuse the same summary integrals.
 
 Randomness is supplied through :class:`RngStream`, a (seed, stream_id) pair
 mapped to a counter-based Philox generator.  A fresh generator is built per
@@ -134,12 +135,12 @@ def _thinned_times(gen, intensity, lambda_max: float, horizon: float):
 
 
 def find_intensity_bound(spec: ModelSpec) -> float:
-    """Dominating rate: the declared bound or a padded dense-scan maximum."""
-    if spec.intensity_max is not None:
-        return float(spec.intensity_max)
-    probe = np.linspace(0.0, spec.horizon, 4097)
-    peak = float(np.max(np.asarray(spec.intensity(probe), dtype=float)))
-    return max(peak, 0.0) * 1.05  # ModelSpec lets rates dip to -1e-12
+    """Dominating rate: the declared bound or a padded dense-scan maximum.
+
+    This is ``spec.intensity_bound``: the scan runs once per spec, not once
+    per sampled path.
+    """
+    return spec.intensity_bound
 
 
 def bin_jump_sums(times: np.ndarray, jump_times: np.ndarray,
@@ -154,7 +155,7 @@ def bin_jump_sums(times: np.ndarray, jump_times: np.ndarray,
 
 
 def _gaussian_parts(gen, summaries: IncrementSummaries, n: int) -> np.ndarray:
-    return summaries.m + np.sqrt(summaries.sigma2) * gen.standard_normal(n)
+    return summaries.m + summaries.sigma * gen.standard_normal(n)
 
 
 def sample_path(spec: ModelSpec, grid: Grid, summaries: IncrementSummaries,

@@ -707,11 +707,14 @@ class TestConvergenceCommand:
                      "4,apple"]) == 1
         assert "--n-list" in capsys.readouterr().err
 
-    def test_unordered_n_list_is_numerical_failure(self, tmp_path, capsys):
+    def test_unordered_n_list_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["convergence", "--config", cfg, "--n-list",
-                     "16,8"]) == 2
-        assert "strictly increasing" in capsys.readouterr().err
+                     "16,8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: --n-list grid sizes must be "
+                                "strictly increasing\n")
 
 
 class TestJumpLawNoKernelErases:
@@ -822,6 +825,13 @@ class TestArgumentErrors:
          "--n-list grid sizes must be positive"),
         (["convergence", "--n-list=-4,8"],
          "--n-list grid sizes must be positive"),
+        # a repeated size used to give two different risk rows, exit 0
+        (["convergence", "--n-list", "8,8"],
+         "--n-list grid sizes must be strictly increasing"),
+        (["risk-transfer", "--n-list", "8,8", "--reps", "2"],
+         "--n-list grid sizes must be strictly increasing"),
+        (["risk-transfer", "--n-list", "16,8", "--reps", "2"],
+         "--n-list grid sizes must be strictly increasing"),
     ])
     def test_exits_one_without_output(self, tmp_path, capsys, argv,
                                       message):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lecamjd as lj
 from lecamjd.experiments import DEFAULT_EPSILON, DEFAULT_L
@@ -198,9 +200,11 @@ class TestRunRiskTransfer:
         with pytest.raises(ValueError, match="at least 1"):
             lj.run_risk_transfer(self.SPEC, lj.default_drift_estimator,
                                  [16], 0, lj.RngStream(0))
-        with pytest.raises(ValueError, match="n_values"):
-            lj.run_risk_transfer(self.SPEC, lj.default_drift_estimator,
-                                 [], 4, lj.RngStream(0))
+        for n_values in ([], [16, 16], [32, 16]):
+            with pytest.raises(ValueError,
+                               match="n_values must be strictly increasing"):
+                lj.run_risk_transfer(self.SPEC, lj.default_drift_estimator,
+                                     n_values, 4, lj.RngStream(0))
         cont = lj.ModelSpec(drift=lj.constant(0.2), sigma=lj.constant(1.0),
                             epsilon_n=0.05, intensity=lj.constant(1.0),
                             jump_law=lj.uniform_jumps(0.0, 1.0), horizon=1.0)
@@ -249,3 +253,45 @@ class TestRunRiskTransfer:
                                         [n], 40, lj.RngStream(11))
             mises.append(rows[0].mise_direct_gaussian)
         assert mises[0] > mises[1] > mises[2]
+
+    #: (direct, transferred, naive) at criterion 7's spec, the one the
+    #: risk-mc benchmark runs, with 250 replications on stream (7, i)
+    PINNED = {256: (0.09217859004786082, 0.09082513306396618,
+                    36.07609676518253),
+              1024: (0.2329354202836634, 0.23441413068024047,
+                     94.6511262277083),
+              4096: (0.6380758638092195, 0.6404427746082816,
+                     252.6330271703769)}
+
+    @pytest.mark.parametrize("i, n", enumerate(PINNED))
+    def test_benchmark_risks_are_pinned(self, i, n):
+        (row,) = lj.run_risk_transfer(self.SPEC, lj.default_drift_estimator,
+                                      [n], 250, lj.RngStream(7, i))
+        assert row.n == n and row.replications == 250
+        assert (row.mise_direct_gaussian, row.mise_transferred,
+                row.mise_naive_on_jumps) == self.PINNED[n]
+
+
+def two_convolution_estimate(increments, grid):
+    """The drift estimator as first written: the edge renormalization is a
+    second convolution, of ones, with the same window."""
+    n = grid.n
+    kernel = np.ones(max(1, math.ceil(n ** (1.0 / 3.0))))
+    return (np.convolve(increments / np.diff(grid.times), kernel, "same")
+            / np.convolve(np.ones(n), kernel, "same"))
+
+
+@given(n=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1),
+       horizon=st.floats(0.01, 100.0), scale=st.floats(1e-6, 1e3))
+@example(n=1, seed=0, horizon=1.0, scale=1.0)
+@example(n=2, seed=0, horizon=1.0, scale=1.0)
+@example(n=27, seed=0, horizon=1.0, scale=1.0)  # 27 ** (1/3) > 3
+@example(n=4096, seed=0, horizon=1.0, scale=1.0)
+@settings(max_examples=150, deadline=None)
+def test_drift_estimator_equals_two_convolutions_bitwise(n, seed, horizon,
+                                                         scale):
+    grid = lj.Grid.uniform(horizon, n)
+    increments = scale * np.random.default_rng(seed).standard_normal(n)
+    got = lj.default_drift_estimator(increments, grid)
+    assert got.tobytes() == two_convolution_estimate(increments,
+                                                     grid).tobytes()

@@ -181,6 +181,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.times[0] = 3.0
 
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 1.0, 1025),
+                                       np.array([0.0, 0.1, 0.35, 0.4, 1.3])])
+    def test_deltas_are_diff_computed_once_and_read_only(self, times):
+        g = lj.Grid(times)
+        assert g.deltas.tobytes() == np.diff(times).tobytes()
+        assert g.deltas is g.deltas
+        assert g.mesh == float(np.max(np.diff(times)))
+        with pytest.raises(ValueError, match="read-only"):
+            g.deltas[0] = 3.0
+
 
 class TestModelSpecValidation:
     def test_positive_epsilon_and_horizon(self):
@@ -283,6 +293,14 @@ class TestIncrementSummaries:
         with pytest.raises(ValueError, match="read-only"):
             s.alpha[0] = 0.3
         assert s.alpha.tolist() == [0.5 * math.exp(-0.5)]
+
+    def test_sigma_is_sqrt_sigma2_and_read_only(self):
+        s = lj.IncrementSummaries(m=np.zeros(3), sigma2=[0.3, 2.0, 1e-9],
+                                  lam=np.zeros(3))
+        assert s.sigma.tobytes() == np.sqrt(s.sigma2).tobytes()
+        assert s.sigma is s.sigma
+        with pytest.raises(ValueError, match="read-only"):
+            s.sigma[0] = 1.0
 
     @given(rate=st.floats(0.01, 50.0), slope=st.floats(-0.9, 0.9),
            n=st.integers(1, 64))

@@ -6,6 +6,7 @@ correct implementation fails any single check with probability well
 under 1e-4.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -156,6 +157,25 @@ class TestFindIntensityBound:
         spec = unit_spec(intensity=lj.sine(2.0, 1.0, 3.0))
         bound = lj.find_intensity_bound(spec)
         assert 3.0 <= bound <= 3.3
+
+    def test_scan_runs_once_per_spec(self):
+        rate = lj.sine(2.0, 1.0, 3.0)
+        probes = []
+
+        def spy(t):
+            probes.append(np.size(t))
+            return rate.fn(t)
+
+        spec = unit_spec(intensity=dataclasses.replace(rate, fn=spy))
+        grid = lj.Grid.uniform(1.0, 16)
+        summaries = lj.build_increment_summaries(spec, grid)
+        for rep in range(25):
+            lj.sample_path(spec, grid, summaries, lj.RngStream(3, rep))
+        assert probes.count(4097) == 1
+        # the bound of the scan as it ran before it was cached
+        peak = float(np.max(rate(np.linspace(0.0, 1.0, 4097))))
+        assert lj.find_intensity_bound(spec) == max(peak, 0.0) * 1.05
+        assert probes.count(4097) == 1
 
 
 class TestSamplePath:

@@ -267,3 +267,39 @@ def test_uniform_grids_give_one_table():
     np.testing.assert_array_equal(d.table.box_weight,
                                   [summaries.alpha[0] / 2.0, 0.0,
                                    summaries.alpha[2] / 2.0])
+
+
+TABLE_FIELDS = [f.name for f in dataclasses.fields(MixtureTable) if f.init]
+
+
+def test_every_table_field_is_read_only():
+    # full arrays of the right dtype take the view path, scalars and lists
+    # the broadcast path; both must give the same read-only bytes and
+    # leave the caller's arrays writable
+    full = {"means": np.array([[0.0, 1.0], [2.0, 3.0]]),
+            "sds": np.ones((2, 2)), "weights": np.full((2, 2), 0.5),
+            "size": np.array([2, 1], dtype=np.intp),
+            "beta": np.array([np.inf, 1.5]), "mass": np.zeros(2),
+            "resample_sd": np.array([0.0, 0.3]),
+            "fold": np.array([False, True]), "box_weight": np.zeros(2),
+            "box_lo": np.zeros(2), "box_hi": np.zeros(2),
+            "box_sd": np.ones(2)}
+    assert sorted(full) == sorted(TABLE_FIELDS)
+    loose = {name: value.tolist() for name, value in full.items()}
+    loose.update(sds=1.0, mass=0.0, box_sd=1.0)
+    tables = [MixtureTable(**full), MixtureTable(**loose),
+              MixtureTable(means=[0.0, 1.0], sds=1.0, weights=0.5),
+              lj.bernoulli_density(
+                  lj.IncrementSummaries(m=[0.0, 0.1], sigma2=[1.0, 0.5],
+                                        lam=[0.2, 0.4]),
+                  LAWS["uniform"]).table]
+    for table in tables:
+        for name in TABLE_FIELDS:
+            value = getattr(table, name)
+            assert not value.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = value
+    for name in TABLE_FIELDS:
+        assert (getattr(tables[0], name).tobytes()
+                == getattr(tables[1], name).tobytes()), name
+        assert full[name].flags.writeable, name
