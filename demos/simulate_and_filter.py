@@ -35,7 +35,7 @@ for i in range(grid.n):
 # the decomposition is exact, not approximate
 assert np.allclose(path.increments, path.gaussian_parts + jump_sums)
 
-filtered = lj.apply_round_kernel(path.increments)
+filtered = lj.round_to_lattice(path.increments)
 contaminated = np.abs(path.increments - path.gaussian_parts) > 0.5
 print(f"\n{int(contaminated.sum())} of {grid.n} increments carry a jump.")
 print("worst |filtered - gaussian part|:",

@@ -22,6 +22,11 @@ risk-transfer
 validate
     Parse and check a config; silent on success.
 
+``--seed`` is taken by ``simulate``, ``filter`` and ``risk-transfer``, the
+subcommands that draw random numbers; ``--out`` (write the CSV there, not
+to standard output) by every subcommand but ``validate``, which writes
+nothing.  A subcommand declares only the flags it reads.
+
 Configs are JSON.  Time functions are ``{"kind": "constant", "value": v}``,
 ``{"kind": "linear", "intercept": a, "slope": b}``, or ``{"kind": "sine",
 "offset": c, "amplitude": a, "angular_frequency": w, "phase": p}``; jump
@@ -29,7 +34,9 @@ laws are ``{"kind": "dirac", "location": x}``, ``{"kind": "lattice",
 "values": [...], "probs": [...]}``, ``{"kind": "uniform", "low": a,
 "high": b}``, or ``{"kind": "gaussian", "mean": m, "sd": s}``.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure.  Seeds lie
+Exit codes: 0 success, 1 config error, 2 numerical failure.  A usage
+error (a missing or unknown flag, a value of the wrong type or not among
+the choices) is a config error, reported on one stderr line.  Seeds lie
 in [0, 2**64); ``--reps`` is positive, and ``--n-list`` sizes are
 positive and strictly increasing.  Output is deterministic for fixed
 (config, seed, flags): floats are rendered with ``repr``, integers with
@@ -60,8 +67,8 @@ from .distances import (bernoulli_aggregate_bound,
 from .experiments import (DEFAULT_EPSILON, DEFAULT_L, ConvergenceRow,
                           RiskRow, default_drift_estimator, run_convergence,
                           run_risk_transfer)
-from .kernels import (TruncateResampleParams, apply_round_kernel,
-                      jump_case_of, truncate_resample)
+from .kernels import (TruncateResampleParams, jump_case_of,
+                      round_to_lattice, truncate_resample)
 from .model import (DiracJump, Grid, LatticeJumps, ModelSpec,
                     QuadratureError, build_increment_summaries,
                     check_sigma_log_derivative, constant, gaussian_jumps,
@@ -393,7 +400,7 @@ def _read_increment_csv(path: str):
 def _cmd_filter(args) -> int:
     inc, times = _read_increment_csv(args.input)
     if args.kernel == "round":
-        filtered = apply_round_kernel(inc)
+        filtered = round_to_lattice(inc)
     else:
         if args.config is None:
             raise ConfigError(
@@ -491,74 +498,72 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are config errors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+#: every flag a subcommand can take, with its argparse settings
+_FLAGS = {
+    "--config": dict(required=True, help="JSON config path"),
+    "--seed": dict(type=int, default=0,
+                   help="base seed, an integer in [0, 2**64)"),
+    "--out": dict(default=None,
+                  help="write CSV here instead of standard output"),
+    "--n-list": dict(required=True,
+                     help="comma-separated grid sizes, strictly increasing"),
+    "--L": dict(type=float, default=DEFAULT_L,
+                help="drift cap for the truncate kernel"),
+    "--epsilon": dict(type=float, default=DEFAULT_EPSILON,
+                      help="radius exponent for the truncate kernel"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lecamjd",
         description="Jump-experiment simulation, filtering, and bound tables")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="JSON config path")
-        p.add_argument("--seed", type=int, default=0,
-                       help="base seed, an integer in [0, 2**64)")
-        p.add_argument("--out", default=None,
-                       help="write CSV here instead of standard output")
+    def command(name, handler, summary, *flags):
+        """A subcommand taking ``flags`` (keys of ``_FLAGS``)."""
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    def truncate_options(p):
-        p.add_argument("--L", type=float, default=DEFAULT_L,
-                       help="drift cap for the truncate kernel")
-        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                       help="radius exponent for the truncate kernel")
-
-    p_sim = sub.add_parser("simulate", help="sample one observed path")
-    common(p_sim)
-    p_sim.set_defaults(handler=_cmd_simulate)
-
-    p_filt = sub.add_parser("filter", help="filter an increment CSV")
+    command("simulate", _cmd_simulate, "sample one observed path",
+            "--config", "--seed", "--out")
+    p_filt = command("filter", _cmd_filter, "filter an increment CSV",
+                     "--seed", "--out", "--L", "--epsilon")
     p_filt.add_argument("input", help="CSV with an 'increment' column")
-    common(p_filt, config_required=False)
+    p_filt.add_argument("--config", help="JSON config path (truncate only)")
     p_filt.add_argument("--kernel", choices=["round", "truncate"],
                         default="round")
-    truncate_options(p_filt)
-    p_filt.set_defaults(handler=_cmd_filter)
-
-    p_bounds = sub.add_parser("bounds",
-                              help="per-increment filtering bound table")
-    common(p_bounds)
+    p_bounds = command("bounds", _cmd_bounds,
+                       "per-increment filtering bound table",
+                       "--config", "--out", "--L", "--epsilon")
     p_bounds.add_argument("--kernel",
                           choices=["auto", "round", "truncate", "bernoulli"],
                           default="auto")
-    truncate_options(p_bounds)
-    p_bounds.set_defaults(handler=_cmd_bounds)
-
-    p_conv = sub.add_parser("convergence", help="bound sweep over grid sizes")
-    common(p_conv)
-    p_conv.add_argument("--n-list", required=True,
-                        help="comma-separated grid sizes, strictly increasing")
-    truncate_options(p_conv)
-    p_conv.set_defaults(handler=_cmd_convergence)
-
-    p_risk = sub.add_parser("risk-transfer",
-                            help="estimator transfer comparison")
-    common(p_risk)
-    p_risk.add_argument("--n-list", required=True,
-                        help="comma-separated grid sizes, strictly increasing")
+    command("convergence", _cmd_convergence, "bound sweep over grid sizes",
+            "--config", "--out", "--n-list", "--L", "--epsilon")
+    p_risk = command("risk-transfer", _cmd_risk_transfer,
+                     "estimator transfer comparison",
+                     "--config", "--seed", "--out", "--n-list")
     p_risk.add_argument("--reps", type=int, default=100,
                         help="Monte Carlo replications per grid size")
-    p_risk.set_defaults(handler=_cmd_risk_transfer)
-
-    p_val = sub.add_parser("validate", help="check a config and exit")
-    common(p_val)
-    p_val.set_defaults(handler=_cmd_validate)
+    command("validate", _cmd_validate, "check a config and exit", "--config")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if not 0 <= args.seed < 1 << 64:
+        args = _build_parser().parse_args(argv)
+        if "seed" in vars(args) and not 0 <= args.seed < 1 << 64:
             raise ConfigError(
                 f"--seed must be in [0, 2**64) (got {args.seed})")
         if "L" in vars(args):  # the truncate kernel's options

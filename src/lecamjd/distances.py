@@ -18,7 +18,7 @@ never exceeds 1 but rate fits act on the raw series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,20 +51,28 @@ _VACUOUS = ("a per-increment term >= 1", "the bound is vacuous there")
 class BoundReport:
     """Aggregated bound with its per-increment pieces.
 
-    ``aggregate`` is the raw value ``sqrt(2 * per_increment.sum())`` and can
-    exceed 1; ``aggregate_clamped`` caps it at the trivial total variation
-    ceiling.
+    The report derives what it reports from ``per_increment``; builders
+    pass only the terms, the formula name and their own warnings.
+    ``aggregate`` is the raw value ``sqrt(2 * per_increment.sum())``,
+    computed once, and can exceed 1; ``aggregate_clamped`` caps it at the
+    trivial total variation ceiling.  ``warnings`` holds the builder's
+    warnings, then one counting the vacuous rows (a per-increment term
+    >= 1) if there are any.
     """
 
     per_increment: np.ndarray
-    aggregate: float
     formula_name: str
     warnings: tuple[str, ...] = ()
+    aggregate: float = field(init=False)
 
     def __post_init__(self):
         arr = np.asarray(self.per_increment, dtype=float).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "per_increment", arr)
+        with np.errstate(over="ignore"):  # a sum of huge finite terms
+            object.__setattr__(self, "aggregate", _aggregate(arr))
+        object.__setattr__(self, "warnings", tuple(self.warnings)
+                           + _flagged(arr >= 1.0, *_VACUOUS))
 
     @property
     def aggregate_clamped(self) -> float:
@@ -171,9 +179,7 @@ def bernoulli_aggregate_bound(summaries: IncrementSummaries) -> BoundReport:
     """
     with np.errstate(over="ignore"):
         per = 2.0 * summaries.lam ** 2
-        return BoundReport(per_increment=per, aggregate=_aggregate(per),
-                           formula_name="bernoulli_count",
-                           warnings=_flagged(per >= 1.0, *_VACUOUS))
+    return BoundReport(per_increment=per, formula_name="bernoulli_count")
 
 
 def discrete_kernel_aggregate_bound(
@@ -189,12 +195,11 @@ def discrete_kernel_aggregate_bound(
     sig = summaries.sigma
     per = ((6.0 / sig) * _gauss.std_pdf(1.0 / (6.0 * sig))
            + 4.0 * _gauss.std_cdf(-1.0 / (6.0 * sig)))
-    warnings = (_flagged(np.abs(summaries.m) > 1.0 / 3.0, "|m_i| > 1/3",
-                         "the wrap-around bound is not guaranteed there")
-                + _flagged(per >= 1.0, *_VACUOUS))
-    return BoundReport(per_increment=per, aggregate=_aggregate(per),
+    return BoundReport(per_increment=per,
                        formula_name="fractional_part_filter",
-                       warnings=warnings)
+                       warnings=_flagged(
+                           np.abs(summaries.m) > 1.0 / 3.0, "|m_i| > 1/3",
+                           "the wrap-around bound is not guaranteed there"))
 
 
 def continuous_kernel_aggregate_bound(
@@ -235,9 +240,8 @@ def continuous_kernel_aggregate_bound(
     per = (8.0 * _gauss.std_cdf(-sig ** (-epsilon))
            + summaries.alpha * np.abs(summaries.m) / (_SQRT2 * sig)
            + 2.0 * summaries.alpha * tail)
-    return BoundReport(per_increment=per, aggregate=_aggregate(per),
-                       formula_name="truncate_resample_filter",
-                       warnings=_flagged(per >= 1.0, *_VACUOUS))
+    return BoundReport(per_increment=per,
+                       formula_name="truncate_resample_filter")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .model import (Grid, HolderClassParams, IncrementSummaries, ModelSpec,
                     build_increment_summaries)
 # tv_quadrature is unused here, but bench/tracing.py rebinds it by name
 from .oracle import tv_quadrature, tv_quadrature_many  # noqa: F401
-from .simulate import (RngStream, sample_path, sample_white_noise_increments)
+from .simulate import RngStream, sample_path, sample_white_noise_increments
 
 __all__ = [
     "ConvergenceRow",
@@ -240,8 +240,7 @@ def run_risk_transfer(spec: ModelSpec, delta, n_values, replications: int,
             base = (ni * replications + rep) * 4
             increments = sample_path(spec, grid, summaries,
                                      rng.child(base)).increments
-            wn = sample_white_noise_increments(spec, grid, summaries,
-                                               rng.child(base + 1))
+            wn = sample_white_noise_increments(summaries, rng.child(base + 1))
             obs = spec.initial + np.concatenate(([0.0], np.cumsum(increments)))
             # direct, transferred, naive: each estimate is scored as soon
             # as it is made, so at most one is held at a time

@@ -33,7 +33,6 @@ from .simulate import PathSample, RngStream, bin_jump_sums
 __all__ = [
     "jump_case_of",
     "round_to_lattice",
-    "apply_round_kernel",
     "fold_density_to_lattice_cell",
     "TruncateResampleParams",
     "truncate_resample",
@@ -67,11 +66,6 @@ def round_to_lattice(x):
     x_arr = np.asarray(x, dtype=float)
     out = x_arr - np.rint(x_arr)
     return float(out) if np.ndim(x) == 0 else out
-
-
-def apply_round_kernel(samples) -> np.ndarray:
-    """Coordinatewise fractional-part filter."""
-    return np.asarray(round_to_lattice(np.asarray(samples, dtype=float)))
 
 
 def _fold_table(t: MixtureTable) -> MixtureTable:
@@ -226,11 +220,17 @@ def transfer_estimator(delta, observations):
     obs = np.asarray(observations, dtype=float)
     if obs.ndim != 1 or obs.size < 2:
         raise ValueError("observations must be a 1-d sample of length >= 2")
-    return delta(apply_round_kernel(np.diff(obs)))
+    return delta(round_to_lattice(np.diff(obs)))
 
 
 def continuous_part(path: PathSample) -> np.ndarray:
-    """Increments with the simulator's known jumps removed exactly."""
+    """Increments with the simulator's known jumps subtracted.
+
+    This is what an observer who sees the jumps recovers: exactly
+    ``path.gaussian_parts`` on intervals without a jump, and elsewhere
+    within one unit in the last place of the observed increment, since
+    ``(g + J) - J`` need not give back ``g`` bit for bit.
+    """
     return path.increments - bin_jump_sums(path.times, path.jump_times,
                                            path.jump_sizes)
 

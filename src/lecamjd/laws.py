@@ -569,7 +569,7 @@ def increment_cf(summary: IncrementSummaries, jump_law: JumpLaw, u):
     ``exp(lam_i * (ghat(u) - 1))`` with ``ghat`` the jump-size CF.
     Summaries of more intervals raise ``ValueError``.
     """
-    m, s2, lam, _ = summary.scalars()
+    m, s2, lam = summary.scalars()
     u_arr = np.asarray(u, dtype=float)
     ghat = np.asarray(jump_law.cf(u_arr))
     val = np.exp(1j * u_arr * m - 0.5 * u_arr ** 2 * s2 + lam * (ghat - 1.0))

@@ -37,7 +37,6 @@ __all__ = [
     "constant",
     "linear",
     "sine",
-    "from_callable",
     "as_time_function",
     "JumpLaw",
     "DiracJump",
@@ -143,17 +142,11 @@ def sine(offset: float, amplitude: float, angular_frequency: float,
     )
 
 
-def from_callable(fn: Callable, integral: Callable | None = None,
-                  square_integral: Callable | None = None) -> TimeFunction:
-    return TimeFunction(fn=fn, integral=integral,
-                        square_integral=square_integral)
-
-
 def as_time_function(obj) -> TimeFunction:
     if isinstance(obj, TimeFunction):
         return obj
     if callable(obj):
-        return from_callable(obj)
+        return TimeFunction(obj)
     if isinstance(obj, (int, float)):
         return constant(float(obj))
     raise TypeError(f"cannot interpret {obj!r} as a function of time")
@@ -547,13 +540,12 @@ class IncrementSummaries:
         return IncrementSummaries(self.m[[i]], self.sigma2[[i]],
                                   self.lam[[i]])
 
-    def scalars(self) -> tuple[float, float, float, float]:
-        """``(m, sigma2, lam, alpha)`` of a grid of one interval."""
+    def scalars(self) -> tuple[float, float, float]:
+        """``(m, sigma2, lam)`` of a grid of one interval."""
         if self.n != 1:
             raise ValueError(f"summaries of {self.n} intervals describe "
                              f"{self.n} laws; pass one interval")
-        return (float(self.m[0]), float(self.sigma2[0]), float(self.lam[0]),
-                float(self.alpha[0]))
+        return float(self.m[0]), float(self.sigma2[0]), float(self.lam[0])
 
 
 def build_increment_summaries(spec: ModelSpec, grid: Grid) -> IncrementSummaries:

@@ -3,9 +3,10 @@
 The continuous part of an increment is drawn exactly from its Gaussian law
 (no Euler stepping, hence no discretization bias in any distance check);
 jumps come from an inhomogeneous Poisson process sampled by thinning with a
-dominating constant rate, found once per spec (a declared bound, or one
-scan of the intensity) however many paths are drawn.  The white-noise and
-one-jump experiments reuse the same summary integrals.
+dominating constant rate, ``ModelSpec.intensity_bound`` (a declared bound,
+or one scan of the intensity per spec however many paths are drawn).  The
+white-noise experiment is fixed by the summary integrals alone, and the
+one-jump experiment by those and the jump law.
 
 Randomness is supplied through :class:`RngStream`, a (seed, stream_id) pair
 mapped to a counter-based Philox generator.  A fresh generator is built per
@@ -32,7 +33,6 @@ __all__ = [
     "sample_white_noise_increments",
     "sample_bernoulli_approx",
     "sample_increment_batch",
-    "find_intensity_bound",
     "bin_jump_sums",
 ]
 
@@ -134,15 +134,6 @@ def _thinned_times(gen, intensity, lambda_max: float, horizon: float):
     return candidates[accept_u * lambda_max < rates]
 
 
-def find_intensity_bound(spec: ModelSpec) -> float:
-    """Dominating rate: the declared bound or a padded dense-scan maximum.
-
-    This is ``spec.intensity_bound``: the scan runs once per spec, not once
-    per sampled path.
-    """
-    return spec.intensity_bound
-
-
 def bin_jump_sums(times: np.ndarray, jump_times: np.ndarray,
                   jump_sizes: np.ndarray) -> np.ndarray:
     """Sum jump sizes per grid interval, interval i owning (t_{i-1}, t_i]."""
@@ -154,8 +145,8 @@ def bin_jump_sums(times: np.ndarray, jump_times: np.ndarray,
     return np.bincount(idx, weights=jump_sizes, minlength=n)
 
 
-def _gaussian_parts(gen, summaries: IncrementSummaries, n: int) -> np.ndarray:
-    return summaries.m + summaries.sigma * gen.standard_normal(n)
+def _gaussian_parts(gen, summaries: IncrementSummaries) -> np.ndarray:
+    return summaries.m + summaries.sigma * gen.standard_normal(summaries.n)
 
 
 def sample_path(spec: ModelSpec, grid: Grid, summaries: IncrementSummaries,
@@ -165,10 +156,12 @@ def sample_path(spec: ModelSpec, grid: Grid, summaries: IncrementSummaries,
     Draw order (fixed for reproducibility): Gaussian parts, Poisson
     candidate count, candidate times, acceptance uniforms, jump sizes.
     """
+    if summaries.n != grid.n:
+        raise ValueError("need one summary per grid interval")
     gen = rng.generator()
-    gaussian = _gaussian_parts(gen, summaries, grid.n)
-    jump_times = _thinned_times(gen, spec.intensity,
-                                find_intensity_bound(spec), grid.horizon)
+    gaussian = _gaussian_parts(gen, summaries)
+    jump_times = _thinned_times(gen, spec.intensity, spec.intensity_bound,
+                                grid.horizon)
     jump_sizes = (spec.jump_law.sample(gen, jump_times.size)
                   if jump_times.size else np.empty(0))
     increments = gaussian + bin_jump_sums(grid.times, jump_times, jump_sizes)
@@ -177,15 +170,14 @@ def sample_path(spec: ModelSpec, grid: Grid, summaries: IncrementSummaries,
                       jump_sizes=jump_sizes)
 
 
-def sample_white_noise_increments(spec: ModelSpec, grid: Grid,
-                                  summaries: IncrementSummaries,
+def sample_white_noise_increments(summaries: IncrementSummaries,
                                   rng: RngStream) -> np.ndarray:
-    """Independent Gaussian increments of the white-noise experiment."""
-    return _gaussian_parts(rng.generator(), summaries, grid.n)
+    """Independent Gaussian increments of the white-noise experiment,
+    increment i drawn from ``N(m_i, sigma_i^2)``."""
+    return _gaussian_parts(rng.generator(), summaries)
 
 
-def sample_bernoulli_approx(spec: ModelSpec, grid: Grid,
-                            summaries: IncrementSummaries,
+def sample_bernoulli_approx(summaries: IncrementSummaries, jump_law: JumpLaw,
                             rng: RngStream) -> np.ndarray:
     """Increments of the one-jump approximation experiment.
 
@@ -193,13 +185,13 @@ def sample_bernoulli_approx(spec: ModelSpec, grid: Grid,
     ``alpha_i``.  Draw order: Gaussians, Bernoulli uniforms, jump sizes.
     """
     gen = rng.generator()
-    n = grid.n
-    gaussian = _gaussian_parts(gen, summaries, n)
+    n = summaries.n
+    gaussian = _gaussian_parts(gen, summaries)
     has_jump = gen.random(n) < summaries.alpha
     sizes = np.zeros(n)
     k = int(np.count_nonzero(has_jump))
     if k:
-        sizes[has_jump] = spec.jump_law.sample(gen, k)
+        sizes[has_jump] = jump_law.sample(gen, k)
     return gaussian + sizes
 
 
@@ -210,7 +202,7 @@ def sample_increment_batch(summary: IncrementSummaries, jump_law: JumpLaw,
     Draw order: Poisson counts, all jump sizes (flat), Gaussians.  Summaries
     of more intervals raise ``ValueError``.
     """
-    m, s2, lam, _ = summary.scalars()
+    m, s2, lam = summary.scalars()
     if size < 1:
         raise ValueError("size must be positive")
     gen = rng.generator()

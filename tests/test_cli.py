@@ -75,7 +75,7 @@ class TestParseConfig:
 
     def test_custom_kinds_cannot_be_serialized(self):
         spec, options = parse_config(dict(BASE_CONFIG))
-        drift = lj.from_callable(lambda t: 0.0 * np.asarray(t))
+        drift = lj.TimeFunction(lambda t: 0.0 * np.asarray(t))
         law = lj.ContinuousJumps(density=lambda y: 1.0 + 0.0 * y,
                                  support=(0.0, 1.0))
         for key, value, noun in (("drift", drift, "time function"),
@@ -773,30 +773,40 @@ SEEDED_ARGV = {
     "simulate": lambda cfg, inc: ["simulate", "--config", cfg],
     "filter": lambda cfg, inc: ["filter", inc, "--kernel", "truncate",
                                 "--config", cfg],
+    "risk-transfer": lambda cfg, inc: ["risk-transfer", "--config", cfg,
+                                       "--n-list", "8", "--reps", "2"],
+}
+#: one argv per subcommand that draws nothing, so takes no ``--seed``
+SEEDLESS_ARGV = {
     "bounds": lambda cfg, inc: ["bounds", "--config", cfg],
     "convergence": lambda cfg, inc: ["convergence", "--config", cfg,
                                      "--n-list", "4,8"],
-    "risk-transfer": lambda cfg, inc: ["risk-transfer", "--config", cfg,
-                                       "--n-list", "8", "--reps", "2"],
     "validate": lambda cfg, inc: ["validate", "--config", cfg],
 }
 
 
 class TestSeedRange:
     """Seeds are 64-bit unsigned; the stream masks to 64 bits, so a seed
-    outside [0, 2**64) would alias one inside it."""
+    outside [0, 2**64) would alias one inside it.  A subcommand without
+    ``--seed`` refuses any seed as a usage error."""
 
     @pytest.mark.parametrize("seed", [str(1 << 64), "-1"])
-    @pytest.mark.parametrize("command", sorted(SEEDED_ARGV))
+    @pytest.mark.parametrize("command",
+                             sorted(SEEDED_ARGV.keys() | SEEDLESS_ARGV))
     def test_out_of_range_seed_is_config_error(self, tmp_path, capsys,
                                                command, seed):
         inc = tmp_path / "inc.csv"
         inc.write_text("increment\n0.01\n3.0\n", encoding="utf-8")
-        argv = SEEDED_ARGV[command](write_config(tmp_path), str(inc))
+        argv = {**SEEDED_ARGV, **SEEDLESS_ARGV}[command](
+            write_config(tmp_path), str(inc))
         assert main(argv + ["--seed", seed]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--seed must be in [0, 2**64)" in captured.err
+        if command in SEEDED_ARGV:
+            assert "--seed must be in [0, 2**64)" in captured.err
+        else:
+            assert captured.err == ("config error: unrecognized arguments: "
+                                    f"--seed {seed}\n")
 
     @pytest.mark.parametrize("inside, outside",
                              [("0", str(1 << 64)),
@@ -808,6 +818,47 @@ class TestSeedRange:
         assert capsys.readouterr().out.count("\n") == 17
         assert main(["simulate", "--config", cfg, "--seed", outside]) == 1
         assert capsys.readouterr().out == ""
+
+
+class TestUsageErrors:
+    """A usage error is a config error: exit 1, nothing on stdout and one
+    stderr line naming the flag.  argparse on its own exits 2, the code
+    that means a numerical failure."""
+
+    CASES = [
+        (["simulate", "--config", "{cfg}", "--seed", "x"], "--seed"),
+        (["risk-transfer", "--config", "{cfg}", "--n-list", "8",
+          "--reps", "x"], "--reps"),
+        (["bounds", "--config", "{cfg}", "--kernel", "foo"], "--kernel"),
+        (["bounds"], "--config"),
+        ([], "subcommand"),
+        (["filter", "--kernel", "round"], "input"),
+        # flags that only subcommands reading them declare; TestSeedRange
+        # covers --seed on every subcommand without it
+        (["bounds", "--config", "{cfg}", "--seed", "4"], "--seed"),
+        (["validate", "--config", "{cfg}", "--out", "f"], "--out"),
+        (["risk-transfer", "--config", "{cfg}", "--n-list", "8",
+          "--L", "0.5"], "--L"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", CASES, ids=[
+        " ".join(a for a in argv if a not in ("--config", "{cfg}"))
+        or "no subcommand" for argv, _ in CASES])
+    def test_exits_one_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        cfg = write_config(tmp_path)
+        assert main([part.format(cfg=cfg) for part in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: ") and flag in lines[0]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["bounds", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lecamjd")
 
 
 class TestArgumentErrors:

@@ -103,7 +103,7 @@ class TestL1GaussianProcesses:
 
     def test_kinked_drift_with_breakpoint(self):
         # |t - 1/2| vs 0 with unit noise: D^2 = 1/12
-        drift = lj.from_callable(lambda t: np.abs(np.asarray(t) - 0.5))
+        drift = lj.TimeFunction(lambda t: np.abs(np.asarray(t) - 0.5))
         got = lj.l1_gaussian_processes(drift, lj.constant(0.0),
                                        lj.constant(1.0), 1.0,
                                        breakpoints=(0.5,))
@@ -322,12 +322,35 @@ class TestTheoremRate:
 
 class TestBoundReport:
     def test_clamp_property(self):
-        rep = lj.BoundReport(per_increment=np.array([1.0]),
-                             aggregate=math.sqrt(2.0), formula_name="x")
+        rep = lj.BoundReport(per_increment=np.array([1.0]), formula_name="x")
+        assert rep.aggregate == math.sqrt(2.0)
         assert rep.aggregate_clamped == 1.0
 
     def test_per_increment_read_only(self):
-        rep = lj.BoundReport(per_increment=np.array([0.5]), aggregate=1.0,
-                             formula_name="x")
+        rep = lj.BoundReport(per_increment=np.array([0.5]), formula_name="x")
         with pytest.raises(ValueError):
             rep.per_increment[0] = 2.0
+
+    def test_aggregate_is_derived_not_passed(self):
+        with pytest.raises(TypeError, match="aggregate"):
+            lj.BoundReport(per_increment=np.array([0.5]), aggregate=1.0,
+                           formula_name="x")
+
+    @given(per=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_aggregate_is_root_of_twice_the_sum(self, per):
+        rep = lj.BoundReport(per_increment=per, formula_name="x")
+        assert rep.aggregate == math.sqrt(2.0 * float(np.sum(per)))
+
+    def test_vacuous_warning_follows_the_callers_once(self):
+        rep = lj.BoundReport(per_increment=[0.5, 1.0, 3.0], formula_name="x",
+                             warnings=("first", "second"))
+        assert rep.warnings == (
+            "first", "second", "2 increment(s) have a per-increment term "
+            ">= 1 (first at index 1); the bound is vacuous there")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sum_of_huge_terms_is_inf_without_warning(self):
+        rep = lj.BoundReport(per_increment=[1e308, 1e308], formula_name="x")
+        assert rep.aggregate == math.inf
+        assert rep.aggregate_clamped == 1.0

@@ -66,7 +66,7 @@ class TestRoundToLattice:
         assert abs(diff - round(diff)) < 1e-9
 
     def test_array_filter(self):
-        got = lj.apply_round_kernel([1.7, -0.2, 3.0])
+        got = lj.round_to_lattice(np.array([1.7, -0.2, 3.0]))
         np.testing.assert_allclose(got, [-0.3, -0.2, 0.0], atol=1e-15)
 
 
@@ -305,7 +305,24 @@ class TestContinuousPart:
         path = self.make_path()
         assert path.jump_times.size > 0
         got = lj.continuous_part(path)
-        np.testing.assert_allclose(got, path.gaussian_parts, atol=1e-12)
+        # (g + J) - J is within one ulp of the observed increment of g
+        err = np.abs(got - path.gaussian_parts)
+        assert np.all(err <= np.spacing(np.abs(path.increments)))
+
+    def test_within_one_ulp_where_jumps_land(self):
+        spec = lj.ModelSpec(drift=lj.sine(0.2, 0.1, 2 * math.pi),
+                            sigma=lj.constant(1.0), epsilon_n=0.3,
+                            intensity=lj.constant(50.0),
+                            jump_law=lj.gaussian_jumps(0.3, 1.0), horizon=1.0)
+        grid = lj.Grid.uniform(1.0, 4096)
+        summ = lj.build_increment_summaries(spec, grid)
+        path = lj.sample_path(spec, grid, summ, lj.RngStream(0))
+        err = np.abs(lj.continuous_part(path) - path.gaussian_parts)
+        jumped = lj.bin_jump_sums(path.times, path.jump_times,
+                                  np.ones_like(path.jump_sizes)) > 0
+        assert np.all(err[~jumped] == 0.0)
+        assert np.all(err <= np.spacing(np.abs(path.increments)))
+        assert np.any(err > 0.0)  # not exact: rounding in (g + J) - J
 
     def test_exact_when_no_jumps_land(self):
         spec = lj.ModelSpec(drift=lj.constant(0.0), sigma=lj.constant(1.0),
@@ -335,7 +352,7 @@ class TestWeightedIntegralStatistic:
         # sigma_n^2 = (1+t)^2 on one interval: divisor is the harmonic
         # mean 1 / int_0^1 dt/(1+t)^2 = 2
         grid = lj.Grid.uniform(1.0, 1)
-        s2 = lj.from_callable(lambda t: (1.0 + np.asarray(t)) ** 2)
+        s2 = lj.TimeFunction(lambda t: (1.0 + np.asarray(t)) ** 2)
         got = lj.weighted_integral_statistic(np.array([3.0]), s2, grid)
         assert got[0] == pytest.approx(1.5, rel=1e-10)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import lecamjd as lj
-from lecamjd.model import (as_time_function, from_callable, integral_of,
+from lecamjd.model import (TimeFunction, as_time_function, integral_of,
                            integral_of_square)
 
 INV_E = math.exp(-1.0)
@@ -66,11 +66,12 @@ class TestTimeFunctions:
         assert abs(got - want) < 1e-12
 
     def test_from_callable_falls_back_to_quadrature(self):
-        tf = from_callable(lambda t: np.asarray(t) ** 2)
+        tf = as_time_function(lambda t: np.asarray(t) ** 2)
+        assert tf.integral is None and tf.square_integral is None
         assert abs(integral_of(tf, 0.0, 1.0, name="f") - 1.0 / 3.0) < 1e-10
 
     def test_square_integral_falls_back_to_quadrature(self):
-        tf = from_callable(lambda t: 0.2 - 0.3 * np.asarray(t))
+        tf = TimeFunction(lambda t: 0.2 - 0.3 * np.asarray(t))
         a, b = np.array([0.0, 0.1, 0.5]), np.array([1.0, 0.9, 0.75])
         got = integral_of_square(tf, a, b, name="f")
         want = lj.linear(0.2, -0.3).square_integral(a, b)
@@ -278,7 +279,7 @@ class TestIncrementSummaries:
         s = lj.IncrementSummaries(m=0.5, sigma2=0.25, lam=lam)
         assert s.n == 1
         assert s.alpha.tolist() == [lam * math.exp(-lam)]
-        assert s.scalars() == (0.5, 0.25, lam, lam * math.exp(-lam))
+        assert s.scalars() == (0.5, 0.25, lam)
 
     def test_negative_lam_without_alpha_is_rejected(self):
         with pytest.raises(ValueError, match="lam"):
@@ -360,7 +361,7 @@ class TestSigmaLogDerivative:
     def test_exponential_volatility_threshold(self):
         # d/dt log exp(2t) = 2 exactly
         grid = lj.Grid.uniform(1.0, 16)
-        sigma = from_callable(lambda t: np.exp(2.0 * np.asarray(t)))
+        sigma = TimeFunction(lambda t: np.exp(2.0 * np.asarray(t)))
         assert lj.check_sigma_log_derivative(sigma, 2.1, grid)
         assert not lj.check_sigma_log_derivative(sigma, 1.9, grid)
 

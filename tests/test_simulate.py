@@ -7,6 +7,7 @@ under 1e-4.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -149,13 +150,15 @@ class TestBinJumpSums:
 
 
 class TestFindIntensityBound:
+    """``ModelSpec.intensity_bound``, the thinning samplers' dominating rate."""
+
     def test_declared_bound_wins(self):
         spec = unit_spec(intensity_max=7.0)
-        assert lj.find_intensity_bound(spec) == 7.0
+        assert spec.intensity_bound == 7.0
 
     def test_scan_covers_peak(self):
         spec = unit_spec(intensity=lj.sine(2.0, 1.0, 3.0))
-        bound = lj.find_intensity_bound(spec)
+        bound = spec.intensity_bound
         assert 3.0 <= bound <= 3.3
 
     def test_scan_runs_once_per_spec(self):
@@ -174,7 +177,7 @@ class TestFindIntensityBound:
         assert probes.count(4097) == 1
         # the bound of the scan as it ran before it was cached
         peak = float(np.max(rate(np.linspace(0.0, 1.0, 4097))))
-        assert lj.find_intensity_bound(spec) == max(peak, 0.0) * 1.05
+        assert spec.intensity_bound == max(peak, 0.0) * 1.05
         assert probes.count(4097) == 1
 
 
@@ -264,8 +267,7 @@ class TestWhiteNoise:
         spec = unit_spec()
         grid = lj.Grid.uniform(1.0, 4096)
         summ = lj.build_increment_summaries(spec, grid)
-        w = lj.sample_white_noise_increments(spec, grid, summ,
-                                             lj.RngStream(12))
+        w = lj.sample_white_noise_increments(summ, lj.RngStream(12))
         z = (w - summ.m) / np.sqrt(summ.sigma2)
         assert abs(z.mean()) < 4.0 / math.sqrt(4096)
         assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / 4096)
@@ -275,8 +277,7 @@ class TestWhiteNoise:
         spec = unit_spec(drift=lj.linear(0.0, 2.0), epsilon_n=0.01)
         grid = lj.Grid.uniform(1.0, 8)
         summ = lj.build_increment_summaries(spec, grid)
-        w = lj.sample_white_noise_increments(spec, grid, summ,
-                                             lj.RngStream(13))
+        w = lj.sample_white_noise_increments(summ, lj.RngStream(13))
         # tiny noise: increments hug the drift integrals
         np.testing.assert_allclose(w, summ.m, atol=6 * 0.01)
 
@@ -289,8 +290,8 @@ class TestBernoulliApprox:
         grid = lj.Grid.uniform(1.0, 32)
         summ = lj.build_increment_summaries(spec, grid)
         rng = lj.RngStream(77, 1)
-        a = lj.sample_bernoulli_approx(spec, grid, summ, rng)
-        b = lj.sample_white_noise_increments(spec, grid, summ, rng)
+        a = lj.sample_bernoulli_approx(summ, spec.jump_law, rng)
+        b = lj.sample_white_noise_increments(summ, rng)
         np.testing.assert_array_equal(a, b)
 
     def test_jump_frequency_matches_alpha(self):
@@ -302,13 +303,45 @@ class TestBernoulliApprox:
         loops = 2000
         hits = 0
         for k in range(loops):
-            x = lj.sample_bernoulli_approx(spec, grid, summ,
+            x = lj.sample_bernoulli_approx(summ, spec.jump_law,
                                            lj.RngStream(500, k))
             # a 50-sized jump is unmistakable at this noise level
             hits += int(np.count_nonzero(x > 25.0))
         p = hits / (loops * 4)
         want = float(summ.alpha[0])
         assert abs(p - want) < 4 * math.sqrt(want * (1 - want) / (loops * 4))
+
+
+class TestSamplerDigests:
+    """SHA-256 of the samplers' output bytes on fixed inputs.  The pins
+    were taken when the samplers also took the spec and the grid, which
+    they never read; the draws have not moved since."""
+
+    GRID = lj.Grid.uniform(1.0, 64)
+
+    def digest(self, x: np.ndarray) -> str:
+        return hashlib.sha256(x.tobytes()).hexdigest()
+
+    def test_white_noise_bytes(self):
+        summ = lj.build_increment_summaries(unit_spec(), self.GRID)
+        w = lj.sample_white_noise_increments(summ, lj.RngStream(5, 2))
+        assert self.digest(w) == ("7e96a0b16755ed186ab859a26c439a1d"
+                                  "3d50152b6b0318f0b2052d4e42a6cc12")
+
+    def test_bernoulli_approx_bytes(self):
+        spec = unit_spec(intensity=lj.constant(40.0),
+                         jump_law=lj.gaussian_jumps(0.5, 0.25))
+        summ = lj.build_increment_summaries(spec, self.GRID)
+        x = lj.sample_bernoulli_approx(summ, spec.jump_law,
+                                       lj.RngStream(5, 3))
+        assert self.digest(x) == ("dd20536ec41b8f3222af901c57bea61a"
+                                  "184a877829579b4ec10af58b99ab573e")
+
+    def test_path_needs_one_summary_per_interval(self):
+        spec = unit_spec()
+        summ = lj.build_increment_summaries(spec, lj.Grid.uniform(1.0, 1))
+        with pytest.raises(ValueError, match="one summary per grid interval"):
+            lj.sample_path(spec, self.GRID, summ, lj.RngStream(0))
 
 
 class TestSampleIncrementBatch:
