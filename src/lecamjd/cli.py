@@ -399,6 +399,10 @@ def _read_increment_csv(path: str):
 
 def _cmd_filter(args) -> int:
     inc, times = _read_increment_csv(args.input)
+    bad = np.flatnonzero(~np.isfinite(inc))
+    if bad.size:
+        raise ConfigError(f"data row {bad[0] + 1} of {args.input}: increment "
+                          f"must be finite (got {float(inc[bad[0]])!r})")
     if args.kernel == "round":
         filtered = round_to_lattice(inc)
     else:

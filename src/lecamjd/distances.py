@@ -52,18 +52,20 @@ class BoundReport:
     """Aggregated bound with its per-increment pieces.
 
     The report derives what it reports from ``per_increment``; builders
-    pass only the terms, the formula name and their own warnings.
-    ``aggregate`` is the raw value ``sqrt(2 * per_increment.sum())``,
-    computed once, and can exceed 1; ``aggregate_clamped`` caps it at the
-    trivial total variation ceiling.  ``warnings`` holds the builder's
-    warnings, then one counting the vacuous rows (a per-increment term
-    >= 1) if there are any.
+    pass only the terms, the formula name and their own warning lines,
+    ``notes``.  ``aggregate`` is the raw value
+    ``sqrt(2 * per_increment.sum())``, computed once, and can exceed 1;
+    ``aggregate_clamped`` caps it at the trivial total variation ceiling.
+    ``warnings`` is derived too: the notes, then one line counting the
+    vacuous rows (a per-increment term >= 1) if there are any, so a
+    ``dataclasses.replace`` copy reports each line once.
     """
 
     per_increment: np.ndarray
     formula_name: str
-    warnings: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
     aggregate: float = field(init=False)
+    warnings: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         arr = np.asarray(self.per_increment, dtype=float).copy()
@@ -71,7 +73,7 @@ class BoundReport:
         object.__setattr__(self, "per_increment", arr)
         with np.errstate(over="ignore"):  # a sum of huge finite terms
             object.__setattr__(self, "aggregate", _aggregate(arr))
-        object.__setattr__(self, "warnings", tuple(self.warnings)
+        object.__setattr__(self, "warnings", tuple(self.notes)
                            + _flagged(arr >= 1.0, *_VACUOUS))
 
     @property
@@ -197,7 +199,7 @@ def discrete_kernel_aggregate_bound(
            + 4.0 * _gauss.std_cdf(-1.0 / (6.0 * sig)))
     return BoundReport(per_increment=per,
                        formula_name="fractional_part_filter",
-                       warnings=_flagged(
+                       notes=_flagged(
                            np.abs(summaries.m) > 1.0 / 3.0, "|m_i| > 1/3",
                            "the wrap-around bound is not guaranteed there"))
 

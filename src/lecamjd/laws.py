@@ -43,10 +43,14 @@ __all__ = [
     "increment_density_exact",
     "bernoulli_density",
     "increment_cf",
+    "mixture_density",
 ]
 
 #: Poisson series terms beyond this count abort instead of looping forever
 _MAX_SERIES_TERMS = 200
+
+#: a Poisson series stops once its remaining tail mass is at most this
+_TAIL_TOL = 1e-12
 
 #: mixtures larger than this are treated as smooth (no per-peak panel
 #: splits) and are evaluated only against the components near each point
@@ -87,7 +91,9 @@ class MixtureTable:
     none); ``mass`` and ``resample_sd`` are the escaped mass and resampling
     sd of the truncate-and-resample output (0: none); ``fold`` marks rows
     folded onto the lattice cell, which are restricted to radius 1/2.
-    Per-row fields may be given as scalars.
+    Per-row fields may be given as scalars.  Every field is kept as a
+    read-only broadcast view: a full array of the right dtype is shared
+    with the caller, not copied, and stays writable there.
     """
 
     means: np.ndarray
@@ -117,16 +123,8 @@ class MixtureTable:
                            ("box_hi", float), ("box_sd", float)):
             shape = (rows, width) if name in ("means", "sds", "weights") \
                 else (rows,)
-            value = getattr(self, name)
-            if (type(value) is np.ndarray and value.dtype == kind
-                    and value.shape == shape):
-                # a full array needs only a read-only view: broadcasting
-                # it costs several times as much and gives the same bytes
-                value = value.view()
-                value.setflags(write=False)
-            else:
-                value = np.broadcast_to(np.asarray(value, dtype=kind), shape)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, np.broadcast_to(
+                np.asarray(getattr(self, name), dtype=kind), shape))
 
     @property
     def rows(self) -> int:
@@ -383,19 +381,20 @@ def gaussian_density(m, s2) -> Density:
         np.reshape(m, (-1, 1)), np.sqrt(s2).reshape(-1, 1), 1.0))
 
 
-def _poisson_weights(lam: np.ndarray, tail_tol: float) -> np.ndarray:
+def _poisson_weights(lam: np.ndarray) -> np.ndarray:
     """Weights ``e^{-lam} lam^k / k!``, a row per entry of ``lam``, for
-    k = 0..K: a row is 0 past the term where its tail drops below tol."""
+    k = 0..K: a row is 0 past the term where its tail drops to
+    ``_TAIL_TOL``."""
     # math.exp, as in IncrementSummaries.alpha: the k = 1 terms equal it
     weights = [np.array([math.exp(-x) for x in lam.tolist()])]
     cum = weights[0]
     k = 0
-    while (short := 1.0 - cum > tail_tol).any():
+    while (short := 1.0 - cum > _TAIL_TOL).any():
         k += 1
         if k > _MAX_SERIES_TERMS:
             raise ValueError(
                 f"Poisson series for lam={lam[short][0]:g} needs more than "
-                f"{_MAX_SERIES_TERMS} terms to reach tail {tail_tol:g}")
+                f"{_MAX_SERIES_TERMS} terms to reach tail {_TAIL_TOL:g}")
         weights.append(np.where(short, weights[-1] * lam / k, 0.0))
         cum = cum + weights[-1]
     return np.stack(weights, axis=1)
@@ -535,17 +534,16 @@ def _kfold_table(summaries: IncrementSummaries, jump_law: JumpLaw,
     return Density(MixtureTable(means, sds, ws, size=size, **box))
 
 
-def increment_density_exact(summaries: IncrementSummaries, jump_law: JumpLaw,
-                            tail_tol: float = 1e-12) -> Density:
+def increment_density_exact(summaries: IncrementSummaries,
+                            jump_law: JumpLaw) -> Density:
     """Exact increment laws via the Poisson-count series, a row per interval.
 
-    Each series is truncated once the remaining Poisson tail mass drops
-    below ``tail_tol``; the kept weights are not renormalized (total mass
-    falls short of one by at most ``tail_tol``) so the quadrature oracle
-    sees the truncation honestly instead of a renormalized fake.
+    Each series is truncated once the remaining Poisson tail mass is at
+    most the constant ``1e-12``; the kept weights are not renormalized
+    (total mass falls short of one by at most that tail) so the quadrature
+    oracle sees the truncation honestly instead of a renormalized fake.
     """
-    return _kfold_table(summaries, jump_law,
-                        _poisson_weights(summaries.lam, tail_tol))
+    return _kfold_table(summaries, jump_law, _poisson_weights(summaries.lam))
 
 
 def bernoulli_density(summaries: IncrementSummaries,

@@ -374,6 +374,8 @@ class Grid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("grid needs at least two observation times")
+        if not np.isfinite(t).all():
+            raise ValueError("grid times must be finite")
         if t[0] != 0.0:
             raise ValueError("grid must start at t_0 = 0")
         if np.any(np.diff(t) <= 0):

@@ -417,6 +417,34 @@ class TestFilterCommand:
         assert captured.err == ("config error: t_i column runs to 1.25, "
                                 "past the config horizon 1\n")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_time_is_config_error(self, tmp_path, capsys, cell):
+        cfg = write_config(tmp_path, {"n": 2})
+        path = tmp_path / "inc.csv"
+        path.write_text(f"t_i,increment\n0.5,0.1\n{cell},0.2\n",
+                        encoding="utf-8")
+        assert main(["filter", str(path), "--kernel", "truncate", "--config",
+                     cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: t_i column: grid times must "
+                                "be finite\n")
+
+    @pytest.mark.parametrize("kernel", ["round", "truncate"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_increment_is_config_error(self, tmp_path, capsys,
+                                                  kernel, cell):
+        # neither kernel is defined off the reals
+        cfg = write_config(tmp_path, {"n": 3})
+        path = tmp_path / "inc.csv"
+        path.write_text(f"increment\n0.25\n{cell}\n1.5\n", encoding="utf-8")
+        assert main(["filter", str(path), "--kernel", kernel, "--config",
+                     cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: data row 2 of {path}: "
+                                f"increment must be finite (got {cell})\n")
+
     def test_non_numeric_row_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "inc.csv"
         path.write_text("increment\nabc\n", encoding="utf-8")

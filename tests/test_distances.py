@@ -5,6 +5,7 @@ dominance checks compare each bound against direct integration of the
 densities it claims to control.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -342,12 +343,24 @@ class TestBoundReport:
         rep = lj.BoundReport(per_increment=per, formula_name="x")
         assert rep.aggregate == math.sqrt(2.0 * float(np.sum(per)))
 
+    def test_warnings_are_derived_not_passed(self):
+        with pytest.raises(TypeError, match="warnings"):
+            lj.BoundReport(per_increment=np.array([0.5]), formula_name="x",
+                           warnings=("first",))
+
     def test_vacuous_warning_follows_the_callers_once(self):
         rep = lj.BoundReport(per_increment=[0.5, 1.0, 3.0], formula_name="x",
-                             warnings=("first", "second"))
+                             notes=("first", "second"))
         assert rep.warnings == (
             "first", "second", "2 increment(s) have a per-increment term "
             ">= 1 (first at index 1); the bound is vacuous there")
+
+    def test_replace_keeps_each_warning_once(self):
+        rep = lj.BoundReport(per_increment=[2.0], formula_name="x",
+                             notes=("first",))
+        copy = dataclasses.replace(rep, formula_name="y")
+        assert copy.formula_name == "y"
+        assert copy.warnings == rep.warnings and len(rep.warnings) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sum_of_huge_terms_is_inf_without_warning(self):

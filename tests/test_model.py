@@ -176,6 +176,11 @@ class TestGrid:
             lj.Grid(np.array([0.0, 0.5, 0.5]))
         with pytest.raises(ValueError):
             lj.Grid(np.array([0.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                lj.Grid(np.array([0.0, bad, 1.0]))
+            with pytest.raises(ValueError, match="must be finite"):
+                lj.Grid(np.array([0.0, 0.5, bad]))
 
     def test_grid_times_are_read_only(self):
         g = lj.Grid.uniform(1.0, 2)
