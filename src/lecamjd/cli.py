@@ -355,7 +355,7 @@ def _cmd_simulate(args) -> int:
     spec, options = load_config(args.config)
     grid = Grid.uniform(spec.horizon, options["n"])
     summaries = build_increment_summaries(spec, grid)
-    path = sample_path(spec, grid, summaries, RngStream(args.seed))
+    path = sample_path(spec, grid, summaries, args.rng)
     counts = bin_jump_sums(grid.times, path.jump_times,
                            np.ones_like(path.jump_sizes))
     _emit_csv({"t_i": grid.times[1:], "increment": path.increments,
@@ -403,6 +403,10 @@ def _cmd_filter(args) -> int:
     if bad.size:
         raise ConfigError(f"data row {bad[0] + 1} of {args.input}: increment "
                           f"must be finite (got {float(inc[bad[0]])!r})")
+    try:
+        grid = None if times is None else Grid(np.concatenate(([0.0], times)))
+    except ValueError as exc:
+        raise ConfigError(f"t_i column: {exc}") from exc
     if args.kernel == "round":
         filtered = round_to_lattice(inc)
     else:
@@ -411,27 +415,19 @@ def _cmd_filter(args) -> int:
                 "--kernel truncate needs --config to set interval "
                 "noise levels")
         spec, options = load_config(args.config)
-        if times is not None:
-            try:
-                grid = Grid(np.concatenate(([0.0], times)))
-            except ValueError as exc:
-                raise ConfigError(f"t_i column: {exc}") from exc
-            if grid.horizon > spec.horizon + 1e-12:
-                raise ConfigError(f"t_i column runs to {grid.horizon:g}, "
-                                  f"past the config horizon {spec.horizon:g}")
-        else:
+        if grid is None:
             grid = Grid.uniform(spec.horizon, inc.size)
-        if grid.n != inc.size:
-            raise ConfigError("t_i column and increment count disagree")
+        elif grid.horizon > spec.horizon + 1e-12:
+            raise ConfigError(f"t_i column runs to {grid.horizon:g}, "
+                              f"past the config horizon {spec.horizon:g}")
         sigma = build_increment_summaries(spec, grid).sigma
         params = TruncateResampleParams(args.L, args.epsilon, sigma)
-        rng = RngStream(args.seed)
         # rows inside the ball pass through; escaped row i redraws from
-        # its own stream rng.child(i)
+        # its own stream args.rng.child(i)
         filtered = inc.copy()
         for i in np.flatnonzero(params.escaped(inc)):
             row = TruncateResampleParams(args.L, args.epsilon, sigma[i])
-            filtered[i] = truncate_resample(inc[i], row, rng.child(i))
+            filtered[i] = truncate_resample(inc[i], row, args.rng.child(i))
     if times is None:
         times = np.arange(1, inc.size + 1, dtype=float)
     _emit_csv({"t_i": times, "filtered_increment": filtered}, args.out)
@@ -492,7 +488,7 @@ def _cmd_risk_transfer(args) -> int:
     if _jump_case(spec) != "lattice":
         raise ConfigError("risk-transfer needs integer-lattice jumps")
     rows = run_risk_transfer(spec, default_drift_estimator, n_list,
-                             args.reps, RngStream(args.seed))
+                             args.reps, args.rng)
     _emit_csv(_record_columns(rows, RiskRow), args.out)
     return 0
 
@@ -567,9 +563,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if "seed" in vars(args) and not 0 <= args.seed < 1 << 64:
-            raise ConfigError(
-                f"--seed must be in [0, 2**64) (got {args.seed})")
+        if "seed" in vars(args):
+            try:
+                args.rng = RngStream(args.seed)
+            except ValueError:
+                raise ConfigError(f"--seed must be in [0, 2**64) "
+                                  f"(got {args.seed})") from None
         if "L" in vars(args):  # the truncate kernel's options
             try:
                 TruncateResampleParams(args.L, args.epsilon, sigma_i=1.0)

@@ -268,8 +268,7 @@ def drift_discretization_error(f, spec: ModelSpec, grid: Grid) -> float:
 
 
 def theorem_rate(delta_n: float, horizon: float, epsilon_n: float,
-                 holder: HolderClassParams,
-                 jump_case: str = "lattice") -> float:
+                 holder: HolderClassParams, jump_case: str) -> float:
     """Predicted order of the experiment distance (constants suppressed).
 
     ``sqrt(delta_n)`` leads for integer-lattice jumps and ``delta_n**(1/4)``

@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _gauss
 from ._quadrature import QuadratureError, integrate
 
 __all__ = [
@@ -332,8 +333,6 @@ def gaussian_jumps(mean: float, sd: float) -> ContinuousJumps:
     mu, s = float(mean), float(sd)
     if s <= 0:
         raise ValueError("sd must be positive")
-    from . import _gauss
-
     return ContinuousJumps(
         density=lambda y: _gauss.norm_pdf(y, mu, s),
         support=(mu - 12.0 * s, mu + 12.0 * s),

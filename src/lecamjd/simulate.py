@@ -8,11 +8,11 @@ or one scan of the intensity per spec however many paths are drawn).  The
 white-noise experiment is fixed by the summary integrals alone, and the
 one-jump experiment by those and the jump law.
 
-Randomness is supplied through :class:`RngStream`, a (seed, stream_id) pair
-mapped to a counter-based Philox generator.  A fresh generator is built per
-call, so every sampler is a pure function of its arguments: the same stream
-always reproduces the same draws bitwise, and distinct stream ids give
-independent streams for parallel replications.
+Randomness is supplied through :class:`RngStream`, a seed and a stream id
+of 64-bit words mapped to a counter-based Philox generator.  A fresh
+generator is built per call, so every sampler is a pure function of its
+arguments: the same stream reproduces the same draws bitwise, and each
+replication or filtered row draws from its own derived stream.
 """
 
 from __future__ import annotations
@@ -41,39 +41,41 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class RngStream:
-    """Seed plus stream id; distinct ids give independent streams.
+    """Seed plus stream id; distinct streams are independent.
 
-    An id is an int, or the tuple ``(root, offset, ...)`` of a stream
-    derived by :meth:`child`.  It becomes the ``SeedSequence`` spawn key:
-    the root as numpy splits it (one 32-bit word below 2^32, two above),
-    then each offset as exactly two words.  The word count's parity tells
-    the root's width, so no two ids share a key.
+    The id is stored as the tuple of words ``(root, offset, ...)``; an int
+    ``k`` is the id ``(k,)``, and :meth:`child` appends an offset.  The seed
+    and every word must lie in [0, 2^64) (``ValueError`` otherwise), so no
+    word wraps onto another.  The id becomes the ``SeedSequence`` spawn
+    key: the root as numpy splits it (one 32-bit word below 2^32, two
+    above), then each offset as exactly two words.  The word count's parity
+    tells the root's width, so no two ids share a key.
     """
 
     seed: int
     stream_id: int | tuple[int, ...] = 0
 
-    @property
-    def _path(self) -> tuple[int, ...]:
-        return (self.stream_id if isinstance(self.stream_id, tuple)
-                else (self.stream_id,))
+    def __post_init__(self):
+        sid = self.stream_id
+        seed, *words = map(operator.index, (self.seed, *(
+            sid if isinstance(sid, tuple) else (sid,))))
+        if not words or not all(0 <= w <= _MASK64 for w in (seed, *words)):
+            raise ValueError(f"stream seed, root and each offset must lie "
+                             f"in [0, 2^64) (got {self.seed!r}, {sid!r})")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream_id", tuple(words))
 
     def generator(self) -> np.random.Generator:
-        root, *offsets = self._path
-        key = [root & _MASK64]
+        root, *offsets = self.stream_id
+        key = [root]
         for k in offsets:
             key += [k & 0xFFFF_FFFF, k >> 32]
-        ss = np.random.SeedSequence(entropy=self.seed & _MASK64,
-                                    spawn_key=tuple(key))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(key))
         return np.random.Generator(np.random.Philox(ss))
 
     def child(self, offset: int) -> "RngStream":
-        """Derived stream: this id with ``offset`` (in [0, 2^64)) appended."""
-        offset = operator.index(offset)
-        if not 0 <= offset <= _MASK64:
-            raise ValueError(f"stream offset must lie in [0, 2^64) "
-                             f"(got {offset})")
-        return RngStream(self.seed, self._path + (offset,))
+        """Derived stream: this id with ``offset`` appended."""
+        return RngStream(self.seed, self.stream_id + (offset,))
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,8 @@ class PathSample:
 
     ``increments[i] = gaussian_parts[i] + sum of jump_sizes in
     (t_{i-1}, t_i]``; keeping the decomposition lets oracle-side statistics
-    remove the jumps exactly.
+    remove the jumps exactly.  Each field is a read-only view: a float
+    array passed in is shared, not copied, and stays writable there.
     """
 
     times: np.ndarray
@@ -94,7 +97,7 @@ class PathSample:
     def __post_init__(self):
         for name in ("times", "increments", "gaussian_parts", "jump_times",
                      "jump_sizes"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.jump_times.size != self.jump_sizes.size:

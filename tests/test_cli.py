@@ -54,6 +54,14 @@ class TestParseConfig:
         np.testing.assert_array_equal(a.sigma2, b.sigma2)
         np.testing.assert_array_equal(a.lam, b.lam)
 
+    def test_optional_keys_round_trip(self):
+        data = dict(BASE_CONFIG, intensity_max=2.5,
+                    sigma_log_derivative_bound=0.75)
+        once = serialize_config(*parse_config(data))
+        assert once["intensity_max"] == 2.5
+        assert once["sigma_log_derivative_bound"] == 0.75
+        assert serialize_config(*parse_config(once)) == once
+
     def test_serialization_is_stable(self):
         spec, options = parse_config(dict(BASE_CONFIG))
         once = serialize_config(spec, options)
@@ -429,6 +437,27 @@ class TestFilterCommand:
         assert captured.out == ""
         assert captured.err == ("config error: t_i column: grid times must "
                                 "be finite\n")
+
+    @pytest.mark.parametrize("kernel", ["round", "truncate"])
+    @pytest.mark.parametrize("times, why", [
+        ("0.5, nan, 0.25", "grid times must be finite"),
+        ("0.25, inf, 0.5", "grid times must be finite"),
+        ("0.5, 0.25, 0.75", "grid times must be strictly increasing"),
+        ("0.0, 0.5, 0.75", "grid times must be strictly increasing"),
+    ])
+    def test_bad_time_column_is_config_error(self, tmp_path, capsys,
+                                             kernel, times, why):
+        # a first cell of 0 leaves an interval of length 0
+        cfg = write_config(tmp_path, {"n": 3})
+        path = tmp_path / "inc.csv"
+        rows = [f"{t.strip()},0.1" for t in times.split(",")]
+        path.write_text("\n".join(["t_i,increment"] + rows) + "\n",
+                        encoding="utf-8")
+        assert main(["filter", str(path), "--kernel", kernel, "--config",
+                     cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: t_i column: {why}\n"
 
     @pytest.mark.parametrize("kernel", ["round", "truncate"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -814,9 +843,9 @@ SEEDLESS_ARGV = {
 
 
 class TestSeedRange:
-    """Seeds are 64-bit unsigned; the stream masks to 64 bits, so a seed
-    outside [0, 2**64) would alias one inside it.  A subcommand without
-    ``--seed`` refuses any seed as a usage error."""
+    """Seeds are 64-bit unsigned; the stream refuses a seed outside
+    [0, 2**64), which would otherwise wrap onto one inside it.  A
+    subcommand without ``--seed`` refuses any seed as a usage error."""
 
     @pytest.mark.parametrize("seed", [str(1 << 64), "-1"])
     @pytest.mark.parametrize("command",

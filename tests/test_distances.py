@@ -316,7 +316,7 @@ class TestTheoremRate:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            lj.theorem_rate(0.0, 1.0, 1.0, self.HOLDER)
+            lj.theorem_rate(0.0, 1.0, 1.0, self.HOLDER, "lattice")
         with pytest.raises(ValueError, match="jump_case"):
             lj.theorem_rate(0.1, 1.0, 1.0, self.HOLDER, "poisson")
 

@@ -63,9 +63,9 @@ class TestRngStream:
             return rng if offset is None else rng.child(offset)
         assert draw(stream(*a)) != draw(stream(*b))
 
-    @pytest.mark.parametrize("sid", [0, 7, 2 ** 32 - 1, 2 ** 44, -1])
+    @pytest.mark.parametrize("sid", [0, 7, 2 ** 32 - 1, 2 ** 44])
     def test_int_ids_are_their_own_spawn_key(self, sid):
-        ss = np.random.SeedSequence(5, spawn_key=(sid & (2 ** 64 - 1),))
+        ss = np.random.SeedSequence(5, spawn_key=(sid,))
         gen = np.random.Generator(np.random.Philox(ss))
         assert draw(lj.RngStream(5, sid)) == gen.standard_normal(2).tobytes()
 
@@ -79,6 +79,41 @@ class TestRngStream:
                 rng = rng.child(offset)
             return rng
         assert (draw(stream(a)) == draw(stream(b))) == (a == b)
+
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           words=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1,
+                          max_size=3),
+           as_int=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_in_range_words_keep_their_draws(self, seed, words, as_int):
+        # the root as numpy splits it, then each offset as two 32-bit words
+        key = [words[0]]
+        for k in words[1:]:
+            key += [k % 2 ** 32, k // 2 ** 32]
+        ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
+        want = np.random.Generator(np.random.Philox(ss))
+        sid = words[0] if as_int and len(words) == 1 else tuple(words)
+        rng = lj.RngStream(seed, sid)
+        assert rng.stream_id == tuple(words)
+        assert draw(rng) == want.standard_normal(2).tobytes()
+
+    @pytest.mark.parametrize("seed, sid", [
+        (-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64),
+        (1, (1, -2)), (1, (1, 2 ** 64)), (1, ()),
+    ], ids=["seed-1", "seed-2^64", "root-1", "root-2^64", "offset-2",
+            "offset-2^64", "no-root"])
+    def test_words_outside_64_bits_are_rejected(self, seed, sid):
+        # -1 would wrap onto 2^64 - 1, and 2^64 onto 0
+        with pytest.raises(ValueError, match="offset"):
+            lj.RngStream(seed, sid)
+
+    def test_non_integer_seed_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            lj.RngStream(1.5)
+
+    def test_int_and_one_word_ids_are_equal(self):
+        assert lj.RngStream(7, 3) == lj.RngStream(7, (3,))
+        assert lj.RngStream(np.uint64(7), np.int64(3)) == lj.RngStream(7, 3)
 
     def test_offsets_outside_64_bits_are_rejected(self):
         for offset in (-1, 2 ** 64):
@@ -191,6 +226,20 @@ class TestSamplePath:
         for name in ("times", "increments", "gaussian_parts", "jump_times",
                      "jump_sizes"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_fields_are_read_only_views(self):
+        spec = unit_spec(intensity=lj.constant(3.0))
+        grid = lj.Grid.uniform(1.0, 8)
+        summ = lj.build_increment_summaries(spec, grid)
+        path = lj.sample_path(spec, grid, summ, lj.RngStream(6))
+        for field in dataclasses.fields(path):
+            assert not getattr(path, field.name).flags.writeable
+        increments = np.zeros(2)
+        mine = lj.PathSample(times=[0.0, 0.5, 1.0], increments=increments,
+                             gaussian_parts=np.zeros(2),
+                             jump_times=np.empty(0), jump_sizes=np.empty(0))
+        assert increments.flags.writeable
+        assert not mine.increments.flags.writeable
 
     def test_decomposition_identity(self):
         spec = unit_spec(intensity=lj.constant(3.0))
