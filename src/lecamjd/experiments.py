@@ -21,6 +21,7 @@ and its index, so outputs are bitwise reproducible for a fixed seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +89,12 @@ def worker_count() -> int:
 
 
 def _grid_sizes(n_values) -> list[int]:
-    """``n_values`` as ints, checked to be non-empty and strictly
-    increasing, so that no grid size gets two rows."""
-    sizes = [int(n) for n in n_values]
+    """``n_values`` as ints (a float is a ``TypeError``), checked to be
+    non-empty and strictly increasing, so that no size gets two rows."""
+    sizes = [operator.index(n) for n in n_values]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("n_values must be strictly increasing")
+        raise ValueError("grid sizes must be non-empty and strictly "
+                         f"increasing (got {sizes})")
     return sizes
 
 
@@ -223,11 +225,11 @@ def run_risk_transfer(spec: ModelSpec, delta, n_values, replications: int,
     squared errors.
     """
     if replications < 1:
-        raise ValueError("replications must be at least 1")
+        raise ValueError(f"need at least 1 replication (got {replications})")
     n_values = _grid_sizes(n_values)
     if jump_case_of(spec.jump_law) != "lattice":
         raise ValueError(
-            "transfer via the fractional-part filter needs integer jumps")
+            "the fractional-part transfer needs integer-lattice jumps")
     rows: list[RiskRow] = []
     for ni, n in enumerate(n_values):
         grid = Grid.uniform(spec.horizon, n)

@@ -468,7 +468,8 @@ def _grid_convolution(law: ContinuousJumps, k: int, m: np.ndarray,
     The grid depends on the variance alone, so ``chains[v]`` keeps the
     unnormalized j-fold masses and their grid for variance ``v``: a series
     costs one convolution per term and distinct variance of a ``live``
-    row.  The other rows get some live variance's components.
+    row.  The other rows get some live variance's components.  A
+    convolution that loses all its mass raises ``FloatingPointError``.
     """
     variances = np.unique(s2[live])
     group = np.searchsorted(variances, s2).clip(max=variances.size - 1)
@@ -487,7 +488,7 @@ def _grid_convolution(law: ContinuousJumps, k: int, m: np.ndarray,
         acc, offs = _self_convolution(chains[v], k)
         total = acc.sum()
         if total <= 0:
-            raise ValueError("grid convolution lost all mass")
+            raise FloatingPointError("grid convolution lost all mass")
         acc = acc / total
         keep = acc > 1e-15
         offsets.append(offs[None, keep])

@@ -23,6 +23,7 @@ Drift, volatility, and intensity are evaluation callbacks wrapped in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -385,9 +386,10 @@ class Grid:
 
     @classmethod
     def uniform(cls, horizon: float, n: int) -> "Grid":
+        n = operator.index(n)
         if n < 1:
-            raise ValueError("need at least one interval")
-        return cls(np.linspace(0.0, float(horizon), int(n) + 1))
+            raise ValueError(f"a grid needs at least one interval (got n={n})")
+        return cls(np.linspace(0.0, float(horizon), n + 1))
 
     @property
     def n(self) -> int:
@@ -432,8 +434,9 @@ class ModelSpec:
     initial:
         Starting value of the path.
     intensity_max:
-        Optional known upper bound for the intensity; when missing, samplers
-        find one by a dense scan with a safety factor.
+        Optional upper bound for the intensity, refused if the intensity
+        exceeds it at a probe point; when missing, samplers find one by a
+        dense scan with a safety factor.
 
     ``intensity_bound``, the samplers' dominating rate, is derived once per
     spec, never passed.
@@ -471,6 +474,10 @@ class ModelSpec:
         lam = np.asarray(self.intensity(probe), dtype=float)
         if np.any(~np.isfinite(lam)) or np.any(lam < -1e-12):
             raise ValueError("intensity must be non-negative on [0, horizon]")
+        cap, peak = self.intensity_max, float(lam.max())
+        if cap is not None and peak > cap * (1.0 + 1e-12):  # as thinning
+            raise ValueError(f"intensity_max {cap:g} is below the "
+                             f"intensity's peak {peak:g} on [0, horizon]")
 
     def sigma_n(self, t):
         return self.epsilon_n * np.asarray(self.sigma(t), dtype=float)
@@ -550,9 +557,13 @@ class IncrementSummaries:
 
 
 def build_increment_summaries(spec: ModelSpec, grid: Grid) -> IncrementSummaries:
-    """Integrate drift, squared noise volatility, and intensity per interval."""
+    """Integrate drift, squared noise volatility, and intensity per interval.
+
+    A grid past the model horizon is a ``ValueError``; a non-finite,
+    negative or vanishing summary is a ``FloatingPointError``."""
     if grid.horizon > spec.horizon + 1e-12:
-        raise ValueError("grid extends past the model horizon")
+        raise ValueError(f"grid runs to {grid.horizon:g}, past the model "
+                         f"horizon {spec.horizon:g}")
     a, b = grid.times[:-1], grid.times[1:]
     # closed forms may overflow to inf or NaN (inf * 0): the checks name those
     with np.errstate(over="ignore", invalid="ignore"):
@@ -567,7 +578,7 @@ def build_increment_summaries(spec: ModelSpec, grid: Grid) -> IncrementSummaries
                       (sigma2 <= 0, "vanishing noise variance")):
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise ValueError(f"{what} on [{a[i]:g}, {b[i]:g}]")
+            raise FloatingPointError(f"{what} on [{a[i]:g}, {b[i]:g}]")
     return IncrementSummaries(m=m, sigma2=sigma2, lam=np.maximum(lam, 0.0))
 
 

@@ -209,7 +209,7 @@ def summary_bytes(spec, grid):
     """Raw bytes of every summary array, or the error that stopped them."""
     try:
         s = lj.build_increment_summaries(spec, grid)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         return str(exc)
     return [getattr(s, name).tobytes()
             for name in ("m", "sigma2", "lam", "alpha")]
@@ -422,8 +422,8 @@ class TestFilterCommand:
                      cfg]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("config error: t_i column runs to 1.25, "
-                                "past the config horizon 1\n")
+        assert captured.err == ("config error: grid runs to 1.25, past the "
+                                "model horizon 1\n")
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_time_is_config_error(self, tmp_path, capsys, cell):
@@ -730,16 +730,19 @@ class TestBoundsCommand:
                      "truncate"]) == 1
         assert "continuous jump law" in capsys.readouterr().err
 
-    def test_drift_cap_violation_is_numerical_failure(self, tmp_path,
-                                                      capsys):
-        # |m_i| = 0.5 on the single interval exceeds L = 1/3
+    def test_drift_cap_violation_is_config_error(self, tmp_path, capsys):
+        # |m_i| = 0.5 on the single interval exceeds L = 1/3: an input the
+        # bound does not cover, not a failed computation
         cfg = write_config(tmp_path, {
             "drift": {"kind": "constant", "value": 0.5},
             "jump_law": {"kind": "uniform", "low": -1.0, "high": 1.0},
             "n": 1})
         assert main(["bounds", "--config", cfg, "--kernel",
-                     "truncate"]) == 2
-        assert "numerical failure" in capsys.readouterr().err
+                     "truncate"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: |m_0| = 0.5 exceeds the drift "
+                                "cap L=0.333333\n")
 
 
 class TestConvergenceCommand:
@@ -770,8 +773,8 @@ class TestConvergenceCommand:
                      "16,8"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("config error: --n-list grid sizes must be "
-                                "strictly increasing\n")
+        assert captured.err == ("config error: grid sizes must be non-empty "
+                                "and strictly increasing (got [16, 8])\n")
 
 
 class TestJumpLawNoKernelErases:
@@ -920,33 +923,85 @@ class TestUsageErrors:
 
 class TestArgumentErrors:
     """Values the user got wrong are config errors (exit 1), not
-    numerical failures."""
+    numerical failures.  The library refuses each one and names the
+    value; a case's id names the rule it breaks."""
 
-    @pytest.mark.parametrize("argv, message", [
-        (["risk-transfer", "--n-list", "8", "--reps", "0"],
-         "--reps must be at least 1"),
-        (["risk-transfer", "--n-list", "8", "--reps", "-3"],
-         "--reps must be at least 1"),
-        (["convergence", "--n-list", "0,4"],
-         "--n-list grid sizes must be positive"),
-        (["risk-transfer", "--n-list", "0"],
-         "--n-list grid sizes must be positive"),
-        (["convergence", "--n-list=-4,8"],
-         "--n-list grid sizes must be positive"),
+    _UNORDERED = "grid sizes must be non-empty and strictly increasing"
+    CASES = [
+        ("--reps must be at least 1",
+         ["risk-transfer", "--n-list", "8", "--reps", "0"],
+         "need at least 1 replication (got 0)"),
+        ("--reps must be at least 1",
+         ["risk-transfer", "--n-list", "8", "--reps", "-3"],
+         "need at least 1 replication (got -3)"),
+        ("--n-list grid sizes must be positive",
+         ["convergence", "--n-list", "0,4"],
+         "a grid needs at least one interval (got n=0)"),
+        ("--n-list grid sizes must be positive",
+         ["risk-transfer", "--n-list", "0"],
+         "a grid needs at least one interval (got n=0)"),
+        ("--n-list grid sizes must be positive",
+         ["convergence", "--n-list=-4,8"],
+         "a grid needs at least one interval (got n=-4)"),
         # a repeated size used to give two different risk rows, exit 0
-        (["convergence", "--n-list", "8,8"],
-         "--n-list grid sizes must be strictly increasing"),
-        (["risk-transfer", "--n-list", "8,8", "--reps", "2"],
-         "--n-list grid sizes must be strictly increasing"),
-        (["risk-transfer", "--n-list", "16,8", "--reps", "2"],
-         "--n-list grid sizes must be strictly increasing"),
-    ])
+        ("--n-list grid sizes must be strictly increasing",
+         ["convergence", "--n-list", "8,8"], _UNORDERED + " (got [8, 8])"),
+        ("--n-list grid sizes must be strictly increasing",
+         ["risk-transfer", "--n-list", "8,8", "--reps", "2"],
+         _UNORDERED + " (got [8, 8])"),
+        ("--n-list grid sizes must be strictly increasing",
+         ["risk-transfer", "--n-list", "16,8", "--reps", "2"],
+         _UNORDERED + " (got [16, 8])"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message", [case[1:] for case in CASES],
+        ids=[f"argv{i}-{case[0]}" for i, case in enumerate(CASES)])
     def test_exits_one_without_output(self, tmp_path, capsys, argv,
                                       message):
         assert main(argv + ["--config", write_config(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("config error: " + message)
+        assert captured.err == f"config error: {message}\n"
+
+
+class TestExitCodeContract:
+    """The class of the exception picks the exit code, wherever it was
+    raised: a refused value (``ValueError``, ``ConfigError`` included)
+    exits 1, a failed computation (``QuadratureError``,
+    ``ArithmeticError``) exits 2; each on one stderr line, no stdout."""
+
+    @pytest.mark.parametrize("cls, code", [
+        (ValueError, 1), (ConfigError, 1), (lj.QuadratureError, 2),
+        (FloatingPointError, 2), (OverflowError, 2), (ZeroDivisionError, 2),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_class_picks_the_code(self, tmp_path, capsys, monkeypatch, cls,
+                                  code):
+        def handler(args):
+            raise cls("what went wrong")
+
+        monkeypatch.setattr("lecamjd.cli._cmd_validate", handler)
+        assert main(["validate", "--config", write_config(tmp_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "config error" if code == 1 else "numerical failure"
+        assert captured.err == f"{prefix}: what went wrong\n"
+
+    @pytest.mark.parametrize("argv, drift", [
+        (["bounds"], "0.0137115"),
+        (["convergence", "--n-list", "4,8"], "0.0659155"),
+    ])
+    def test_drift_above_the_cap_is_config_error(self, tmp_path, capsys,
+                                                 argv, drift):
+        # an input the truncate bound does not cover, not a failed
+        # computation
+        cfg = write_config(tmp_path, {"jump_law": {"kind": "gaussian",
+                                                   "mean": 0.5, "sd": 0.25}})
+        assert main(argv + ["--config", cfg, "--L", "0.01"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: |m_0| = {drift} exceeds the "
+                                "drift cap L=0.01\n")
 
 
 NONFINITE_LAWS = {
@@ -1118,8 +1173,7 @@ class TestNonFiniteKernelOptions:
         assert self.run(tmp_path, command, "--L", "0") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("config error: --L must be positive for "
-                                "the truncate bound (got 0.0)\n")
+        assert captured.err == "config error: L must be positive (got 0.0)\n"
 
     def test_zero_L_filters(self, tmp_path, capsys):
         # L = 0 leaves a radius of sigma^(1 - epsilon): the filter runs
@@ -1151,6 +1205,21 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, {"epsilon_n": -1.0})
         assert main(["validate", "--config", cfg]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", [0.5, 0])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_intensity_max_below_the_intensity_is_config_error(
+            self, tmp_path, capsys, command, cap):
+        # thinning below the rate would write paths that lose jumps
+        cfg = write_config(tmp_path, {
+            "intensity": {"kind": "constant", "value": 30.0},
+            "intensity_max": cap, "n": 8})
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: intensity_max {cap:g} is "
+                                "below the intensity's peak 30 on "
+                                "[0, horizon]\n")
 
 
 #: runs ``main`` on each argv of a JSON list with every ``scipy`` import

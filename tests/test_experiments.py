@@ -87,6 +87,13 @@ class TestRunConvergence:
         oracles = [r.oracle_product_bound for r in rows]
         assert all(b > s for b, s in zip(oracles, oracles[1:]))
 
+    def test_grid_sizes_are_integers(self):
+        # int() would give a row for n = 4
+        with pytest.raises(TypeError):
+            lj.run_convergence(LATTICE_SPEC, [4.7], "lattice")
+        rows = lj.run_convergence(LATTICE_SPEC, [np.int64(4)], "lattice")
+        assert rows == lj.run_convergence(LATTICE_SPEC, [4], "lattice")
+
     def test_rate_prediction_matches_theorem_rate(self):
         holder = lj.HolderClassParams(alpha=0.5, M=2.0, B=1.0)
         rows = lj.run_convergence(LATTICE_SPEC, [16, 32], "lattice",
@@ -202,13 +209,14 @@ class TestRunRiskTransfer:
                                  [16], 0, lj.RngStream(0))
         for n_values in ([], [16, 16], [32, 16]):
             with pytest.raises(ValueError,
-                               match="n_values must be strictly increasing"):
+                               match="grid sizes must be non-empty and "
+                                     "strictly increasing"):
                 lj.run_risk_transfer(self.SPEC, lj.default_drift_estimator,
                                      n_values, 4, lj.RngStream(0))
         cont = lj.ModelSpec(drift=lj.constant(0.2), sigma=lj.constant(1.0),
                             epsilon_n=0.05, intensity=lj.constant(1.0),
                             jump_law=lj.uniform_jumps(0.0, 1.0), horizon=1.0)
-        with pytest.raises(ValueError, match="integer jumps"):
+        with pytest.raises(ValueError, match="integer-lattice jumps"):
             lj.run_risk_transfer(cont, lj.default_drift_estimator, [16], 4,
                                  lj.RngStream(0))
 

@@ -182,6 +182,14 @@ class TestGrid:
             with pytest.raises(ValueError, match="must be finite"):
                 lj.Grid(np.array([0.0, 0.5, bad]))
 
+    def test_uniform_interval_count_is_an_integer(self):
+        assert (lj.Grid.uniform(1.0, np.int64(4)).times.tobytes()
+                == lj.Grid.uniform(1.0, 4).times.tobytes())
+        with pytest.raises(TypeError):
+            lj.Grid.uniform(1.0, 2.9)  # int() would give 2 intervals
+        with pytest.raises(ValueError, match=r"\(got n=0\)"):
+            lj.Grid.uniform(1.0, 0)
+
     def test_grid_times_are_read_only(self):
         g = lj.Grid.uniform(1.0, 2)
         with pytest.raises(ValueError):
@@ -213,6 +221,16 @@ class TestModelSpecValidation:
     def test_intensity_must_stay_nonnegative(self):
         with pytest.raises(ValueError, match="intensity"):
             make_spec(intensity=lj.linear(0.1, -1.0))
+
+    @pytest.mark.parametrize("cap", [0.5, 0.0])
+    def test_intensity_max_below_the_intensity_is_refused(self, cap):
+        # thinning below the rate would drop jumps silently; at 0 it would
+        # draw none
+        with pytest.raises(ValueError, match=f"intensity_max {cap:g} is "
+                                             "below the intensity's peak 30"):
+            make_spec(intensity=lj.constant(30.0), intensity_max=cap)
+        make_spec(intensity=lj.constant(30.0), intensity_max=30.0)
+        make_spec(intensity=lj.constant(0.0), intensity_max=0.0)
 
     def test_jump_law_type_checked(self):
         with pytest.raises(TypeError):
