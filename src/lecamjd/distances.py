@@ -10,9 +10,9 @@ Three families of per-increment total variation bounds are aggregated here:
 
 Per-increment bounds combine into a product-experiment bound through the
 Hellinger route: the total variation between product laws is at most
-``sqrt(2 * sum of per-increment bounds)``.  Reports keep the raw aggregate
-(which may exceed 1) and expose a clamped value, since total variation
-never exceeds 1 but rate fits act on the raw series.
+``sqrt(2 * sum of per-increment bounds)``.  Reports keep the raw aggregate,
+which may exceed 1: total variation never does, but rate fits act on the
+raw series, and callers clamp where they need a distance.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class BoundReport:
     The report derives what it reports from ``per_increment``; builders
     pass only the terms, the formula name and their own warning lines,
     ``notes``.  ``aggregate`` is the raw value
-    ``sqrt(2 * per_increment.sum())``, computed once, and can exceed 1;
-    ``aggregate_clamped`` caps it at the trivial total variation ceiling.
+    ``sqrt(2 * per_increment.sum())``, computed once, and can exceed the
+    trivial total variation ceiling 1.
     ``warnings`` is derived too: the notes, then one line counting the
     vacuous rows (a per-increment term >= 1) if there are any, so a
     ``dataclasses.replace`` copy reports each line once.
@@ -76,10 +76,6 @@ class BoundReport:
         object.__setattr__(self, "warnings", tuple(self.notes)
                            + _flagged(arr >= 1.0, *_VACUOUS))
 
-    @property
-    def aggregate_clamped(self) -> float:
-        return min(float(self.aggregate), 1.0)
-
 
 def _aggregate(per_increment: np.ndarray) -> float:
     return math.sqrt(2.0 * float(np.sum(per_increment)))
@@ -96,12 +92,19 @@ def _flagged(bad: np.ndarray, what: str, so: str) -> tuple[str, ...]:
 # two-Gaussian and Gaussian-process distances
 # ---------------------------------------------------------------------------
 
+def _require_finite(*params: float) -> None:
+    if not all(map(math.isfinite, params)):
+        raise ValueError("means and standard deviations must be finite "
+                         f"(got {params!r})")
+
+
 def tv_gaussians_bound(mu1: float, sd1: float, mu2: float, sd2: float) -> float:
     """Upper bound on TV(N(mu1, sd1^2), N(mu2, sd2^2)), clamped to [0, 1].
 
     Uses the smaller/larger ordering of the standard deviations so the
     variance-mismatch term stays in [0, 1).
     """
+    _require_finite(mu1, sd1, mu2, sd2)
     if sd1 <= 0 or sd2 <= 0:
         raise ValueError("standard deviations must be positive")
     s_small, s_large = (sd1, sd2) if sd1 <= sd2 else (sd2, sd1)
@@ -118,6 +121,7 @@ def kl_gaussians(mu1: float, sd1: float, mu2: float, sd2: float) -> float:
     the mean term by ``sd1`` rather than ``sd2``; it agrees with the
     standard divergence whenever ``sd1 == sd2``.
     """
+    _require_finite(mu1, sd1, mu2, sd2)
     if sd1 <= 0 or sd2 <= 0:
         raise ValueError("standard deviations must be positive")
     r2 = (sd1 / sd2) ** 2
@@ -127,6 +131,7 @@ def kl_gaussians(mu1: float, sd1: float, mu2: float, sd2: float) -> float:
 
 def l1_gaussians_same_var(mu1: float, mu2: float, sd: float) -> float:
     """Exact L1 distance between N(mu1, sd^2) and N(mu2, sd^2)."""
+    _require_finite(mu1, mu2, sd)
     if sd <= 0:
         raise ValueError("sd must be positive")
     d = abs(mu1 - mu2) / sd

@@ -1,4 +1,5 @@
-"""Jump-filtering kernels, estimator transfer, and sufficient statistics.
+"""Jump-filtering kernels, estimator transfer, and the weighted-integral
+statistic.
 
 Two filters map jump-contaminated increments toward Gaussian ones:
 
@@ -11,8 +12,8 @@ Which one applies follows from the jump law (:func:`jump_case_of`).
 Both come with pushforward constructors on :class:`~lecamjd.laws.Density`
 so the quadrature oracle can measure exactly what each filter does to a
 law; a table with a row per interval is pushed forward row by row into
-another table.  Also here: the estimator-transfer wrapper and
-the two statistics used to pass between continuously and discretely
+another table.  Also here: the estimator-transfer wrapper and the
+weighted-integral statistic, which passes from discretely to continuously
 observed Gaussian experiments.
 """
 
@@ -28,7 +29,7 @@ from .laws import Density, MixtureTable
 from .model import (ContinuousJumps, DiracJump, Grid, JumpLaw, LatticeJumps,
                     as_time_function)
 from .oracle import integrate_rows
-from .simulate import PathSample, RngStream, bin_jump_sums
+from .simulate import RngStream
 
 __all__ = [
     "jump_case_of",
@@ -38,7 +39,6 @@ __all__ = [
     "truncate_resample",
     "truncate_resample_pushforward",
     "transfer_estimator",
-    "continuous_part",
     "weighted_integral_statistic",
 ]
 
@@ -221,18 +221,6 @@ def transfer_estimator(delta, observations):
     if obs.ndim != 1 or obs.size < 2:
         raise ValueError("observations must be a 1-d sample of length >= 2")
     return delta(round_to_lattice(np.diff(obs)))
-
-
-def continuous_part(path: PathSample) -> np.ndarray:
-    """Increments with the simulator's known jumps subtracted.
-
-    This is what an observer who sees the jumps recovers: exactly
-    ``path.gaussian_parts`` on intervals without a jump, and elsewhere
-    within one unit in the last place of the observed increment, since
-    ``(g + J) - J`` need not give back ``g`` bit for bit.
-    """
-    return path.increments - bin_jump_sums(path.times, path.jump_times,
-                                           path.jump_sizes)
 
 
 def weighted_integral_statistic(increments, sigma_n2, grid: Grid) -> np.ndarray:

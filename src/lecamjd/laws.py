@@ -43,7 +43,6 @@ __all__ = [
     "increment_density_exact",
     "bernoulli_density",
     "increment_cf",
-    "mixture_density",
 ]
 
 #: Poisson series terms beyond this count abort instead of looping forever
@@ -353,20 +352,6 @@ class Density:
     def structure(self):
         """Per row: support ends and breakpoints (a NaN-padded array)."""
         return self.table.structure()
-
-
-def mixture_density(components) -> Density:
-    """Gaussian mixture of ``(mean, sd, weight)`` components as a Density.
-
-    Component means and their 6-sd shoulders are exposed as breakpoints
-    unless the mixture is too dense to be spiky; the shoulders give every
-    narrow peak panels of its own scale, so quadrature cannot skip over a
-    bump that is much thinner than the union support.
-    """
-    comps = np.asarray(components, dtype=float).reshape(-1, 3)
-    if not len(comps):
-        raise ValueError("density needs at least one component")
-    return Density(MixtureTable(*comps.T))
 
 
 def gaussian_density(m, s2) -> Density:

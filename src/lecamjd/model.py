@@ -186,9 +186,6 @@ class DiracJump(JumpLaw):
 
     location: float
 
-    def mean(self) -> float:
-        return float(self.location)
-
     def cf(self, u):
         return np.exp(1j * np.asarray(u, dtype=float) * self.location)
 
@@ -217,9 +214,6 @@ class LatticeJumps(JumpLaw):
                 f"lattice jump masses sum to {probs.sum()!r}, expected 1")
         object.__setattr__(self, "values", tuple(int(v) for v in vals))
         object.__setattr__(self, "probs", tuple(float(p) for p in probs))
-
-    def mean(self) -> float:
-        return float(np.dot(self.values, self.probs))
 
     def cf(self, u):
         u = np.asarray(u, dtype=float)
@@ -265,11 +259,6 @@ class ContinuousJumps(JumpLaw):
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(
                 f"jump density integrates to {mass!r}, expected 1")
-
-    def mean(self) -> float:
-        lo, hi = self.support
-        return integrate(lambda y: y * self.density(y), lo, hi,
-                         epsabs=1e-11, what="jump mean")
 
     def cf(self, u):
         if self.cf_fn is not None:
@@ -486,11 +475,17 @@ class ModelSpec:
     def intensity_bound(self) -> float:
         """Dominating rate: ``intensity_max`` if declared, else the maximum
         of a 4097-point scan of the intensity, padded by 5 %.  The scan
-        runs once per spec, however many paths are sampled from it."""
+        runs once per spec, however many paths are sampled from it; a
+        non-finite scan value raises ``ValueError`` naming its time."""
         if self.intensity_max is not None:
             return float(self.intensity_max)
         probe = np.linspace(0.0, self.horizon, 4097)
-        peak = float(np.max(np.asarray(self.intensity(probe), dtype=float)))
+        lam = np.asarray(self.intensity(probe), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(lam))
+        if bad.size:
+            raise ValueError(f"intensity({probe[bad[0]]:g}) = "
+                             f"{lam.flat[bad[0]]:g} is not a finite rate")
+        peak = float(lam.max())
         return max(peak, 0.0) * 1.05  # __post_init__ lets rates dip to -1e-12
 
 

@@ -5,8 +5,7 @@ The continuous part of an increment is drawn exactly from its Gaussian law
 jumps come from an inhomogeneous Poisson process sampled by thinning with a
 dominating constant rate, ``ModelSpec.intensity_bound`` (a declared bound,
 or one scan of the intensity per spec however many paths are drawn).  The
-white-noise experiment is fixed by the summary integrals alone, and the
-one-jump experiment by those and the jump law.
+white-noise experiment is fixed by the summary integrals alone.
 
 Randomness is supplied through :class:`RngStream`, a seed and a stream id
 of 64-bit words mapped to a counter-based Philox generator.  A fresh
@@ -28,10 +27,8 @@ from .model import Grid, IncrementSummaries, JumpLaw, ModelSpec
 __all__ = [
     "RngStream",
     "PathSample",
-    "sample_inhomogeneous_poisson",
     "sample_path",
     "sample_white_noise_increments",
-    "sample_bernoulli_approx",
     "sample_increment_batch",
     "bin_jump_sums",
 ]
@@ -106,23 +103,12 @@ class PathSample:
             raise ValueError("need one increment per grid interval")
 
 
-def sample_inhomogeneous_poisson(intensity, lambda_max: float,
-                                 horizon: float, rng: RngStream) -> np.ndarray:
-    """Jump times of an inhomogeneous Poisson process by thinning.
-
-    Candidates arrive at constant rate ``lambda_max``; each is kept with
-    probability ``intensity(t) / lambda_max``.  Raises if the intensity
-    exceeds the dominating rate anywhere it is probed.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    return _thinned_times(rng.generator(), intensity, lambda_max, horizon)
-
-
 def _thinned_times(gen, intensity, lambda_max: float, horizon: float):
-    """Thinning on ``gen``: candidate count, times, acceptance uniforms."""
-    if lambda_max < 0 or not math.isfinite(lambda_max):
-        raise ValueError("lambda_max must be a finite nonnegative rate")
+    """Thinning on ``gen``: candidate count, times, acceptance uniforms.
+
+    ``lambda_max`` is a finite nonnegative ``ModelSpec.intensity_bound``;
+    raises if the intensity exceeds it at a candidate.
+    """
     if lambda_max == 0.0:
         return np.empty(0)
     count = int(gen.poisson(lambda_max * horizon))
@@ -178,24 +164,6 @@ def sample_white_noise_increments(summaries: IncrementSummaries,
     """Independent Gaussian increments of the white-noise experiment,
     increment i drawn from ``N(m_i, sigma_i^2)``."""
     return _gaussian_parts(rng.generator(), summaries)
-
-
-def sample_bernoulli_approx(summaries: IncrementSummaries, jump_law: JumpLaw,
-                            rng: RngStream) -> np.ndarray:
-    """Increments of the one-jump approximation experiment.
-
-    Increment i is Gaussian plus a single jump with probability
-    ``alpha_i``.  Draw order: Gaussians, Bernoulli uniforms, jump sizes.
-    """
-    gen = rng.generator()
-    n = summaries.n
-    gaussian = _gaussian_parts(gen, summaries)
-    has_jump = gen.random(n) < summaries.alpha
-    sizes = np.zeros(n)
-    k = int(np.count_nonzero(has_jump))
-    if k:
-        sizes[has_jump] = jump_law.sample(gen, k)
-    return gaussian + sizes
 
 
 def sample_increment_batch(summary: IncrementSummaries, jump_law: JumpLaw,

@@ -373,6 +373,21 @@ class TestSimulateCommand:
                      "--out", str(target)]) == 0
         assert target.read_text(encoding="utf-8") == streamed
 
+    def test_intensity_above_the_rate_between_probes_is_config_error(
+            self, tmp_path, capsys):
+        # 3 + 3 sin(2 pi 256 t) is 3 at each of the spec's 257 probes, so
+        # only a thinning candidate between them finds the excess
+        cfg = write_config(tmp_path, {
+            "intensity": {"kind": "sine", "offset": 3.0, "amplitude": 3.0,
+                          "angular_frequency": 1608.495438637974,
+                          "phase": 0.0},
+            "intensity_max": 3.000001, "n": 8})
+        assert main(["simulate", "--config", cfg, "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: intensity(0.219912) = 5.86721 "
+                                "exceeds the dominating rate 3\n")
+
 
 class TestFilterCommand:
     def write_increments(self, tmp_path, values, with_times=False):

@@ -84,7 +84,7 @@ class TestFoldDensity:
     def test_integer_separated_mixture_merges_structurally(self):
         # bumps at 0 and 1 fold onto the same center; the component list
         # collapses to a single entry with the weights added exactly
-        d = lj.mixture_density([(0.0, 0.01, 0.9), (1.0, 0.01, 0.1)])
+        d = lj.Density(lj.MixtureTable([0.0, 1.0], [0.01, 0.01], [0.9, 0.1]))
         f = lj.fold_density_to_lattice_cell(d)
         g = lj.fold_density_to_lattice_cell(lj.gaussian_density(0.0, 1e-4))
         assert lj.tv_quadrature(f, g) == 0.0
@@ -289,50 +289,6 @@ class TestTransferEstimator:
             lj.transfer_estimator(lambda v: v, [1.0])
         with pytest.raises(ValueError):
             lj.transfer_estimator(lambda v: v, [[0.0, 1.0], [2.0, 3.0]])
-
-
-class TestContinuousPart:
-    def make_path(self, seed=3):
-        spec = lj.ModelSpec(drift=lj.sine(0.2, 0.1, 2 * math.pi),
-                            sigma=lj.constant(1.0), epsilon_n=0.3,
-                            intensity=lj.constant(2.0),
-                            jump_law=lj.DiracJump(1.0), horizon=1.0)
-        grid = lj.Grid.uniform(1.0, 16)
-        summ = lj.build_increment_summaries(spec, grid)
-        return lj.sample_path(spec, grid, summ, lj.RngStream(seed))
-
-    def test_recovers_gaussian_parts(self):
-        path = self.make_path()
-        assert path.jump_times.size > 0
-        got = lj.continuous_part(path)
-        # (g + J) - J is within one ulp of the observed increment of g
-        err = np.abs(got - path.gaussian_parts)
-        assert np.all(err <= np.spacing(np.abs(path.increments)))
-
-    def test_within_one_ulp_where_jumps_land(self):
-        spec = lj.ModelSpec(drift=lj.sine(0.2, 0.1, 2 * math.pi),
-                            sigma=lj.constant(1.0), epsilon_n=0.3,
-                            intensity=lj.constant(50.0),
-                            jump_law=lj.gaussian_jumps(0.3, 1.0), horizon=1.0)
-        grid = lj.Grid.uniform(1.0, 4096)
-        summ = lj.build_increment_summaries(spec, grid)
-        path = lj.sample_path(spec, grid, summ, lj.RngStream(0))
-        err = np.abs(lj.continuous_part(path) - path.gaussian_parts)
-        jumped = lj.bin_jump_sums(path.times, path.jump_times,
-                                  np.ones_like(path.jump_sizes)) > 0
-        assert np.all(err[~jumped] == 0.0)
-        assert np.all(err <= np.spacing(np.abs(path.increments)))
-        assert np.any(err > 0.0)  # not exact: rounding in (g + J) - J
-
-    def test_exact_when_no_jumps_land(self):
-        spec = lj.ModelSpec(drift=lj.constant(0.0), sigma=lj.constant(1.0),
-                            epsilon_n=0.3, intensity=lj.constant(0.0),
-                            jump_law=lj.DiracJump(1.0), horizon=1.0)
-        grid = lj.Grid.uniform(1.0, 8)
-        summ = lj.build_increment_summaries(spec, grid)
-        path = lj.sample_path(spec, grid, summ, lj.RngStream(4))
-        np.testing.assert_array_equal(lj.continuous_part(path),
-                                      path.gaussian_parts)
 
 
 class TestWeightedIntegralStatistic:

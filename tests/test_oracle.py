@@ -56,7 +56,7 @@ class TestTV:
         # TV(N(0,s2), (1-a) N(0,s2) + a N(10,s2)) = a for separated bumps
         a = 0.07
         p = lj.gaussian_density(0.0, 0.01)
-        q = lj.mixture_density([(0.0, 0.1, 1.0 - a), (10.0, 0.1, a)])
+        q = lj.Density(lj.MixtureTable([0.0, 10.0], [0.1, 0.1], [1.0 - a, a]))
         assert abs(lj.tv_quadrature(p, q) - a) < 1e-10
 
 
@@ -114,7 +114,7 @@ class TestPanelSplitting:
     def test_narrow_bump_inside_wide_support(self):
         # a 1e-3-wide bump at 3 is found because component means are panel
         # breakpoints; a naive single quad over [-12, 15] would miss it
-        p = lj.mixture_density([(0.0, 1.0, 0.5), (3.0, 0.001, 0.5)])
+        p = lj.Density(lj.MixtureTable([0.0, 3.0], [1.0, 0.001], [0.5, 0.5]))
         q = lj.gaussian_density(0.0, 1.0)
         got = lj.tv_quadrature(p, q)
         # true value is 0.5 minus the ~2e-5 overlap mass under the bump;
@@ -198,8 +198,8 @@ class TestBatch:
         # the middle pair's integrand is NaN on all of [2, 3], whose first
         # panel is [2, 2.25]; the whole batch raises, so no pair's value is
         # returned
-        flat = lj.mixture_density([(2.5, 1.0 / 24.0, 1.0)])
-        broken = lj.mixture_density([(2.5, 1.0 / 24.0, math.nan)])
+        flat = lj.Density(lj.MixtureTable([2.5], [1.0 / 24.0], [1.0]))
+        broken = lj.Density(lj.MixtureTable([2.5], [1.0 / 24.0], [math.nan]))
         pairs = [self.PAIRS[0], (broken, flat), self.PAIRS[1]]
         with pytest.raises(lj.QuadratureError,
                            match=r"oracle panel over \[2, 2.25\] has a "

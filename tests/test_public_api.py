@@ -1,11 +1,15 @@
-"""The public surface: every name an export list promises exists, once.
+"""The public surface: every name an export list promises exists, once,
+and has a caller outside the unit tests.
 
 A function deleted from a module can survive in an ``__all__``, where it
-breaks only ``from ... import *``; these checks catch that.
+breaks only ``from ... import *``; these checks catch that, and a public
+function that nothing calls.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +52,41 @@ def test_import_leaves_the_command_line_out(run_python):
                       "('lecamjd.cli', 'argparse') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: where a caller of a public name counts: the library itself, the demos,
+#: the benchmark and the acceptance gate, but no unit test
+CALLER_FILES = [
+    *(p for p in (ROOT / "src" / "lecamjd").glob("*.py")
+      if p.name != "__init__.py"),
+    *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py"),
+    ROOT / "tests" / "test_acceptance.py"]
+
+#: public names with no such caller, each kept for a ROADMAP item
+KEPT_WITHOUT_A_CALLER = {
+    "hellinger_quadrature": "item 16 makes it the bracket's batch of one",
+    "weighted_integral_statistic": "item 14(b)'s white-noise statistic",
+    "total_mass": "item 21: the unit tests' mass check, named in README",
+}
+
+
+def names_used(path):
+    """Names a file reads, the attributes it takes and the names it
+    imports; a mention in a string or docstring does not count."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    used = set().union(*map(names_used, CALLER_FILES))
+    uncalled = set(lecamjd.__all__) - used
+    assert uncalled == KEPT_WITHOUT_A_CALLER.keys()

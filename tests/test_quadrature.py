@@ -60,7 +60,7 @@ class TestAgainstQuadpack:
         assert_matches_quad(fn, *oracle_panels(p, q))
 
     def test_narrow_bump(self):
-        p = lj.mixture_density([(0.0, 1.0, 0.5), (3.0, 0.001, 0.5)])
+        p = lj.Density(lj.MixtureTable([0.0, 3.0], [1.0, 0.001], [0.5, 0.5]))
         q = lj.gaussian_density(0.0, 1.0)
         fn = lambda x: np.abs(p.pdf(x) - q.pdf(x))  # noqa: E731
         assert_matches_quad(fn, *oracle_panels(p, q))

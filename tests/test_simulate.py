@@ -133,6 +133,17 @@ class TestRngStream:
 
 
 class TestPoissonThinning:
+    """Jump times of ``sample_path``: candidates arrive at the declared
+    ``intensity_max`` and are thinned to the intensity."""
+
+    @staticmethod
+    def jump_times(rng, intensity, lambda_max, horizon):
+        spec = unit_spec(intensity=intensity, intensity_max=lambda_max,
+                         horizon=horizon)
+        grid = lj.Grid.uniform(horizon, 1)
+        summ = lj.build_increment_summaries(spec, grid)
+        return lj.sample_path(spec, grid, summ, rng).jump_times
+
     def test_mean_count_matches_integral(self):
         # int_0^1 (2 + sin(3t)) dt = 2 + (1 - cos 3) / 3
         want = 2.0 + (1.0 - math.cos(3.0)) / 3.0
@@ -140,35 +151,34 @@ class TestPoissonThinning:
         loops = 3000
         total = 0
         for k in range(loops):
-            times = lj.sample_inhomogeneous_poisson(intensity, 3.0, 1.0,
-                                                    lj.RngStream(100, k))
+            times = self.jump_times(lj.RngStream(100, k), intensity, 3.0, 1.0)
             total += times.size
         got = total / loops
         assert abs(got - want) < 4.0 * math.sqrt(want / loops)
 
     def test_times_sorted_within_horizon(self):
-        times = lj.sample_inhomogeneous_poisson(lj.constant(5.0), 5.0, 2.0,
-                                                lj.RngStream(3))
+        times = self.jump_times(lj.RngStream(3), lj.constant(5.0), 5.0, 2.0)
         assert np.all(np.diff(times) >= 0)
         assert times.size == 0 or (times[0] > 0 and times[-1] <= 2.0)
 
     def test_zero_rate_gives_no_jumps(self):
-        times = lj.sample_inhomogeneous_poisson(lj.constant(0.0), 0.0, 1.0,
-                                                lj.RngStream(3))
+        times = self.jump_times(lj.RngStream(3), lj.constant(0.0), 0.0, 1.0)
         assert times.size == 0
 
     def test_underestimated_dominating_rate_raises(self):
-        with pytest.raises(ValueError, match="dominating"):
-            lj.sample_inhomogeneous_poisson(lj.constant(10.0), 2.0, 1.0,
-                                            lj.RngStream(3))
+        # 3 + 3 sin(2 pi 32 t) is 3 at each of ModelSpec's 257 probes of
+        # [0, 8] and up to 6 between them; of some 24 candidates, about
+        # half find the excess
+        intensity = lj.sine(3.0, 3.0, 2 * math.pi * 32)
+        with pytest.raises(ValueError, match="exceeds the dominating rate 3"):
+            self.jump_times(lj.RngStream(0), intensity, 3.000001, 8.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            lj.sample_inhomogeneous_poisson(lj.constant(1.0), -1.0, 1.0,
-                                            lj.RngStream(0))
-        with pytest.raises(ValueError):
-            lj.sample_inhomogeneous_poisson(lj.constant(1.0), 1.0, 0.0,
-                                            lj.RngStream(0))
+        # no spec hands thinning a negative rate or an empty horizon
+        with pytest.raises(ValueError, match="intensity_max must be finite"):
+            unit_spec(intensity_max=-1.0)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            unit_spec(horizon=0.0)
 
 
 class TestBinJumpSums:
@@ -185,7 +195,7 @@ class TestBinJumpSums:
 
 
 class TestFindIntensityBound:
-    """``ModelSpec.intensity_bound``, the thinning samplers' dominating rate."""
+    """``ModelSpec.intensity_bound``, the thinning sampler's dominating rate."""
 
     def test_declared_bound_wins(self):
         spec = unit_spec(intensity_max=7.0)
@@ -214,6 +224,19 @@ class TestFindIntensityBound:
         peak = float(np.max(rate(np.linspace(0.0, 1.0, 4097))))
         assert spec.intensity_bound == max(peak, 0.0) * 1.05
         assert probes.count(4097) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scan_value_names_its_time(self, bad):
+        # 1/4096 is on the 4097-point scan but between the 257 probes
+        spec = unit_spec(intensity=lj.TimeFunction(
+            lambda t: np.where(np.asarray(t) == 1 / 4096, bad, 1.0)))
+        why = rf"intensity\(0.000244141\) = {bad:g} is not a finite rate"
+        with pytest.raises(ValueError, match=why):
+            spec.intensity_bound
+        grid = lj.Grid.uniform(1.0, 4)
+        summ = lj.build_increment_summaries(spec, grid)
+        with pytest.raises(ValueError, match=why):
+            lj.sample_path(spec, grid, summ, lj.RngStream(0))
 
 
 class TestSamplePath:
@@ -331,36 +354,6 @@ class TestWhiteNoise:
         np.testing.assert_allclose(w, summ.m, atol=6 * 0.01)
 
 
-class TestBernoulliApprox:
-    def test_zero_intensity_equals_white_noise_bitwise(self):
-        # with no jumps both samplers consume the same leading Gaussian
-        # block of the stream, so the outputs are identical floats
-        spec = unit_spec(intensity=lj.constant(0.0))
-        grid = lj.Grid.uniform(1.0, 32)
-        summ = lj.build_increment_summaries(spec, grid)
-        rng = lj.RngStream(77, 1)
-        a = lj.sample_bernoulli_approx(summ, spec.jump_law, rng)
-        b = lj.sample_white_noise_increments(summ, rng)
-        np.testing.assert_array_equal(a, b)
-
-    def test_jump_frequency_matches_alpha(self):
-        spec = unit_spec(drift=lj.constant(0.0), epsilon_n=0.01,
-                         intensity=lj.constant(0.5),
-                         jump_law=lj.DiracJump(50.0))
-        grid = lj.Grid.uniform(1.0, 4)
-        summ = lj.build_increment_summaries(spec, grid)
-        loops = 2000
-        hits = 0
-        for k in range(loops):
-            x = lj.sample_bernoulli_approx(summ, spec.jump_law,
-                                           lj.RngStream(500, k))
-            # a 50-sized jump is unmistakable at this noise level
-            hits += int(np.count_nonzero(x > 25.0))
-        p = hits / (loops * 4)
-        want = float(summ.alpha[0])
-        assert abs(p - want) < 4 * math.sqrt(want * (1 - want) / (loops * 4))
-
-
 class TestSamplerDigests:
     """SHA-256 of the samplers' output bytes on fixed inputs.  The pins
     were taken when the samplers also took the spec and the grid, which
@@ -376,15 +369,6 @@ class TestSamplerDigests:
         w = lj.sample_white_noise_increments(summ, lj.RngStream(5, 2))
         assert self.digest(w) == ("7e96a0b16755ed186ab859a26c439a1d"
                                   "3d50152b6b0318f0b2052d4e42a6cc12")
-
-    def test_bernoulli_approx_bytes(self):
-        spec = unit_spec(intensity=lj.constant(40.0),
-                         jump_law=lj.gaussian_jumps(0.5, 0.25))
-        summ = lj.build_increment_summaries(spec, self.GRID)
-        x = lj.sample_bernoulli_approx(summ, spec.jump_law,
-                                       lj.RngStream(5, 3))
-        assert self.digest(x) == ("dd20536ec41b8f3222af901c57bea61a"
-                                  "184a877829579b4ec10af58b99ab573e")
 
     def test_path_needs_one_summary_per_interval(self):
         spec = unit_spec()
