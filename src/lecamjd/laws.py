@@ -90,9 +90,11 @@ class MixtureTable:
     none); ``mass`` and ``resample_sd`` are the escaped mass and resampling
     sd of the truncate-and-resample output (0: none); ``fold`` marks rows
     folded onto the lattice cell, which are restricted to radius 1/2.
-    Per-row fields may be given as scalars.  Every field is kept as a
-    read-only broadcast view: a full array of the right dtype is shared
-    with the caller, not copied, and stays writable there.
+    A row's components need finite means and finite positive sds, or the
+    table raises ``ValueError``.  Per-row fields may be given as scalars.
+    Every field is kept as a read-only broadcast view: a full array of the
+    right dtype is shared with the caller, not copied, and stays writable
+    there.
     """
 
     means: np.ndarray
@@ -124,6 +126,11 @@ class MixtureTable:
                 else (rows,)
             object.__setattr__(self, name, np.broadcast_to(
                 np.asarray(getattr(self, name), dtype=kind), shape))
+        pad = np.arange(width) >= self.size[:, None]
+        if not (np.isfinite(self.means) | pad).all():
+            raise ValueError("component means must be finite")
+        if not (((self.sds > 0.0) & (self.sds < math.inf)) | pad).all():
+            raise ValueError("component sds must be finite and positive")
 
     @property
     def rows(self) -> int:

@@ -15,9 +15,11 @@ puts the panels of every row of every pair into one integrator call, and
 each bisection round evaluates all rows of a side in one call of their
 concatenated table.  Panels converge on their own, and every sum on the
 way (Kronrod nodes, mixture components, a row's panels) runs in a fixed
-order, so a pair's value is the same bits in any batch.  The one-pair
-distances and ``total_mass`` are batches of one and take one-law
-densities only.
+order, so a pair's value is the same bits in any batch.  For TV and L1
+only, a row whose two sides hold the same data (size, components and
+per-row fields, each factor of its evaluation finite) is 0.0 without
+quadrature: |p - q| is 0 at every point.  The one-pair distances and
+``total_mass`` are batches of one and take one-law densities only.
 """
 
 from __future__ import annotations
@@ -92,10 +94,29 @@ def _one_law(d: Density) -> Density:
     return d
 
 
+def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
+    """Rows whose two sides hold the same size, components and per-row
+    fields, where every factor the evaluator forms from them is finite
+    (``beta`` aside, whose inf means no restriction)."""
+    w = min(p.means.shape[1], q.means.shape[1])
+    pad = np.arange(w) >= p.size[:, None]
+    top = np.divide(1.0, p.resample_sd, out=np.zeros(p.rows),
+                    where=p.resample_sd > 0.0)
+    rows = [getattr(p, f) == getattr(q, f) for f in (
+        "size", "beta", "fold", "mass", "resample_sd", "box_weight",
+        "box_lo", "box_hi", "box_sd")] + [np.isfinite(a) for a in (
+            p.mass, top, p.box_weight, p.box_lo, p.box_hi, p.box_sd)]
+    cols = [(getattr(p, f)[:, :w] == getattr(q, f)[:, :w]) | pad
+            for f in ("means", "sds", "weights")]
+    cols.append(np.isfinite(p._scaled[:, :w]) | pad)
+    return np.all(rows, axis=0) & np.all(cols, axis=(0, 2))
+
+
 def _pointwise_sums(g, pairs: Iterable[tuple[Density, Density]]
                     ) -> np.ndarray:
     """Per row of each pair ``(p, q)``: the integral of ``g(p, q)``.  All
-    rows' panels share one integrate call."""
+    rows' panels share one integrate call; for the L1 integrand, rows whose
+    sides hold the same data (:func:`_same_rows`) get 0.0 without one."""
     pairs = list(pairs)
     if not pairs:
         return np.empty(0)
@@ -103,9 +124,15 @@ def _pointwise_sums(g, pairs: Iterable[tuple[Density, Density]]
         raise ValueError("paired densities must have the same rows")
     p, q = (MixtureTable.concat(d.table for d in side)
             for side in zip(*pairs))
-    return integrate_rows(
-        lambda x, rows: g(p.values(x, rows), q.values(x, rows)),
-        p.structure(), q.structure())
+    same = (_same_rows(p, q) if g is _l1_integrand
+            else np.zeros(p.rows, dtype=bool))
+    # |p - q| is 0 at every point of a row whose sides hold the same data
+    out, todo = np.zeros(p.rows), np.flatnonzero(~same)
+    if todo.size:
+        out[todo] = integrate_rows(
+            lambda x, r: g(p.values(x, todo[r]), q.values(x, todo[r])),
+            *([a[todo] for a in t.structure()] for t in (p, q)))
+    return out
 
 
 def _one_pair(g, p: Density, q: Density) -> float:

@@ -80,11 +80,29 @@ def test_criterion_03_single_jump_reduction_bound():
            + "; ".join(detail))
 
 
+def _equal_rows(a: lj.MixtureTable, b: lj.MixtureTable) -> bool:
+    """Whether two tables hold the same laws, row for row: the same size,
+    components and per-row fields."""
+    if a.rows != b.rows or not np.array_equal(a.size, b.size):
+        return False
+    for r, k in enumerate(a.size):
+        if any(not np.array_equal(getattr(a, f)[r, :k], getattr(b, f)[r, :k])
+               for f in ("means", "sds", "weights")):
+            return False
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("beta", "mass", "resample_sd", "fold", "box_weight",
+                         "box_lo", "box_hi", "box_sd"))
+
+
 def test_criterion_04_rounding_filter_bound_and_decay():
-    # Grid over noise level and drift, unit jumps.  Folding both laws
-    # merges every component exactly, so that TV must be 0.0; the decay
-    # content lives in the folded-vs-unfolded comparison, whose TV is the
-    # wrapped tail mass with a two-sided normal-cdf closed form.
+    """Grid over noise level and drift, unit jumps.
+
+    Folding both laws merges every component exactly: the folded one-jump
+    table equals the folded Gaussian table row for row, so their TV is
+    0.0 (the oracle reads such rows as 0.0 without quadrature).  The decay
+    content lives in the folded-vs-unfolded comparison, whose TV is the
+    wrapped tail mass with a two-sided normal-cdf closed form.
+    """
     law = lj.DiracJump(1.0)
     sigmas = (0.15, 0.1, 0.05, 0.02, 0.01)
     ok = True
@@ -99,6 +117,7 @@ def test_criterion_04_rounding_filter_bound_and_decay():
             folded_gauss = lj.fold_density_to_lattice_cell(gauss)
             folded = lj.fold_density_to_lattice_cell(
                 lj.bernoulli_density(summ, law))
+            ok = ok and _equal_rows(folded.table, folded_gauss.table)
             both_folded_tv = lj.tv_quadrature(folded, folded_gauss)
             ok = ok and both_folded_tv == 0.0 and both_folded_tv <= term
             wrap_tv = lj.tv_quadrature(folded_gauss, gauss)
@@ -113,7 +132,8 @@ def test_criterion_04_rounding_filter_bound_and_decay():
                 ok = ok and both_folded_tv < 1e-20 and wrap_tv < 1e-20
             prev_wrap, prev_term = wrap_tv, term
     report(4, ok,
-           "both-folded TV identically 0.0 <= per-increment term; wrapped "
+           "folding makes the two tables equal row for row, so their TV "
+           "is 0.0 <= per-increment term; wrapped "
            "tail mass matches the closed form, decays with sigma, and is "
            "< 1e-20 at sigma=0.01")
 

@@ -339,7 +339,7 @@ class TestTheoremRate:
 
 
 class TestBoundReport:
-    def test_clamp_property(self):
+    def test_aggregate_above_one_is_not_clamped(self):
         rep = lj.BoundReport(per_increment=np.array([1.0]), formula_name="x")
         assert rep.aggregate == math.sqrt(2.0)
 

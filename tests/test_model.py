@@ -90,7 +90,7 @@ RAMP = lj.ContinuousJumps(
 
 
 class TestJumpLaws:
-    def test_dirac_mean_and_cf(self):
+    def test_dirac_cf(self):
         law = lj.DiracJump(1.0)
         u = np.array([0.0, 1.0, -2.0])
         np.testing.assert_allclose(law.cf(u), np.exp(1j * u), rtol=1e-15)
@@ -100,7 +100,7 @@ class TestJumpLaws:
         gen = lj.RngStream(3).generator()
         np.testing.assert_array_equal(law.sample(gen, 5), -2.0 * np.ones(5))
 
-    def test_lattice_mean_and_cf(self):
+    def test_lattice_cf(self):
         law = lj.LatticeJumps(np.array([-1.0, 2.0]), np.array([0.25, 0.75]))
         got = law.cf(np.array([0.7]))[0]
         want = 0.25 * np.exp(-0.7j) + 0.75 * np.exp(1.4j)
@@ -116,7 +116,7 @@ class TestJumpLaws:
         with pytest.raises(ValueError):
             lj.LatticeJumps(np.array([1.0]), np.array([-1.0]))
 
-    def test_uniform_jumps_density_and_mean(self):
+    def test_uniform_jumps_density_and_mass(self):
         law = lj.uniform_jumps(0.0, 1.0)
         np.testing.assert_allclose(law.density(np.array([-0.1, 0.5, 1.1])),
                                    [0.0, 1.0, 0.0])

@@ -205,3 +205,121 @@ class TestBatch:
                            match=r"oracle panel over \[2, 2.25\] has a "
                                  r"non-finite integrand value"):
             lj.tv_quadrature_many(pairs)
+
+
+#: a row that sets every per-row field, so each can be told apart; its
+#: third entry is padding
+FULL_ROW = dict(means=[[0.1, 0.4, 0.0]], sds=[[0.2, 0.3, 1.0]],
+                weights=[[0.6, 0.3, 0.0]], size=[2], beta=[2.0], mass=[0.05],
+                resample_sd=[0.5], fold=[False], box_weight=[0.05],
+                box_lo=[-0.5], box_hi=[0.5], box_sd=[0.1])
+
+
+def _row(**change):
+    """A fresh copy of ``FULL_ROW``'s table with ``change`` applied."""
+    fields = {k: np.array(v) for k, v in FULL_ROW.items()}
+    for name, edit in change.items():
+        fields[name] = edit(fields[name])
+    return lj.Density(lj.MixtureTable(**fields))
+
+
+def _bump(a):
+    """``a`` with its last component (or its one field) one ulp up."""
+    a = a.copy()
+    at = (0, FULL_ROW["size"][0] - 1) if a.ndim == 2 else 0
+    a[at] = np.nextafter(a[at], np.inf)
+    return a
+
+
+@pytest.fixture
+def evaluated_rows(monkeypatch):
+    """The set of table rows the oracle evaluates."""
+    seen = set()
+    values = lj.MixtureTable.values
+
+    def spy(self, x, rows):
+        seen.update(np.unique(rows).tolist())
+        return values(self, x, rows)
+
+    monkeypatch.setattr(lj.MixtureTable, "values", spy)
+    return seen
+
+
+class TestEqualRows:
+    """L1 rows whose two sides hold the same finite data read 0.0 without
+    quadrature; every other row, and every other integrand, integrates."""
+
+    def test_equal_row_reads_zero_and_is_never_evaluated(
+            self, evaluated_rows):
+        got = lj.tv_quadrature_many([(_row(), _row()),
+                                     MIXED_BATCH[0][0]])
+        assert got[0] == 0.0 and got[1] > 0.0
+        assert evaluated_rows == {1}
+
+    def test_a_batch_of_equal_rows_evaluates_nothing(self, evaluated_rows):
+        # the lattice filter step: folding erases the unit jump
+        summ = lj.IncrementSummaries(m=0.3, sigma2=0.01, lam=0.2)
+        p, q = (lj.fold_density_to_lattice_cell(d) for d in (
+            lj.bernoulli_density(summ, lj.DiracJump(1.0)),
+            lj.gaussian_density(summ.m, summ.sigma2)))
+        assert lj.tv_quadrature(p, q) == 0.0
+        assert evaluated_rows == set()
+
+    @pytest.mark.parametrize("field", sorted(FULL_ROW))
+    def test_one_changed_field_is_integrated(self, field, evaluated_rows):
+        # one ulp in the last component or field, a flipped fold, or the
+        # padding taken in as a component of weight 0
+        edit = {"fold": np.logical_not,
+                "size": lambda a: a + 1}.get(field, _bump)
+        p, q = _row(), _row(**{field: edit})
+        got = lj.tv_quadrature_many([(p, p), (p, q)])
+        assert evaluated_rows == {1}
+        assert got[0] == 0.0 and got[1] == lj.tv_quadrature(p, q)
+
+    @pytest.mark.parametrize("change", [
+        {"weights": lambda a: np.full_like(a, np.inf)},
+        {"weights": lambda a: np.full_like(a, np.nan)},
+        {"mass": lambda a: np.full_like(a, np.inf)},
+        {"box_weight": lambda a: np.full_like(a, np.inf)},
+        # finite fields whose weight / sd or 1 / resample_sd overflows
+        {"weights": lambda a: np.where(a > 0.0, 1e308, 0.0)},
+        {"resample_sd": lambda a: np.full_like(a, 1e-310)}])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_self_pair_still_raises(self, change):
+        p = _row(**change)
+        with pytest.raises(lj.QuadratureError, match="non-finite"):
+            lj.tv_quadrature(p, p)
+
+    def test_mass_and_hellinger_still_integrate(self, evaluated_rows):
+        p = lj.gaussian_density(0.3, 0.5)
+        assert abs(lj.total_mass(p) - 1.0) < 1e-10
+        assert evaluated_rows == {0}
+        evaluated_rows.clear()
+        assert lj.hellinger_quadrature(p, p) == 0.0
+        assert evaluated_rows == {0}
+
+    @given(pairs=st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                    st.floats(0.01, 0.25),
+                                    st.sampled_from(["same", "folded",
+                                                     "ulp", "moved"])),
+                          min_size=1, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_batch_equals_one_pair_calls(self, pairs):
+        fold = lj.fold_density_to_lattice_cell
+        batch = []
+        for m, s2, kind in pairs:
+            q = lj.gaussian_density(m, s2)
+            p = {"same": lambda: lj.gaussian_density(m, s2),
+                 "ulp": lambda: lj.gaussian_density(m, np.nextafter(s2, 1.0)),
+                 "moved": lambda: lj.gaussian_density(m + 0.1, s2),
+                 # the lattice filter step: folding erases the unit jump
+                 "folded": lambda: fold(lj.bernoulli_density(
+                     lj.IncrementSummaries(m=m, sigma2=s2, lam=0.3),
+                     lj.DiracJump(1.0)))}[kind]()
+            batch.append((p, fold(q) if kind == "folded" else q))
+        got = lj.tv_quadrature_many(batch)
+        np.testing.assert_array_equal(
+            got, [lj.tv_quadrature(p, q) for p, q in batch])
+        kinds = np.array([kind for _, _, kind in pairs])
+        assert (got[kinds == "same"] == 0.0).all()
+        assert (got[kinds == "moved"] > 0.0).all()

@@ -303,3 +303,13 @@ def test_every_table_field_is_read_only():
         assert (getattr(tables[0], name).tobytes()
                 == getattr(tables[1], name).tobytes()), name
         assert full[name].flags.writeable, name
+
+
+@pytest.mark.parametrize("mean, sd", [(np.inf, 1.0), (-np.inf, 1.0),
+                                      (np.nan, 1.0), (0.0, np.inf),
+                                      (0.0, 0.0), (0.0, -1.0)])
+def test_components_need_a_finite_mean_and_a_finite_positive_sd(mean, sd):
+    # such a row used to get only NaN panel edges, so the oracle integrated
+    # nothing and read its TV and mass as 0 (or 1) without an error
+    with pytest.raises(ValueError, match="finite"):
+        MixtureTable([[0.0, mean]], [[1.0, sd]], [[0.5, 0.5]])
