@@ -112,8 +112,8 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
     ``(lambda_i, sigma_i^2)`` pair with the drift zeroed.  The filtering
     step compares two tables built from the grid's summary arrays, a row
     per interval, and integrates all their TVs as a second batch.  Folding
-    makes lattice rows equal (but at a half-integer drift mean), and the
-    oracle reads equal rows as 0.0 without quadrature.
+    makes lattice rows equal, and the oracle reads equal rows as 0.0
+    without quadrature.
     """
     n_values = _grid_sizes(n_values)
     if jump_case not in ("lattice", "continuous"):

@@ -73,8 +73,9 @@ def _fold_table(t: MixtureTable) -> MixtureTable:
 
     Per row, in component order, a component joins the first earlier slot
     with the same sd whose center (mean minus its nearest integer) lies
-    within a few ulps of its own, adding its weight; each slot then
-    contributes its center shifted by every integer up to 12 sds plus one.
+    within a few ulps of its own on the circle, so that centers +1/2 and
+    -1/2 meet, adding its weight; each slot then contributes its center
+    shifted by every integer up to 12 sds plus one.
     """
     rows, width = t.means.shape
     centers = t.means - np.rint(t.means)
@@ -84,9 +85,10 @@ def _fold_table(t: MixtureTable) -> MixtureTable:
     used = np.zeros(rows, dtype=np.intp)
     everyone = np.arange(rows)
     for j in range(width):
+        d = c - centers[:, j, None]
         match = ((np.arange(width) < used[:, None])
                  & (sd == t.sds[:, j, None])
-                 & (np.abs(c - centers[:, j, None]) <= tol[:, j, None]))
+                 & (np.abs(d - np.rint(d)) <= tol[:, j, None]))
         real = j < t.size
         hit = real & match.any(axis=1)
         r = everyone[hit]

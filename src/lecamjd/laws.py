@@ -55,9 +55,11 @@ _TAIL_TOL = 1e-12
 #: splits) and are evaluated only against the components near each point
 _MAX_PEAK_BREAKPOINTS = 64
 
-#: component x point elements per evaluation block: a block gathers its
-#: points' means, sds and weights, so it holds about six such
-#: temporaries (256 kB each) at once
+#: component x point elements per evaluation block: a block takes its
+#: points' means, sds and weight/sd as (component, point) arrays (one
+#: ``take`` each, none for a one-row table) and forms its z, pdf and
+#: terms from them, so it holds about six such temporaries (256 kB each)
+#: at once
 _BLOCK = 32_768
 
 #: a component farther than this many sds from a point adds exactly 0
@@ -79,7 +81,8 @@ class MixtureTable:
             + mass[r] * phi(x / sd[r]) / sd[r]
 
     over the row's first ``size[r]`` entries ``(m, s, w)`` of ``means``,
-    ``sds`` and ``weights``; the rest of the row is padding ``(0, 1, 0)``.
+    ``sds`` and ``weights``; the rest of the row must be padding
+    ``(0, 1, 0)``.
     ``box`` is the smoothed box
 
         box_weight[r] * (Phi((x - box_lo[r]) / box_sd[r])
@@ -90,11 +93,12 @@ class MixtureTable:
     none); ``mass`` and ``resample_sd`` are the escaped mass and resampling
     sd of the truncate-and-resample output (0: none); ``fold`` marks rows
     folded onto the lattice cell, which are restricted to radius 1/2.
-    A row's components need finite means and finite positive sds, or the
-    table raises ``ValueError``.  Per-row fields may be given as scalars.
-    Every field is kept as a read-only broadcast view: a full array of the
-    right dtype is shared with the caller, not copied, and stays writable
-    there.
+    A row's components need finite means and finite positive sds, and its
+    padding must be ``(0, 1, 0)``, or the table raises ``ValueError``.
+    Per-row fields may be given as scalars.  Every field is kept
+    read-only: a full-shape array of the right dtype as a view of the
+    caller's array (not copied, and still writable there), a scalar as one
+    value with zero strides, any other shape as a broadcast view.
     """
 
     means: np.ndarray
@@ -124,13 +128,17 @@ class MixtureTable:
                            ("box_hi", float), ("box_sd", float)):
             shape = (rows, width) if name in ("means", "sds", "weights") \
                 else (rows,)
-            object.__setattr__(self, name, np.broadcast_to(
+            object.__setattr__(self, name, _read_only(
                 np.asarray(getattr(self, name), dtype=kind), shape))
         pad = np.arange(width) >= self.size[:, None]
         if not (np.isfinite(self.means) | pad).all():
             raise ValueError("component means must be finite")
         if not (((self.sds > 0.0) & (self.sds < math.inf)) | pad).all():
             raise ValueError("component sds must be finite and positive")
+        if not (~pad | ((self.means == 0.0) & (self.sds == 1.0)
+                        & (self.weights == 0.0))).all():
+            raise ValueError("entries past a row's size must be padding "
+                             "(0, 1, 0)")
 
     @property
     def rows(self) -> int:
@@ -176,6 +184,10 @@ class MixtureTable:
     def _topped(self) -> bool:
         return bool((self.resample_sd > 0.0).any())
 
+    @cached_property
+    def _all_topped(self) -> bool:
+        return bool((self.resample_sd > 0.0).all())
+
     def pdf(self, x, rows=0):
         """Row ``rows`` (broadcast against ``x``) of the table at ``x``."""
         x = np.asarray(x, dtype=float)
@@ -204,7 +216,9 @@ class MixtureTable:
             out = np.where(np.abs(x) <= self.beta[rows], out, 0.0)
         if self._topped:
             sd = self.resample_sd[rows]
-            top = np.flatnonzero(sd > 0.0)
+            # every row of a pushforward's table is topped: no subset
+            top = slice(None) if self._all_topped else np.flatnonzero(
+                sd > 0.0)
             s = sd[top]
             out[top] += self.mass[rows[top]] * (
                 (1.0 / s) * _gauss.std_pdf(x[top] / s))
@@ -213,14 +227,16 @@ class MixtureTable:
     def _dense(self, x, rows):
         """Sums over every component, in component order for each point,
         so a row's padding adds exact zeros after its own terms."""
-        means, sds, scaled = self._columns
+        columns = self._columns
         out = np.zeros(x.size)
-        step = max(1, _BLOCK // max(1, means.shape[0]))
+        step = max(1, _BLOCK // max(1, columns[0].shape[0]))
         for s in range(0, x.size, step):
             part = slice(s, s + step)
-            r = slice(None) if self.rows == 1 else rows[part]
-            terms = scaled[:, r] * _gauss.std_pdf(
-                (x[part] - means[:, r]) / sds[:, r])
+            # take gathers the points' columns far faster than fancy
+            # indexing does
+            means, sds, scaled = columns if self.rows == 1 else (
+                a.take(rows[part], axis=1) for a in columns)
+            terms = scaled * _gauss.std_pdf((x[part] - means) / sds)
             acc = out[part]
             for term in terms:
                 acc += term
@@ -320,6 +336,19 @@ class MixtureTable:
             *(np.concatenate([getattr(t, name) for t in tables])
               for name in ("size", "beta", "mass", "resample_sd", "fold",
                            "box_weight", "box_lo", "box_hi", "box_sd")))
+
+
+def _read_only(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """``a`` as a read-only array of ``shape``: a view of a full-shape
+    array, a zero-stride array of a scalar, or else a broadcast view."""
+    if a.shape == shape:
+        view = a.view()
+    elif a.ndim == 0:
+        view = np.ndarray(shape, a.dtype, a, strides=(0,) * len(shape))
+    else:
+        return np.broadcast_to(a, shape)
+    view.flags.writeable = False
+    return view
 
 
 def _stack_rows(arrays, fill) -> np.ndarray:

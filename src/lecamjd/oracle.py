@@ -98,17 +98,20 @@ def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
     """Rows whose two sides hold the same size, components and per-row
     fields, where every factor the evaluator forms from them is finite
     (``beta`` aside, whose inf means no restriction)."""
+    size = p.size == q.size
+    if not size.any():
+        return size
+    # past an equal size both sides hold padding (0, 1, 0)
     w = min(p.means.shape[1], q.means.shape[1])
-    pad = np.arange(w) >= p.size[:, None]
     top = np.divide(1.0, p.resample_sd, out=np.zeros(p.rows),
                     where=p.resample_sd > 0.0)
-    rows = [getattr(p, f) == getattr(q, f) for f in (
-        "size", "beta", "fold", "mass", "resample_sd", "box_weight",
+    rows = [size] + [getattr(p, f) == getattr(q, f) for f in (
+        "beta", "fold", "mass", "resample_sd", "box_weight",
         "box_lo", "box_hi", "box_sd")] + [np.isfinite(a) for a in (
             p.mass, top, p.box_weight, p.box_lo, p.box_hi, p.box_sd)]
-    cols = [(getattr(p, f)[:, :w] == getattr(q, f)[:, :w]) | pad
+    cols = [getattr(p, f)[:, :w] == getattr(q, f)[:, :w]
             for f in ("means", "sds", "weights")]
-    cols.append(np.isfinite(p._scaled[:, :w]) | pad)
+    cols.append(np.isfinite(p._scaled[:, :w]))
     return np.all(rows, axis=0) & np.all(cols, axis=(0, 2))
 
 

@@ -245,6 +245,23 @@ def evaluated_rows(monkeypatch):
     return seen
 
 
+def _folded_unit_jump_pair(m, s2, lam):
+    """The lattice filter step at drift mean ``m``: the folded one-jump law
+    of a unit jump and the folded Gaussian."""
+    summ = lj.IncrementSummaries(m=m, sigma2=s2, lam=lam)
+    return tuple(lj.fold_density_to_lattice_cell(d) for d in (
+        lj.bernoulli_density(summ, lj.DiracJump(1.0)),
+        lj.gaussian_density(summ.m, summ.sigma2)))
+
+
+def _assert_same_table(a, b):
+    for name in ("means", "sds", "weights", "size", "beta", "mass",
+                 "resample_sd", "fold", "box_weight", "box_lo", "box_hi",
+                 "box_sd"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name),
+                                      err_msg=name)
+
+
 class TestEqualRows:
     """L1 rows whose two sides hold the same finite data read 0.0 without
     quadrature; every other row, and every other integrand, integrates."""
@@ -258,10 +275,7 @@ class TestEqualRows:
 
     def test_a_batch_of_equal_rows_evaluates_nothing(self, evaluated_rows):
         # the lattice filter step: folding erases the unit jump
-        summ = lj.IncrementSummaries(m=0.3, sigma2=0.01, lam=0.2)
-        p, q = (lj.fold_density_to_lattice_cell(d) for d in (
-            lj.bernoulli_density(summ, lj.DiracJump(1.0)),
-            lj.gaussian_density(summ.m, summ.sigma2)))
+        p, q = _folded_unit_jump_pair(0.3, 0.01, 0.2)
         assert lj.tv_quadrature(p, q) == 0.0
         assert evaluated_rows == set()
 
@@ -277,8 +291,8 @@ class TestEqualRows:
         assert got[0] == 0.0 and got[1] == lj.tv_quadrature(p, q)
 
     @pytest.mark.parametrize("change", [
-        {"weights": lambda a: np.full_like(a, np.inf)},
-        {"weights": lambda a: np.full_like(a, np.nan)},
+        {"weights": lambda a: np.where(a > 0.0, np.inf, 0.0)},
+        {"weights": lambda a: np.where(a > 0.0, np.nan, 0.0)},
         {"mass": lambda a: np.full_like(a, np.inf)},
         {"box_weight": lambda a: np.full_like(a, np.inf)},
         # finite fields whose weight / sd or 1 / resample_sd overflows
@@ -289,6 +303,27 @@ class TestEqualRows:
         p = _row(**change)
         with pytest.raises(lj.QuadratureError, match="non-finite"):
             lj.tv_quadrature(p, p)
+
+    @pytest.mark.parametrize("m", [1.5, 0.5, -0.5, 2.5])
+    def test_half_integer_means_fold_to_equal_tables(self, m,
+                                                     evaluated_rows):
+        # the Gaussian's center and the unit jump's lie at opposite ends
+        # of the cell, +1/2 and -1/2, and still merge
+        p, q = _folded_unit_jump_pair(m, 0.25, 0.3)
+        assert p.table.size[0] == q.table.size[0] == 15
+        _assert_same_table(p.table, q.table)
+        assert lj.tv_quadrature(p, q) == 0.0
+        assert evaluated_rows == set()
+
+    @given(k=st.integers(-4, 4), s2=st.floats(0.001, 1.0),
+           lam=st.floats(0.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_half_integer_means_need_no_quadrature(self, k, s2, lam):
+        p, q = _folded_unit_jump_pair(k + 0.5, s2, lam)
+        _assert_same_table(p.table, q.table)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lj.MixtureTable, "values", None)
+            assert lj.tv_quadrature(p, q) == 0.0
 
     def test_mass_and_hellinger_still_integrate(self, evaluated_rows):
         p = lj.gaussian_density(0.3, 0.5)

@@ -40,6 +40,18 @@ PINNED_UNIFORM = {
     128: 0.2870996492847696,
     256: 0.2410047701777604,
 }
+#: criterion 6's lattice spec: unit Dirac jumps, filtered by folding
+LATTICE_SPEC = dataclasses.replace(CONTINUOUS_SPEC, epsilon_n=1.0,
+                                   jump_law=lj.DiracJump(1.0))
+PINNED_LATTICE = {
+    4: 0.2344459430666786,
+    8: 0.1727401412992552,
+    16: 0.12370245741058766,
+    32: 0.08792948611771322,
+    64: 0.062337504065916684,
+    128: 0.04413667611905153,
+    256: 0.03122966074256331,
+}
 
 LAWS = {
     "dirac": lj.DiracJump(1.0),
@@ -84,6 +96,11 @@ def test_uniform_sweep_is_pinned():
     rows = lj.run_convergence(UNIFORM_SPEC, list(PINNED_UNIFORM),
                               "continuous")
     assert {r.n: r.oracle_product_bound for r in rows} == PINNED_UNIFORM
+
+
+def test_lattice_sweep_is_pinned():
+    rows = lj.run_convergence(LATTICE_SPEC, list(PINNED_LATTICE), "lattice")
+    assert {r.n: r.oracle_product_bound for r in rows} == PINNED_LATTICE
 
 
 @given(grid=grids(), x=st.lists(st.floats(-6.0, 8.0), min_size=1,
@@ -229,19 +246,29 @@ def test_grid_convolution_samples_once_per_variance(build):
 @settings(max_examples=40, deadline=None)
 def test_mixed_width_rows_equal_their_one_row_tables_bitwise(sizes, seed, x):
     # narrow, dense and windowed rows in one table: padding and the other
-    # rows change no bit of a row, at one point or at many
+    # rows change no bit of a row, at one point or at many; so too for
+    # pushforward rows (cut plus top-up), whether every row of their table
+    # is topped or an untopped row shares it
     gen = np.random.default_rng(seed)
     alone = [MixtureTable(gen.uniform(-3.0, 3.0, k),
                           np.exp(gen.uniform(np.log(0.05), 0.0, k)),
                           gen.uniform(0.0, 1.0, k) / k) for k in sizes]
-    mixed = MixtureTable.concat(alone)
+    pushed = [dataclasses.replace(t, beta=gen.uniform(0.5, 4.0),
+                                  mass=gen.uniform(0.0, 0.5),
+                                  resample_sd=gen.uniform(0.05, 1.0))
+              for t in alone]
     x = np.array(x)
-    rows = np.repeat(np.arange(len(alone)), x.size)
-    batch = mixed.values(np.tile(x, len(alone)), rows)
-    for r, one in enumerate(alone):
-        want = one.values(x, np.zeros(x.size, dtype=np.intp))
-        assert np.array_equal(batch[rows == r], want)
-        assert [mixed.pdf(v, r) for v in x] == [one.pdf(v) for v in x]
+    for ones, mixed in ((alone, MixtureTable.concat(alone)),
+                        (pushed, MixtureTable.concat(pushed)),
+                        (pushed, MixtureTable.concat(pushed + alone[:1]))):
+        assert mixed._all_topped == (ones is pushed and
+                                     mixed.rows == len(pushed))
+        rows = np.repeat(np.arange(len(ones)), x.size)
+        batch = mixed.values(np.tile(x, len(ones)), rows)
+        for r, one in enumerate(ones):
+            want = one.values(x, np.zeros(x.size, dtype=np.intp))
+            assert np.array_equal(batch[rows == r], want)
+            assert [mixed.pdf(v, r) for v in x] == [one.pdf(v) for v in x]
 
 
 def test_paired_densities_need_the_same_rows():
@@ -276,8 +303,9 @@ def test_every_table_field_is_read_only():
     # full arrays of the right dtype take the view path, scalars and lists
     # the broadcast path; both must give the same read-only bytes and
     # leave the caller's arrays writable
-    full = {"means": np.array([[0.0, 1.0], [2.0, 3.0]]),
-            "sds": np.ones((2, 2)), "weights": np.full((2, 2), 0.5),
+    full = {"means": np.array([[0.0, 1.0], [2.0, 0.0]]),
+            "sds": np.ones((2, 2)),
+            "weights": np.array([[0.5, 0.5], [0.5, 0.0]]),
             "size": np.array([2, 1], dtype=np.intp),
             "beta": np.array([np.inf, 1.5]), "mass": np.zeros(2),
             "resample_sd": np.array([0.0, 0.3]),
@@ -313,3 +341,15 @@ def test_components_need_a_finite_mean_and_a_finite_positive_sd(mean, sd):
     # nothing and read its TV and mass as 0 (or 1) without an error
     with pytest.raises(ValueError, match="finite"):
         MixtureTable([[0.0, mean]], [[1.0, sd]], [[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("entry", [(0.4, 0.3, 0.3), (0.4, 1.0, 0.0),
+                                   (0.0, 0.3, 0.0), (0.0, 1.0, 0.3)])
+def test_entries_past_a_rows_size_must_be_padding(entry):
+    # a row of size 1 with a second entry (0.4, 0.3, 0.3) read TV 0.15
+    # against its two-component form alone but 0.0 when batched with the
+    # two-component row itself: a wider row brought its entries in
+    mean, sd, weight = entry
+    with pytest.raises(ValueError, match=r"padding \(0, 1, 0\)"):
+        MixtureTable([[0.0, mean]], [[1.0, sd]], [[0.7, weight]], size=[1])
+
