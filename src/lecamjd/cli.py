@@ -77,8 +77,7 @@ from .model import (DiracJump, Grid, LatticeJumps, ModelSpec,
                     linear, sine, uniform_jumps)
 from .simulate import RngStream, bin_jump_sums, sample_path
 
-__all__ = ["ConfigError", "parse_config", "load_config", "serialize_config",
-           "main"]
+__all__ = ["ConfigError", "parse_config", "load_config", "main"]
 
 
 class ConfigError(ValueError):
@@ -94,9 +93,14 @@ def _need(data: dict, key: str):
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(f"{key} must be finite (got an integer too "
+                          "large for a float)") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{key} must be finite (got {value!r})")
-    return float(value)
+    return number
 
 
 #: Config kinds by family: kind -> (constructor, its number fields in
@@ -150,11 +154,12 @@ def _parse_kind(obj, key: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def parse_config(data: dict) -> tuple[ModelSpec, dict]:
-    """Validated model plus run options from a decoded config object.
+def parse_config(data: dict) -> tuple[ModelSpec, int]:
+    """Validated model and grid size ``n`` from a decoded config object.
 
-    The options dict carries ``n`` and, when present in the config,
-    ``sigma_log_derivative_bound`` (already checked against the model).
+    An optional ``sigma_log_derivative_bound`` is a non-negative cap on
+    the log-volatility slope, checked against the model on the uniform
+    ``n``-interval grid; it is not returned.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -165,28 +170,29 @@ def parse_config(data: dict) -> tuple[ModelSpec, dict]:
     intensity_max = data.get("intensity_max")
     if intensity_max is not None:
         intensity_max = _as_float(intensity_max, "intensity_max")
-    n_raw = _need(data, "n")
-    if isinstance(n_raw, bool) or not isinstance(n_raw, int) or n_raw < 1:
+    n = _need(data, "n")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError("n must be a positive integer")
     try:
         spec = ModelSpec(**parsed, epsilon_n=epsilon_n, horizon=horizon,
                          initial=initial, intensity_max=intensity_max)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    options = {"n": int(n_raw)}
     c1 = data.get("sigma_log_derivative_bound")
     if c1 is not None:
         c1 = _as_float(c1, "sigma_log_derivative_bound")
-        grid = Grid.uniform(spec.horizon, options["n"])
+        if c1 < 0.0:
+            raise ConfigError(
+                "sigma_log_derivative_bound must be non-negative")
+        grid = Grid.uniform(spec.horizon, n)
         if not check_sigma_log_derivative(spec.sigma, c1, grid):
             raise ConfigError(
                 "sigma_log_derivative_bound: log-volatility slope exceeds "
                 f"the declared bound {c1!r}")
-        options["sigma_log_derivative_bound"] = c1
-    return spec, options
+    return spec, n
 
 
-def load_config(path: str) -> tuple[ModelSpec, dict]:
+def load_config(path: str) -> tuple[ModelSpec, int]:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -195,40 +201,6 @@ def load_config(path: str) -> tuple[ModelSpec, dict]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
-
-
-def _serialize_kind(obj, key: str) -> dict:
-    if isinstance(obj, DiracJump):
-        kind, params = "dirac", (obj.location,)
-    elif isinstance(obj, LatticeJumps):
-        kind, params = "lattice", (obj.values, obj.probs)
-    else:
-        kind, params = getattr(obj, "label", None), getattr(obj, "params", ())
-    kinds = _KINDS[_FAMILIES[key]]
-    if kind not in kinds:
-        raise ConfigError(
-            f"{key}: custom {_FAMILIES[key]}s cannot be serialized")
-    out = {"kind": kind}
-    for field, value in zip(kinds[kind][1], params):
-        out[field] = list(value) if isinstance(value, tuple) else float(value)
-    return out
-
-
-def serialize_config(spec: ModelSpec, options: dict) -> dict:
-    """Config object that parses back to the same model (see parse_config)."""
-    out = {key: _serialize_kind(getattr(spec, key), key) for key in _FAMILIES}
-    out.update({
-        "epsilon_n": float(spec.epsilon_n),
-        "horizon": float(spec.horizon),
-        "initial": float(spec.initial),
-        "n": int(options["n"]),
-    })
-    if spec.intensity_max is not None:
-        out["intensity_max"] = float(spec.intensity_max)
-    if "sigma_log_derivative_bound" in options:
-        out["sigma_log_derivative_bound"] = float(
-            options["sigma_log_derivative_bound"])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +314,8 @@ def _parse_n_list(raw: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    spec, options = load_config(args.config)
-    grid = Grid.uniform(spec.horizon, options["n"])
+    spec, n = load_config(args.config)
+    grid = Grid.uniform(spec.horizon, n)
     summaries = build_increment_summaries(spec, grid)
     path = sample_path(spec, grid, summaries, args.rng)
     counts = bin_jump_sums(grid.times, path.jump_times,
@@ -404,7 +376,7 @@ def _cmd_filter(args) -> int:
             raise ConfigError(
                 "--kernel truncate needs --config to set interval "
                 "noise levels")
-        spec, options = load_config(args.config)
+        spec, _ = load_config(args.config)
         if grid is None:
             grid = Grid.uniform(spec.horizon, inc.size)
         sigma = build_increment_summaries(spec, grid).sigma
@@ -422,7 +394,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    spec, options = load_config(args.config)
+    spec, n = load_config(args.config)
     kernel = args.kernel
     if kernel != "bernoulli":
         lattice = _jump_case(spec) == "lattice"
@@ -431,7 +403,7 @@ def _cmd_bounds(args) -> int:
                 "a continuous" if lattice else "an integer-lattice")
                 + " jump law")
         kernel = "round" if lattice else "truncate"
-    grid = Grid.uniform(spec.horizon, options["n"])
+    grid = Grid.uniform(spec.horizon, n)
     summaries = build_increment_summaries(spec, grid)
     if kernel == "round":
         report = discrete_kernel_aggregate_bound(summaries)
@@ -454,7 +426,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    spec, options = load_config(args.config)
+    spec, _ = load_config(args.config)
     n_list = _parse_n_list(args.n_list)
     rows = run_convergence(spec, n_list, _jump_case(spec), L=args.L,
                            epsilon=args.epsilon)
@@ -463,7 +435,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_risk_transfer(args) -> int:
-    spec, options = load_config(args.config)
+    spec, _ = load_config(args.config)
     rows = run_risk_transfer(spec, default_drift_estimator,
                              _parse_n_list(args.n_list), args.reps, args.rng)
     _emit_csv(_record_columns(rows, RiskRow), args.out)

@@ -123,7 +123,7 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
             "integer-lattice jumps" if jump_case == "lattice"
             else "a jump size density"))
     if holder is None:
-        holder = HolderClassParams(alpha=1.0, M=1.0, B=1.0)
+        holder = HolderClassParams(alpha=1.0)
     rows: list[ConvergenceRow] = []
     for n in n_values:
         grid = Grid.uniform(spec.horizon, n)

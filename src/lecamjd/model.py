@@ -71,15 +71,11 @@ class TimeFunction:
     ``square_integral(a, b)`` return the exact integral of ``fn`` and of
     ``fn**2`` over ``[a, b]`` when closed forms exist, elementwise for
     arrays of interval ends; quadrature fills in otherwise.
-    ``label``/``params`` record how the function was built so configs can be
-    round-tripped.
     """
 
     fn: Callable
     integral: Callable | None = None
     square_integral: Callable | None = None
-    label: str = "custom"
-    params: tuple[float, ...] = ()
 
     def __call__(self, t):
         return self.fn(t)
@@ -91,8 +87,6 @@ def constant(value: float) -> TimeFunction:
         fn=lambda t: v + 0.0 * np.asarray(t, dtype=float),
         integral=lambda a, b: v * (b - a),
         square_integral=lambda a, b: v * v * (b - a),
-        label="constant",
-        params=(v,),
     )
 
 
@@ -111,8 +105,6 @@ def linear(intercept: float, slope: float) -> TimeFunction:
         fn=lambda t: p + q * np.asarray(t, dtype=float),
         integral=_int,
         square_integral=_int_sq,
-        label="linear",
-        params=(p, q),
     )
 
 
@@ -139,8 +131,6 @@ def sine(offset: float, amplitude: float, angular_frequency: float,
         fn=lambda t: c + amp * np.sin(w * np.asarray(t, dtype=float) + ph),
         integral=_int,
         square_integral=_int_sq,
-        label="sine",
-        params=(c, amp, w, ph),
     )
 
 
@@ -246,8 +236,6 @@ class ContinuousJumps(JumpLaw):
     sampler: Callable | None = None
     cf_fn: Callable | None = None
     kfold_law: Callable | None = None
-    label: str = "custom"
-    params: tuple[float, ...] = ()
 
     def __post_init__(self):
         lo, hi = (float(self.support[0]), float(self.support[1]))
@@ -314,7 +302,6 @@ def uniform_jumps(lo: float, hi: float) -> ContinuousJumps:
         sampler=lambda gen, size: gen.uniform(lo, hi, size),
         cf_fn=_cf,
         kfold_law=lambda k: ("uniform", lo, hi) if k == 1 else None,
-        label="uniform", params=(lo, hi),
     )
 
 
@@ -330,7 +317,6 @@ def gaussian_jumps(mean: float, sd: float) -> ContinuousJumps:
         cf_fn=lambda u: np.exp(1j * np.asarray(u, dtype=float) * mu
                                - 0.5 * np.asarray(u, dtype=float) ** 2 * s * s),
         kfold_law=lambda k: ("gaussian", k * mu, k * s * s),
-        label="gaussian", params=(mu, s),
     )
 
 
@@ -340,17 +326,13 @@ def gaussian_jumps(mean: float, sd: float) -> ContinuousJumps:
 
 @dataclass(frozen=True)
 class HolderClassParams:
-    """Holder smoothness class: exponent, uniform Holder constant, sup bound."""
+    """Holder smoothness class, given by its exponent."""
 
     alpha: float
-    M: float
-    B: float
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.M <= 0 or self.B <= 0:
-            raise ValueError("M and B must be positive")
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ def test_criterion_06_raw_aggregate_slopes_follow_theorem_rate():
     same grids, +-10 %, half the relative width criterion 6 allows.
     """
     ns = [1 << k for k in range(14, 21)]
-    holder = lj.HolderClassParams(alpha=1.0, M=1.0, B=1.0)
+    holder = lj.HolderClassParams(alpha=1.0)
     spec_lat = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
                             sigma=lj.constant(1.0), epsilon_n=1.0,
                             intensity=lj.constant(0.5),

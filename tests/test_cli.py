@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import lecamjd as lj
 from lecamjd.cli import (ConfigError, _emit_csv, _read_increment_csv,
-                         load_config, main, parse_config, serialize_config)
+                         load_config, main, parse_config)
 
 BASE_CONFIG = {
     "drift": {"kind": "sine", "offset": 0.2, "amplitude": 0.1,
@@ -43,30 +43,11 @@ def write_config(tmp_path, overrides=None, name="config.json"):
 
 
 class TestParseConfig:
-    def test_roundtrip_through_serialization(self):
-        spec, options = parse_config(dict(BASE_CONFIG))
-        again, options2 = parse_config(serialize_config(spec, options))
-        assert options2["n"] == options["n"]
-        grid = lj.Grid.uniform(spec.horizon, options["n"])
-        a = lj.build_increment_summaries(spec, grid)
-        b = lj.build_increment_summaries(again, grid)
-        np.testing.assert_array_equal(a.m, b.m)
-        np.testing.assert_array_equal(a.sigma2, b.sigma2)
-        np.testing.assert_array_equal(a.lam, b.lam)
-
-    def test_optional_keys_round_trip(self):
-        data = dict(BASE_CONFIG, intensity_max=2.5,
+    def test_optional_keys_are_read(self):
+        data = dict(BASE_CONFIG, intensity_max=2.5, initial=-0.5,
                     sigma_log_derivative_bound=0.75)
-        once = serialize_config(*parse_config(data))
-        assert once["intensity_max"] == 2.5
-        assert once["sigma_log_derivative_bound"] == 0.75
-        assert serialize_config(*parse_config(once)) == once
-
-    def test_serialization_is_stable(self):
-        spec, options = parse_config(dict(BASE_CONFIG))
-        once = serialize_config(spec, options)
-        spec2, options2 = parse_config(once)
-        assert serialize_config(spec2, options2) == once
+        spec, n = parse_config(data)
+        assert (spec.intensity_max, spec.initial, n) == (2.5, -0.5, 16)
 
     @pytest.mark.parametrize("kind, params, cls", [
         ("lattice", {"values": [-1, 2], "probs": [0.25, 0.75]},
@@ -77,20 +58,8 @@ class TestParseConfig:
     def test_jump_law_kinds(self, kind, params, cls):
         data = dict(BASE_CONFIG)
         data["jump_law"] = {"kind": kind, **params}
-        spec, options = parse_config(data)
+        spec, _ = parse_config(data)
         assert isinstance(spec.jump_law, cls)
-        assert serialize_config(spec, options)["jump_law"]["kind"] == kind
-
-    def test_custom_kinds_cannot_be_serialized(self):
-        spec, options = parse_config(dict(BASE_CONFIG))
-        drift = lj.TimeFunction(lambda t: 0.0 * np.asarray(t))
-        law = lj.ContinuousJumps(density=lambda y: 1.0 + 0.0 * y,
-                                 support=(0.0, 1.0))
-        for key, value, noun in (("drift", drift, "time function"),
-                                 ("jump_law", law, "jump law")):
-            custom = lj.ModelSpec(**dict(vars(spec), **{key: value}))
-            with pytest.raises(ConfigError, match=f"{key}: custom {noun}"):
-                serialize_config(custom, options)
 
     def test_missing_key_is_named(self):
         data = dict(BASE_CONFIG)
@@ -151,8 +120,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="log-volatility"):
             parse_config(data)
         data["sigma_log_derivative_bound"] = 5.0
-        spec, options = parse_config(data)
-        assert options["sigma_log_derivative_bound"] == 5.0
+        parse_config(data)
+
+    @pytest.mark.parametrize("cap", [-1e-9, -5.0])
+    def test_negative_slope_cap_is_config_error(self, tmp_path, capsys,
+                                                cap):
+        # a constant volatility has slope 0: only the cap itself is wrong
+        cfg = write_config(tmp_path, {"sigma_log_derivative_bound": cap})
+        assert main(["validate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: sigma_log_derivative_bound "
+                                "must be non-negative\n")
 
     def test_load_config_error_paths(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -215,23 +194,43 @@ def summary_bytes(spec, grid):
             for name in ("m", "sigma2", "lam", "alpha")]
 
 
-class TestRoundTripProperty:
+#: config kind -> (the constructor it names, its keys in argument order)
+CONSTRUCTORS = {
+    "constant": (lj.constant, ("value",)),
+    "linear": (lj.linear, ("intercept", "slope")),
+    "sine": (lj.sine, ("offset", "amplitude", "angular_frequency", "phase")),
+    "dirac": (lj.DiracJump, ("location",)),
+    "lattice": (lj.LatticeJumps, ("values", "probs")),
+    "uniform": (lj.uniform_jumps, ("low", "high")),
+    "gaussian": (lj.gaussian_jumps, ("mean", "sd")),
+}
+
+
+def constructed(obj):
+    """What the constructor of ``obj``'s kind builds from its numbers."""
+    make, keys = CONSTRUCTORS[obj["kind"]]
+    return make(*(obj[key] for key in keys if key in obj))
+
+
+class TestParseProperty:
     @given(drift=_time_function(False), sigma=_time_function(True),
            intensity=_time_function(True), jump_law=JUMP_LAWS)
     @settings(max_examples=150, deadline=None)
-    def test_every_kind_round_trips(self, drift, sigma, intensity,
-                                    jump_law):
-        data = dict(BASE_CONFIG, drift=drift, sigma=sigma,
-                    intensity=intensity, jump_law=jump_law, n=8)
-        spec, options = parse_config(data)
-        once = serialize_config(spec, options)
-        spec2, options2 = parse_config(json.loads(json.dumps(once)))
-        assert serialize_config(spec2, options2) == once
-        grid = lj.Grid.uniform(spec.horizon, options["n"])
-        assert summary_bytes(spec, grid) == summary_bytes(spec2, grid)
+    def test_every_kind_parses_to_its_constructor(self, drift, sigma,
+                                                  intensity, jump_law):
+        parts = dict(drift=drift, sigma=sigma, intensity=intensity,
+                     jump_law=jump_law)
+        spec, n = parse_config(dict(BASE_CONFIG, **parts, n=8))
+        want = lj.ModelSpec(
+            **{key: constructed(obj) for key, obj in parts.items()},
+            epsilon_n=BASE_CONFIG["epsilon_n"],
+            horizon=BASE_CONFIG["horizon"])
+        assert n == 8
+        grid = lj.Grid.uniform(spec.horizon, n)
+        assert summary_bytes(spec, grid) == summary_bytes(want, grid)
         us = np.linspace(-4.0, 4.0, 9)
         np.testing.assert_array_equal(spec.jump_law.cf(us),
-                                      spec2.jump_law.cf(us))
+                                      want.jump_law.cf(us))
 
 
 def reference_csv(columns, last_row=None):
@@ -1070,6 +1069,22 @@ class TestNonFiniteConfigs:
                 code = main(["validate", "--config", cfg])
         assert code == 1
         assert err.getvalue().startswith("config error: ")
+
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "1e400"],
+                             ids=["integer", "exponent"])
+    @pytest.mark.parametrize("case, key", [
+        (("dirac", ("epsilon_n",)), "epsilon_n"),
+        (("lattice", ("jump_law", "values", 1)), "jump_law.values[1]")])
+    def test_number_past_the_float_range_exits_one(self, tmp_path, capsys,
+                                                   case, key, literal):
+        # an integer too large for a float is as infinite as 1e400
+        text = json.dumps(config_with(case, "HUGE"))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text.replace('"HUGE"', literal), encoding="utf-8")
+        assert main(["validate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {key} must be finite")
 
     def test_infinite_drift_writes_no_rows(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"drift": {"kind": "constant",

@@ -314,7 +314,7 @@ class TestDriftDiscretization:
 
 
 class TestTheoremRate:
-    HOLDER = lj.HolderClassParams(alpha=1.0, M=1.0, B=1.0)
+    HOLDER = lj.HolderClassParams(alpha=1.0)
 
     def test_lattice_sixteenth(self):
         got = lj.theorem_rate(1.0 / 16.0, 1.0, 1.0, self.HOLDER, "lattice")
@@ -326,7 +326,7 @@ class TestTheoremRate:
         assert got == 0.5 + (1.0 / 16.0) ** 2 + 1.0 / 16.0
 
     def test_rough_drift_inflates_common_term(self):
-        rough = lj.HolderClassParams(alpha=0.5, M=1.0, B=1.0)
+        rough = lj.HolderClassParams(alpha=0.5)
         smooth = lj.theorem_rate(0.01, 1.0, 0.1, self.HOLDER, "lattice")
         kinky = lj.theorem_rate(0.01, 1.0, 0.1, rough, "lattice")
         assert kinky > smooth

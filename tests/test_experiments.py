@@ -47,7 +47,7 @@ class TestFitRateSlope:
     def test_theorem_rate_slope_over_dyadic_sweep(self):
         # slope of sqrt(d) + d^2 + d on n = 64 .. 4096, frozen from an
         # independent polyfit of the same closed form
-        holder = lj.HolderClassParams(alpha=1.0, M=1.0, B=1.0)
+        holder = lj.HolderClassParams(alpha=1.0)
         rows = synthetic_rows(
             [64, 128, 256, 512, 1024, 2048, 4096],
             lambda d: lj.theorem_rate(d, 1.0, 1.0, holder, "lattice"))
@@ -95,7 +95,7 @@ class TestRunConvergence:
         assert rows == lj.run_convergence(LATTICE_SPEC, [4], "lattice")
 
     def test_rate_prediction_matches_theorem_rate(self):
-        holder = lj.HolderClassParams(alpha=0.5, M=2.0, B=1.0)
+        holder = lj.HolderClassParams(alpha=0.5)
         rows = lj.run_convergence(LATTICE_SPEC, [16, 32], "lattice",
                                   holder=holder)
         for r in rows:
