@@ -4,6 +4,8 @@ Tail probabilities go through the complementary error function so that
 values like Phi(-15) keep full relative accuracy instead of rounding to
 zero; several bound formulas live entirely in that tail regime.  The erfc
 is ``math.erfc`` per element: within 3 ulp on [-30, 30], subnormals too.
+Past the edges where that erfc saturates, ``std_cdf`` returns its constant
+without calling it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,25 @@ def std_pdf(z):
     return np.exp(-0.5 * z * z) * _INV_SQRT_2PI
 
 
+#: ``0.5 * erfc(-z / sqrt(2))`` is exactly 1.0 from z = 8.2924 up and
+#: exactly 0.0 from z = -38.4754 down; past these rounder edges no erfc is
+#: called
+_CDF_ONE = 9.0
+_CDF_ZERO = -39.0
+
+
 def std_cdf(z):
-    x = np.asarray(-np.asarray(z, dtype=float) / _SQRT2)
-    erfc = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size)
-    return 0.5 * erfc.reshape(x.shape)[()]
+    z = np.asarray(z, dtype=float)
+    one = z >= _CDF_ONE
+    out = np.where(one, 1.0, 0.0)
+    # NaN fails both comparisons, so it takes the erfc branch
+    mid = ~(one | (z <= _CDF_ZERO))
+    x = -z[mid] / _SQRT2
+    out[mid] = 0.5 * np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+    return out[()]
+
+
+def std_cdf_integral(z):
+    """``z Phi(z) + phi(z)``, the integral of Phi from -inf to ``z``."""
+    z = np.asarray(z, dtype=float)
+    return z * std_cdf(z) + std_pdf(z)

@@ -154,8 +154,16 @@ def _parse_kind(obj, key: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+#: largest grid a config or ``--n-list`` may ask for: ``simulate`` and
+#: ``bounds`` hold about 0.5 kB per interval (float arrays and the text
+#: of each CSV cell), so 2**24 intervals already need some 8 GB; past
+#: the cap a run would fail in an allocation, not with a config error
+_MAX_N = 1 << 24
+
+
 def parse_config(data: dict) -> tuple[ModelSpec, int]:
-    """Validated model and grid size ``n`` from a decoded config object.
+    """Validated model and grid size ``n`` (at most ``2**24``) from a
+    decoded config object.
 
     An optional ``sigma_log_derivative_bound`` is a non-negative cap on
     the log-volatility slope, checked against the model on the uniform
@@ -173,6 +181,8 @@ def parse_config(data: dict) -> tuple[ModelSpec, int]:
     n = _need(data, "n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError("n must be a positive integer")
+    if n > _MAX_N:
+        raise ConfigError(f"n must be at most {_MAX_N}")
     try:
         spec = ModelSpec(**parsed, epsilon_n=epsilon_n, horizon=horizon,
                          initial=initial, intensity_max=intensity_max)
@@ -306,6 +316,8 @@ def _parse_n_list(raw: str) -> list[int]:
         raise ConfigError(f"--n-list must be comma-separated integers: {exc}")
     if not values:
         raise ConfigError("--n-list must name at least one grid size")
+    if max(values) > _MAX_N:
+        raise ConfigError(f"--n-list sizes must be at most {_MAX_N}")
     return values
 
 

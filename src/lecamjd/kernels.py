@@ -28,7 +28,6 @@ from ._quadrature import integrate
 from .laws import Density, MixtureTable
 from .model import (ContinuousJumps, DiracJump, Grid, JumpLaw, LatticeJumps,
                     as_time_function)
-from .oracle import integrate_rows
 from .simulate import RngStream
 
 __all__ = [
@@ -191,24 +190,16 @@ def truncate_resample_pushforward(d: Density,
     """Law of the truncate-and-resample output for input law ``d``.
 
     Restriction of ``d`` to the ball plus the escaped mass times the
-    resampling Gaussian; the escaped mass is measured by quadrature of
-    ``d`` itself.  A table is pushed forward row by row, with
-    ``params.sigma_i`` holding one noise sd per row; rows that are already
-    restricted or topped up raise ``ValueError``.
+    resampling Gaussian; the escaped mass is the closed form
+    :meth:`~lecamjd.laws.MixtureTable.escaped_mass` of ``d``'s table, a
+    sum of Gaussian tails and box-tail integrals.  A table is pushed
+    forward row by row, with ``params.sigma_i`` holding one noise sd per
+    row; rows that are already restricted, topped up or folded raise
+    ``ValueError``.
     """
     t = d.table
-    if not t.plain.all():
-        raise ValueError("only unrestricted rows can be truncated and "
-                         "resampled")
-    beta = np.broadcast_to(params.beta, t.rows)
-    lo, hi, pts = t.structure()
-    # the ball's edges split the panels, so each lies inside or outside
-    escaped = integrate_rows(
-        lambda x, rows: np.where(np.abs(x) > beta[rows], t.values(x, rows),
-                                 0.0),
-        (lo, hi, pts), (lo, hi, np.stack((-beta, beta), axis=1)),
-        what="escaped mass")
-    return Density(replace(t, beta=params.beta, mass=escaped,
+    return Density(replace(t, beta=params.beta,
+                           mass=t.escaped_mass(params.beta),
                            resample_sd=params.sigma_i))
 
 

@@ -224,6 +224,35 @@ class MixtureTable:
                 (1.0 / s) * _gauss.std_pdf(x[top] / s))
         return out
 
+    def escaped_mass(self, beta) -> np.ndarray:
+        """Per row, the mass outside the closed ball ``[-beta, beta]``
+        (``beta`` a scalar or one radius per row), in closed form.
+
+        Each component adds ``w (Phi((-beta - m)/s) + Phi((m - beta)/s))``,
+        in component order as in :meth:`_dense`, so padding adds exact
+        zeros and a row's bits do not depend on the other rows.  A box
+        adds ``box_weight * box_sd`` times a difference of ``G``, the
+        integral of Phi, at its two ends on each side of the ball.
+        Restricted, topped-up and folded rows raise ``ValueError``.
+        """
+        if not self.plain.all():
+            raise ValueError("only unrestricted rows have an escaped mass")
+        beta = np.broadcast_to(np.asarray(beta, dtype=float), (self.rows,))
+        m, s = self.means, self.sds
+        tails = _gauss.std_cdf(np.stack(((-beta[:, None] - m) / s,
+                                         (m - beta[:, None]) / s)))
+        out = np.zeros(self.rows)
+        for term in (self.weights * (tails[0] + tails[1])).T:
+            out += term
+        if self._has_box:
+            r = np.flatnonzero(self.boxed)
+            b, lo, hi, sd = (beta[r], self.box_lo[r], self.box_hi[r],
+                             self.box_sd[r])
+            g = _gauss.std_cdf_integral(np.stack((
+                (-b - lo) / sd, (-b - hi) / sd, (hi - b) / sd, (lo - b) / sd)))
+            out[r] += self.box_weight[r] * sd * (g[0] - g[1] + g[2] - g[3])
+        return out
+
     def _dense(self, x, rows):
         """Sums over every component, in component order for each point,
         so a row's padding adds exact zeros after its own terms."""

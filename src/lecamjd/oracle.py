@@ -71,7 +71,7 @@ def _merged_points(*sides) -> np.ndarray:
     return np.sort(np.where(keep, pts, np.nan), axis=1)
 
 
-def integrate_rows(fn, *sides, what: str = "oracle panel") -> np.ndarray:
+def integrate_rows(fn, *sides) -> np.ndarray:
     """Per row, the integral of ``fn(x, rows)`` over the panels between the
     merged edges of ``sides`` (see :func:`_merged_points`).
 
@@ -83,7 +83,7 @@ def integrate_rows(fn, *sides, what: str = "oracle panel") -> np.ndarray:
     ok = ~np.isnan(points[:, 1:])
     row = np.nonzero(ok)[0]
     cont = integrate(lambda x, panel: fn(x, row[panel]), points[:, :-1][ok],
-                     points[:, 1:][ok], what=what, by_panel=True)
+                     points[:, 1:][ok], what="oracle panel", by_panel=True)
     return np.bincount(row, cont, points.shape[0])
 
 

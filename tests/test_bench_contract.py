@@ -6,7 +6,9 @@ return; ``bench/run.py`` reads ``lecamjd.experiments.worker_count``; and
 ``bench/workloads.py`` calls the two experiment drivers with positional
 arguments on the specs of ``bench/specs.py`` and reads fields of their
 rows.  Changing any of these breaks only benchmark runs, so they are
-checked here.
+checked here.  So is the benchmark's own output check: a unit of each
+workload, run by ``bench/workloads.py`` against ``bench/reference.json``,
+must fail no operation.
 """
 
 import dataclasses
@@ -14,6 +16,8 @@ import importlib.util
 import math
 import pathlib
 import sys
+
+import pytest
 
 import lecamjd.cli
 import lecamjd.experiments
@@ -23,10 +27,15 @@ from lecamjd.simulate import RngStream
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_bench(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+def load_bench(name, monkeypatch=None, as_name=None):
+    """``bench/<name>.py`` as a fresh module; with ``monkeypatch``, also
+    in ``sys.modules`` (as ``as_name``, if given) for the test's span."""
+    as_name = as_name or f"bench_{name}"
+    spec = importlib.util.spec_from_file_location(as_name,
                                                   BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, as_name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -72,3 +81,19 @@ def test_risk_call_form_and_row_fields(monkeypatch):
     for name in ("mise_direct_gaussian", "mise_transferred",
                  "mise_naive_on_jumps"):
         assert math.isfinite(getattr(rows[0], name)), name
+
+
+@pytest.mark.parametrize("name, size", [
+    ("sweep-continuous", "full"), ("sweep-continuous", "tiny"),
+    ("sweep-lattice", "full"), ("sweep-lattice", "tiny"),
+    ("cli-pipeline", "tiny")])
+def test_a_workload_unit_passes_the_benchmarks_checks(monkeypatch, tmp_path,
+                                                      name, size):
+    # the harness reports outputs_incorrect on any failed operation
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    load_bench("specs", monkeypatch, as_name="specs")
+    workloads = load_bench("workloads", monkeypatch)
+    work = workloads.make(name, size, seed=7, workdir=str(tmp_path))
+    work.unit(load_bench("clock").PlainClock())
+    assert work.tally.attempted > 0
+    assert (work.tally.failed, work.tally.notes) == (0, [])

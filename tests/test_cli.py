@@ -133,6 +133,19 @@ class TestParseConfig:
         assert captured.err == ("config error: sigma_log_derivative_bound "
                                 "must be non-negative\n")
 
+    @pytest.mark.parametrize("argv", [["validate"], ["simulate"],
+                                      ["bounds"]])
+    def test_n_past_the_cap_is_config_error(self, tmp_path, capsys, argv):
+        # 10**23 passed validate, and simulate and bounds failed with
+        # numpy's "Maximum allowed size exceeded", which does not name n
+        parse_config(dict(BASE_CONFIG, n=1 << 24))
+        for extra in ({}, {"sigma_log_derivative_bound": 1.0}):
+            cfg = write_config(tmp_path, dict(extra, n=10 ** 23))
+            assert main(argv + ["--config", cfg]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "config error: n must be at most 16777216\n"
+
     def test_load_config_error_paths(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "missing.json"))
@@ -966,6 +979,13 @@ class TestArgumentErrors:
         ("--n-list grid sizes must be strictly increasing",
          ["risk-transfer", "--n-list", "16,8", "--reps", "2"],
          _UNORDERED + " (got [16, 8])"),
+        # numpy's "Maximum allowed size exceeded" used to name no flag
+        ("--n-list grid sizes must be at most 2**24",
+         ["convergence", "--n-list", f"4,{10 ** 23}"],
+         "--n-list sizes must be at most 16777216"),
+        ("--n-list grid sizes must be at most 2**24",
+         ["risk-transfer", "--n-list", str(10 ** 23), "--reps", "2"],
+         "--n-list sizes must be at most 16777216"),
     ]
 
     @pytest.mark.parametrize(

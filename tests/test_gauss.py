@@ -97,3 +97,21 @@ def test_scalar_in_scalar_out_and_shapes_kept(cdf):
     assert cdf(np.empty((0, 2))).shape == (0, 2)
     assert cdf([[0.1, 0.2]]).shape == (1, 2)
 
+
+#: the erfc branch's saturation edges, and values that probe the rest
+EDGES = [8.2924, -38.4754, 9.0, -39.0, math.inf, -math.inf, math.nan,
+         5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0]
+
+
+@given(st.lists(st.one_of(st.floats(8.0, 10.0), st.floats(-40.0, -38.0),
+                          st.floats(allow_nan=True, allow_infinity=True),
+                          st.sampled_from(EDGES)),
+                min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_saturated_cdf_is_bitwise_the_erfc_form(zs):
+    # past z = 9 and z = -39 no erfc is called, yet every bit is kept
+    got = _gauss.std_cdf(np.array(zs))
+    want = np.array([0.5 * math.erfc(-z / SQRT2) for z in zs])
+    assert got.tobytes() == want.tobytes()
+    assert [_gauss.std_cdf(z).tobytes() for z in zs] == [
+        w.tobytes() for w in want]

@@ -1,7 +1,9 @@
 """Fractional-part and truncate-resample filters, plus the statistics
 that ride on them."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import lecamjd as lj
+from lecamjd import _quadrature
 
 
 def std_phi(x, sd=1.0):
@@ -245,9 +248,37 @@ class TestPushforward:
             lj.gaussian_density(0.0, 1.0), params)
         folded = lj.fold_density_to_lattice_cell(
             lj.gaussian_density(0.0, 1.0))
-        for d in (push, folded):
+        # topped up but not cut: still no law to truncate
+        topped = lj.Density(dataclasses.replace(
+            lj.gaussian_density(0.0, 1.0).table, mass=0.1, resample_sd=1.0))
+        for d in (push, folded, topped):
             with pytest.raises(ValueError, match="unrestricted"):
                 lj.truncate_resample_pushforward(d, params)
+
+    def test_pushforward_makes_no_integrator_call(self, monkeypatch):
+        # the escaped mass is a closed form: only the oracle integrates
+        s = lj.IncrementSummaries(m=[0.0, 0.5], sigma2=[0.01, 0.04],
+                                  lam=[0.3, 0.6])
+        laws = [lj.bernoulli_density(s, law) for law in (
+            lj.gaussian_jumps(2.0, 0.5), lj.uniform_jumps(1.0, 2.0))]
+        target = lj.gaussian_density(s.m, s.sigma2)
+        params = lj.TruncateResampleParams(0.5, 0.5, np.sqrt(s.sigma2))
+        calls, integrate = [], _quadrature.integrate
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("what"))
+            return integrate(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("lecamjd.")
+                    and getattr(module, "integrate", None) is integrate):
+                monkeypatch.setattr(module, "integrate", spy)
+        for approx in laws:
+            push = lj.truncate_resample_pushforward(approx, params)
+            assert calls == []
+            lj.tv_quadrature_many([(push, target)])
+            assert calls == ["oracle panel"]
+            calls.clear()
 
     def test_no_escape_means_identity(self):
         params = lj.TruncateResampleParams(L=20.0, epsilon=0.5, sigma_i=1.0)

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import lecamjd as lj
 from lecamjd._gauss import std_pdf
 from lecamjd.laws import MixtureTable
+from lecamjd.oracle import integrate_rows
 
 #: criterion 6's continuous spec and its oracle_product_bound, with every
-#: oracle sum in a fixed order
+#: oracle sum in a fixed order and the escaped masses in closed form
 CONTINUOUS_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
                                sigma=lj.constant(1.0), epsilon_n=0.2,
                                intensity=lj.constant(0.5),
@@ -21,24 +22,24 @@ CONTINUOUS_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
                                horizon=1.0)
 PINNED_CONTINUOUS = {
     4: 0.6528839526638637,
-    8: 0.5657162868765996,
+    8: 0.5657162868765993,
     16: 0.48169350488112456,
     32: 0.40660069149810857,
-    64: 0.3419053341951657,
-    128: 0.28709964928320164,
-    256: 0.24100477017640695,
+    64: 0.34190533419516567,
+    128: 0.2870996492832016,
+    256: 0.24100477017640703,
 }
 #: the same spec with uniform jumps on [1, 2]
 UNIFORM_SPEC = dataclasses.replace(CONTINUOUS_SPEC,
                                    jump_law=lj.uniform_jumps(1.0, 2.0))
 PINNED_UNIFORM = {
-    4: 0.652884053173014,
+    4: 0.6528840531730141,
     8: 0.5657162868793577,
     16: 0.48169350488110224,
     32: 0.406600691498779,
-    64: 0.341905334196278,
-    128: 0.2870996492847696,
-    256: 0.2410047701777604,
+    64: 0.34190533419627794,
+    128: 0.28709964928476966,
+    256: 0.24100477017776042,
 }
 #: criterion 6's lattice spec: unit Dirac jumps, filtered by folding
 LATTICE_SPEC = dataclasses.replace(CONTINUOUS_SPEC, epsilon_n=1.0,
@@ -173,6 +174,76 @@ def test_batched_pushforwards_and_tvs_equal_one_law_calls(grid, L, epsilon):
                                                                 s.sigma2))))
     np.testing.assert_array_equal(pushed.table.mass, mass)
     np.testing.assert_array_equal(many, one)
+
+
+def isolated_peaks(t: MixtureTable) -> np.ndarray:
+    """Per row (NaN-padded), each distinct component mean more than 8 of
+    the row's largest sds from the next one, and its 6-sd shoulders.
+
+    ``structure`` splits a row of more than 64 components at none of its
+    peaks, so the oracle's panels alone miss narrow, well separated ones
+    (an exact lattice row of 136 components with sd 0.03).
+    """
+    rows = []
+    for r in range(t.rows):
+        k = t.size[r]
+        m, s = np.unique(t.means[r, :k]), t.sds[r, :k].max()
+        gap = np.diff(m, prepend=-np.inf, append=np.inf)
+        m = m[np.minimum(gap[:-1], gap[1:]) > 8.0 * s]
+        rows.append(np.concatenate((m - 6.0 * s, m, m + 6.0 * s)))
+    width = max(p.size for p in rows)
+    return np.array([np.pad(p, (0, width - p.size), constant_values=np.nan)
+                     for p in rows])
+
+
+def outside_by_quadrature(t: MixtureTable, beta) -> np.ndarray:
+    """Per row, the integral of the table over |x| > beta, by the oracle's
+    panels with the ball's edges and the isolated peaks added."""
+    lo, hi, pts = t.structure()
+    beta = np.broadcast_to(beta, t.rows)
+    return integrate_rows(
+        lambda x, rows: np.where(np.abs(x) > beta[rows], t.values(x, rows),
+                                 0.0),
+        (lo, hi, pts), (lo, hi, np.stack((-beta, beta), axis=1)),
+        (lo, hi, isolated_peaks(t)))
+
+
+@given(grid=grids(), beta=st.floats(0.0, 3.0, exclude_min=True))
+@settings(max_examples=200, deadline=None)
+def test_escaped_mass_matches_quadrature(grid, beta):
+    # the closed form against an independent witness, the oracle's
+    # quadrature, on the one-jump and Gaussian rows of every law (the
+    # rows a pushforward sees: boxes, wide rows) and the exact rows of
+    # the laws with closed-form k-fold sums; an exact row of custom or
+    # uniform jumps is a grid convolution of up to 10^5 components,
+    # seconds of quadrature per example
+    summaries, name = grid
+    law = LAWS[name]
+    tables = [lj.bernoulli_density(summaries, law),
+              lj.gaussian_density(summaries.m, summaries.sigma2)]
+    if name not in ("custom", "uniform"):
+        tables.append(lj.increment_density_exact(summaries, law))
+    for d in tables:
+        got = d.table.escaped_mass(beta)
+        want = outside_by_quadrature(d.table, beta)
+        assert np.all(np.abs(got - want) <= np.maximum(1e-12, 1e-10 * got))
+
+
+@given(grids=st.lists(grids(max_rows=3), min_size=2, max_size=4),
+       beta=st.floats(0.0, 3.0, exclude_min=True))
+@settings(max_examples=40, deadline=None)
+def test_escaped_mass_of_a_row_does_not_depend_on_its_table(grids, beta):
+    # rows of different laws (boxes, a few or many components) padded to
+    # the widest of them: each keeps the bits it has alone
+    parts = [(summaries.interval(r), LAWS[name]) for summaries, name in grids
+             for r in range(summaries.n)]
+    mixed = MixtureTable.concat(lj.bernoulli_density(s, law).table
+                                for s, law in parts)
+    radii = beta * (1.0 + np.arange(mixed.rows) / mixed.rows)
+    got = mixed.escaped_mass(radii)
+    for r, (s, law) in enumerate(parts):
+        alone = lj.bernoulli_density(s, law).table
+        assert got[r].tobytes() == alone.escaped_mass(radii[r]).tobytes()
 
 
 @given(k=st.integers(65, 300), seed=st.integers(0, 2 ** 32 - 1))
