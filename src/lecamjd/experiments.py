@@ -20,6 +20,7 @@ and its index, so outputs are bitwise reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -186,18 +187,36 @@ def default_drift_estimator(increments, grid: Grid) -> np.ndarray:
     n = grid.n
     if inc.size != n:
         raise ValueError("need one increment per grid interval")
-    raw = inc / grid.deltas
     window = max(1, math.ceil(n ** (1.0 / 3.0)))  # never above n
-    num = np.convolve(raw, np.ones(window), mode="same")
-    # den[j] counts the window positions inside [0, n): the exact integers,
-    # hence the bits, that np.convolve(np.ones(n), np.ones(window), "same")
-    # gives; the window overhangs `lead` entries left and `trail` right
+    kernel, lead_den, trail_den = _window_constants(window)
+    est = np.convolve(inc / grid.deltas, kernel, mode="same")
+    # divide by the count of window positions inside [0, n): window itself,
+    # except on the `lead` entries the window overhangs on the left and the
+    # `trail` entries on the right (window <= n, so no entry has both)
+    lead, trail = lead_den.size, trail_den.size
+    est[lead:n - trail] /= window
+    est[:lead] /= lead_den
+    est[n - trail:] /= trail_den
+    return est
+
+
+@functools.lru_cache(maxsize=64)
+def _window_constants(window: int):
+    """The estimator's all-ones kernel and its edge counts, read-only.
+
+    The counts are the exact integers, hence the bits, that
+    ``np.convolve(np.ones(n), np.ones(window), "same")`` gives at the
+    ``lead`` first and ``trail`` last entries; they depend on the window
+    alone.  Each entry holds about 16 bytes per window position, and 64
+    windows cover every ``n`` up to about 250,000.
+    """
     trail = (window - 1) // 2
     lead = window - 1 - trail
-    den = np.full(n, float(window))
-    den[:lead] -= np.arange(lead, 0, -1)
-    den[n - trail:] -= np.arange(1, trail + 1)
-    return num / den
+    arrays = (np.ones(window), window - np.arange(lead, 0, -1.0),
+              window - np.arange(1.0, trail + 1))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _squared_error_scorer(f_at_times: np.ndarray, grid: Grid):
@@ -208,9 +227,13 @@ def _squared_error_scorer(f_at_times: np.ndarray, grid: Grid):
     half_deltas = grid.deltas * 0.5
 
     def score(estimate: np.ndarray) -> float:
-        left = (estimate - f_left) ** 2
-        right = (estimate - f_right) ** 2
-        return float(np.sum(half_deltas * (left + right)))
+        left = estimate - f_left
+        left *= left
+        right = estimate - f_right
+        right *= right
+        left += right
+        left *= half_deltas
+        return float(left.sum())
 
     return score
 
@@ -245,13 +268,16 @@ def run_risk_transfer(spec: ModelSpec, delta, n_values, replications: int,
             increments = sample_path(spec, grid, summaries,
                                      rng.child(base)).increments
             wn = sample_white_noise_increments(summaries, rng.child(base + 1))
-            obs = spec.initial + np.concatenate(([0.0], np.cumsum(increments)))
+            obs = np.empty(n + 1)
+            obs[0] = 0.0
+            increments.cumsum(out=obs[1:])
+            obs += spec.initial
             # direct, transferred, naive: each estimate is scored as soon
             # as it is made, so at most one is held at a time
             results.append([
                 score(delta(wn, grid)),
                 score(transfer_estimator(lambda v: delta(v, grid), obs)),
-                score(delta(np.diff(obs), grid))])
+                score(delta(obs[1:] - obs[:-1], grid))])
         arr = np.asarray(results)  # ordered by replication index
         rows.append(RiskRow(
             n=n,

@@ -213,7 +213,7 @@ def transfer_estimator(delta, observations):
     obs = np.asarray(observations, dtype=float)
     if obs.ndim != 1 or obs.size < 2:
         raise ValueError("observations must be a 1-d sample of length >= 2")
-    return delta(round_to_lattice(np.diff(obs)))
+    return delta(round_to_lattice(obs[1:] - obs[:-1]))
 
 
 def weighted_integral_statistic(increments, sigma_n2, grid: Grid) -> np.ndarray:

@@ -9,6 +9,15 @@ kink.  The panels go to the package's adaptive Gauss-Kronrod integrator
 must converge on its own to ``max(1e-12, 1e-10 * |value|)`` or the
 computation raises instead of returning a silently wrong number.
 
+That tolerance holds for the rule's error estimate, not always for the
+error.  Where p - q changes sign inside a TV or L1 panel, |p - q| has a
+kink that no breakpoint marks, and the estimate can accept the panel far
+past the tolerance: 45 to 1,000 times past it on criterion-6 rows, such
+as the continuous spec's n = 8 filter-step row 3, which is 4.8e-9 off an
+independent fine-panel rule.  ROADMAP items 19 and 22 record the
+witnesses and the mend, a TV from closed-form CDF differences between
+the sign changes.
+
 A batch may hold many pairs of densities, and a pair of tables with a row
 per interval stands for one comparison per row: ``tv_quadrature_many``
 puts the panels of every row of every pair into one integrator call, and

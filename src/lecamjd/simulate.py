@@ -57,8 +57,7 @@ class RngStream:
         seed, *words = map(operator.index, (self.seed, *(
             sid if isinstance(sid, tuple) else (sid,))))
         if not words or not all(0 <= w <= _MASK64 for w in (seed, *words)):
-            raise ValueError(f"stream seed, root and each offset must lie "
-                             f"in [0, 2^64) (got {self.seed!r}, {sid!r})")
+            raise _word_error(self.seed, sid)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "stream_id", tuple(words))
 
@@ -71,8 +70,23 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
     def child(self, offset: int) -> "RngStream":
-        """Derived stream: this id with ``offset`` appended."""
-        return RngStream(self.seed, self.stream_id + (offset,))
+        """Derived stream: this id with ``offset`` appended.
+
+        Only ``offset`` is checked, as the constructor would check it: the
+        parent's seed and words are valid already.
+        """
+        k = operator.index(offset)
+        if not 0 <= k <= _MASK64:
+            raise _word_error(self.seed, self.stream_id + (offset,))
+        out = object.__new__(RngStream)
+        object.__setattr__(out, "seed", self.seed)
+        object.__setattr__(out, "stream_id", self.stream_id + (k,))
+        return out
+
+
+def _word_error(seed, sid) -> ValueError:
+    return ValueError(f"stream seed, root and each offset must lie in "
+                      f"[0, 2^64) (got {seed!r}, {sid!r})")
 
 
 @dataclass(frozen=True)
@@ -112,10 +126,11 @@ def _thinned_times(gen, intensity, lambda_max: float, horizon: float):
     if lambda_max == 0.0:
         return np.empty(0)
     count = int(gen.poisson(lambda_max * horizon))
-    candidates = np.sort(gen.uniform(0.0, horizon, count))
+    candidates = gen.uniform(0.0, horizon, count)
+    candidates.sort()
     accept_u = gen.random(count)
     rates = np.asarray(intensity(candidates), dtype=float)
-    if np.any(rates > lambda_max * (1.0 + 1e-12)):
+    if (rates > lambda_max * (1.0 + 1e-12)).any():
         t_bad = float(candidates[np.argmax(rates)])
         raise ValueError(
             f"intensity({t_bad:g}) = {float(np.max(rates)):g} exceeds the "
@@ -129,13 +144,19 @@ def bin_jump_sums(times: np.ndarray, jump_times: np.ndarray,
     n = times.size - 1
     if jump_times.size == 0:
         return np.zeros(n)
-    idx = np.searchsorted(times, jump_times, side="left") - 1
-    idx = np.clip(idx, 0, n - 1)
+    idx = times.searchsorted(jump_times, side="left") - 1
+    # clamp in place: np.clip's Python wrapper costs more than both calls
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, n - 1, out=idx)
     return np.bincount(idx, weights=jump_sizes, minlength=n)
 
 
 def _gaussian_parts(gen, summaries: IncrementSummaries) -> np.ndarray:
-    return summaries.m + summaries.sigma * gen.standard_normal(summaries.n)
+    """``m + sigma * z`` for standard normal ``z``, formed in place."""
+    z = gen.standard_normal(summaries.n)
+    z *= summaries.sigma
+    z += summaries.m
+    return z
 
 
 def sample_path(spec: ModelSpec, grid: Grid, summaries: IncrementSummaries,

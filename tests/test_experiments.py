@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
+from lecamjd import experiments
 from lecamjd.experiments import DEFAULT_EPSILON, DEFAULT_L
 
 LATTICE_SPEC = lj.ModelSpec(drift=lj.sine(0.0, 1.0, 1.0),
@@ -195,6 +196,18 @@ class TestDefaultDriftEstimator:
         grid = lj.Grid.uniform(1.0, 4)
         with pytest.raises(ValueError, match="one increment"):
             lj.default_drift_estimator(np.ones(5), grid)
+
+    @pytest.mark.parametrize("window", [1, 2, 5, 16])
+    def test_cached_window_constants_are_read_only(self, window):
+        # the estimator shares these arrays across calls, so a write
+        # through any of them would change every later estimate
+        arrays = experiments._window_constants(window)
+        assert arrays is experiments._window_constants(window)
+        assert [a.size for a in arrays] == [window, window // 2,
+                                            (window - 1) // 2]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
 
 
 class TestRunRiskTransfer:

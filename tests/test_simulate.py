@@ -123,6 +123,31 @@ class TestRngStream:
     def test_child_is_deterministic(self):
         assert lj.RngStream(9, 3).child(5) == lj.RngStream(9, 3).child(5)
 
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           words=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1,
+                          max_size=3),
+           offset=st.integers(0, 2 ** 64 - 1), as_numpy=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_child_is_the_constructed_stream(self, seed, words, offset,
+                                             as_numpy):
+        parent = lj.RngStream(seed, tuple(words))
+        got = parent.child(np.uint64(offset) if as_numpy else offset)
+        want = lj.RngStream(parent.seed, parent.stream_id + (offset,))
+        assert (got.seed, got.stream_id) == (want.seed, want.stream_id)
+        assert [type(w) for w in got.stream_id] == [int] * (len(words) + 1)
+        assert (got.generator().standard_normal(8).tobytes()
+                == want.generator().standard_normal(8).tobytes())
+
+    @pytest.mark.parametrize("offset", [-1, 2 ** 64, 1.5, "3"])
+    def test_child_refuses_what_the_constructor_refuses(self, offset):
+        parent = lj.RngStream(9, (3, 2 ** 40))
+        with pytest.raises(Exception) as want:
+            lj.RngStream(parent.seed, parent.stream_id + (offset,))
+        with pytest.raises(Exception) as got:
+            parent.child(offset)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
     def test_numpy_integer_offsets_match_python_ints(self):
         for offset in (np.int64(3), np.intp(3), np.uint32(3)):
             child = lj.RngStream(0).child(offset)
@@ -192,6 +217,39 @@ class TestBinJumpSums:
     def test_empty_jumps(self):
         got = lj.bin_jump_sums(np.array([0.0, 1.0]), np.empty(0), np.empty(0))
         np.testing.assert_array_equal(got, [0.0])
+
+    @staticmethod
+    def clipped_sums(times, jump_times, jump_sizes):
+        """The binning as first written, clamping through ``np.clip``."""
+        n = times.size - 1
+        if jump_times.size == 0:
+            return np.zeros(n)
+        idx = np.searchsorted(times, jump_times, side="left") - 1
+        idx = np.clip(idx, 0, n - 1)
+        return np.bincount(idx, weights=jump_sizes, minlength=n)
+
+    @given(data=st.data(), n=st.integers(1, 40),
+           horizon=st.floats(0.01, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_clipped_binning_bitwise(self, data, n, horizon):
+        times = lj.Grid.uniform(horizon, n).times
+        # grid points (the left-open ownership edge), 0, past the horizon,
+        # before 0, and anywhere between
+        point = st.one_of(
+            st.sampled_from(times.tolist()),
+            st.just(0.0),
+            st.floats(horizon, 2.0 * horizon, exclude_min=True),
+            st.floats(-horizon, 0.0, exclude_max=True),
+            st.floats(0.0, horizon))
+        jump_times = np.array(data.draw(st.lists(point, max_size=30)),
+                              dtype=float)
+        jump_sizes = np.array(data.draw(st.lists(
+            st.floats(-1e3, 1e3), min_size=jump_times.size,
+            max_size=jump_times.size)), dtype=float)
+        got = lj.bin_jump_sums(times, jump_times, jump_sizes)
+        want = self.clipped_sums(times, jump_times, jump_sizes)
+        assert got.dtype == want.dtype and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFindIntensityBound:
