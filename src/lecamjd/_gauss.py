@@ -44,9 +44,3 @@ def std_cdf(z):
     x = -z[mid] / _SQRT2
     out[mid] = 0.5 * np.fromiter(map(math.erfc, x.tolist()), float, x.size)
     return out[()]
-
-
-def std_cdf_integral(z):
-    """``z Phi(z) + phi(z)``, the integral of Phi from -inf to ``z``."""
-    z = np.asarray(z, dtype=float)
-    return z * std_cdf(z) + std_pdf(z)

@@ -122,8 +122,8 @@ def fold_density_to_lattice_cell(d: Density) -> Density:
     (within a few ulps, to absorb the rounding of integer-shifted means)
     are merged, so laws that the filter maps to the same wrapped Gaussian
     produce literally identical component lists instead of agreeing only
-    up to floating-point noise.  Rows with a box term, a restriction or a
-    top-up raise ``ValueError``.
+    up to floating-point noise.  Rows with an Irwin-Hall term, a
+    restriction or a top-up raise ``ValueError``.
     """
     t = d.table
     if not (t.plain & ~t.boxed).all():
@@ -192,7 +192,7 @@ def truncate_resample_pushforward(d: Density,
     Restriction of ``d`` to the ball plus the escaped mass times the
     resampling Gaussian; the escaped mass is the closed form
     :meth:`~lecamjd.laws.MixtureTable.escaped_mass` of ``d``'s table, a
-    sum of Gaussian tails and box-tail integrals.  A table is pushed
+    sum of Gaussian tails and Irwin-Hall tail integrals.  A table is pushed
     forward row by row, with ``params.sigma_i`` holding one noise sd per
     row; rows that are already restricted, topped up or folded raise
     ``ValueError``.

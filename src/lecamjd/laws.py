@@ -4,8 +4,11 @@ Conditionally on the jump count ``k``, an increment is Gaussian with mean
 ``m_i`` plus the sum of ``k`` jump sizes.  The exact density is therefore
 a Poisson-weighted series of Gaussian convolutions; truncating the series
 at a negligible tail gives a numerical density with fully known structure
-(component means and variances, a smoothed box for a uniform jump sum,
-and breakpoints) that the quadrature oracle can integrate reliably.
+(component means and variances, smoothed Irwin-Hall terms for uniform
+jump sums, and breakpoints) that the quadrature oracle can integrate
+reliably.  Every k-fold jump sum has a closed form: a lattice pmf, a
+Gaussian, or the Irwin-Hall law of a uniform sum (Irwin 1927; Hall 1927),
+a B-spline whose Gaussian smoothing is integrated piece by piece.
 
 The one-jump (Bernoulli count) approximation keeps only the ``k = 0`` and
 ``k = 1`` terms with weights ``1 - alpha_i`` and ``alpha_i``.  Both laws
@@ -13,10 +16,10 @@ are k-fold mixtures that differ only in their weights, and one builder
 makes either for a whole grid.
 
 Every density is data: a :class:`MixtureTable` holds one law per row (a
-finite Gaussian mixture plus at most one Gaussian-smoothed uniform box,
-possibly restricted to a ball and topped up by a resampling Gaussian),
-its one evaluator gives every pdf, and a density built from a whole
-grid's summaries is one table with a row per interval.  Lattice-cell
+finite Gaussian mixture plus Gaussian-smoothed Irwin-Hall terms, one per
+jump count, possibly restricted to a ball and topped up by a resampling
+Gaussian), its one evaluator gives every pdf, and a density built from a
+whole grid's summaries is one table with a row per interval.  Lattice-cell
 folding merges components whose centers coincide modulo 1, which is what
 keeps the folded comparison of a jump law against a pure Gaussian
 numerically exact instead of drowning in floating-point cancellation
@@ -26,8 +29,8 @@ noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -51,10 +54,6 @@ _MAX_SERIES_TERMS = 200
 #: a Poisson series stops once its remaining tail mass is at most this
 _TAIL_TOL = 1e-12
 
-#: mixtures larger than this are treated as smooth (no per-peak panel
-#: splits) and are evaluated only against the components near each point
-_MAX_PEAK_BREAKPOINTS = 64
-
 #: component x point elements per evaluation block: a block takes its
 #: points' means, sds and weight/sd as (component, point) arrays (one
 #: ``take`` each, none for a one-row table) and forms its z, pdf and
@@ -62,13 +61,13 @@ _MAX_PEAK_BREAKPOINTS = 64
 #: at once
 _BLOCK = 32_768
 
-#: a component farther than this many sds from a point adds exactly 0
-#: (exp underflows past about 38.6 sds)
-_REACH = 40.0
+#: a spline piece farther than this many sds from a point adds exactly 0:
+#: Phi is 0 or 1 and phi underflows there, so it is skipped
+_PIECE_REACH = 40.0
 
-#: point x component elements of one block of windowed evaluation: small
-#: blocks of nearby points waste little of their shared window
-_WINDOW_WORK = 8192
+#: terms of the Taylor series of phi across a spline piece at least one sd
+#: wide: 32 reach rounding at one sd, and fewer are needed past it
+_SERIES_TERMS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,16 +82,21 @@ class MixtureTable:
     over the row's first ``size[r]`` entries ``(m, s, w)`` of ``means``,
     ``sds`` and ``weights``; the rest of the row must be padding
     ``(0, 1, 0)``.
-    ``box`` is the smoothed box
+    ``box`` sums smoothed Irwin-Hall terms, one per column ``c``: with
+    ``k = c + 1``, ``lo, hi = box_lo[r, c], box_hi[r, c]`` and
+    ``h = (hi - lo) / k``, term ``c`` is ``box_weight[r, c]`` times the
+    density at ``(x - lo) / h`` of ``T + box_sd[r] / h * Z``, ``T`` the sum
+    of ``k`` uniforms on [0, 1] and ``Z`` standard normal.  That is the sum
+    of ``k`` uniform jumps on ``[lo / k, hi / k]`` plus N(0, box_sd^2), of
+    mass ``box_weight * h`` (``box_weight`` 0: none).  For ``k = 1`` it is
 
-        box_weight[r] * (Phi((x - box_lo[r]) / box_sd[r])
-                         - Phi((x - box_hi[r]) / box_sd[r])),
+        box_weight[r, 0] * (Phi((x - box_lo[r, 0]) / box_sd[r])
+                            - Phi((x - box_hi[r, 0]) / box_sd[r])).
 
-    a uniform law on ``[box_lo, box_hi]`` convolved with N(0, box_sd^2)
-    (``box_weight`` 0: none).  ``beta`` is the restriction radius (inf:
-    none); ``mass`` and ``resample_sd`` are the escaped mass and resampling
-    sd of the truncate-and-resample output (0: none); ``fold`` marks rows
-    folded onto the lattice cell, which are restricted to radius 1/2.
+    ``beta`` is the restriction radius (inf: none); ``mass`` and
+    ``resample_sd`` are the escaped mass and resampling sd of the
+    truncate-and-resample output (0: none); ``fold`` marks rows folded
+    onto the lattice cell, which are restricted to radius 1/2.
     A row's components need finite means and finite positive sds, and its
     padding must be ``(0, 1, 0)``, or the table raises ``ValueError``.
     Per-row fields may be given as scalars.  Every field is kept
@@ -113,21 +117,23 @@ class MixtureTable:
     box_lo: np.ndarray = 0.0
     box_hi: np.ndarray = 0.0
     box_sd: np.ndarray = 1.0
-    _by_mean: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
         rows, width = means.shape
         if self.size is None:
             object.__setattr__(self, "size", np.full(rows, width))
+        terms = np.shape(self.box_weight)[1:2] or (1,)
         for name, kind in (("means", float), ("sds", float),
                            ("weights", float), ("size", np.intp),
                            ("beta", float), ("mass", float),
                            ("resample_sd", float), ("fold", bool),
                            ("box_weight", float), ("box_lo", float),
                            ("box_hi", float), ("box_sd", float)):
-            shape = (rows, width) if name in ("means", "sds", "weights") \
-                else (rows,)
+            shape = ((rows, width) if name in ("means", "sds", "weights")
+                     else (rows, *terms) if name in ("box_weight", "box_lo",
+                                                     "box_hi")
+                     else (rows,))
             object.__setattr__(self, name, _read_only(
                 np.asarray(getattr(self, name), dtype=kind), shape))
         pad = np.arange(width) >= self.size[:, None]
@@ -146,35 +152,31 @@ class MixtureTable:
 
     @property
     def plain(self) -> np.ndarray:
-        """Rows with no restriction, top-up or fold (a box is allowed)."""
+        """Rows with no restriction, top-up or fold (spline terms allowed)."""
         return (np.isinf(self.beta) & (self.resample_sd == 0.0)
                 & ~self.fold)
 
     @property
     def boxed(self) -> np.ndarray:
-        """Rows with a smoothed box term."""
-        return self.box_weight > 0.0
+        """Rows with a smoothed Irwin-Hall term."""
+        return (self.box_weight > 0.0).any(axis=1)
 
     @cached_property
     def _scaled(self) -> np.ndarray:
         return self.weights / self.sds
 
     @cached_property
-    def _wide(self) -> np.ndarray:
-        """Rows evaluated by :meth:`_windowed`."""
-        return self.size > _MAX_PEAK_BREAKPOINTS
-
-    @cached_property
     def _columns(self) -> tuple[np.ndarray, ...]:
-        """Means, sds and weight/sd of the rows that are not wide, as
-        (component, row) arrays as wide as the largest of those rows."""
-        w = int(self.size[~self._wide].max(initial=0))
+        """Means, sds and weight/sd as (component, row) arrays as wide as
+        the largest row."""
+        w = int(self.size.max(initial=0))
         return tuple(np.ascontiguousarray(a[:, :w].T)
                      for a in (self.means, self.sds, self._scaled))
 
     @cached_property
-    def _has_box(self) -> bool:
-        return bool(self.boxed.any())
+    def _terms(self) -> list[int]:
+        """The ``box_*`` columns where some row has an Irwin-Hall term."""
+        return np.flatnonzero((self.box_weight > 0.0).any(axis=0)).tolist()
 
     @cached_property
     def _cut(self) -> bool:
@@ -197,21 +199,18 @@ class MixtureTable:
 
     def values(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Density of row ``rows[j]`` at ``x[j]``, for flat arrays."""
-        if not self._wide.any():
-            out = self._dense(x, rows)
-        else:
-            out = np.empty(x.size)
-            wide = self._wide[rows]
-            for at, part in ((wide, self._windowed), (~wide, self._dense)):
-                at = np.flatnonzero(at)
-                out[at] = part(x[at], rows[at])
-        if self._has_box:
-            at = np.flatnonzero(self.boxed[rows])
+        out = self._dense(x, rows)
+        for c in self._terms:
+            at = np.flatnonzero(self.box_weight[rows, c] > 0.0)
             r, xa = rows[at], x[at]
-            s = self.box_sd[r]
-            cdf = _gauss.std_cdf(np.stack(((xa - self.box_lo[r]) / s,
-                                           (xa - self.box_hi[r]) / s)))
-            out[at] += self.box_weight[r] * (cdf[0] - cdf[1])
+            lo, hi, s = self.box_lo[r, c], self.box_hi[r, c], self.box_sd[r]
+            if c == 0:
+                cdf = _gauss.std_cdf(np.stack(((xa - lo) / s, (xa - hi) / s)))
+                out[at] += self.box_weight[r, c] * (cdf[0] - cdf[1])
+            else:
+                h = (hi - lo) / (c + 1)
+                out[at] += self.box_weight[r, c] * _pieces(
+                    _irwin_hall(c + 1)[0], (xa - lo) / h, s / h)
         if self._cut:
             out = np.where(np.abs(x) <= self.beta[rows], out, 0.0)
         if self._topped:
@@ -230,9 +229,10 @@ class MixtureTable:
 
         Each component adds ``w (Phi((-beta - m)/s) + Phi((m - beta)/s))``,
         in component order as in :meth:`_dense`, so padding adds exact
-        zeros and a row's bits do not depend on the other rows.  A box
-        adds ``box_weight * box_sd`` times a difference of ``G``, the
-        integral of Phi, at its two ends on each side of the ball.
+        zeros and a row's bits do not depend on the other rows.  An
+        Irwin-Hall term adds its mass times its two tail probabilities,
+        each Phi of the ball's distance from the term's end plus the
+        pieces of its smoothed survival function.
         Restricted, topped-up and folded rows raise ``ValueError``.
         """
         if not self.plain.all():
@@ -244,13 +244,17 @@ class MixtureTable:
         out = np.zeros(self.rows)
         for term in (self.weights * (tails[0] + tails[1])).T:
             out += term
-        if self._has_box:
-            r = np.flatnonzero(self.boxed)
-            b, lo, hi, sd = (beta[r], self.box_lo[r], self.box_hi[r],
-                             self.box_sd[r])
-            g = _gauss.std_cdf_integral(np.stack((
-                (-b - lo) / sd, (-b - hi) / sd, (hi - b) / sd, (lo - b) / sd)))
-            out[r] += self.box_weight[r] * sd * (g[0] - g[1] + g[2] - g[3])
+        for c in self._terms:
+            # the term's mass above beta, and by its symmetry below -beta
+            r = np.flatnonzero(self.box_weight[:, c] > 0.0)
+            lo, hi = self.box_lo[r, c], self.box_hi[r, c]
+            h = (hi - lo) / (c + 1)
+            v = np.concatenate(((beta[r] - lo) / h, (hi + beta[r]) / h))
+            sd = np.tile(self.box_sd[r] / h, 2)
+            above = _gauss.std_cdf(-v / sd) + _pieces(_irwin_hall(c + 1)[1],
+                                                      v, sd)
+            out[r] += self.box_weight[r, c] * h * (above[:r.size]
+                                                   + above[r.size:])
         return out
 
     def _dense(self, x, rows):
@@ -271,71 +275,33 @@ class MixtureTable:
                 acc += term
         return out
 
-    def _windowed(self, x, rows):
-        """Sums over the components within ``_REACH`` max sds of each point.
-
-        Means are sorted once per row; points are visited in sorted order,
-        in blocks that share one window of components.
-        """
-        out = np.empty(x.size)
-        for r in np.flatnonzero(np.bincount(rows)).tolist():
-            if r not in self._by_mean:
-                k = self.size[r]
-                order = np.argsort(self.means[r, :k], kind="stable")
-                self._by_mean[r] = (self.means[r, order], self.sds[r, order],
-                                    self._scaled[r, order])
-            means, sds, scaled = self._by_mean[r]
-            at = np.flatnonzero(rows == r)
-            at = at[np.argsort(x[at], kind="stable")]
-            xs = x[at]
-            reach = _REACH * float(sds.max())
-            first = np.searchsorted(means, xs - reach, side="left")
-            last = np.searchsorted(means, xs + reach, side="right")
-            a = 0
-            while a < xs.size:
-                # double the block while its points x window stay in budget
-                b = a + 1
-                while b < xs.size:
-                    c = min(xs.size, 2 * b - a)
-                    if (c - a) * (last[c - 1] - first[a]) > _WINDOW_WORK:
-                        break
-                    b = c
-                win = slice(first[a], last[b - 1])
-                z = (xs[a:b, None] - means[win]) / sds[win]
-                # a running sum: the window's terms outside a point's own
-                # reach are exact zeros, so they change none of its bits
-                terms = scaled[win] * _gauss.std_pdf(z)
-                out[at[a:b]] = (np.cumsum(terms, axis=1)[:, -1]
-                                if terms.size else 0.0)
-                a = b
-        return out
-
     def structure(self):
         """Per row: support ends and breakpoints (a NaN-padded array with
         no all-NaN column).
 
         A bare mixture spans its components' means plus/minus 12 sds and
-        breaks at each mean and its 6-sd shoulders, unless it has more than
-        ``_MAX_PEAK_BREAKPOINTS`` components; a box reaches 12 of its sds
-        past each end and breaks at both ends; a restricted row keeps the
-        breakpoints inside its ball and adds the ball's edges; a folded row
-        is the cell ``[-1/2, 1/2]``, broken at its components' centers.
+        breaks at each mean and its 6-sd shoulders; an Irwin-Hall term
+        reaches 12 of its sds past each end and breaks at its knots, the
+        ends of its pieces; a restricted row keeps the breakpoints inside
+        its ball and adds the ball's edges; a folded row is the cell
+        ``[-1/2, 1/2]``, broken at its components' centers.
         """
         m, s = self.means, self.sds
         real = np.arange(m.shape[1]) < self.size[:, None]
-        box = self.boxed
-        lo = np.where(real, m - 12.0 * s, np.inf).min(axis=1)
-        hi = np.where(real, m + 12.0 * s, -np.inf).max(axis=1)
-        lo = np.where(box, np.minimum(lo, self.box_lo - 12.0 * self.box_sd),
-                      lo)
-        hi = np.where(box, np.maximum(hi, self.box_hi + 12.0 * self.box_sd),
-                      hi)
-        pts = np.concatenate((m - 6.0 * s, m, m + 6.0 * s,
-                              np.stack((self.box_lo, self.box_hi), axis=1)),
-                             axis=1)
-        peaks = np.concatenate((
-            np.tile(real & (self.size <= _MAX_PEAK_BREAKPOINTS)[:, None], 3),
-            np.stack((box, box), axis=1)), axis=1)
+        terms, reach = self.box_weight > 0.0, 12.0 * self.box_sd[:, None]
+        lo = np.minimum(np.where(real, m - 12.0 * s, np.inf).min(axis=1),
+                        np.where(terms, self.box_lo - reach,
+                                 np.inf).min(axis=1))
+        hi = np.maximum(np.where(real, m + 12.0 * s, -np.inf).max(axis=1),
+                        np.where(terms, self.box_hi + reach,
+                                 -np.inf).max(axis=1))
+        knots, peaks = [m - 6.0 * s, m, m + 6.0 * s], [real] * 3
+        for c in self._terms:
+            a, b = self.box_lo[:, c, None], self.box_hi[:, c, None]
+            knots.append(np.concatenate(
+                (a + np.arange(c + 1) * ((b - a) / (c + 1)), b), axis=1))
+            peaks.append(np.repeat(terms[:, c, None], c + 2, axis=1))
+        pts, peaks = np.concatenate(knots, axis=1), np.concatenate(peaks, 1)
         ok = peaks & (pts > lo[:, None]) & (pts < hi[:, None])
         beta, sd, fold = self.beta, self.resample_sd, self.fold
         cut = np.isfinite(beta) & ~fold
@@ -358,13 +324,14 @@ class MixtureTable:
         tables = list(tables)
         if len(tables) == 1:
             return tables[0]
-        return MixtureTable(
-            *(_stack_rows([getattr(t, name) for t in tables], fill)
-              for name, fill in (("means", 0.0), ("sds", 1.0),
-                                 ("weights", 0.0))),
-            *(np.concatenate([getattr(t, name) for t in tables])
-              for name in ("size", "beta", "mass", "resample_sd", "fold",
-                           "box_weight", "box_lo", "box_hi", "box_sd")))
+        stacked = {name: _stack_rows([getattr(t, name) for t in tables], fill)
+                   for name, fill in (("means", 0.0), ("sds", 1.0),
+                                      ("weights", 0.0), ("box_weight", 0.0),
+                                      ("box_lo", 0.0), ("box_hi", 0.0))}
+        return MixtureTable(**stacked, **{
+            name: np.concatenate([getattr(t, name) for t in tables])
+            for name in ("size", "beta", "mass", "resample_sd", "fold",
+                         "box_sd")})
 
 
 def _read_only(a: np.ndarray, shape: tuple) -> np.ndarray:
@@ -450,19 +417,91 @@ def _poisson_weights(lam: np.ndarray) -> np.ndarray:
     return np.stack(weights, axis=1)
 
 
+def _pieces(coef: np.ndarray, u: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Per point, ``sum_j int_0^1 p_j(t) phi_sd(u - j - t) dt``, where
+    ``coef[j, n]`` is the coefficient of ``t^n`` in piece ``j``.
+
+    For ``sd < 1`` by the moments ``K_n = int_0^1 t^n phi_sd(d - t) dt``,
+    ``d = u - j``: ``K_0`` is a difference of Phi, and integration by parts
+    gives ``K_n = d K_{n-1} + (n - 1) sd^2 K_{n-2} - sd^2 (psi(1) - [n = 1]
+    psi(0))`` with ``psi(t) = phi_sd(d - t)``.  That loses about ``sd^n``
+    of its digits, so for ``sd >= 1`` the Taylor series of
+    ``phi_sd(d - t)`` in ``t``, ``sum_i He_i(z) phi(z) (t / sd)^i / (i! sd)``
+    at ``z = d / sd``, meets the piece's moments ``int_0^1 t^i p_j(t) dt``.
+    Pieces more than ``_PIECE_REACH`` sds away are skipped; a point's
+    pieces are summed in order.
+    """
+    out = np.empty(u.size)
+    for wide in np.unique(sd >= 1.0):
+        at = np.flatnonzero((sd >= 1.0) == wide)
+        # distances in sds from each knot, and the pieces in reach
+        z = (u[at, None] - np.arange(coef.shape[0] + 1.0)) / sd[at, None]
+        near, j = np.nonzero((z[:, :-1] > -_PIECE_REACH)
+                             & (z[:, 1:] < _PIECE_REACH))
+        s = sd[at][near]
+        if wide:
+            moments = coef @ (1.0 / (np.arange(coef.shape[1])[:, None]
+                                     + np.arange(_SERIES_TERMS) + 1.0))
+            z = z[near, j]
+            term, he, last = _gauss.std_pdf(z) / s, np.ones_like(z), 0.0
+            acc = moments[j, 0] * term
+            for i in range(1, _SERIES_TERMS):
+                last, he = he, z * he - (i - 1) * last
+                term = term / (i * s)
+                acc += moments[j, i] * term * he
+        else:
+            # K_0 from the smaller tails, so that it keeps its relative
+            # accuracy past the piece, where the recursion multiplies its
+            # error by d
+            tail = _gauss.std_cdf(-np.abs(z))
+            a, b, za, zb = (tail[near, j], tail[near, j + 1], z[near, j],
+                            z[near, j + 1])
+            moment = np.where(zb >= 0.0, b - a,
+                              np.where(za <= 0.0, a - b, (1.0 - a) - b))
+            psi = _gauss.std_pdf(z) / sd[at][:, None]
+            psi0, psi1, s2 = psi[near, j], psi[near, j + 1], s * s
+            d, last, acc = u[at][near] - j, 0.0, coef[j, 0] * moment
+            for n in range(1, coef.shape[1]):
+                edge = psi1 - psi0 if n == 1 else psi1
+                last, moment = moment, (d * moment + (n - 1) * s2 * last
+                                        - s2 * edge)
+                acc += coef[j, n] * moment
+        out[at] = np.bincount(near, acc, at.size)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _irwin_hall(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Irwin-Hall law of ``k`` uniforms on [0, 1], piece by piece: the
+    coefficients of ``t^n`` in its density and its survival function at
+    ``j + t`` on piece ``j``, as ``(k, k)`` and ``(k, k + 1)`` arrays, each
+    rounded once from exact rationals (int / int rounds correctly)."""
+    def piece(j, degree):
+        # degree! times the density (degree k - 1) or the CDF (degree k):
+        # sum_{i <= j} (-1)^i C(k, i) (j + t - i)^degree, exact in integers
+        return [sum((-1) ** i * math.comb(k, i) * math.comb(degree, n)
+                    * (j - i) ** (degree - n) for i in range(j + 1))
+                for n in range(degree + 1)]
+    dens, cdf = math.factorial(k - 1), math.factorial(k)
+    return (np.array([[c / dens for c in piece(j, k - 1)]
+                      for j in range(k)]),
+            np.array([[((n == 0) * cdf - c) / cdf
+                       for n, c in enumerate(piece(j, k))]
+                      for j in range(k)]))
+
+
 def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
-                      s2: np.ndarray, live: np.ndarray, chains: dict):
+                      s2: np.ndarray, chain: list):
     """Structure of N(m, s2) convolved with a k-fold jump sum, a row per
     entry of the arrays ``m`` and ``s2``.
 
-    Returns ``(means, sds, weights, box)``: (row, component) arrays whose
-    weights are positive and sum to 1 along each row, a row with fewer
-    components than the widest padded with weight 0; and ``box``, ``None``
-    or a uniform sum as ``(height, lo, hi)`` with its ends shifted by each
-    row's ``m`` (it then carries weight 1 alone).  A sum with no closed
-    form extends a :func:`_self_convolution` chain kept in ``chains`` from
-    one ``k`` to the next: a lattice law's pmf, or the masses of
-    :func:`_grid_convolution`, which are right for the ``live`` rows only.
+    Returns ``(means, sds, weights, spline)``: (row, component) arrays
+    whose weights are positive and sum to 1 along each row, a row with
+    fewer components than the widest padded with weight 0; and
+    ``spline``, ``None`` or an Irwin-Hall sum of ``k`` pieces as
+    ``(height, lo, hi)`` with its ends shifted by each row's ``m`` (it
+    then carries weight 1 alone).  A lattice pmf's k-fold sum extends the
+    :func:`_self_convolution` ``chain`` from one ``k`` to the next.
     """
     sd = np.sqrt(s2)[:, None]
     m = m[:, None]
@@ -473,79 +512,31 @@ def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
         return m + k * jump_law.location, sd, one, None
     if isinstance(jump_law, LatticeJumps):
         low = min(jump_law.values)  # the pmf on the integers from low up
-        seed = (np.bincount(np.subtract(jump_law.values, low), jump_law.probs),
-                np.arange(low, max(jump_law.values) + 1.0))
-        pmf, support = _self_convolution(chains.setdefault(None, [seed]), k)
+        if not chain:
+            chain.append(np.bincount(np.subtract(jump_law.values, low),
+                                     jump_law.probs))
+        pmf = _self_convolution(chain, k)
         keep = pmf > 1e-300
-        means = m + support[keep]
+        means = m + (k * low + np.arange(pmf.size, dtype=float))[keep]
         return (means, np.broadcast_to(sd, means.shape),
                 np.broadcast_to(pmf[keep], means.shape), None)
     if isinstance(jump_law, ContinuousJumps):
-        law = None if jump_law.kfold_law is None else jump_law.kfold_law(k)
-        if law is None:
-            return _grid_convolution(jump_law, k, m, s2, live, chains)
-        kind, a, b = law
+        kind, a, b = jump_law.kfold_law(k)
         if kind == "gaussian":
             return m + a, np.sqrt(s2[:, None] + b), one, None
-        if kind == "uniform":
+        if kind == "irwin-hall":
             none = np.empty((m.shape[0], 0))
-            return none, none, none, (1.0 / (b - a), m[:, 0] + a,
-                                      m[:, 0] + b)
+            return none, none, none, (k / (b - a), m[:, 0] + a, m[:, 0] + b)
         raise ValueError(f"unknown k-fold jump law {kind!r}")
     raise TypeError(f"unsupported jump law {type(jump_law).__name__}")
 
 
-def _self_convolution(chain: list, k: int):
-    """``chain[k - 1]``, the k-fold sum of the ``(masses, nodes)`` of
-    ``chain[0]`` on evenly spaced nodes: ``chain[j]`` holds the (j + 1)-fold
-    sum, and the missing entries are appended, one convolution each."""
-    base, ys = chain[0]
+def _self_convolution(chain: list, k: int) -> np.ndarray:
+    """``chain[k - 1]``, the k-fold self convolution of the pmf ``chain[0]``:
+    the missing entries are appended, one convolution each."""
     while len(chain) < k:
-        acc, offs = chain[-1]
-        acc = np.convolve(acc, base)
-        chain.append((acc, np.linspace(offs[0] + ys[0], offs[-1] + ys[-1],
-                                       acc.size)))
+        chain.append(np.convolve(chain[-1], chain[0]))
     return chain[k - 1]
-
-
-def _grid_convolution(law: ContinuousJumps, k: int, m: np.ndarray,
-                      s2: np.ndarray, live: np.ndarray, chains: dict):
-    """Fallback k-fold self convolution on a trapezoid grid.
-
-    The convolved jump-sum density is approximated by point masses at grid
-    nodes, each then smoothed by the interval's Gaussian; the result is a
-    dense (hence smooth) Gaussian mixture normalized to trapezoid accuracy.
-    The grid depends on the variance alone, so ``chains[v]`` keeps the
-    unnormalized j-fold masses and their grid for variance ``v``: a series
-    costs one convolution per term and distinct variance of a ``live``
-    row.  The other rows get some live variance's components.  A
-    convolution that loses all its mass raises ``FloatingPointError``.
-    """
-    variances = np.unique(s2[live])
-    group = np.searchsorted(variances, s2).clip(max=variances.size - 1)
-    offsets, masses = [], []
-    for v in variances.tolist():
-        if v not in chains:
-            lo, hi = law.support
-            step = min((hi - lo) / 1024.0, math.sqrt(v) / 8.0)
-            npts = int(math.ceil((hi - lo) / step)) + 1
-            ys = np.linspace(lo, hi, npts)
-            dens = np.asarray(law.density(ys), dtype=float)
-            w = np.full(npts, ys[1] - ys[0])
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            chains[v] = [(dens * w, ys)]
-        acc, offs = _self_convolution(chains[v], k)
-        total = acc.sum()
-        if total <= 0:
-            raise FloatingPointError("grid convolution lost all mass")
-        acc = acc / total
-        keep = acc > 1e-15
-        offsets.append(offs[None, keep])
-        masses.append(acc[None, keep])
-    means = m + _stack_rows(offsets, 0.0)[group]
-    return (means, np.broadcast_to(np.sqrt(s2)[:, None], means.shape),
-            _stack_rows(masses, 0.0)[group], None)
 
 
 def _kfold_table(summaries: IncrementSummaries, jump_law: JumpLaw,
@@ -556,24 +547,28 @@ def _kfold_table(summaries: IncrementSummaries, jump_law: JumpLaw,
     Terms of weight at most 1e-300 are dropped.  A row keeps its
     components in k order, and within a term in the k-fold law's order,
     so its sums do not depend on the other rows; padding ``(0, 1, 0)``
-    follows them.
+    follows them.  An Irwin-Hall sum of ``k`` jumps is column ``k - 1``
+    of the ``box_*`` fields.  A continuous law with no ``kfold_law``
+    raises ``ValueError``.
     """
+    if isinstance(jump_law, ContinuousJumps) and jump_law.kfold_law is None:
+        raise ValueError("a continuous jump law needs a closed-form k-fold "
+                         "law (kfold_law) for its increment laws")
     m, s2 = summaries.m, summaries.sigma2
-    parts, box, chains = [], {}, {}
+    parts, chain, box = [], [], {}
     for k, wk in enumerate(weights.T):
         live = wk > 1e-300
         if not live.any():
             continue
-        means, sds, ws, edges = _kfold_components(jump_law, k, m, s2, live,
-                                                  chains)
+        means, sds, ws, spline = _kfold_components(jump_law, k, m, s2, chain)
         parts.append((means, sds, wk[:, None] * ws,
                       live[:, None] & (ws > 0.0)))
-        if edges is not None:
-            if box:
-                raise ValueError("a law may have one uniform k-fold sum")
-            height, lo, hi = edges
-            box = dict(box_weight=np.where(live, wk * height, 0.0),
-                       box_lo=lo, box_hi=hi, box_sd=np.sqrt(s2))
+        if spline is not None:
+            height, lo, hi = spline
+            box = box or {name: np.zeros((m.size, weights.shape[1] - 1))
+                          for name in ("box_weight", "box_lo", "box_hi")}
+            box["box_weight"][:, k - 1] = np.where(live, wk * height, 0.0)
+            box["box_lo"][:, k - 1], box["box_hi"][:, k - 1] = lo, hi
     means, sds, ws, real = (np.concatenate(a, axis=1) for a in zip(*parts))
     size = real.sum(axis=1)
     # a stable sort keeps each row's components in order, padding last
@@ -582,6 +577,7 @@ def _kfold_table(summaries: IncrementSummaries, jump_law: JumpLaw,
     means, sds, ws = (
         np.where(pad, fill, np.take_along_axis(a, order, axis=1))
         for a, fill in ((means, 0.0), (sds, 1.0), (ws, 0.0)))
+    box = dict(box, box_sd=np.sqrt(s2)) if box else {}
     return Density(MixtureTable(means, sds, ws, size=size, **box))
 
 

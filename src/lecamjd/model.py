@@ -224,11 +224,13 @@ class ContinuousJumps(JumpLaw):
 
     ``density`` must accept numpy arrays: quadrature evaluates it on whole
     node arrays, and a scalar-only callable raises.  Optional hooks supply
-    a closed-form sampler, characteristic function, and k-fold jump sum;
-    quadrature and a shared evaluation grid fill in when they are missing.
+    a closed-form sampler, characteristic function, and k-fold jump sum.
+    Quadrature and a CDF table fill in for a missing sampler or
+    characteristic function, but the exact and one-jump increment laws
+    need ``kfold_law``: without it they raise ``ValueError``.
     ``kfold_law(k)`` describes the sum of ``k >= 1`` jumps as
-    ``("gaussian", mean, var)`` or ``("uniform", lo, hi)``, or returns
-    ``None`` to request the grid fallback.
+    ``("gaussian", mean, var)``, or as ``("irwin-hall", lo, hi)``, the sum
+    of ``k`` uniform jumps on ``[lo / k, hi / k]``.
     """
 
     density: Callable
@@ -301,7 +303,7 @@ def uniform_jumps(lo: float, hi: float) -> ContinuousJumps:
         density=_density, support=(lo, hi),
         sampler=lambda gen, size: gen.uniform(lo, hi, size),
         cf_fn=_cf,
-        kfold_law=lambda k: ("uniform", lo, hi) if k == 1 else None,
+        kfold_law=lambda k: ("irwin-hall", k * lo, k * hi),
     )
 
 

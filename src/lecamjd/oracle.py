@@ -3,7 +3,7 @@
 Every bound in :mod:`lecamjd.distances` is checked against direct numerical
 integration of the densities involved.  Integrals are split into panels at
 all structural points of both densities (support endpoints, component
-peaks, box ends, ball edges) so the adaptive integrator never straddles a
+peaks, spline knots, ball edges) so the adaptive integrator never straddles a
 kink.  The panels go to the package's adaptive Gauss-Kronrod integrator
 (QUADPACK's G10/K21 rule and error estimate) in one batch, and each panel
 must converge on its own to ``max(1e-12, 1e-10 * |value|)`` or the
@@ -115,9 +115,15 @@ def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
     top = np.divide(1.0, p.resample_sd, out=np.zeros(p.rows),
                     where=p.resample_sd > 0.0)
     rows = [size] + [getattr(p, f) == getattr(q, f) for f in (
-        "beta", "fold", "mass", "resample_sd", "box_weight",
-        "box_lo", "box_hi", "box_sd")] + [np.isfinite(a) for a in (
-            p.mass, top, p.box_weight, p.box_lo, p.box_hi, p.box_sd)]
+        "beta", "fold", "mass", "resample_sd", "box_sd")] + [
+            np.isfinite(a) for a in (p.mass, top, p.box_sd)]
+    # the Irwin-Hall columns both sides hold, and none past them
+    k = min(p.box_weight.shape[1], q.box_weight.shape[1])
+    for f in ("box_weight", "box_lo", "box_hi"):
+        a = getattr(p, f)[:, :k]
+        rows.append(np.all((a == getattr(q, f)[:, :k]) & np.isfinite(a),
+                           axis=1))
+    rows += [~t.box_weight[:, k:].any(axis=1) for t in (p, q)]
     cols = [getattr(p, f)[:, :w] == getattr(q, f)[:, :w]
             for f in ("means", "sds", "weights")]
     cols.append(np.isfinite(p._scaled[:, :w]))

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lecamjd as lj
-from lecamjd import laws
+from lecamjd import _gauss, laws
 
 
 def summ(m=0.0, sigma2=0.01, lam=0.1) -> lj.IncrementSummaries:
@@ -101,9 +103,11 @@ class TestExactIncrementDensity:
     def test_uniform_jumps_keep_exact_mass(self):
         law = lj.uniform_jumps(0.0, 1.0)
         d = lj.increment_density_exact(summ(lam=0.3), law)
-        # the one-jump piece is a box, not a Gaussian mixture
-        assert d.table.boxed[0]
-        assert abs(lj.total_mass(d) - 1.0) < 1e-9
+        # the k-jump sums, k = 1..10 at tail 1e-12, are smoothed
+        # Irwin-Hall terms: the k = 0 Gaussian is the only component
+        assert d.table.boxed[0] and d.table.size[0] == 1
+        assert d.table.box_weight.shape[1] == 10
+        assert abs(lj.total_mass(d) - 1.0) < 1e-12
 
 
 class TestBernoulliDensity:
@@ -199,9 +203,8 @@ class TestKfoldChain:
 
     @pytest.mark.parametrize("law", [
         lj.LatticeJumps((2, -1, 0), (0.2, 0.5, 0.3)),
-        lj.ContinuousJumps(
-            density=lambda y: np.where((y >= 0.0) & (y <= 1.0), 2.0 * y, 0.0),
-            support=(0.0, 1.0))])
+        # a pmf with zeros between its atoms
+        lj.LatticeJumps((-3, 4), (0.4, 0.6))])
     def test_one_convolution_per_term(self, law, monkeypatch):
         s = lj.IncrementSummaries(m=[0.0, 1.0], sigma2=[0.04, 0.04],
                                   lam=[3.0, 8.0])
@@ -227,3 +230,70 @@ class TestKfoldChain:
         for name in TABLE_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert abs(lj.total_mass(lj.Density(got)) - 1.0) < 1e-10
+
+
+def cardinal_bspline(k, t):
+    """The Irwin-Hall density of ``k`` unit uniforms at ``t``, by the
+    Cox-de Boor recursion ``(k - 1) B_k(t) = t B_{k-1}(t)
+    + (k - t) B_{k-1}(t - 1)``."""
+    if k == 1:
+        return np.where((t >= 0.0) & (t < 1.0), 1.0, 0.0)
+    return (t * cardinal_bspline(k - 1, t)
+            + (k - t) * cardinal_bspline(k - 1, t - 1.0)) / (k - 1)
+
+
+#: 20-point Gauss-Legendre nodes and weights on [0, 1]
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+GL_NODES, GL_WEIGHTS = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
+
+
+def smoothed_irwin_hall(k, u, sd):
+    """``int B_k(t) phi_sd(u - t) dt``: each piece ``[j, j + 1]`` within
+    40 sds of ``u`` cut into panels at most ``sd / 2`` wide, each
+    integrated by a fixed 20-point Gauss-Legendre rule."""
+    total = 0.0
+    for j in range(k):
+        a, b = max(j, u - 40.0 * sd), min(j + 1.0, u + 40.0 * sd)
+        if a >= b:
+            continue
+        edges = np.linspace(a, b, int(np.ceil((b - a) / (0.5 * sd))) + 1)
+        width = np.diff(edges)[:, None]
+        t = edges[:-1, None] + width * GL_NODES
+        total += float((width * GL_WEIGHTS * cardinal_bspline(k, t)
+                        * _gauss.std_pdf((u - t) / sd) / sd).sum())
+    return total
+
+
+class TestIrwinHallTerms:
+    @given(k=st.integers(1, 8), sd=st.floats(1e-3, 1.0),
+           lo=st.floats(-2.0, 2.0), width=st.floats(0.05, 2.0),
+           z=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_spline_term_matches_quadrature(self, k, sd, lo, width, z):
+        # the k-jump sum alone, weight 1: the table's term against fixed
+        # Gauss-Legendre integrals of each Irwin-Hall piece against phi,
+        # with sd from 1/2000 to 20 jump widths (the moment recursion
+        # below one width, the Taylor series of phi above it)
+        law = lj.uniform_jumps(lo, lo + width)
+        weights = np.zeros((1, k + 1))
+        weights[0, k] = 1.0
+        t = laws._kfold_table(summ(m=0.0, sigma2=sd * sd), law,
+                              weights).table
+        assert t.size[0] == 0 and t.box_weight.shape[1] == k
+        a, b = t.box_lo[0, k - 1], t.box_hi[0, k - 1]
+        scale, h = t.box_weight[0, k - 1], (b - a) / k
+        # points across the term and within a few sds of its knots
+        u = k * (0.5 + np.array(z))
+        u = np.concatenate((u, np.round(u) + 4.0 * np.array(z) * sd / h))
+        x = a + h * u
+        got = t.values(x, np.zeros(x.size, dtype=np.intp))
+        want = scale * np.array([smoothed_irwin_hall(k, v, sd / h)
+                                 for v in u])
+        peak = scale * smoothed_irwin_hall(k, 0.5 * k, sd / h)
+        assert np.all(np.abs(got - want) <= 1e-12 * peak)
+        assert abs(t.escaped_mass(0.0)[0] - scale * h) <= 1e-15
+        if k == 1:
+            # today's smoothed box, bit for bit
+            box = scale * (_gauss.std_cdf((x - a) / sd)
+                           - _gauss.std_cdf((x - b) / sd))
+            assert got.tobytes() == box.tobytes()
