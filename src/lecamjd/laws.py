@@ -61,6 +61,10 @@ _TAIL_TOL = 1e-12
 #: at once
 _BLOCK = 32_768
 
+#: a lattice k-fold sum spans at most this many integers: its pmf is that
+#: long, and a convolution of the chain costs its length times one jump's
+_MAX_LATTICE_WIDTH = 1 << 16
+
 #: a spline piece farther than this many sds from a point adds exactly 0:
 #: Phi is 0 or 1 and phi underflows there, so it is skipped
 _PIECE_REACH = 40.0
@@ -500,8 +504,10 @@ def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
     fewer components than the widest padded with weight 0; and
     ``spline``, ``None`` or an Irwin-Hall sum of ``k`` pieces as
     ``(height, lo, hi)`` with its ends shifted by each row's ``m`` (it
-    then carries weight 1 alone).  A lattice pmf's k-fold sum extends the
-    :func:`_self_convolution` ``chain`` from one ``k`` to the next.
+    then carries weight 1 alone), read from a continuous law's closed form
+    as its Gaussian sum is.  A lattice pmf's k-fold sum extends the
+    :func:`_self_convolution` ``chain`` from one ``k`` to the next, and
+    raises ``ValueError`` past ``_MAX_LATTICE_WIDTH`` integers.
     """
     sd = np.sqrt(s2)[:, None]
     m = m[:, None]
@@ -512,8 +518,13 @@ def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
         return m + k * jump_law.location, sd, one, None
     if isinstance(jump_law, LatticeJumps):
         low = min(jump_law.values)  # the pmf on the integers from low up
+        width = k * (max(jump_law.values) - low) + 1  # exact in ints
+        if width > _MAX_LATTICE_WIDTH:
+            raise ValueError(
+                f"the sum of {k} lattice jumps spans {width} integers, more "
+                f"than the {_MAX_LATTICE_WIDTH} a k-fold table may hold")
         if not chain:
-            chain.append(np.bincount(np.subtract(jump_law.values, low),
+            chain.append(np.bincount([v - low for v in jump_law.values],
                                      jump_law.probs))
         pmf = _self_convolution(chain, k)
         keep = pmf > 1e-300
@@ -521,13 +532,12 @@ def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
         return (means, np.broadcast_to(sd, means.shape),
                 np.broadcast_to(pmf[keep], means.shape), None)
     if isinstance(jump_law, ContinuousJumps):
-        kind, a, b = jump_law.kfold_law(k)
-        if kind == "gaussian":
-            return m + a, np.sqrt(s2[:, None] + b), one, None
-        if kind == "irwin-hall":
-            none = np.empty((m.shape[0], 0))
-            return none, none, none, (k / (b - a), m[:, 0] + a, m[:, 0] + b)
-        raise ValueError(f"unknown k-fold jump law {kind!r}")
+        a, b = jump_law.a, jump_law.b
+        if jump_law.kind == "gaussian":
+            return m + k * a, np.sqrt(s2[:, None] + k * b * b), one, None
+        lo, hi = k * a, k * b
+        none = np.empty((m.shape[0], 0))
+        return none, none, none, (k / (hi - lo), m[:, 0] + lo, m[:, 0] + hi)
     raise TypeError(f"unsupported jump law {type(jump_law).__name__}")
 
 
@@ -547,13 +557,9 @@ def _kfold_table(summaries: IncrementSummaries, jump_law: JumpLaw,
     Terms of weight at most 1e-300 are dropped.  A row keeps its
     components in k order, and within a term in the k-fold law's order,
     so its sums do not depend on the other rows; padding ``(0, 1, 0)``
-    follows them.  An Irwin-Hall sum of ``k`` jumps is column ``k - 1``
-    of the ``box_*`` fields.  A continuous law with no ``kfold_law``
-    raises ``ValueError``.
+    follows them.  An Irwin-Hall sum of ``k`` uniform jumps is column
+    ``k - 1`` of the ``box_*`` fields.
     """
-    if isinstance(jump_law, ContinuousJumps) and jump_law.kfold_law is None:
-        raise ValueError("a continuous jump law needs a closed-form k-fold "
-                         "law (kfold_law) for its increment laws")
     m, s2 = summaries.m, summaries.sigma2
     parts, chain, box = [], [], {}
     for k, wk in enumerate(weights.T):

@@ -220,106 +220,79 @@ class LatticeJumps(JumpLaw):
 
 @dataclass(frozen=True)
 class ContinuousJumps(JumpLaw):
-    """Jump sizes with a Lebesgue density on a bounded effective support.
+    """Jump sizes with a Lebesgue density, held as its closed form.
 
-    ``density`` must accept numpy arrays: quadrature evaluates it on whole
-    node arrays, and a scalar-only callable raises.  Optional hooks supply
-    a closed-form sampler, characteristic function, and k-fold jump sum.
-    Quadrature and a CDF table fill in for a missing sampler or
-    characteristic function, but the exact and one-jump increment laws
-    need ``kfold_law``: without it they raise ``ValueError``.
-    ``kfold_law(k)`` describes the sum of ``k >= 1`` jumps as
-    ``("gaussian", mean, var)``, or as ``("irwin-hall", lo, hi)``, the sum
-    of ``k`` uniform jumps on ``[lo / k, hi / k]``.
+    ``kind`` is ``"uniform"``, uniform on ``[a, b]``, or ``"gaussian"``,
+    normal with mean ``a`` and sd ``b``.  The density, its effective
+    support, characteristic function and sampler follow from these three
+    fields, as does every k-fold jump sum in :mod:`lecamjd.laws`.  The
+    parameters must be finite, the support (a Gaussian's mean plus/minus
+    12 sds) a proper interval of finite width, and the density's peak
+    finite, or ``ValueError`` names the parameter at fault.
     """
 
-    density: Callable
-    support: tuple[float, float]
-    sampler: Callable | None = None
-    cf_fn: Callable | None = None
-    kfold_law: Callable | None = None
+    kind: str
+    a: float
+    b: float
 
     def __post_init__(self):
-        lo, hi = (float(self.support[0]), float(self.support[1]))
-        if not lo < hi:
-            raise ValueError("jump density support must be a proper interval")
-        object.__setattr__(self, "support", (lo, hi))
-        mass = integrate(self.density, lo, hi, epsabs=1e-11,
-                         what="jump density mass")
-        if abs(mass - 1.0) > 1e-8:
+        if self.kind not in ("uniform", "gaussian"):
+            raise ValueError(f"unknown continuous jump law {self.kind!r}: "
+                             "expected 'uniform' or 'gaussian'")
+        a, b = float(self.a), float(self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        uniform = self.kind == "uniform"
+        if not (uniform or b > 0.0):
+            raise ValueError(f"sd must be positive (got {b!r})")
+        lo, hi = self.support  # NaN or infinite parameters fail here
+        if not (lo < hi and hi - lo < math.inf):
             raise ValueError(
-                f"jump density integrates to {mass!r}, expected 1")
+                f"need finite lo < hi, hi - lo finite (got lo={a!r}, hi={b!r})"
+                if uniform else "mean +/- 12 sd must be a proper interval "
+                f"of finite width (got mean={a!r}, sd={b!r})")
+        name, scale = ("hi - lo", b - a) if uniform else ("sd", b)
+        if (1.0 if uniform else _gauss._INV_SQRT_2PI) / scale == math.inf:
+            raise ValueError(f"{name} = {scale!r} is too small: the "
+                             "density's peak overflows")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """Uniform: ``(a, b)``; Gaussian: the mean plus/minus 12 sds."""
+        if self.kind == "uniform":
+            return self.a, self.b
+        return self.a - 12.0 * self.b, self.a + 12.0 * self.b
+
+    def density(self, y):
+        y = np.asarray(y, dtype=float)
+        if self.kind == "gaussian":
+            return _gauss.norm_pdf(y, self.a, self.b)
+        return np.where((y >= self.a) & (y <= self.b),
+                        1.0 / (self.b - self.a), 0.0)
 
     def cf(self, u):
-        if self.cf_fn is not None:
-            return self.cf_fn(u)
-        # one panel per frequency, each integrated on its own
         u = np.asarray(u, dtype=float)
-        lo, hi = self.support
-        flat = u.ravel()
-        re, im = (integrate(lambda y, j: self.density(y) * wave(flat[j] * y),
-                            np.full(u.shape, lo), hi, epsabs=1e-11,
-                            what=f"jump cf ({part})", by_panel=True)
-                  for wave, part in ((np.cos, "real"), (np.sin, "imag")))
-        if u.ndim == 0:
-            return complex(re, im)
-        out = re.astype(complex)
-        out.imag = im
-        return out
+        a, b = self.a, self.b
+        if self.kind == "gaussian":
+            return np.exp(1j * u * a - 0.5 * u ** 2 * b * b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = ((np.exp(1j * u * b) - np.exp(1j * u * a))
+                    / (1j * u * (b - a)))
+        return np.where(u == 0, 1.0 + 0.0j, vals)
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        if self.sampler is not None:
-            return np.asarray(self.sampler(gen, int(size)), dtype=float)
-        # inverse transform on a dense CDF table
-        lo, hi = self.support
-        ys = np.linspace(lo, hi, 4097)
-        dens = np.asarray(self.density(ys), dtype=float)
-        cdf = np.concatenate(([0.0], np.cumsum(
-            0.5 * (dens[1:] + dens[:-1]) * np.diff(ys))))
-        cdf /= cdf[-1]
-        u = gen.random(int(size))
-        return np.interp(u, cdf, ys)
+        draw = gen.normal if self.kind == "gaussian" else gen.uniform
+        return draw(self.a, self.b, int(size))
 
 
 def uniform_jumps(lo: float, hi: float) -> ContinuousJumps:
     """Uniform jump sizes on ``[lo, hi]``."""
-    lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    width = hi - lo
-    dens = 1.0 / width
-
-    def _density(y):
-        y = np.asarray(y, dtype=float)
-        return np.where((y >= lo) & (y <= hi), dens, 0.0)
-
-    def _cf(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (np.exp(1j * u * hi) - np.exp(1j * u * lo)) / (1j * u * width)
-        return np.where(u == 0, 1.0 + 0.0j, vals)
-
-    return ContinuousJumps(
-        density=_density, support=(lo, hi),
-        sampler=lambda gen, size: gen.uniform(lo, hi, size),
-        cf_fn=_cf,
-        kfold_law=lambda k: ("irwin-hall", k * lo, k * hi),
-    )
+    return ContinuousJumps("uniform", lo, hi)
 
 
 def gaussian_jumps(mean: float, sd: float) -> ContinuousJumps:
     """Normally distributed jump sizes."""
-    mu, s = float(mean), float(sd)
-    if s <= 0:
-        raise ValueError("sd must be positive")
-    return ContinuousJumps(
-        density=lambda y: _gauss.norm_pdf(y, mu, s),
-        support=(mu - 12.0 * s, mu + 12.0 * s),
-        sampler=lambda gen, size: gen.normal(mu, s, size),
-        cf_fn=lambda u: np.exp(1j * np.asarray(u, dtype=float) * mu
-                               - 0.5 * np.asarray(u, dtype=float) ** 2 * s * s),
-        kfold_law=lambda k: ("gaussian", k * mu, k * s * s),
-    )
+    return ContinuousJumps("gaussian", mean, sd)
 
 
 # ---------------------------------------------------------------------------

@@ -1121,6 +1121,49 @@ class TestNonFiniteConfigs:
                 lj.ModelSpec(**dict(vars(base), **{key: math.nan}))
 
 
+#: finite continuous jump laws with no finite density: an infinitely wide
+#: support, a support that rounds to a point, or an overflowing peak;
+#: each with the parameter its refusal names
+EXTREME_CONTINUOUS_LAWS = [
+    ({"kind": "gaussian", "mean": 0.0, "sd": 1e307}, "sd="),
+    ({"kind": "gaussian", "mean": 0.0, "sd": 1e-320}, "sd = "),
+    ({"kind": "gaussian", "mean": 7.5, "sd": 1e-320}, "sd="),
+    ({"kind": "gaussian", "mean": 1e308, "sd": 1.0}, "mean="),
+    ({"kind": "uniform", "low": -1e308, "high": 1e308}, "hi - lo"),
+    ({"kind": "uniform", "low": 0.0, "high": 5e-324}, "hi - lo"),
+]
+
+
+class TestExtremeJumpLaws:
+    """Finite jump parameters a law cannot hold are config errors: one
+    stderr line, no numerical warnings, nothing on stdout."""
+
+    @pytest.mark.parametrize("law, name", EXTREME_CONTINUOUS_LAWS)
+    def test_continuous_law_exits_one(self, tmp_path, capsys, law, name):
+        cfg = write_config(tmp_path, {"jump_law": law})
+        assert main(["validate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: jump_law: ")
+        assert captured.err.count("\n") == 1 and name in captured.err
+
+    @pytest.mark.parametrize("top", [1e12, 1e300])
+    def test_lattice_too_wide_for_a_table_exits_one(self, tmp_path, capsys,
+                                                    top):
+        cfg = write_config(tmp_path, {"jump_law": {
+            "kind": "lattice", "values": [0, top], "probs": [0.5, 0.5]}})
+        assert main(["convergence", "--config", cfg, "--n-list", "4,8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: the sum of 1 lattice "
+                                       "jumps spans ")
+        assert captured.err.count("\n") == 1
+        # the commands that build no k-fold table still run
+        for command in ("simulate", "bounds"):
+            assert main([command, "--config", cfg]) == 0
+            assert capsys.readouterr().out.count("\n") > 16
+
+
 #: finite configs whose summary integrals overflow: sigma2 = inf, and a
 #: sine drift whose closed form computes inf * 0 = NaN
 OVERFLOWING_CONFIGS = {

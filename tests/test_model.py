@@ -84,12 +84,6 @@ class TestTimeFunctions:
         assert tf.integral(0.0, 2.0) == 5.0
 
 
-#: a jump law with no cf, sampler or k-fold hook: every fallback runs
-RAMP = lj.ContinuousJumps(
-    density=lambda y: np.where((y >= 0.0) & (y <= 1.0), 2.0 * y, 0.0),
-    support=(0.0, 1.0))
-
-
 class TestJumpLaws:
     def test_dirac_cf(self):
         law = lj.DiracJump(1.0)
@@ -131,30 +125,125 @@ class TestJumpLaws:
         mass = integrate.quad(lambda y: float(law.density(y)), lo, hi)[0]
         assert abs(mass - 1.0) < 1e-9
 
-    def test_fallback_cf_matches_closed_form(self):
-        u = np.array([-3.0, -0.5, 0.7, 2.0, 10.0])
-        iu = 1j * u
-        # the cf of density 2y on [0, 1], integrated by parts
-        want = 2.0 * (np.exp(iu) / iu - (np.exp(iu) - 1.0) / iu ** 2)
-        got = RAMP.cf(u)
-        assert got.dtype == complex and got.shape == u.shape
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
-        # one call for many frequencies gives each one's own integral
-        assert [RAMP.cf(float(v)) for v in u] == got.tolist()
-        assert RAMP.cf(0.0) == 1.0 + 0.0j
-
-    def test_fallback_sampler_moments(self):
-        # density 2y on [0, 1]: mean 2/3, variance 1/18, P(Y < 1/2) = 1/4
-        size = 40_000
-        y = RAMP.sample(lj.RngStream(8).generator(), size)
-        assert y.shape == (size,) and 0.0 <= y.min() and y.max() <= 1.0
-        assert abs(y.mean() - 2.0 / 3.0) < 4.0 * math.sqrt(1.0 / 18 / size)
-        assert abs(np.mean(y < 0.5) - 0.25) < 4.0 * math.sqrt(
-            0.25 * 0.75 / size)
-
     def test_uniform_jumps_needs_proper_interval(self):
         with pytest.raises(ValueError):
             lj.uniform_jumps(1.0, 1.0)
+
+    def test_unknown_continuous_kind_is_refused(self):
+        with pytest.raises(ValueError, match="'cauchy'"):
+            lj.ContinuousJumps("cauchy", 0.0, 1.0)
+
+    @pytest.mark.parametrize("make, a, b", [(lj.uniform_jumps, 1.0, 2.0),
+                                            (lj.gaussian_jumps, 7.5, 0.5)])
+    def test_building_a_law_integrates_nothing(self, monkeypatch, make, a,
+                                               b):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a jump law was integrated")
+        monkeypatch.setattr(lj.model, "integrate", refuse)
+        monkeypatch.setattr(lj._quadrature, "integrate", refuse)
+        law = make(a, b)
+        assert law == lj.ContinuousJumps(law.kind, a, b)
+
+
+def parent_hooks(kind, a, b):
+    """Density, cf, sampler and k-fold law as the closures
+    ``uniform_jumps`` and ``gaussian_jumps`` built before a continuous law
+    became data: the reference for its bits."""
+    if kind == "uniform":
+        lo, hi = a, b
+        width = hi - lo
+        dens = 1.0 / width
+
+        def density(y):
+            y = np.asarray(y, dtype=float)
+            return np.where((y >= lo) & (y <= hi), dens, 0.0)
+
+        def cf(u):
+            u = np.asarray(u, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = ((np.exp(1j * u * hi) - np.exp(1j * u * lo))
+                        / (1j * u * width))
+            return np.where(u == 0, 1.0 + 0.0j, vals)
+
+        return (density, cf, lambda gen, size: gen.uniform(lo, hi, size),
+                lambda k: ("irwin-hall", k * lo, k * hi))
+    mu, s = a, b
+    return (lambda y: lj._gauss.norm_pdf(y, mu, s),
+            lambda u: np.exp(1j * np.asarray(u, dtype=float) * mu
+                             - 0.5 * np.asarray(u, dtype=float) ** 2 * s * s),
+            lambda gen, size: gen.normal(mu, s, size),
+            lambda k: ("gaussian", k * mu, k * s * s))
+
+
+def parent_table(summaries, kfold_law, weights):
+    """The k-fold table as the parent's builder assembled it from a
+    ``kfold_law``: each row's live terms in k order, padded with
+    ``(0, 1, 0)``, and an Irwin-Hall sum of k jumps in box column k - 1."""
+    m, s2 = summaries.m, summaries.sigma2
+    rows = [[] for _ in range(m.size)]
+    box = {}
+    for k, wk in enumerate(weights.T):
+        live = wk > 1e-300
+        if not live.any():
+            continue
+        kind, a, b = ("gaussian", 0.0, 0.0) if k == 0 else kfold_law(k)
+        if kind == "irwin-hall":
+            box = box or {name: np.zeros((m.size, weights.shape[1] - 1))
+                          for name in ("box_weight", "box_lo", "box_hi")}
+            box["box_weight"][:, k - 1] = np.where(live, wk * (k / (b - a)),
+                                                   0.0)
+            box["box_lo"][:, k - 1], box["box_hi"][:, k - 1] = m + a, m + b
+            continue
+        means, sds = (m, np.sqrt(s2)) if k == 0 else (m + a,
+                                                      np.sqrt(s2 + b))
+        for i in np.flatnonzero(live):
+            rows[i].append((means[i], sds[i], wk[i] * 1.0))
+    width = max(map(len, rows))
+    fields = np.array([row + [(0.0, 1.0, 0.0)] * (width - len(row))
+                       for row in rows]).transpose(2, 0, 1)
+    box = dict(box, box_sd=np.sqrt(s2)) if box else {}
+    return lj.MixtureTable(*fields, size=np.array([len(r) for r in rows]),
+                           **box)
+
+
+#: three intervals: one with no jump mass, whose row is padded
+THREE_INTERVALS = lj.IncrementSummaries(m=[0.0, 0.7, -1.3],
+                                        sigma2=[0.01, 0.04, 0.2],
+                                        lam=[0.3, 0.0, 1.5])
+
+
+@given(case=st.one_of(
+    st.tuples(st.just("uniform"), st.floats(-50.0, 50.0),
+              st.floats(1e-3, 50.0)).map(
+        lambda t: (t[0], t[1], t[1] + t[2])),
+    st.tuples(st.just("gaussian"), st.floats(-50.0, 50.0),
+              st.floats(1e-3, 20.0))))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_law_keeps_the_parent_bits(case):
+    kind, a, b = case
+    law = (lj.uniform_jumps if kind == "uniform" else lj.gaussian_jumps)(a, b)
+    density, cf, sampler, kfold_law = parent_hooks(kind, a, b)
+    lo, hi = law.support
+    y = np.concatenate((np.linspace(lo - 1.0, hi + 1.0, 41), [lo, hi]))
+    assert law.density(y).tobytes() == density(y).tobytes()
+    u = np.array([-11.0, -2.0, -0.3, 0.0, 1e-9, 0.5, 3.0, 40.0])
+    assert law.cf(u).tobytes() == cf(u).tobytes()
+    assert [complex(law.cf(v)) for v in u] == [complex(cf(v)) for v in u]
+    draws = law.sample(lj.RngStream(11).generator(), 8)
+    assert draws.tobytes() == sampler(lj.RngStream(11).generator(),
+                                      8).tobytes()
+    alpha = THREE_INTERVALS.alpha
+    for build, weights in (
+            (lj.increment_density_exact,
+             lj.laws._poisson_weights(THREE_INTERVALS.lam)),
+            (lj.bernoulli_density, np.stack((1.0 - alpha, alpha), axis=1))):
+        got = build(THREE_INTERVALS, law).table
+        want = parent_table(THREE_INTERVALS, kfold_law, weights)
+        for f in dataclasses.fields(lj.MixtureTable):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            assert (g.shape, g.dtype) == (w.shape, w.dtype), f.name
+            assert np.ascontiguousarray(g).tobytes() == \
+                np.ascontiguousarray(w).tobytes(), f.name
 
 
 class TestGrid:

@@ -133,10 +133,11 @@ class TestFailures:
                                  r"integrand value"):
             integrate(fn, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
 
-    def test_scalar_only_jump_density_fails_loudly(self):
-        with pytest.raises((TypeError, ValueError)):
-            lj.ContinuousJumps(density=lambda y: 1.0 if 0 <= y <= 1 else 0.0,
-                               support=(0.0, 1.0))
+    def test_scalar_only_integrand_fails_loudly(self):
+        # the rule takes whole node arrays: a scalar-only integrand's
+        # comparison of an array has no truth value
+        with pytest.raises(ValueError, match="truth value"):
+            integrate(lambda y: 1.0 if 0 <= y <= 1 else 0.0, 0.0, 1.0)
 
 
 @given(mu1=st.floats(-3.0, 3.0), mu2=st.floats(-3.0, 3.0),

@@ -262,20 +262,6 @@ def test_points_past_every_component_read_zero():
         np.testing.assert_array_equal(table.pdf(np.array(x)), 0.0)
 
 
-@pytest.mark.parametrize("build", [lj.bernoulli_density,
-                                   lj.increment_density_exact])
-def test_a_law_without_a_kfold_sum_is_refused(build):
-    # a density alone gives no closed-form k-fold sum, and no law is built
-    # from an approximate one
-    law = lj.ContinuousJumps(
-        density=lambda y: np.where((y >= 0.0) & (y <= 1.0), 2.0 * y, 0.0),
-        support=(0.0, 1.0))
-    summaries = lj.IncrementSummaries(m=[0.0, 1.0], sigma2=[0.01, 0.04],
-                                      lam=[0.3, 0.0])
-    with pytest.raises(ValueError, match="k-fold law"):
-        build(summaries, law)
-
-
 @given(sizes=st.permutations([st.integers(1, 7), st.integers(8, 64),
                                st.integers(65, 150)]).flatmap(
            lambda order: st.tuples(*order)),
