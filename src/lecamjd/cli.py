@@ -14,7 +14,8 @@ filter
     extra columns ignored.
 bounds
     Per-increment filtering bound table plus one aggregate row; the
-    kernel follows from the jump law unless ``--kernel`` names one.
+    kernel follows from the jump law (``--kernel auto``), or ``--kernel
+    bernoulli`` gives the one-jump bound.
 convergence
     Bound sweep over ``--n-list`` grid sizes (ConvergenceRow columns).
 risk-transfer
@@ -408,13 +409,8 @@ def _cmd_filter(args) -> int:
 def _cmd_bounds(args) -> int:
     spec, n = load_config(args.config)
     kernel = args.kernel
-    if kernel != "bernoulli":
-        lattice = _jump_case(spec) == "lattice"
-        if kernel == ("truncate" if lattice else "round"):
-            raise ConfigError(f"--kernel {kernel} needs " + (
-                "a continuous" if lattice else "an integer-lattice")
-                + " jump law")
-        kernel = "round" if lattice else "truncate"
+    if kernel == "auto":
+        kernel = "round" if _jump_case(spec) == "lattice" else "truncate"
     grid = Grid.uniform(spec.horizon, n)
     summaries = build_increment_summaries(spec, grid)
     if kernel == "round":
@@ -508,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "per-increment filtering bound table",
                        "--config", "--out", "--L", "--epsilon")
     p_bounds.add_argument("--kernel",
-                          choices=["auto", "round", "truncate", "bernoulli"],
+                          choices=["auto", "bernoulli"],
                           default="auto")
     command("convergence", _cmd_convergence, "bound sweep over grid sizes",
             "--config", "--out", "--n-list", "--L", "--epsilon")

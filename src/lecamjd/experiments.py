@@ -38,8 +38,7 @@ from .laws import (bernoulli_density, gaussian_density,
                    increment_density_exact)
 from .model import (Grid, HolderClassParams, IncrementSummaries, ModelSpec,
                     build_increment_summaries)
-# tv_quadrature is unused here, but bench/tracing.py rebinds it by name
-from .oracle import tv_quadrature, tv_quadrature_many  # noqa: F401
+from .oracle import tv_quadrature
 from .simulate import RngStream, sample_path, sample_white_noise_increments
 
 __all__ = [
@@ -109,10 +108,10 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
     clamped at 1; the oracle product bound combines per-increment
     quadrature TVs (one-jump step, plus the filtered jump law against the
     Gaussian law) capped at 1 each.  The one-jump step TV is translation
-    invariant in the interval drift, so one batch holds a row per distinct
-    ``(lambda_i, sigma_i^2)`` pair with the drift zeroed.  The filtering
-    step compares two tables built from the grid's summary arrays, a row
-    per interval, and integrates all their TVs as a second batch.  Folding
+    invariant in the interval drift, so one ``tv_quadrature`` call takes a
+    row per distinct ``(lambda_i, sigma_i^2)`` pair with the drift zeroed.
+    The filtering step compares two tables built from the grid's summary
+    arrays, a row per interval, in a second call.  Folding
     makes lattice rows equal, and the oracle reads equal rows as 0.0
     without quadrature.
     """
@@ -142,9 +141,9 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
                                 return_inverse=True)
         centered = IncrementSummaries(m=np.zeros(keys.size),
                                       sigma2=keys.imag, lam=keys.real)
-        bern_tv = tv_quadrature_many([
-            (increment_density_exact(centered, spec.jump_law),
-             bernoulli_density(centered, spec.jump_law))])[index]
+        bern_tv = tv_quadrature(
+            increment_density_exact(centered, spec.jump_law),
+            bernoulli_density(centered, spec.jump_law))[index]
         approx = bernoulli_density(summaries, spec.jump_law)
         target = gaussian_density(summaries.m, summaries.sigma2)
         if jump_case == "lattice":
@@ -154,7 +153,7 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
             params = TruncateResampleParams(L=L, epsilon=epsilon,
                                             sigma_i=summaries.sigma)
             pair = (truncate_resample_pushforward(approx, params), target)
-        per_tv = np.minimum(1.0, bern_tv + tv_quadrature_many([pair]))
+        per_tv = np.minimum(1.0, bern_tv + tv_quadrature(*pair))
         oracle_product = hellinger_product_tv_bound(per_tv)
         rows.append(ConvergenceRow(
             n=n, delta_n=grid.mesh, aggregate_bound=aggregate,

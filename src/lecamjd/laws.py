@@ -65,6 +65,10 @@ _BLOCK = 32_768
 #: long, and a convolution of the chain costs its length times one jump's
 _MAX_LATTICE_WIDTH = 1 << 16
 
+#: a lattice k-fold sum's component means reach at most this far from the
+#: drift: every integer up to 2^53 is a float, but not every one past it
+_MAX_LATTICE_OFFSET = 1 << 53
+
 #: a spline piece farther than this many sds from a point adds exactly 0:
 #: Phi is 0 or 1 and phi underflows there, so it is skipped
 _PIECE_REACH = 40.0
@@ -201,6 +205,9 @@ class MixtureTable:
                           np.broadcast_to(rows, x.shape).ravel())
         return out.reshape(x.shape) if x.ndim else float(out[0])
 
+    # a point some 1e154 sds from a component overflows the square in
+    # phi's exponent, where phi is exactly 0: that overflow is no fault
+    @np.errstate(over="ignore")
     def values(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Density of row ``rows[j]`` at ``x[j]``, for flat arrays."""
         out = self._dense(x, rows)
@@ -322,21 +329,6 @@ class MixtureTable:
         inside = (pts > lo[:, None]) & (pts < hi[:, None])
         return lo, hi, np.where(inside, pts, np.nan)[:, inside.any(axis=0)]
 
-    @staticmethod
-    def concat(tables) -> "MixtureTable":
-        """One table holding the rows of ``tables`` in order."""
-        tables = list(tables)
-        if len(tables) == 1:
-            return tables[0]
-        stacked = {name: _stack_rows([getattr(t, name) for t in tables], fill)
-                   for name, fill in (("means", 0.0), ("sds", 1.0),
-                                      ("weights", 0.0), ("box_weight", 0.0),
-                                      ("box_lo", 0.0), ("box_hi", 0.0))}
-        return MixtureTable(**stacked, **{
-            name: np.concatenate([getattr(t, name) for t in tables])
-            for name in ("size", "beta", "mass", "resample_sd", "fold",
-                         "box_sd")})
-
 
 def _read_only(a: np.ndarray, shape: tuple) -> np.ndarray:
     """``a`` as a read-only array of ``shape``: a view of a full-shape
@@ -349,14 +341,6 @@ def _read_only(a: np.ndarray, shape: tuple) -> np.ndarray:
         return np.broadcast_to(a, shape)
     view.flags.writeable = False
     return view
-
-
-def _stack_rows(arrays, fill) -> np.ndarray:
-    """2-d arrays stacked row-wise, each padded on the right with ``fill``
-    to the widest."""
-    width = max(a.shape[1] for a in arrays)
-    return np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1])),
-                                  constant_values=fill) for a in arrays])
 
 
 @dataclass(frozen=True)
@@ -507,7 +491,8 @@ def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
     then carries weight 1 alone), read from a continuous law's closed form
     as its Gaussian sum is.  A lattice pmf's k-fold sum extends the
     :func:`_self_convolution` ``chain`` from one ``k`` to the next, and
-    raises ``ValueError`` past ``_MAX_LATTICE_WIDTH`` integers.
+    raises ``ValueError`` past ``_MAX_LATTICE_WIDTH`` integers or where a
+    jump sum passes ``_MAX_LATTICE_OFFSET``.
     """
     sd = np.sqrt(s2)[:, None]
     m = m[:, None]
@@ -523,6 +508,11 @@ def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
             raise ValueError(
                 f"the sum of {k} lattice jumps spans {width} integers, more "
                 f"than the {_MAX_LATTICE_WIDTH} a k-fold table may hold")
+        top = max(jump_law.values, key=abs)
+        if k * abs(top) > _MAX_LATTICE_OFFSET:
+            raise ValueError(
+                f"the sum of {k} lattice jumps of size {float(top)!r} passes "
+                "+/-2**53, past which a float does not hold every integer")
         if not chain:
             chain.append(np.bincount([v - low for v in jump_law.values],
                                      jump_law.probs))

@@ -18,23 +18,20 @@ independent fine-panel rule.  ROADMAP items 19 and 22 record the
 witnesses and the mend, a TV from closed-form CDF differences between
 the sign changes.
 
-A batch may hold many pairs of densities, and a pair of tables with a row
-per interval stands for one comparison per row: ``tv_quadrature_many``
-puts the panels of every row of every pair into one integrator call, and
-each bisection round evaluates all rows of a side in one call of their
-concatenated table.  Panels converge on their own, and every sum on the
-way (Kronrod nodes, mixture components, a row's panels) runs in a fixed
-order, so a pair's value is the same bits in any batch.  For TV and L1
-only, a row whose two sides hold the same data (size, components and
-per-row fields, each factor of its evaluation finite) is 0.0 without
-quadrature: |p - q| is 0 at every point.  The one-pair distances and
-``total_mass`` are batches of one and take one-law densities only.
+Every distance takes two densities with the same rows, say one per
+interval of a grid, and gives one value per row, row against row; a
+one-law density is a table of one row and gives an array of one.  The
+panels of every row go to one integrator call, and each bisection round
+evaluates all rows of a side in one call of its table.  Panels converge
+on their own, and every sum on the way (Kronrod nodes, mixture
+components, a row's panels) runs in a fixed order, so a row's value is
+the same bits alone, in any grid and at any place in it.  For TV only, a
+row whose two sides hold the same data (size, components and per-row
+fields, each factor of its evaluation finite) is 0.0 without quadrature:
+|p - q| is 0 at every point.  The L1 distance is twice the TV.
 """
 
 from __future__ import annotations
-
-import math
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -42,9 +39,7 @@ from ._quadrature import integrate
 from .laws import Density, MixtureTable
 
 __all__ = [
-    "l1_quadrature",
     "tv_quadrature",
-    "tv_quadrature_many",
     "hellinger_quadrature",
     "total_mass",
 ]
@@ -96,13 +91,6 @@ def integrate_rows(fn, *sides) -> np.ndarray:
     return np.bincount(row, cont, points.shape[0])
 
 
-def _one_law(d: Density) -> Density:
-    if d.rows != 1:
-        raise ValueError(f"a density of {d.rows} rows holds {d.rows} laws; "
-                         "compare them row by row with tv_quadrature_many")
-    return d
-
-
 def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
     """Rows whose two sides hold the same size, components and per-row
     fields, where every factor the evaluator forms from them is finite
@@ -130,18 +118,14 @@ def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
     return np.all(rows, axis=0) & np.all(cols, axis=(0, 2))
 
 
-def _pointwise_sums(g, pairs: Iterable[tuple[Density, Density]]
-                    ) -> np.ndarray:
-    """Per row of each pair ``(p, q)``: the integral of ``g(p, q)``.  All
-    rows' panels share one integrate call; for the L1 integrand, rows whose
-    sides hold the same data (:func:`_same_rows`) get 0.0 without one."""
-    pairs = list(pairs)
-    if not pairs:
-        return np.empty(0)
-    if any(p.rows != q.rows for p, q in pairs):
+def _per_row(g, p: Density, q: Density) -> np.ndarray:
+    """Per row of two densities with the same rows: the integral of
+    ``g(p, q)``.  All rows' panels share one integrate call; for the L1
+    integrand, rows whose sides hold the same data (:func:`_same_rows`) get
+    0.0 without one."""
+    if p.rows != q.rows:
         raise ValueError("paired densities must have the same rows")
-    p, q = (MixtureTable.concat(d.table for d in side)
-            for side in zip(*pairs))
+    p, q = p.table, q.table
     same = (_same_rows(p, q) if g is _l1_integrand
             else np.zeros(p.rows, dtype=bool))
     # |p - q| is 0 at every point of a row whose sides hold the same data
@@ -153,42 +137,28 @@ def _pointwise_sums(g, pairs: Iterable[tuple[Density, Density]]
     return out
 
 
-def _one_pair(g, p: Density, q: Density) -> float:
-    return float(_pointwise_sums(g, [(_one_law(p), _one_law(q))])[0])
-
-
 def _l1_integrand(u, v):
     return np.abs(u - v)
 
 
-def l1_quadrature(p: Density, q: Density) -> float:
-    """L1 distance of two one-law densities: the integral of |p - q|."""
-    return _one_pair(_l1_integrand, p, q)
+def tv_quadrature(p: Density, q: Density) -> np.ndarray:
+    """Total variation distance per row, half the integral of |p - q|.
 
-
-def tv_quadrature(p: Density, q: Density) -> float:
-    """Total variation distance, half of the L1 distance."""
-    return 0.5 * l1_quadrature(p, q)
-
-
-def tv_quadrature_many(pairs: Iterable[tuple[Density, Density]]
-                       ) -> np.ndarray:
-    """Total variation distance of each pair ``(p, q)``, as one batch.
-
-    A pair of tables with R rows gives R distances, row against row.
-    Equal to ``tv_quadrature`` law by law, but the integrator refines the
-    panels of all pairs together, one round for the whole batch.
+    ``p`` and ``q`` hold the same number of laws, and row ``r`` of the
+    result compares row ``r`` of each; a one-law pair gives one value.
+    The L1 distance is twice it.
     """
-    return 0.5 * _pointwise_sums(_l1_integrand, pairs)
+    return 0.5 * _per_row(_l1_integrand, p, q)
 
 
-def hellinger_quadrature(p: Density, q: Density) -> float:
-    """Hellinger distance: the L2 distance between root densities."""
-    h2 = _one_pair(lambda u, v: (np.sqrt(np.maximum(u, 0.0))
-                                 - np.sqrt(np.maximum(v, 0.0))) ** 2, p, q)
-    return math.sqrt(max(h2, 0.0))
+def hellinger_quadrature(p: Density, q: Density) -> np.ndarray:
+    """Hellinger distance per row: the L2 distance between root
+    densities."""
+    h2 = _per_row(lambda u, v: (np.sqrt(np.maximum(u, 0.0))
+                                - np.sqrt(np.maximum(v, 0.0))) ** 2, p, q)
+    return np.sqrt(np.maximum(h2, 0.0))
 
 
-def total_mass(p: Density) -> float:
-    """Mass of a one-law density; should be 1 up to truncation error."""
-    return _one_pair(lambda u, v: u, p, p)
+def total_mass(p: Density) -> np.ndarray:
+    """Mass of each row; 1 up to truncation error."""
+    return _per_row(lambda u, v: u, p, p)

@@ -31,8 +31,10 @@ def test_criterion_01_l1_closed_forms_match_quadrature():
     worst = 0.0
     for dmu in (0.1, 0.5, 1.0, 2.0, 3.0):
         for sd in (0.25, 1.0, 2.0, 5.0):
-            quad = lj.l1_quadrature(lj.gaussian_density(0.0, sd * sd),
-                                    lj.gaussian_density(dmu, sd * sd))
+            # the L1 distance is twice the TV
+            quad = 2.0 * lj.tv_quadrature(
+                lj.gaussian_density(0.0, sd * sd),
+                lj.gaussian_density(dmu, sd * sd))[0]
             closed = lj.l1_gaussians_same_var(0.0, dmu, sd)
             proc = lj.l1_gaussian_processes(lj.constant(0.0),
                                             lj.constant(dmu),
@@ -49,8 +51,8 @@ def test_criterion_02_gaussian_tv_bound_dominates():
     margin = math.inf
     for dmu in (0.0, 0.25, 1.0, 2.5, 4.0):
         for sd2 in (0.5, 0.8, 1.0, 1.5, 3.0):
-            tv = lj.tv_quadrature(lj.gaussian_density(0.0, 1.0),
-                                  lj.gaussian_density(dmu, sd2 * sd2))
+            (tv,) = lj.tv_quadrature(lj.gaussian_density(0.0, 1.0),
+                                     lj.gaussian_density(dmu, sd2 * sd2))
             bound = lj.tv_gaussians_bound(0.0, 1.0, dmu, sd2)
             root_kl = math.sqrt(lj.kl_gaussians(0.0, 1.0, dmu, sd2))
             ok = ok and tv <= bound + 1e-12 and tv <= root_kl + 1e-12
@@ -67,8 +69,9 @@ def test_criterion_03_single_jump_reduction_bound():
     for lam in (0.2, 0.1, 0.05, 0.01):
         for sig in (0.01, 0.05):
             summ = lj.IncrementSummaries(m=0.0, sigma2=sig * sig, lam=lam)
-            tv = lj.tv_quadrature(lj.increment_density_exact(summ, law),
-                                  lj.bernoulli_density(summ, law))
+            (tv,) = lj.tv_quadrature(
+                lj.increment_density_exact(summ, law),
+                lj.bernoulli_density(summ, law))
             bound = 2.0 * lam * lam
             ok = ok and tv <= bound
             if lam == 0.2:
@@ -118,9 +121,9 @@ def test_criterion_04_rounding_filter_bound_and_decay():
             folded = lj.fold_density_to_lattice_cell(
                 lj.bernoulli_density(summ, law))
             ok = ok and _equal_rows(folded.table, folded_gauss.table)
-            both_folded_tv = lj.tv_quadrature(folded, folded_gauss)
+            (both_folded_tv,) = lj.tv_quadrature(folded, folded_gauss)
             ok = ok and both_folded_tv == 0.0 and both_folded_tv <= term
-            wrap_tv = lj.tv_quadrature(folded_gauss, gauss)
+            (wrap_tv,) = lj.tv_quadrature(folded_gauss, gauss)
             closed = (norm.cdf(-(0.5 - m) / sig)
                       + norm.cdf(-(0.5 + m) / sig))
             # absolute floor 1e-15: below that the adaptive quadrature

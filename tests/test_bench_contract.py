@@ -2,11 +2,14 @@
 
 ``bench/tracing.py`` rebinds layer entry points of ``lecamjd.experiments``
 and ``lecamjd.cli`` and wraps the ``pdf`` field of the densities they
-return; ``bench/run.py`` reads ``lecamjd.experiments.worker_count``; and
+return.  A rebound name is timed only where the drivers call it by that
+name: the sweeps' oracle work is the two ``tv_quadrature`` calls per grid
+that ``run_convergence`` makes through ``lecamjd.experiments``.
+``bench/run.py`` reads ``lecamjd.experiments.worker_count``; and
 ``bench/workloads.py`` calls the two experiment drivers with positional
 arguments on the specs of ``bench/specs.py`` and reads fields of their
-rows.  Changing any of these breaks only benchmark runs, so they are
-checked here.  So is the benchmark's own output check: a unit of each
+rows.  Changing any of these breaks only benchmark runs, or leaves a
+layer's span empty, so they are checked here.  So is the benchmark's own output check: a unit of each
 workload, run by ``bench/workloads.py`` against ``bench/reference.json``,
 must fail no operation.
 """
@@ -69,6 +72,28 @@ def test_sweep_call_form_and_row_fields(monkeypatch):
         for name in ("oracle_product_bound", "aggregate_bound",
                      "rate_prediction", "delta_n"):
             assert math.isfinite(getattr(rows[0], name)), (case, name)
+
+
+@pytest.mark.parametrize("case", ["continuous", "lattice"])
+def test_sweeps_call_the_oracle_twice_per_grid(monkeypatch, case):
+    # the oracle.tv span wraps this binding: one call for the one-jump
+    # step and one for the filter step of each grid
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    specs = load_bench("specs")
+    spec = {"continuous": specs.continuous_spec,
+            "lattice": specs.lattice_spec}[case]()
+    calls = []
+    tv = lecamjd.experiments.tv_quadrature
+
+    def counted(p, q):
+        calls.append(p.rows)
+        return tv(p, q)
+
+    monkeypatch.setattr(lecamjd.experiments, "tv_quadrature", counted)
+    rows = lecamjd.experiments.run_convergence(spec, [4, 8, 16], case)
+    assert len(rows) == 3 and len(calls) == 2 * 3
+    # the filter step compares a row per interval
+    assert calls[1::2] == [4, 8, 16]
 
 
 def test_risk_call_form_and_row_fields(monkeypatch):

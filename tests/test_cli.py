@@ -735,12 +735,15 @@ class TestBoundsCommand:
             self, tmp_path, capsys, law, kernel):
         # a Dirac jump at 0.5 (lam_i = 0.25) once got a fractional-part
         # "bound" of 2.1e-8 per increment and exit 0, where the oracle TV
-        # of the folded laws is 0.197 per increment
+        # of the folded laws is 0.197 per increment; the law picks the
+        # filter kernel, so naming one is a usage error
         cfg = write_config(tmp_path, {"jump_law": law, "n": 4})
         assert main(["bounds", "--config", cfg, "--kernel", kernel]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
+        assert ("--kernel" in captured.err) == (kernel != "auto")
 
     def test_bernoulli_kernel_takes_any_law(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"jump_law": {"kind": "dirac",
@@ -752,10 +755,14 @@ class TestBoundsCommand:
 
     def test_truncate_on_lattice_law_is_config_error(self, tmp_path,
                                                      capsys):
+        # --kernel takes only auto and bernoulli, for any law
         cfg = write_config(tmp_path)
         assert main(["bounds", "--config", cfg, "--kernel",
                      "truncate"]) == 1
-        assert "continuous jump law" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: argument --kernel: "
+                                       "invalid choice: 'truncate'")
 
     def test_drift_cap_violation_is_config_error(self, tmp_path, capsys):
         # |m_i| = 0.5 on the single interval exceeds L = 1/3: an input the
@@ -764,8 +771,7 @@ class TestBoundsCommand:
             "drift": {"kind": "constant", "value": 0.5},
             "jump_law": {"kind": "uniform", "low": -1.0, "high": 1.0},
             "n": 1})
-        assert main(["bounds", "--config", cfg, "--kernel",
-                     "truncate"]) == 1
+        assert main(["bounds", "--config", cfg]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("config error: |m_0| = 0.5 exceeds the drift "
@@ -1162,6 +1168,41 @@ class TestExtremeJumpLaws:
         for command in ("simulate", "bounds"):
             assert main([command, "--config", cfg]) == 0
             assert capsys.readouterr().out.count("\n") > 16
+
+    @pytest.mark.parametrize("values, k", [([1e308], 1), ([1e300], 1),
+                                           ([2 ** 53], 2), ([-2 ** 52], 3)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lattice_sum_past_two_to_the_53_exits_one(self, tmp_path, capsys,
+                                                      values, k):
+        # past 2**53 a float does not hold every integer, and a jump sum
+        # there swallows the drift (or overflowed the float conversion:
+        # exit 2 at 1e308, an overflow warning at 1e300)
+        probs = [1.0 / len(values)] * len(values)
+        cfg = write_config(tmp_path, {"jump_law": {
+            "kind": "lattice", "values": values, "probs": probs}})
+        assert main(["convergence", "--config", cfg, "--n-list", "4,8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: the sum of {k} lattice jumps of size "
+            f"{float(max(values, key=abs))!r} passes +/-2**53, past which a "
+            "float does not hold every integer\n")
+        for command in ("simulate", "bounds"):
+            assert main([command, "--config", cfg]) == 0
+            assert capsys.readouterr().out.count("\n") > 16
+
+    @pytest.mark.parametrize("epsilon_n", [1e-153, 1e-154])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_noise_prints_no_numpy_warning(self, tmp_path, capsys,
+                                                 epsilon_n):
+        # the squared distance in phi's exponent overflows for points some
+        # 1e154 sds from a lattice component, where phi is exactly 0
+        cfg = write_config(tmp_path, {"epsilon_n": epsilon_n, "jump_law": {
+            "kind": "lattice", "values": [-1, 2], "probs": [0.5, 0.5]}})
+        assert main(["convergence", "--config", cfg, "--n-list", "4,8"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("\n") == 3
 
 
 #: finite configs whose summary integrals overflow: sigma2 = inf, and a

@@ -134,20 +134,20 @@ class TestRunConvergence:
                 s_i = summaries.interval(i)
                 centered = lj.IncrementSummaries(m=0.0, sigma2=s_i.sigma2,
                                                  lam=s_i.lam)
-                bern = lj.tv_quadrature(
+                (bern,) = lj.tv_quadrature(
                     lj.increment_density_exact(centered, spec.jump_law),
                     lj.bernoulli_density(centered, spec.jump_law))
                 approx = lj.bernoulli_density(s_i, spec.jump_law)
                 target = lj.gaussian_density(s_i.m, s_i.sigma2)
                 if case == "lattice":
-                    kernel = lj.tv_quadrature(
+                    (kernel,) = lj.tv_quadrature(
                         lj.fold_density_to_lattice_cell(approx),
                         lj.fold_density_to_lattice_cell(target))
                 else:
                     params = lj.TruncateResampleParams(
                         L=DEFAULT_L, epsilon=DEFAULT_EPSILON,
                         sigma_i=np.sqrt(s_i.sigma2))
-                    kernel = lj.tv_quadrature(
+                    (kernel,) = lj.tv_quadrature(
                         lj.truncate_resample_pushforward(approx, params),
                         target)
                 per_tv.append(min(1.0, bern + kernel))

@@ -276,7 +276,7 @@ class TestPushforward:
         for approx in laws:
             push = lj.truncate_resample_pushforward(approx, params)
             assert calls == []
-            lj.tv_quadrature_many([(push, target)])
+            lj.tv_quadrature(push, target)
             assert calls == ["oracle panel"]
             calls.clear()
 

@@ -8,43 +8,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
+from lecamjd.oracle import integrate_rows
+
+
+def l1(p, q):
+    """The L1 distance of two one-law densities: twice their TV."""
+    (tv,) = lj.tv_quadrature(p, q)
+    return 2.0 * tv
 
 
 class TestL1:
     def test_identical_densities_give_zero(self):
         p = lj.gaussian_density(0.3, 0.5)
-        assert lj.l1_quadrature(p, p) < 1e-12
+        assert l1(p, p) < 1e-12
 
     def test_disjoint_supports_give_two(self):
         p = lj.gaussian_density(0.0, 1.0)
         q = lj.gaussian_density(40.0, 1.0)
-        assert abs(lj.l1_quadrature(p, q) - 2.0) < 1e-10
+        assert abs(l1(p, q) - 2.0) < 1e-10
 
     def test_unit_gaussians_two_sd_apart(self):
         # 2 (1 - 2 Phi(-1)) for |mu1 - mu2| = 2 sd
         p = lj.gaussian_density(0.0, 1.0)
         q = lj.gaussian_density(2.0, 1.0)
-        got = lj.l1_quadrature(p, q)
-        assert abs(got - 1.3653789842741717) < 1e-10
+        assert abs(l1(p, q) - 1.3653789842741717) < 1e-10
 
     def test_symmetry(self):
         p = lj.gaussian_density(0.0, 1.0)
         q = lj.gaussian_density(0.7, 2.0)
-        assert abs(lj.l1_quadrature(p, q) - lj.l1_quadrature(q, p)) < 1e-12
+        assert abs(l1(p, q) - l1(q, p)) < 1e-12
 
     def test_triangle_inequality(self):
         p = lj.gaussian_density(0.0, 1.0)
         q = lj.gaussian_density(1.0, 1.5)
         r = lj.gaussian_density(-0.5, 0.7)
-        assert (lj.l1_quadrature(p, q)
-                <= lj.l1_quadrature(p, r) + lj.l1_quadrature(r, q) + 1e-10)
+        assert l1(p, q) <= l1(p, r) + l1(r, q) + 1e-10
 
 
 class TestTV:
     def test_half_of_l1(self):
+        # half the oracle's own integral of |p - q|, to the bit
         p = lj.gaussian_density(0.0, 1.0)
         q = lj.gaussian_density(1.0, 1.0)
-        assert lj.tv_quadrature(p, q) == 0.5 * lj.l1_quadrature(p, q)
+        whole = integrate_rows(
+            lambda x, rows: np.abs(p.table.values(x, rows)
+                                   - q.table.values(x, rows)),
+            p.structure(), q.structure())
+        assert lj.tv_quadrature(p, q).tolist() == (0.5 * whole).tolist()
 
     def test_unit_gaussians_one_apart(self):
         # 2 Phi(1/2) - 1
@@ -65,7 +75,7 @@ class TestHellinger:
         # H^2 = 2 (1 - exp(-1/8))
         p = lj.gaussian_density(0.0, 1.0)
         q = lj.gaussian_density(1.0, 1.0)
-        h = lj.hellinger_quadrature(p, q)
+        (h,) = lj.hellinger_quadrature(p, q)
         assert abs(h - 0.4847743751796387) < 1e-9
         assert abs(h * h - 0.2350061948308091) < 1e-9
 
@@ -74,29 +84,26 @@ class TestHellinger:
     def test_sandwich_against_tv(self, mu, s2):
         p = lj.gaussian_density(0.0, 1.0)
         q = lj.gaussian_density(mu, s2)
-        h = lj.hellinger_quadrature(p, q)
-        tv = lj.tv_quadrature(p, q)
+        (h,) = lj.hellinger_quadrature(p, q)
+        (tv,) = lj.tv_quadrature(p, q)
         assert h * h / 2.0 <= tv + 1e-9
         assert tv <= h * math.sqrt(max(1.0 - h * h / 4.0, 0.0)) + 1e-9
 
 
-class TestOneLaw:
-    # two laws in one table: N(0, 1) and N(5, 1) against N(0, 1) twice;
-    # tv_quadrature_many compares them row by row
+class TestRows:
+    # two laws in one table: N(0, 1) and N(5, 1) against N(0, 1) twice
     P = lj.gaussian_density([0.0, 0.0], [1.0, 1.0])
     Q = lj.gaussian_density([0.0, 5.0], [1.0, 1.0])
 
-    @pytest.mark.parametrize("distance", [lj.tv_quadrature, lj.l1_quadrature,
-                                          lj.hellinger_quadrature])
-    def test_one_pair_distances_refuse_many_rows(self, distance):
-        with pytest.raises(ValueError, match="tv_quadrature_many"):
-            distance(self.P, self.Q)
-        with pytest.raises(ValueError, match="tv_quadrature_many"):
-            distance(lj.gaussian_density(0.0, 1.0), self.Q)
-
-    def test_total_mass_refuses_many_rows(self):
-        with pytest.raises(ValueError, match="tv_quadrature_many"):
-            lj.total_mass(self.Q)
+    def test_every_distance_gives_one_value_per_row(self):
+        # 2 Phi(5/2) - 1 and 2 (1 - exp(-25/8)) in the second row
+        tv = lj.tv_quadrature(self.P, self.Q)
+        h = lj.hellinger_quadrature(self.P, self.Q)
+        mass = lj.total_mass(self.Q)
+        assert tv.shape == h.shape == mass.shape == (2,)
+        assert tv[0] == 0.0 and abs(tv[1] - 0.9875806693484477) < 1e-10
+        assert h[0] == 0.0 and abs(h[1] ** 2 - 1.912126132753185) < 1e-9
+        assert np.all(np.abs(mass - 1.0) < 1e-10)
 
 
 class TestTotalMass:
@@ -162,71 +169,90 @@ MIXED_BATCH = [
 
 class TestBatch:
     PAIRS = [pair for pair, _ in MIXED_BATCH]
+    #: (mean, variance) of rows compared against N(0, 1)
+    ROWS = [(1.0, 1.0), (40.0, 1.0), (-0.3, 0.05), (0.7, 2.0)]
 
     def test_mixed_batch_matches_closed_forms(self):
-        got = lj.tv_quadrature_many(self.PAIRS)
+        got = np.concatenate([lj.tv_quadrature(p, q) for p, q in self.PAIRS])
         want = [tv for _, tv in MIXED_BATCH]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
     def test_batch_equals_one_pair_calls(self):
-        got = lj.tv_quadrature_many(self.PAIRS)
-        one = [lj.tv_quadrature(p, q) for p, q in self.PAIRS]
+        mu, s2 = np.array(self.ROWS).T
+        got = lj.tv_quadrature(lj.gaussian_density(np.zeros(mu.size),
+                                                   np.ones(mu.size)),
+                               lj.gaussian_density(mu, s2))
+        one = [lj.tv_quadrature(lj.gaussian_density(0.0, 1.0),
+                                lj.gaussian_density(m, v))[0]
+               for m, v in self.ROWS]
         np.testing.assert_array_equal(got, one)
 
-    @given(order=st.permutations(range(len(MIXED_BATCH))),
-           cut=st.integers(0, len(MIXED_BATCH)),
-           extra=st.lists(st.tuples(st.floats(-3.0, 3.0),
-                                    st.floats(0.05, 4.0)), max_size=3))
+    @given(rows=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                   st.floats(0.05, 4.0)), min_size=1,
+                         max_size=6).flatmap(
+               lambda rows: st.tuples(st.just(rows),
+                                      st.permutations(range(len(rows))),
+                                      st.integers(0, len(rows)))))
     @settings(max_examples=20, deadline=None)
-    def test_permuting_or_splitting_changes_nothing(self, order, cut, extra):
-        pairs = self.PAIRS + [(lj.gaussian_density(0.0, 1.0),
-                               lj.gaussian_density(mu, s2))
-                              for mu, s2 in extra]
-        whole = lj.tv_quadrature_many(pairs)
-        order = list(order) + list(range(len(MIXED_BATCH), len(pairs)))
-        permuted = lj.tv_quadrature_many([pairs[k] for k in order])
-        np.testing.assert_array_equal(permuted, whole[order])
-        split = np.concatenate((lj.tv_quadrature_many(pairs[:cut]),
-                                lj.tv_quadrature_many(pairs[cut:])))
+    def test_permuting_or_splitting_changes_nothing(self, rows):
+        rows, order, cut = rows
+        mu, s2 = np.array(rows).T
+
+        def tv(at):
+            return lj.tv_quadrature(lj.gaussian_density(np.zeros(at.size),
+                                                        np.ones(at.size)),
+                                    lj.gaussian_density(mu[at], s2[at]))
+
+        every = np.arange(mu.size)
+        whole = tv(every)
+        np.testing.assert_array_equal(tv(np.array(order)), whole[order])
+        split = np.concatenate((tv(every[:cut]), tv(every[cut:])))
         np.testing.assert_array_equal(split, whole)
 
     def test_empty_batch(self):
-        got = lj.tv_quadrature_many([])
-        assert isinstance(got, np.ndarray) and got.shape == (0,)
+        # a table of no rows: no distance
+        none = lj.gaussian_density(np.empty(0), np.empty(0))
+        for got in (lj.tv_quadrature(none, none),
+                    lj.hellinger_quadrature(none, none),
+                    lj.total_mass(none)):
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
 
     def test_non_finite_pair_names_its_panel(self):
-        # the middle pair's integrand is NaN on all of [2, 3], whose first
-        # panel is [2, 2.25]; the whole batch raises, so no pair's value is
+        # the middle row's integrand is NaN on all of [2, 3], whose first
+        # panel is [2, 2.25]; the whole call raises, so no row's value is
         # returned
-        flat = lj.Density(lj.MixtureTable([2.5], [1.0 / 24.0], [1.0]))
-        broken = lj.Density(lj.MixtureTable([2.5], [1.0 / 24.0], [math.nan]))
-        pairs = [self.PAIRS[0], (broken, flat), self.PAIRS[1]]
+        p = lj.Density(lj.MixtureTable([[0.0], [2.5], [0.0]],
+                                       [[1.0], [1.0 / 24.0], [1.0]],
+                                       [[1.0], [math.nan], [1.0]]))
+        q = lj.Density(lj.MixtureTable([[1.0], [2.5], [40.0]],
+                                       [[1.0], [1.0 / 24.0], [1.0]], 1.0))
         with pytest.raises(lj.QuadratureError,
                            match=r"oracle panel over \[2, 2.25\] has a "
                                  r"non-finite integrand value"):
-            lj.tv_quadrature_many(pairs)
+            lj.tv_quadrature(p, q)
 
 
 #: a row that sets every per-row field, so each can be told apart; its
 #: third entry is padding
 FULL_ROW = dict(means=[[0.1, 0.4, 0.0]], sds=[[0.2, 0.3, 1.0]],
                 weights=[[0.6, 0.3, 0.0]], size=[2], beta=[2.0], mass=[0.05],
-                resample_sd=[0.5], fold=[False], box_weight=[0.05],
-                box_lo=[-0.5], box_hi=[0.5], box_sd=[0.1])
+                resample_sd=[0.5], fold=[False], box_weight=[[0.05]],
+                box_lo=[[-0.5]], box_hi=[[0.5]], box_sd=[0.1])
 
 
-def _row(**change):
-    """A fresh copy of ``FULL_ROW``'s table with ``change`` applied."""
-    fields = {k: np.array(v) for k, v in FULL_ROW.items()}
+def _row(rows=1, **change):
+    """A fresh table of ``rows`` copies of ``FULL_ROW``, with ``change``
+    applied to the last."""
+    fields = {k: np.array(v * rows) for k, v in FULL_ROW.items()}
     for name, edit in change.items():
-        fields[name] = edit(fields[name])
+        fields[name][-1:] = edit(fields[name][-1:])
     return lj.Density(lj.MixtureTable(**fields))
 
 
 def _bump(a):
     """``a`` with its last component (or its one field) one ulp up."""
     a = a.copy()
-    at = (0, FULL_ROW["size"][0] - 1) if a.ndim == 2 else 0
+    at = (0, min(FULL_ROW["size"][0], a.shape[1]) - 1) if a.ndim == 2 else 0
     a[at] = np.nextafter(a[at], np.inf)
     return a
 
@@ -268,8 +294,7 @@ class TestEqualRows:
 
     def test_equal_row_reads_zero_and_is_never_evaluated(
             self, evaluated_rows):
-        got = lj.tv_quadrature_many([(_row(), _row()),
-                                     MIXED_BATCH[0][0]])
+        got = lj.tv_quadrature(_row(2), _row(2, beta=lambda a: a / 2.0))
         assert got[0] == 0.0 and got[1] > 0.0
         assert evaluated_rows == {1}
 
@@ -285,10 +310,10 @@ class TestEqualRows:
         # padding taken in as a component of weight 0
         edit = {"fold": np.logical_not,
                 "size": lambda a: a + 1}.get(field, _bump)
-        p, q = _row(), _row(**{field: edit})
-        got = lj.tv_quadrature_many([(p, p), (p, q)])
+        got = lj.tv_quadrature(_row(2), _row(2, **{field: edit}))
         assert evaluated_rows == {1}
-        assert got[0] == 0.0 and got[1] == lj.tv_quadrature(p, q)
+        assert got[0] == 0.0
+        assert got[1] == lj.tv_quadrature(_row(), _row(**{field: edit}))[0]
 
     @pytest.mark.parametrize("change", [
         {"weights": lambda a: np.where(a > 0.0, np.inf, 0.0)},
@@ -333,28 +358,34 @@ class TestEqualRows:
         assert lj.hellinger_quadrature(p, p) == 0.0
         assert evaluated_rows == {0}
 
-    @given(pairs=st.lists(st.tuples(st.floats(-2.0, 2.0),
-                                    st.floats(0.01, 0.25),
-                                    st.sampled_from(["same", "folded",
-                                                     "ulp", "moved"])),
-                          min_size=1, max_size=6))
+    @given(rows=st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                   st.floats(0.01, 0.25),
+                                   st.sampled_from(["same", "ulp",
+                                                    "moved"])),
+                         min_size=1, max_size=6),
+           folded=st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_mixed_batch_equals_one_pair_calls(self, pairs):
-        fold = lj.fold_density_to_lattice_cell
-        batch = []
-        for m, s2, kind in pairs:
-            q = lj.gaussian_density(m, s2)
-            p = {"same": lambda: lj.gaussian_density(m, s2),
-                 "ulp": lambda: lj.gaussian_density(m, np.nextafter(s2, 1.0)),
-                 "moved": lambda: lj.gaussian_density(m + 0.1, s2),
-                 # the lattice filter step: folding erases the unit jump
-                 "folded": lambda: fold(lj.bernoulli_density(
-                     lj.IncrementSummaries(m=m, sigma2=s2, lam=0.3),
-                     lj.DiracJump(1.0)))}[kind]()
-            batch.append((p, fold(q) if kind == "folded" else q))
-        got = lj.tv_quadrature_many(batch)
+    def test_mixed_batch_equals_one_pair_calls(self, rows, folded):
+        # each row's p against q = N(m, s2): the same law, one ulp more
+        # variance or moved by 0.1; folded, p is the one-jump law of a
+        # unit jump, which folding erases (the lattice filter step)
+        m, s2, kinds = (np.array(a) for a in zip(*rows))
+        pm = np.where(kinds == "moved", m + 0.1, m)
+        ps2 = np.where(kinds == "ulp", np.nextafter(s2, 1.0), s2)
+
+        def tv(at):
+            q = lj.gaussian_density(m[at], s2[at])
+            if not folded:
+                return lj.tv_quadrature(lj.gaussian_density(pm[at], ps2[at]),
+                                        q)
+            fold = lj.fold_density_to_lattice_cell
+            p = lj.bernoulli_density(lj.IncrementSummaries(
+                m=pm[at], sigma2=ps2[at], lam=np.full(m[at].size, 0.3)),
+                lj.DiracJump(1.0))
+            return lj.tv_quadrature(fold(p), fold(q))
+
+        got = tv(np.arange(m.size))
         np.testing.assert_array_equal(
-            got, [lj.tv_quadrature(p, q) for p, q in batch])
-        kinds = np.array([kind for _, _, kind in pairs])
+            got, [tv(np.array([r]))[0] for r in range(m.size)])
         assert (got[kinds == "same"] == 0.0).all()
         assert (got[kinds == "moved"] > 0.0).all()

@@ -144,8 +144,8 @@ class TestFailures:
        sd=st.floats(0.05, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_tv_of_equal_variance_gaussians_matches_closed_form(mu1, mu2, sd):
-    tv = lj.tv_quadrature(lj.gaussian_density(mu1, sd * sd),
-                          lj.gaussian_density(mu2, sd * sd))
+    (tv,) = lj.tv_quadrature(lj.gaussian_density(mu1, sd * sd),
+                             lj.gaussian_density(mu2, sd * sd))
     assert abs(tv - 0.5 * lj.l1_gaussians_same_var(mu1, mu2, sd)) < 1e-10
 
 

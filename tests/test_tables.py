@@ -159,7 +159,7 @@ def test_batched_pushforwards_and_tvs_equal_one_law_calls(grid, L, epsilon):
     if name in FOLDING:
         pairs.append((lj.fold_density_to_lattice_cell(approx),
                       lj.fold_density_to_lattice_cell(target)))
-    many = lj.tv_quadrature_many(pairs)
+    many = np.concatenate([lj.tv_quadrature(p, q) for p, q in pairs])
     mass, one = [], []
     for r in range(summaries.n):
         s = summaries.interval(r)
@@ -167,15 +167,50 @@ def test_batched_pushforwards_and_tvs_equal_one_law_calls(grid, L, epsilon):
         p = lj.truncate_resample_pushforward(
             alone, lj.TruncateResampleParams(L, epsilon, np.sqrt(s.sigma2)))
         mass.append(p.table.mass[0])
-        one.append(lj.tv_quadrature(p, lj.gaussian_density(s.m, s.sigma2)))
+        one.append(lj.tv_quadrature(p, lj.gaussian_density(s.m,
+                                                           s.sigma2))[0])
     for r in range(summaries.n if name in FOLDING else 0):
         s = summaries.interval(r)
         one.append(lj.tv_quadrature(
             lj.fold_density_to_lattice_cell(lj.bernoulli_density(s, law)),
-            lj.fold_density_to_lattice_cell(lj.gaussian_density(s.m,
-                                                                s.sigma2))))
+            lj.fold_density_to_lattice_cell(lj.gaussian_density(
+                s.m, s.sigma2)))[0])
     np.testing.assert_array_equal(pushed.table.mass, mass)
     np.testing.assert_array_equal(many, one)
+
+
+def distances(summaries, name):
+    """Every per-row distance a grid's tables give: the one-jump step's
+    and the filter steps' TVs, a Hellinger distance and a mass."""
+    law = LAWS[name]
+    one = lj.bernoulli_density(summaries, law)
+    gauss = lj.gaussian_density(summaries.m, summaries.sigma2)
+    exact = lj.increment_density_exact(summaries, law)
+    pushed = lj.truncate_resample_pushforward(one, params(summaries.sigma2))
+    fold = lj.fold_density_to_lattice_cell
+    return [lj.tv_quadrature(exact, one), lj.tv_quadrature(pushed, gauss),
+            lj.hellinger_quadrature(one, gauss), lj.total_mass(exact)] + (
+                [lj.tv_quadrature(fold(one), fold(gauss))]
+                if name in FOLDING else [])
+
+
+@given(grid=grids(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_row_of_a_distance_is_its_own(grid, data):
+    # a row's value has the same bits alone and at any place in its grid
+    summaries, name = grid
+    order = np.array(data.draw(st.permutations(range(summaries.n))))
+    whole = distances(summaries, name)
+    permuted = distances(lj.IncrementSummaries(
+        m=summaries.m[order], sigma2=summaries.sigma2[order],
+        lam=summaries.lam[order]), name)
+    for got, shuffled in zip(whole, permuted, strict=True):
+        assert got.shape == (summaries.n,)
+        assert shuffled.tobytes() == got[order].tobytes()
+    for r in range(summaries.n):
+        alone = distances(summaries.interval(r), name)
+        assert [d.tobytes() for d in alone] == [d[r:r + 1].tobytes()
+                                                for d in whole]
 
 
 def outside_by_quadrature(t: MixtureTable, beta) -> np.ndarray:
@@ -205,21 +240,19 @@ def test_escaped_mass_matches_quadrature(grid, beta):
         assert np.all(np.abs(got - want) <= np.maximum(1e-12, 1e-10 * got))
 
 
-@given(grids=st.lists(grids(max_rows=3), min_size=2, max_size=4),
-       beta=st.floats(0.0, 3.0, exclude_min=True))
+@given(grid=grids(), beta=st.floats(0.0, 3.0, exclude_min=True))
 @settings(max_examples=40, deadline=None)
-def test_escaped_mass_of_a_row_does_not_depend_on_its_table(grids, beta):
-    # rows of different laws (boxes, a few or many components) padded to
+def test_escaped_mass_of_a_row_does_not_depend_on_its_table(grid, beta):
+    # rows of a few or many components, with or without boxes, padded to
     # the widest of them: each keeps the bits it has alone
-    parts = [(summaries.interval(r), LAWS[name]) for summaries, name in grids
-             for r in range(summaries.n)]
-    mixed = MixtureTable.concat(lj.bernoulli_density(s, law).table
-                                for s, law in parts)
-    radii = beta * (1.0 + np.arange(mixed.rows) / mixed.rows)
-    got = mixed.escaped_mass(radii)
-    for r, (s, law) in enumerate(parts):
-        alone = lj.bernoulli_density(s, law).table
-        assert got[r].tobytes() == alone.escaped_mass(radii[r]).tobytes()
+    summaries, name = grid
+    law = LAWS[name]
+    radii = beta * (1.0 + np.arange(summaries.n) / summaries.n)
+    for build in (lj.bernoulli_density, lj.increment_density_exact):
+        got = build(summaries, law).table.escaped_mass(radii)
+        for r in range(summaries.n):
+            alone = build(summaries.interval(r), law).table
+            assert got[r].tobytes() == alone.escaped_mass(radii[r]).tobytes()
 
 
 @given(k=st.integers(65, 300), seed=st.integers(0, 2 ** 32 - 1))
@@ -245,10 +278,9 @@ def test_wide_rows_are_a_pure_function_of_x(tables, k, seed):
     # narrow peaks spread wide: a block of points shares its components,
     # yet each point's value is its own
     gen = np.random.default_rng(seed)
-    table = MixtureTable.concat(
-        MixtureTable(gen.uniform(-50.0, 50.0, k),
-                     gen.uniform(1e-3, 0.05, k), gen.uniform(0.0, 1.0, k) / k)
-        for _ in range(tables))
+    table = MixtureTable(gen.uniform(-50.0, 50.0, (tables, k)),
+                         gen.uniform(1e-3, 0.05, (tables, k)),
+                         gen.uniform(0.0, 1.0, (tables, k)) / k)
     x = gen.uniform(-55.0, 55.0, 300 * tables)
     rows = np.repeat(np.arange(tables), 300)
     batch = table.values(x, rows)
@@ -274,17 +306,32 @@ def test_mixed_width_rows_equal_their_one_row_tables_bitwise(sizes, seed, x):
     # pushforward rows (cut plus top-up), whether every row of their table
     # is topped or an untopped row shares it
     gen = np.random.default_rng(seed)
-    alone = [MixtureTable(gen.uniform(-3.0, 3.0, k),
-                          np.exp(gen.uniform(np.log(0.05), 0.0, k)),
-                          gen.uniform(0.0, 1.0, k) / k) for k in sizes]
-    pushed = [dataclasses.replace(t, beta=gen.uniform(0.5, 4.0),
-                                  mass=gen.uniform(0.0, 0.5),
-                                  resample_sd=gen.uniform(0.05, 1.0))
-              for t in alone]
+    # means, sds and weights of the three rows, padded with (0, 1, 0)
+    fields = np.zeros((3, 3, max(sizes)))
+    fields[1] = 1.0
+    for r, k in enumerate(sizes):
+        fields[:, r, :k] = (gen.uniform(-3.0, 3.0, k),
+                            np.exp(gen.uniform(np.log(0.05), 0.0, k)),
+                            gen.uniform(0.0, 1.0, k) / k)
+    cut = dict(beta=gen.uniform(0.5, 4.0, 3), mass=gen.uniform(0.0, 0.5, 3),
+               resample_sd=gen.uniform(0.05, 1.0, 3))
+    alone = [MixtureTable(*fields[:, r, :k]) for r, k in enumerate(sizes)]
+    pushed = [dataclasses.replace(t, **{f: a[r] for f, a in cut.items()})
+              for r, t in enumerate(alone)]
+
+    def table_of(rows, topped):
+        """Rows ``rows`` in one table, those where ``topped`` is set cut
+        and topped up."""
+        return MixtureTable(*fields[:, rows], size=np.take(sizes, rows),
+                            **{f: np.where(topped, a[rows], untouched)
+                               for (f, a), untouched in zip(
+                                   cut.items(), (np.inf, 0.0, 0.0))})
+
     x = np.array(x)
-    for ones, mixed in ((alone, MixtureTable.concat(alone)),
-                        (pushed, MixtureTable.concat(pushed)),
-                        (pushed, MixtureTable.concat(pushed + alone[:1]))):
+    for ones, mixed in ((alone, table_of([0, 1, 2], False)),
+                        (pushed, table_of([0, 1, 2], True)),
+                        (pushed, table_of([0, 1, 2, 0],
+                                          [True, True, True, False]))):
         assert mixed._all_topped == (ones is pushed and
                                      mixed.rows == len(pushed))
         rows = np.repeat(np.arange(len(ones)), x.size)
@@ -299,9 +346,8 @@ def test_paired_densities_need_the_same_rows():
     summaries = lj.IncrementSummaries(m=[0.0, 0.1], sigma2=[1.0, 1.0],
                                       lam=[0.0, 0.0])
     with pytest.raises(ValueError, match="same rows"):
-        lj.tv_quadrature_many([(lj.gaussian_density(summaries.m,
-                                                    summaries.sigma2),
-                                lj.gaussian_density(0.0, 1.0))])
+        lj.tv_quadrature(lj.gaussian_density(summaries.m, summaries.sigma2),
+                         lj.gaussian_density(0.0, 1.0))
 
 
 def test_uniform_grids_give_one_table():
