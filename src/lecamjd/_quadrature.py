@@ -1,6 +1,13 @@
 """Adaptive Gauss-Kronrod quadrature over batches of panels: QUADPACK's
 G10/K21 rule and ``qk21`` error estimate (Piessens et al. 1983), refined
-by bisection with one vectorized integrand call per round."""
+by bisection with one vectorized integrand call per round.
+
+A panel may carry an integer label, say the table row it belongs to, and
+the integrand then gets each node's label with the nodes.  Each round
+gathers its live subpanels once, worst first per panel, and bisects them
+in a fixed order, so a panel's subpanels and every sum over them are the
+same in any batch: a panel's value is the same bits alone or among
+others."""
 
 from __future__ import annotations
 
@@ -28,10 +35,13 @@ _WG = (0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0,
        0.29552422471475287, 0.0)
 _NODES = np.array([-x for x in _X[:-1]] + list(_X[::-1]))
 _WEIGHTS = np.array([w[:-1] + w[::-1] for w in (_WK, _WG)]).T
+#: the Kronrod column of the weights, contiguous
+_KRONROD = np.ascontiguousarray(_WEIGHTS[:, 0])
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-#: relative tolerance and subpanel budget of every panel
-EPSREL, LIMIT = 1e-10, 200
+#: default absolute tolerance, relative tolerance and subpanel budget of
+#: every panel
+EPSABS, EPSREL, LIMIT = 1e-12, 1e-10, 200
 
 
 def _kronrod(fn, lo, hi, owner, fail):
@@ -39,28 +49,26 @@ def _kronrod(fn, lo, hi, owner, fail):
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     f = np.asarray(fn(x.ravel(), owner), dtype=float).reshape(x.shape)
-    finite = np.isfinite(f).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    if not np.isfinite(f).all():
+        i = int(np.argmin(np.isfinite(f).all(axis=1)))
         fail(owner[i], "has a non-finite integrand value in "
                        f"[{lo[i]:.17g}, {hi[i]:.17g}]")
     # einsum without optimize sums each row node by node, in the same
     # order however many rows there are (a BLAS product may not)
     resk, resg = np.einsum("ij,jk->ki", f, _WEIGHTS, optimize=False)
     dh = np.abs(half)
-    wk = _WEIGHTS[:, 0]
-    resasc = np.einsum("ij,j->i", np.abs(f - 0.5 * resk[:, None]), wk,
-                       optimize=False) * dh
+    resasc = np.einsum("ij,j->i", np.abs(f - 0.5 * resk[:, None]),
+                       _KRONROD, optimize=False) * dh
     scale = np.divide(200.0 * np.abs(resk - resg) * dh, resasc,
                       out=np.ones_like(resasc), where=resasc > 0.0)
     err = np.maximum(resasc * np.minimum(scale, 1.0) ** 1.5,
-                     50.0 * _EPS * np.einsum("ij,j->i", np.abs(f), wk,
+                     50.0 * _EPS * np.einsum("ij,j->i", np.abs(f), _KRONROD,
                                              optimize=False) * dh)
     return resk * half, err
 
 
-def integrate(fn, a, b, *, epsabs: float = 1e-12, what: str = "integral",
-              by_panel: bool = False):
+def integrate(fn, a, b, *, epsabs: float = EPSABS, what: str = "integral",
+              labels=None):
     """Integral of ``fn`` over each panel ``[a[j], b[j]]``.
 
     ``a`` and ``b`` broadcast to the panel shape, and the result has that
@@ -68,21 +76,25 @@ def integrate(fn, a, b, *, epsabs: float = 1e-12, what: str = "integral",
     converges on its own to ``max(epsabs, EPSREL * |value|)`` with at most
     ``LIMIT`` subpanels.  Each round calls ``fn`` once, on a flat array of
     the Kronrod nodes of all new subpanels, so it must map arrays to arrays
-    of the same shape.  With ``by_panel`` it is called as ``fn(x, panel)``,
-    ``panel`` holding the flat index of the panel each node belongs to, so
-    one call can integrate a different function on each panel.  Raises
-    :class:`QuadratureError`, naming ``what`` and the panel, when a panel
-    cannot converge within ``LIMIT``, when a subpanel gets too narrow to
-    bisect, or when the integrand is not finite at a node.
+    of the same shape.  With ``labels``, one integer per panel (say the
+    table row it belongs to), it is called as ``fn(x, label)``, ``label``
+    holding the label of each node's panel, so one call can integrate a
+    different function on each panel.  Raises :class:`QuadratureError`,
+    naming ``what`` and the panel, when a panel cannot converge within
+    ``LIMIT``, when a subpanel gets too narrow to bisect, or when the
+    integrand is not finite at a node.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(b, dtype=float))
     shape, a, b = a.shape, a.ravel(), b.ravel()
     n = a.size
     values, count = np.zeros(n), np.ones(n, dtype=np.intp)
+    if labels is not None:
+        labels = np.broadcast_to(labels, shape).ravel()
 
     def call(x, owner):
-        return fn(x, np.repeat(owner, _NODES.size)) if by_panel else fn(x)
+        return fn(x) if labels is None else fn(
+            x, np.repeat(labels[owner], _NODES.size))
 
     def fail(j, why):
         raise QuadratureError(f"{what} over [{a[j]:g}, {b[j]:g}] {why}")
@@ -94,29 +106,32 @@ def integrate(fn, a, b, *, epsabs: float = 1e-12, what: str = "integral",
         total = np.bincount(owner, res, n)
         tol = np.maximum(epsabs, EPSREL * np.abs(total))
         done = np.bincount(owner, err, n) <= tol
-        values += np.where(done, total, 0.0)  # retired panels add zero
-        live = ~done[owner]
-        if not live.any():
+        np.add(values, total, out=values, where=done)  # done panels retire
+        live = (~done[owner]).nonzero()[0]
+        if not live.size:
             return values.reshape(shape) if shape else float(values[0])
         # per panel, worst first as in QUADPACK: bisect each subpanel whose
-        # error, with all smaller ones, still exceeds the tolerance
-        ratio = err[live] / tol[owner[live]]
-        order = np.lexsort((-ratio, owner[live]))
-        lo, hi, owner, res, err, ratio = (v[order] for v in (
-            lo[live], hi[live], owner[live], res[live], err[live], ratio))
-        cum = np.cumsum(ratio)
-        rest = cum[np.searchsorted(owner, owner, side="right") - 1] - cum
-        first = np.searchsorted(owner, owner) == np.arange(owner.size)
+        # error, with all smaller ones, still exceeds the tolerance; ``live``
+        # indexes the live subpanels in that order, so each array is
+        # gathered from it once
+        owner = owner[live]
+        ratio = err[live] / tol[owner]
+        order = np.lexsort((-ratio, owner))
+        live, owner, ratio = live[order], owner[order], ratio[order]
+        cum = ratio.cumsum()
+        rest = cum[owner.searchsorted(owner, side="right") - 1] - cum
+        first = owner.searchsorted(owner) == np.arange(owner.size)
         split = first | (rest + ratio > 1.0)
         # no fewer subpanels than those picked can bring the panel within
         # its tolerance, so a panel they take past the limit never gets there
         count += np.bincount(owner[split], minlength=n)
-        if np.any(count > LIMIT):
+        if count.max() > LIMIT:
             j = int(np.argmax(count > LIMIT))
             fail(j, f"cannot converge within {LIMIT} subpanels (error "
-                    f"estimate {np.sum(err[owner == j]):.3g} > tolerance "
-                    f"{tol[j]:.3g})")
-        s_lo, s_hi, s_owner = lo[split], hi[split], owner[split]
+                    f"estimate {np.sum(err[live][owner == j]):.3g} > "
+                    f"tolerance {tol[j]:.3g})")
+        keep, cut = live[~split], live[split]
+        s_lo, s_hi, s_owner = lo[cut], hi[cut], owner[split]
         mid = 0.5 * (s_lo + s_hi)
         narrow = np.maximum(np.abs(s_lo), np.abs(s_hi)) <= (
             (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY))
@@ -124,12 +139,11 @@ def integrate(fn, a, b, *, epsabs: float = 1e-12, what: str = "integral",
             i = int(np.argmax(narrow))
             fail(s_owner[i], f"needs to bisect [{s_lo[i]:.17g}, "
                              f"{s_hi[i]:.17g}], too narrow for roundoff")
-        keep = ~split
         lo = np.concatenate((lo[keep], s_lo, mid))
         hi = np.concatenate((hi[keep], mid, s_hi))
-        owner = np.concatenate((owner[keep], s_owner, s_owner))
-        new = slice(np.count_nonzero(keep), None)
-        new_res, new_err = _kronrod(call, lo[new], hi[new], owner[new],
-                                    fail)
+        new_owner = np.concatenate((s_owner, s_owner))
+        owner = np.concatenate((owner[~split], new_owner))
+        new_res, new_err = _kronrod(call, lo[keep.size:], hi[keep.size:],
+                                    new_owner, fail)
         res = np.concatenate((res[keep], new_res))
         err = np.concatenate((err[keep], new_err))

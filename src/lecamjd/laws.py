@@ -281,9 +281,13 @@ class MixtureTable:
             means, sds, scaled = columns if self.rows == 1 else (
                 a.take(rows[part], axis=1) for a in columns)
             terms = scaled * _gauss.std_pdf((x[part] - means) / sds)
-            acc = out[part]
-            for term in terms:
-                acc += term
+            # a reduce down the components adds whole rows of terms in
+            # order, from 0; it would sum one point's terms pairwise, so a
+            # lone point accumulates them instead
+            if terms.shape[1] > 1:
+                np.add.reduce(terms, axis=0, out=out[part], initial=0.0)
+            else:
+                out[part] = np.add.accumulate(np.append(0.0, terms))[-1]
         return out
 
     def structure(self):
@@ -299,14 +303,17 @@ class MixtureTable:
         """
         m, s = self.means, self.sds
         real = np.arange(m.shape[1]) < self.size[:, None]
-        terms, reach = self.box_weight > 0.0, 12.0 * self.box_sd[:, None]
-        lo = np.minimum(np.where(real, m - 12.0 * s, np.inf).min(axis=1),
-                        np.where(terms, self.box_lo - reach,
-                                 np.inf).min(axis=1))
-        hi = np.maximum(np.where(real, m + 12.0 * s, -np.inf).max(axis=1),
-                        np.where(terms, self.box_hi + reach,
-                                 -np.inf).max(axis=1))
+        lo = np.where(real, m - 12.0 * s, np.inf).min(axis=1)
+        hi = np.where(real, m + 12.0 * s, -np.inf).max(axis=1)
         knots, peaks = [m - 6.0 * s, m, m + 6.0 * s], [real] * 3
+        # each step below changes nothing on rows without its feature, so
+        # a table none of whose rows has it skips the step
+        if self._terms:
+            terms, reach = self.box_weight > 0.0, 12.0 * self.box_sd[:, None]
+            lo = np.minimum(lo, np.where(terms, self.box_lo - reach,
+                                         np.inf).min(axis=1))
+            hi = np.maximum(hi, np.where(terms, self.box_hi + reach,
+                                         -np.inf).max(axis=1))
         for c in self._terms:
             a, b = self.box_lo[:, c, None], self.box_hi[:, c, None]
             knots.append(np.concatenate(
@@ -315,17 +322,23 @@ class MixtureTable:
         pts, peaks = np.concatenate(knots, axis=1), np.concatenate(peaks, 1)
         ok = peaks & (pts > lo[:, None]) & (pts < hi[:, None])
         beta, sd, fold = self.beta, self.resample_sd, self.fold
-        cut = np.isfinite(beta) & ~fold
-        lo = np.where(cut, np.minimum(-12.0 * sd, np.maximum(lo, -beta)), lo)
-        hi = np.where(cut, np.maximum(12.0 * sd, np.minimum(hi, beta)), hi)
-        ok &= ~cut[:, None] | (np.abs(pts) < beta[:, None])
-        centers = np.zeros_like(ok)
-        centers[:, m.shape[1]:2 * m.shape[1]] = real
-        ok = np.where(fold[:, None], centers, ok)
-        lo, hi = np.where(fold, -0.5, lo), np.where(fold, 0.5, hi)
-        edges = np.where(cut[:, None], np.stack((-beta, beta), axis=1),
-                         np.nan)
-        pts = np.concatenate((np.where(ok, pts, np.nan), edges), axis=1)
+        if self._cut:
+            cut = np.isfinite(beta) & ~fold
+            lo = np.where(cut, np.minimum(-12.0 * sd, np.maximum(lo, -beta)),
+                          lo)
+            hi = np.where(cut, np.maximum(12.0 * sd, np.minimum(hi, beta)),
+                          hi)
+            ok &= ~cut[:, None] | (np.abs(pts) < beta[:, None])
+        if fold.any():
+            centers = np.zeros_like(ok)
+            centers[:, m.shape[1]:2 * m.shape[1]] = real
+            ok = np.where(fold[:, None], centers, ok)
+            lo, hi = np.where(fold, -0.5, lo), np.where(fold, 0.5, hi)
+        pts = np.where(ok, pts, np.nan)
+        if self._cut:
+            pts = np.concatenate((pts, np.where(
+                cut[:, None], np.stack((-beta, beta), axis=1), np.nan)),
+                axis=1)
         inside = (pts > lo[:, None]) & (pts < hi[:, None])
         return lo, hi, np.where(inside, pts, np.nan)[:, inside.any(axis=0)]
 

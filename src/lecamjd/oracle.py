@@ -18,11 +18,20 @@ independent fine-panel rule.  ROADMAP items 19 and 22 record the
 witnesses and the mend, a TV from closed-form CDF differences between
 the sign changes.
 
+Panel edges closer than ``1e-13`` of a row's span (or than ``1e-13``,
+for spans under 1) merge into one, so a component whose 6-sd shoulders
+fit within that tolerance gets no panel of its own and no Kronrod node
+need sample its spike.  A row whose components that narrow hold more
+than the absolute tolerance 1e-12 of weight raises
+:class:`~lecamjd.QuadratureError`, naming the row and the sd, rather
+than read their mass as 0.
+
 Every distance takes two densities with the same rows, say one per
 interval of a grid, and gives one value per row, row against row; a
 one-law density is a table of one row and gives an array of one.  The
-panels of every row go to one integrator call, and each bisection round
-evaluates all rows of a side in one call of its table.  Panels converge
+panels of every row go to one integrator call, each labelled with its
+table row, and each bisection round evaluates all rows of a side in one
+call of its table.  Panels converge
 on their own, and every sum on the way (Kronrod nodes, mixture
 components, a row's panels) runs in a fixed order, so a row's value is
 the same bits alone, in any grid and at any place in it.  For TV only, a
@@ -35,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quadrature import integrate
+from ._quadrature import EPSABS, QuadratureError, integrate
 from .laws import Density, MixtureTable
 
 __all__ = [
@@ -45,13 +54,22 @@ __all__ = [
 ]
 
 
+#: panel edges closer than this fraction of a row's span (or than this,
+#: for spans under 1) merge into one
+_MERGE = 1e-13
+
+
+def _merge_tolerance(lo, hi) -> np.ndarray:
+    return _MERGE * np.maximum(hi - lo, 1.0)
+
+
 def _merged_points(*sides) -> np.ndarray:
     """Per row, the sorted panel edges of densities compared row by row.
 
     ``sides`` are ``(lo, hi, points)`` structures as
     :meth:`MixtureTable.structure` gives them.  Edges are the union
     support's ends, every support end, and every breakpoint inside the
-    union; an edge within ``1e-13`` of the span of the last kept one is
+    union; an edge within ``_MERGE`` of the span of the last kept one is
     merged into it, and the last kept edge is the union's upper end.  Rows
     are NaN-padded.
     """
@@ -63,16 +81,31 @@ def _merged_points(*sides) -> np.ndarray:
     ends = [lo, hi] + [e for s in sides for e in s[:2]]
     pts = np.sort(np.concatenate((np.stack(ends, axis=1), inner), axis=1),
                   axis=1)
-    tol = 1e-13 * np.maximum(hi - lo, 1.0)
-    keep = np.zeros(pts.shape, dtype=bool)
-    keep[:, 0] = True
-    last = pts[:, 0]
-    for j in range(1, pts.shape[1]):
-        keep[:, j] = pts[:, j] - last > tol
-        last = np.where(keep[:, j], pts[:, j], last)
-    top = pts.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
-    pts[np.arange(pts.shape[0]), top] = hi
+    tol = _merge_tolerance(lo, hi)[:, None]
+    gap = np.diff(pts, axis=1)
+    keep = np.concatenate((np.ones((pts.shape[0], 1), dtype=bool),
+                           gap > tol), axis=1)
+    # where every gap between sorted edges is 0 or past tol, an edge stays
+    # just when its gap is past tol (an equal edge leaves the last kept
+    # value as it was), and the last kept edge is hi; only a gap in
+    # (0, tol] chains merges, and only then do they run edge by edge
+    if ((gap > 0.0) & (gap <= tol)).any():
+        last = pts[:, 0]
+        for j in range(1, pts.shape[1]):
+            keep[:, j] = pts[:, j] - last > tol[:, 0]
+            last = np.where(keep[:, j], pts[:, j], last)
+        top = pts.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+        pts[np.arange(pts.shape[0]), top] = hi
     return np.sort(np.where(keep, pts, np.nan), axis=1)
+
+
+def _panels(*sides):
+    """The panels between the merged edges of ``sides`` (see
+    :func:`_merged_points`): their ends, and the row of each, rows in
+    order and each row's panels left to right."""
+    points = _merged_points(*sides)
+    ok = ~np.isnan(points[:, 1:])
+    return points[:, :-1][ok], points[:, 1:][ok], np.nonzero(ok)[0]
 
 
 def integrate_rows(fn, *sides) -> np.ndarray:
@@ -83,12 +116,9 @@ def integrate_rows(fn, *sides) -> np.ndarray:
     values are summed in order, so a row's integral does not depend on the
     other rows.
     """
-    points = _merged_points(*sides)
-    ok = ~np.isnan(points[:, 1:])
-    row = np.nonzero(ok)[0]
-    cont = integrate(lambda x, panel: fn(x, row[panel]), points[:, :-1][ok],
-                     points[:, 1:][ok], what="oracle panel", by_panel=True)
-    return np.bincount(row, cont, points.shape[0])
+    lo, hi, row = _panels(*sides)
+    return np.bincount(row, integrate(fn, lo, hi, what="oracle panel",
+                                      labels=row), sides[0][0].size)
 
 
 def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
@@ -118,23 +148,53 @@ def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
     return np.all(rows, axis=0) & np.all(cols, axis=(0, 2))
 
 
+def _refuse_narrow(tables, rows, tol) -> None:
+    """Raise :class:`QuadratureError` for a row (of ``rows``) whose
+    components with 6-sd shoulders within its edge tolerance ``tol`` hold
+    more weight than the absolute tolerance: their edges merge, so no
+    Kronrod node would sample their spikes and the row would read 0."""
+    for t in tables:
+        # the smallest sd of the table, padding too, can clear every row
+        if 6.0 * t.sds.min() > tol.max():
+            continue
+        sds = t.sds[rows]
+        narrow = ((np.arange(sds.shape[1]) < t.size[rows, None])
+                  & (6.0 * sds <= tol[:, None]))
+        weight = np.where(narrow, t.weights[rows], 0.0).sum(axis=1)
+        if (weight > EPSABS).any():
+            i = int(np.argmax(weight > EPSABS))
+            raise QuadratureError(
+                f"oracle row {rows[i]} has components of weight "
+                f"{weight[i]:.3g} (sd down to {sds[i][narrow[i]].min():.3g})"
+                f" whose 6 sds fit in its panel-edge tolerance {tol[i]:.3g}:"
+                " no quadrature node can resolve them")
+
+
 def _per_row(g, p: Density, q: Density) -> np.ndarray:
     """Per row of two densities with the same rows: the integral of
-    ``g(p, q)``.  All rows' panels share one integrate call; for the L1
-    integrand, rows whose sides hold the same data (:func:`_same_rows`) get
-    0.0 without one."""
+    ``g(p, q)``.  All rows' panels share one integrate call, each panel
+    labelled with its table row; for the L1 integrand, rows whose sides
+    hold the same data (:func:`_same_rows`) get 0.0 without one.  A row
+    with components too narrow for its panel edges raises
+    :class:`QuadratureError` (see :func:`_refuse_narrow`)."""
     if p.rows != q.rows:
         raise ValueError("paired densities must have the same rows")
     p, q = p.table, q.table
     same = (_same_rows(p, q) if g is _l1_integrand
             else np.zeros(p.rows, dtype=bool))
     # |p - q| is 0 at every point of a row whose sides hold the same data
-    out, todo = np.zeros(p.rows), np.flatnonzero(~same)
-    if todo.size:
-        out[todo] = integrate_rows(
-            lambda x, r: g(p.values(x, todo[r]), q.values(x, todo[r])),
-            *([a[todo] for a in t.structure()] for t in (p, q)))
-    return out
+    todo = np.flatnonzero(~same)
+    if not todo.size:
+        return np.zeros(p.rows)
+    sides = [[a[todo] for a in t.structure()] for t in (p, q)]
+    _refuse_narrow((p, q), todo, _merge_tolerance(
+        np.minimum(sides[0][0], sides[1][0]),
+        np.maximum(sides[0][1], sides[1][1])))
+    lo, hi, row = _panels(*sides)
+    row = todo[row]
+    return np.bincount(row, integrate(
+        lambda x, r: g(p.values(x, r), q.values(x, r)), lo, hi,
+        what="oracle panel", labels=row), p.rows)
 
 
 def _l1_integrand(u, v):

@@ -1191,18 +1191,22 @@ class TestExtremeJumpLaws:
             assert main([command, "--config", cfg]) == 0
             assert capsys.readouterr().out.count("\n") > 16
 
-    @pytest.mark.parametrize("epsilon_n", [1e-153, 1e-154])
+    @pytest.mark.parametrize("epsilon_n", [1e-14, 1e-153, 1e-154])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_noise_prints_no_numpy_warning(self, tmp_path, capsys,
                                                  epsilon_n):
-        # the squared distance in phi's exponent overflows for points some
-        # 1e154 sds from a lattice component, where phi is exactly 0
+        # components this narrow slip between the oracle's merged panel
+        # edges, so it refuses them rather than print a 0.0 column; the
+        # squared distance in phi's exponent, which overflows for points
+        # some 1e154 sds from a component, warns on the way to neither
         cfg = write_config(tmp_path, {"epsilon_n": epsilon_n, "jump_law": {
             "kind": "lattice", "values": [-1, 2], "probs": [0.5, 0.5]}})
-        assert main(["convergence", "--config", cfg, "--n-list", "4,8"]) == 0
+        assert main(["convergence", "--config", cfg, "--n-list", "4,8"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == ""
-        assert captured.out.count("\n") == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: oracle row 0 ")
+        assert "panel-edge tolerance" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 #: finite configs whose summary integrals overflow: sigma2 = inf, and a

@@ -116,6 +116,20 @@ class TestTotalMass:
         d = lj.increment_density_exact(s, law)
         assert abs(lj.total_mass(d) - 1.0) < 1e-10
 
+    def test_components_too_narrow_for_the_panel_edges_are_refused(self):
+        # a 1e-20-sd spike falls between merged panel edges, where no
+        # Kronrod node samples it: its mass would read 0
+        with pytest.raises(lj.QuadratureError,
+                           match=r"oracle row 0 .*sd down to 1e-20"):
+            lj.total_mass(lj.gaussian_density(0.0, 1e-40))
+        with pytest.raises(lj.QuadratureError, match="oracle row 1 "):
+            lj.tv_quadrature(lj.gaussian_density([0.0, 0.0], [1.0, 1e-40]),
+                             lj.gaussian_density([0.0, 0.0], [2.0, 2.0]))
+        # up to the absolute tolerance in weight, such spikes may go unseen
+        spiked = lj.Density(lj.MixtureTable([0.0, 0.5], [1.0, 1e-20],
+                                            [1.0 - 1e-12, 1e-12]))
+        assert abs(lj.total_mass(spiked) - 1.0) < 2e-12
+
 
 class TestPanelSplitting:
     def test_narrow_bump_inside_wide_support(self):

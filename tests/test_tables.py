@@ -287,6 +287,38 @@ def test_wide_rows_are_a_pure_function_of_x(tables, k, seed):
     assert [table.pdf(v, r) for v, r in zip(x, rows)] == batch.tolist()
 
 
+def _dense_by_loop(table: MixtureTable, x, rows) -> np.ndarray:
+    """The component sum as a plain loop: from 0, one component at a
+    time."""
+    means, sds, scaled = (a.take(rows, axis=1) for a in table._columns)
+    out = np.zeros(x.size)
+    for term in scaled * std_pdf((x - means) / sds):
+        out += term
+    return out
+
+
+@given(k=st.integers(1, 400), tables=st.integers(1, 3),
+       points=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_component_sums_equal_a_plain_loop_bitwise(k, tables, points, seed):
+    # any width, one point or many; signed weights give -0.0 terms where
+    # phi underflows, which a sum from 0 turns into 0.0
+    gen = np.random.default_rng(seed)
+    size = gen.integers(1, k + 1, tables)
+    real = np.arange(k) < size[:, None]
+    table = MixtureTable(
+        np.where(real, gen.uniform(-20.0, 20.0, (tables, k)), 0.0),
+        np.where(real, gen.uniform(1e-2, 2.0, (tables, k)), 1.0),
+        np.where(real, gen.uniform(-1.0, 1.0, (tables, k)), 0.0), size)
+    x = gen.uniform(-60.0, 60.0, points)
+    rows = gen.integers(0, tables, points)
+    assert (table._dense(x, rows).tobytes()
+            == _dense_by_loop(table, x, rows).tobytes())
+    assert all(table._dense(x[i:i + 1], rows[i:i + 1]).tobytes()
+               == _dense_by_loop(table, x[i:i + 1], rows[i:i + 1]).tobytes()
+               for i in range(points))
+
+
 def test_points_past_every_component_read_zero():
     # every term underflows to an exact zero
     table = MixtureTable(np.linspace(0.0, 1.0, 100), 0.01, 0.01)
