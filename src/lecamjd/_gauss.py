@@ -18,11 +18,6 @@ _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
-def norm_pdf(x, mean=0.0, sd=1.0):
-    z = (np.asarray(x, dtype=float) - mean) / sd
-    return np.exp(-0.5 * z * z) * (_INV_SQRT_2PI / sd)
-
-
 def std_pdf(z):
     z = np.asarray(z, dtype=float)
     return np.exp(-0.5 * z * z) * _INV_SQRT_2PI

@@ -147,15 +147,19 @@ def l1_gaussian_processes(drift_a, drift_b, sigma_n, horizon: float,
     ``D^2 = int (drift_a - drift_b)^2 / sigma_n^2 dt`` on ``[0, horizon]``.
     ``breakpoints`` split the quadrature where the drifts are non-smooth.
     """
-    fa = as_time_function(drift_a)
-    fb = as_time_function(drift_b)
-    sn = as_time_function(sigma_n)
     pts = np.array(sorted({0.0, float(horizon),
                            *(b for b in breakpoints if 0.0 < b < horizon)}))
-    d2 = np.sum(integrate(lambda t: ((fa(t) - fb(t)) / sn(t)) ** 2,
-                          pts[:-1], pts[1:], epsabs=1e-13,
-                          what="drift distance integral"))
+    d2 = _drift_distance2(as_time_function(drift_a),
+                          as_time_function(drift_b),
+                          as_time_function(sigma_n), pts)
     return l1_gaussians_same_var(0.0, math.sqrt(max(d2, 0.0)), 1.0)
+
+
+def _drift_distance2(fa, fb, sn, pts) -> float:
+    """``int ((fa - fb) / sn)^2 dt`` split at the sorted points ``pts``."""
+    return float(np.sum(integrate(
+        lambda t: ((fa(t) - fb(t)) / sn(t)) ** 2, pts[:-1], pts[1:],
+        epsabs=1e-13, what="drift distance integral")))
 
 
 def hellinger_product_tv_bound(tv_entries) -> float:
@@ -223,12 +227,12 @@ def continuous_kernel_aggregate_bound(
         + alpha_i |m_i| / (sqrt(2) sigma_i)
         + 2 alpha_i * (jump mass on [-2 beta_i, 2 beta_i]).
 
-    Requires ``|m_i| <= L`` for every increment and a jump law with a
-    density.
+    Requires ``|m_i| <= L`` for every increment and a continuous jump
+    law, whose mass on that window is its closed form.
     """
     if not isinstance(jump_law, ContinuousJumps):
         raise TypeError("truncate-and-resample bound needs a continuous "
-                        "jump law with a density")
+                        "jump law")
     sig = summaries.sigma
     beta = TruncateResampleParams(L, epsilon, sig).beta
     if not L > 0:
@@ -238,15 +242,9 @@ def continuous_kernel_aggregate_bound(
         i = int(np.flatnonzero(over)[0])
         raise ValueError(
             f"|m_{i}| = {abs(summaries.m[i]):g} exceeds the drift cap L={L:g}")
-    lo, hi = jump_law.support
-    a, b = np.maximum(lo, -2.0 * beta), np.minimum(hi, 2.0 * beta)
-    near = a < b
-    tail = np.zeros(summaries.n)
-    tail[near] = np.minimum(integrate(jump_law.density, a[near], b[near],
-                                      what="jump mass integral"), 1.0)
     per = (8.0 * _gauss.std_cdf(-sig ** (-epsilon))
            + summaries.alpha * np.abs(summaries.m) / (_SQRT2 * sig)
-           + 2.0 * summaries.alpha * tail)
+           + 2.0 * summaries.alpha * jump_law.mass(-2.0 * beta, 2.0 * beta))
     return BoundReport(per_increment=per,
                        formula_name="truncate_resample_filter")
 
@@ -261,15 +259,12 @@ def drift_discretization_error(f, spec: ModelSpec, grid: Grid) -> float:
     Returns ``int (f - fbar)^2 / sigma_n^2 dt`` over the grid span, where
     ``fbar`` is the right-endpoint piecewise approximation of ``f`` on the
     grid and ``sigma_n`` the model's effective noise volatility.
-    Integrates interval by interval because ``fbar`` jumps at every grid
-    time.
+    This is the ``D^2`` of :func:`l1_gaussian_processes` for ``f`` and
+    ``fbar``, split at every grid time, where ``fbar`` jumps.
     """
     tf = as_time_function(f)
-    fbar = piecewise_drift(tf, grid)
-    return float(np.sum(integrate(
-        lambda t: ((tf(t) - fbar(t)) / spec.sigma_n(t)) ** 2,
-        grid.times[:-1], grid.times[1:], epsabs=1e-13,
-        what="discretization integral")))
+    return _drift_distance2(tf, piecewise_drift(tf, grid), spec.sigma_n,
+                            grid.times)
 
 
 def theorem_rate(delta_n: float, horizon: float, epsilon_n: float,

@@ -13,6 +13,12 @@ Three harnesses:
   fractional-part filter, and its integrated squared error is compared
   against the same estimator on clean Gaussian data and on raw jump data.
 
+The sweeps bound one of the two deficiencies of the Delta-distance: the
+Gaussian experiment reproduced from jump data.  The other is 0 on the
+grid: its kernel adds an independent compound-Poisson sum to each
+Gaussian increment, as ``sample_path`` does (criterion 8 checks the law),
+using the known intensity and jump law, neither of which depends on the drift.
+
 Monte Carlo replications run one after another in replication order;
 each replication draws from streams derived from the caller's stream id
 and its index, so outputs are bitwise reproducible for a fixed seed.

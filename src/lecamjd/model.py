@@ -223,12 +223,13 @@ class ContinuousJumps(JumpLaw):
     """Jump sizes with a Lebesgue density, held as its closed form.
 
     ``kind`` is ``"uniform"``, uniform on ``[a, b]``, or ``"gaussian"``,
-    normal with mean ``a`` and sd ``b``.  The density, its effective
-    support, characteristic function and sampler follow from these three
-    fields, as does every k-fold jump sum in :mod:`lecamjd.laws`.  The
-    parameters must be finite, the support (a Gaussian's mean plus/minus
-    12 sds) a proper interval of finite width, and the density's peak
-    finite, or ``ValueError`` names the parameter at fault.
+    normal with mean ``a`` and sd ``b``.  The mass of an interval, the
+    effective support, characteristic function and sampler follow from
+    these three fields, as does every k-fold jump sum in
+    :mod:`lecamjd.laws`.  The parameters must be finite, the support (a
+    Gaussian's mean plus/minus 12 sds) a proper interval of finite width,
+    and the density's peak finite, or ``ValueError`` names the parameter
+    at fault.
     """
 
     kind: str
@@ -263,12 +264,20 @@ class ContinuousJumps(JumpLaw):
             return self.a, self.b
         return self.a - 12.0 * self.b, self.a + 12.0 * self.b
 
-    def density(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.kind == "gaussian":
-            return _gauss.norm_pdf(y, self.a, self.b)
-        return np.where((y >= self.a) & (y <= self.b),
-                        1.0 / (self.b - self.a), 0.0)
+    def mass(self, lo, hi):
+        """Mass on ``[lo, hi]``: a clipped length over ``b - a``, or a Phi
+        difference taken in the tail on the window's side of the mean, so
+        a window far in either tail keeps its relative accuracy."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        a, b = self.a, self.b
+        if self.kind == "uniform":
+            return np.maximum((np.minimum(hi, b) - np.maximum(lo, a))
+                              / (b - a), 0.0)[()]
+        with np.errstate(over="ignore"):
+            z_lo, z_hi = (lo - a) / b, (hi - a) / b
+        s = np.where(z_hi > -z_lo, -1.0, 1.0)
+        cdf = _gauss.std_cdf(np.stack((s * z_hi, s * z_lo)))
+        return np.maximum(s * (cdf[0] - cdf[1]), 0.0)[()]
 
     def cf(self, u):
         u = np.asarray(u, dtype=float)

@@ -28,10 +28,10 @@ than read their mass as 0.
 
 Every distance takes two densities with the same rows, say one per
 interval of a grid, and gives one value per row, row against row; a
-one-law density is a table of one row and gives an array of one.  The
-panels of every row go to one integrator call, each labelled with its
-table row, and each bisection round evaluates all rows of a side in one
-call of its table.  Panels converge
+one-law density is a table of one row and gives an array of one.  Every
+distance and ``total_mass`` take one panel path, :func:`integrate_rows`:
+all rows' panels go to one integrator call, each labelled with its row,
+and each bisection round evaluates each table once.  Panels converge
 on their own, and every sum on the way (Kronrod nodes, mixture
 components, a row's panels) runs in a fixed order, so a row's value is
 the same bits alone, in any grid and at any place in it.  For TV only, a
@@ -59,8 +59,11 @@ __all__ = [
 _MERGE = 1e-13
 
 
-def _merge_tolerance(lo, hi) -> np.ndarray:
-    return _MERGE * np.maximum(hi - lo, 1.0)
+def _span(sides):
+    """Per row: the union support's ends and the edge-merge tolerance."""
+    lo = np.minimum.reduce([s[0] for s in sides])
+    hi = np.maximum.reduce([s[1] for s in sides])
+    return lo, hi, _MERGE * np.maximum(hi - lo, 1.0)
 
 
 def _merged_points(*sides) -> np.ndarray:
@@ -73,15 +76,14 @@ def _merged_points(*sides) -> np.ndarray:
     merged into it, and the last kept edge is the union's upper end.  Rows
     are NaN-padded.
     """
-    lo = np.minimum.reduce([s[0] for s in sides])
-    hi = np.maximum.reduce([s[1] for s in sides])
+    lo, hi, tol = _span(sides)
     inner = np.concatenate([s[2] for s in sides], axis=1)
     inner = np.where((inner > lo[:, None]) & (inner < hi[:, None]), inner,
                      np.nan)
     ends = [lo, hi] + [e for s in sides for e in s[:2]]
     pts = np.sort(np.concatenate((np.stack(ends, axis=1), inner), axis=1),
                   axis=1)
-    tol = _merge_tolerance(lo, hi)[:, None]
+    tol = tol[:, None]
     gap = np.diff(pts, axis=1)
     keep = np.concatenate((np.ones((pts.shape[0], 1), dtype=bool),
                            gap > tol), axis=1)
@@ -99,26 +101,20 @@ def _merged_points(*sides) -> np.ndarray:
     return np.sort(np.where(keep, pts, np.nan), axis=1)
 
 
-def _panels(*sides):
-    """The panels between the merged edges of ``sides`` (see
-    :func:`_merged_points`): their ends, and the row of each, rows in
-    order and each row's panels left to right."""
-    points = _merged_points(*sides)
-    ok = ~np.isnan(points[:, 1:])
-    return points[:, :-1][ok], points[:, 1:][ok], np.nonzero(ok)[0]
-
-
 def integrate_rows(fn, *sides) -> np.ndarray:
     """Per row, the integral of ``fn(x, rows)`` over the panels between the
     merged edges of ``sides`` (see :func:`_merged_points`).
 
-    The panels of all rows share one integrate call, and each row's panel
-    values are summed in order, so a row's integral does not depend on the
-    other rows.
+    The panels of all rows share one integrate call, each labelled with
+    its row, and each row's panel values are summed left to right, so a
+    row's integral does not depend on the other rows.
     """
-    lo, hi, row = _panels(*sides)
-    return np.bincount(row, integrate(fn, lo, hi, what="oracle panel",
-                                      labels=row), sides[0][0].size)
+    points = _merged_points(*sides)
+    ok = ~np.isnan(points[:, 1:])
+    row = np.nonzero(ok)[0]
+    return np.bincount(row, integrate(
+        fn, points[:, :-1][ok], points[:, 1:][ok], what="oracle panel",
+        labels=row), points.shape[0])
 
 
 def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
@@ -170,31 +166,29 @@ def _refuse_narrow(tables, rows, tol) -> None:
                 " no quadrature node can resolve them")
 
 
-def _per_row(g, p: Density, q: Density) -> np.ndarray:
-    """Per row of two densities with the same rows: the integral of
-    ``g(p, q)``.  All rows' panels share one integrate call, each panel
-    labelled with its table row; for the L1 integrand, rows whose sides
-    hold the same data (:func:`_same_rows`) get 0.0 without one.  A row
-    with components too narrow for its panel edges raises
+def _per_row(g, *densities: Density) -> np.ndarray:
+    """Per row of densities with the same rows: the integral of ``g`` of
+    their values, each table evaluated once per node.  The rows go through
+    :func:`integrate_rows`; for the L1 integrand, rows whose sides hold
+    the same data (:func:`_same_rows`) get 0.0 without it.  A row with
+    components too narrow for its panel edges raises
     :class:`QuadratureError` (see :func:`_refuse_narrow`)."""
-    if p.rows != q.rows:
+    if len({d.rows for d in densities}) > 1:
         raise ValueError("paired densities must have the same rows")
-    p, q = p.table, q.table
-    same = (_same_rows(p, q) if g is _l1_integrand
-            else np.zeros(p.rows, dtype=bool))
+    tables = [d.table for d in densities]
+    out = np.zeros(tables[0].rows)
     # |p - q| is 0 at every point of a row whose sides hold the same data
-    todo = np.flatnonzero(~same)
-    if not todo.size:
-        return np.zeros(p.rows)
-    sides = [[a[todo] for a in t.structure()] for t in (p, q)]
-    _refuse_narrow((p, q), todo, _merge_tolerance(
-        np.minimum(sides[0][0], sides[1][0]),
-        np.maximum(sides[0][1], sides[1][1])))
-    lo, hi, row = _panels(*sides)
-    row = todo[row]
-    return np.bincount(row, integrate(
-        lambda x, r: g(p.values(x, r), q.values(x, r)), lo, hi,
-        what="oracle panel", labels=row), p.rows)
+    todo = np.flatnonzero(~_same_rows(*tables) if g is _l1_integrand
+                          else np.ones(out.size, dtype=bool))
+    if todo.size:
+        sides = [[a[todo] for a in t.structure()] for t in tables]
+        _refuse_narrow(tables, todo, _span(sides)[2])
+
+        def fn(x, r):
+            rows = todo[r]
+            return g(*[t.values(x, rows) for t in tables])
+        out[todo] = integrate_rows(fn, *sides)
+    return out
 
 
 def _l1_integrand(u, v):
@@ -221,4 +215,4 @@ def hellinger_quadrature(p: Density, q: Density) -> np.ndarray:
 
 def total_mass(p: Density) -> np.ndarray:
     """Mass of each row; 1 up to truncation error."""
-    return _per_row(lambda u, v: u, p, p)
+    return _per_row(lambda u: u, p)

@@ -276,8 +276,76 @@ class TestContinuousKernelBound:
                 lj.continuous_kernel_aggregate_bound(s, L=bad_L, epsilon=0.5,
                                                      jump_law=law)
 
+    @pytest.mark.parametrize("law", [lj.uniform_jumps(-1.0, 1.5),
+                                     lj.gaussian_jumps(0.2, 0.3)])
+    def test_bound_integrates_nothing(self, monkeypatch, law):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bound called the integrator")
+        monkeypatch.setattr(lj.distances, "integrate", refuse)
+        monkeypatch.setattr(lj._quadrature, "integrate", refuse)
+        s = summaries_from([0.0, 0.1, -0.2], [1e-4, 0.01, 0.5],
+                           [0.01, 0.3, 1.0])
+        rep = lj.continuous_kernel_aggregate_bound(s, L=0.3, epsilon=0.5,
+                                                   jump_law=law)
+        assert np.all(rep.per_increment > 0.0)
+
+
+def jump_pdf(law):
+    """The density of a continuous jump law, written out."""
+    a, b = law.a, law.b
+    if law.kind == "uniform":
+        return lambda y: np.where((y >= a) & (y <= b), 1.0 / (b - a), 0.0)
+    return lambda y: np.exp(-0.5 * ((y - a) / b) ** 2) / (
+        b * math.sqrt(2.0 * math.pi))
+
+
+@given(law=st.one_of(
+    st.builds(lambda a, w: lj.uniform_jumps(a, a + w),
+              st.floats(-5.0, 5.0), st.floats(1e-2, 10.0)),
+    st.builds(lj.gaussian_jumps, st.floats(-5.0, 5.0), st.floats(1e-2, 3.0))),
+       L=st.floats(0.1, 3.0), epsilon=st.floats(0.1, 0.9),
+       rows=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(1e-6, 1.0),
+                               st.floats(0.0, 2.0)), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_jump_mass_term_matches_the_quadrature_it_replaced(law, L, epsilon,
+                                                          rows):
+    # the jump mass as the bound once took it: the density's integral over
+    # its support (a Gaussian's cut at 12 sds) within [-2 beta, 2 beta],
+    # at most 1
+    u, s2, lam = map(np.array, zip(*rows))
+    s = summaries_from(L * u, s2, lam)
+    sig = s.sigma
+    beta = L + sig ** (1.0 - epsilon)
+    lo, hi = law.support
+    a, b = np.maximum(lo, -2.0 * beta), np.minimum(hi, 2.0 * beta)
+    near = a < b
+    tail = np.zeros(s.n)
+    tail[near] = np.minimum(lj._quadrature.integrate(
+        jump_pdf(law), a[near], b[near]), 1.0)
+    want = (8.0 * lj._gauss.std_cdf(-sig ** (-epsilon))
+            + s.alpha * np.abs(s.m) / (math.sqrt(2.0) * sig)
+            + 2.0 * s.alpha * tail)
+    got = lj.continuous_kernel_aggregate_bound(s, L, epsilon,
+                                               law).per_increment
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12, 1e-10 * want))
+
 
 class TestDriftDiscretization:
+    def test_is_the_drift_distance_of_the_piecewise_drift(self):
+        # the error is D^2 of l1_gaussian_processes for f and its
+        # piecewise drift, split at the grid times
+        f = lj.sine(0.2, 0.1, 2.0 * math.pi)
+        spec = lj.ModelSpec(drift=f, sigma=lj.linear(1.0, 0.5),
+                            epsilon_n=0.3, intensity=lj.constant(0.0),
+                            jump_law=lj.DiracJump(1.0), horizon=1.0)
+        for n in (3, 17, 64):
+            grid = lj.Grid.uniform(1.0, n)
+            d2 = lj.drift_discretization_error(f, spec, grid)
+            got = lj.l1_gaussian_processes(f, lj.piecewise_drift(f, grid),
+                                           spec.sigma_n, 1.0,
+                                           tuple(grid.times))
+            assert got == lj.l1_gaussians_same_var(0.0, math.sqrt(d2), 1.0)
+
     def test_linear_drift_tenth_grid(self):
         # sum of 10 copies of int_0^0.1 (t - 0.1)^2 dt = 10 * 1e-3/3
         spec = lj.ModelSpec(drift=lj.linear(0.0, 1.0), sigma=lj.constant(1.0),

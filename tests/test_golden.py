@@ -45,7 +45,7 @@ GOLDEN = {
     "filter_truncate_times":
         "fea44c48ffdca87e979b0b1cfae1c5c6b994df6e0749d1eaeb58776e21719e76",
     "bounds_auto":
-        "d4de26ee4e78e8e7bd8fb23e039efc84c53e8c7bc7e83a1eefb814b97629f027",
+        "a69c3e968b21751c32928e57f069a16c32071dcee3218e62c485186308395caa",
     "bounds_round":
         "39d6ababa64003fde4ebeac7e9c1a053acdd4edc4cef3eabe6fc27b66ae16006",
     "bounds_bernoulli":

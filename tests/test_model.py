@@ -111,19 +111,27 @@ class TestJumpLaws:
         with pytest.raises(ValueError):
             lj.LatticeJumps(np.array([1.0]), np.array([-1.0]))
 
-    def test_uniform_jumps_density_and_mass(self):
+    def test_uniform_jumps_mass(self):
         law = lj.uniform_jumps(0.0, 1.0)
-        np.testing.assert_allclose(law.density(np.array([-0.1, 0.5, 1.1])),
-                                   [0.0, 1.0, 0.0])
-        mass = integrate.quad(lambda y: float(law.density(y)), 0.0, 1.0)[0]
-        assert abs(mass - 1.0) < 1e-12
+        got = law.mass([-1.0, -0.1, 0.25, 0.5, 2.0, 0.75],
+                       [-0.5, 0.5, 0.75, 0.5, 3.0, 0.25])
+        assert got.tolist() == [0.0, 0.5, 0.5, 0.0, 0.0, 0.0]
+        assert law.mass(0.0, 1.0) == law.mass(-math.inf, math.inf) == 1.0
 
-    def test_gaussian_jumps_density_normalization(self):
+    def test_gaussian_jumps_mass_normalization(self):
         law = lj.gaussian_jumps(7.5, 0.5)
         lo, hi = law.support
         assert lo < 7.5 - 5 * 0.5 and hi > 7.5 + 5 * 0.5
-        mass = integrate.quad(lambda y: float(law.density(y)), lo, hi)[0]
-        assert abs(mass - 1.0) < 1e-9
+        assert law.mass(lo, hi) == law.mass(-math.inf, math.inf) == 1.0
+        assert law.mass(7.5, math.inf) == law.mass(-math.inf, 7.5) == 0.5
+        assert law.mass(9.0, 8.0) == 0.0
+        # both tails keep their relative accuracy: Phi(-20), and
+        # Phi(-15) - Phi(-16), both from mpmath
+        for got, want in ((law.mass(17.5, math.inf), 2.7536241186062337e-89),
+                          (law.mass(-math.inf, -2.5), 2.7536241186062337e-89),
+                          (law.mass(15.0, 15.5), 3.670965560437311e-51),
+                          (law.mass(-0.5, 0.0), 3.670965560437311e-51)):
+            assert abs(got - want) <= 1e-12 * want
 
     def test_uniform_jumps_needs_proper_interval(self):
         with pytest.raises(ValueError):
@@ -145,18 +153,62 @@ class TestJumpLaws:
         assert law == lj.ContinuousJumps(law.kind, a, b)
 
 
+def quad_mass(law, lo, hi):
+    """QUADPACK's integral of the law's density over ``[lo, hi]``, in the
+    offset ``t = y - a`` from its lower end or mean (so nodes near a far
+    mean keep their resolution), split at the support's ends or at every
+    sd within 40 of the mean."""
+    a, b = law.a, law.b
+    if law.kind == "uniform":
+        width = b - a
+        points, top = [0.0, width], math.inf
+
+        def pdf(t):
+            return 1.0 / width if 0.0 <= t <= width else 0.0
+    else:
+        # past 40 sds the density is below 1e-347: 0 in floats
+        points, top = [k * b for k in range(-40, 41)], 40.0 * b
+
+        def pdf(t):
+            return math.exp(-0.5 * (t / b) ** 2) / (
+                b * math.sqrt(2.0 * math.pi))
+    t_lo, t_hi = max(lo - a, -top), min(hi - a, top)
+    edges = [t_lo] + [t for t in points if t_lo < t < t_hi] + [t_hi]
+    return sum(integrate.quad(pdf, u, v, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0]
+               for u, v in zip(edges, edges[1:]) if u < v)
+
+
+#: window ends, in sds from a Gaussian's mean or in widths from a uniform
+#: law's lower end: both tails, past 12 sds and the whole line
+WINDOW_ENDS = st.one_of(st.floats(-45.0, 45.0),
+                        st.sampled_from([-math.inf, math.inf, -12.5, 12.5,
+                                         0.0, 1.0]))
+
+
+@given(kind=st.sampled_from(["uniform", "gaussian"]),
+       a=st.floats(-50.0, 50.0), b=st.floats(1e-3, 20.0),
+       ends=st.lists(WINDOW_ENDS, min_size=2, max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_mass_is_the_integral_of_the_density(kind, a, b, ends):
+    law = (lj.uniform_jumps(a, a + b) if kind == "uniform"
+           else lj.gaussian_jumps(a, b))
+    lo, hi = (law.a + z * (law.b - law.a if kind == "uniform" else law.b)
+              for z in sorted(ends))
+    got = law.mass(lo, hi)
+    want = quad_mass(law, lo, hi)
+    assert abs(got - want) <= max(1e-15, 1e-12 * want)
+    if (lo, hi) == (-math.inf, math.inf):
+        assert got == 1.0
+
+
 def parent_hooks(kind, a, b):
-    """Density, cf, sampler and k-fold law as the closures
+    """Cf, sampler and k-fold law as the closures
     ``uniform_jumps`` and ``gaussian_jumps`` built before a continuous law
     became data: the reference for its bits."""
     if kind == "uniform":
         lo, hi = a, b
         width = hi - lo
-        dens = 1.0 / width
-
-        def density(y):
-            y = np.asarray(y, dtype=float)
-            return np.where((y >= lo) & (y <= hi), dens, 0.0)
 
         def cf(u):
             u = np.asarray(u, dtype=float)
@@ -165,11 +217,10 @@ def parent_hooks(kind, a, b):
                         / (1j * u * width))
             return np.where(u == 0, 1.0 + 0.0j, vals)
 
-        return (density, cf, lambda gen, size: gen.uniform(lo, hi, size),
+        return (cf, lambda gen, size: gen.uniform(lo, hi, size),
                 lambda k: ("irwin-hall", k * lo, k * hi))
     mu, s = a, b
-    return (lambda y: lj._gauss.norm_pdf(y, mu, s),
-            lambda u: np.exp(1j * np.asarray(u, dtype=float) * mu
+    return (lambda u: np.exp(1j * np.asarray(u, dtype=float) * mu
                              - 0.5 * np.asarray(u, dtype=float) ** 2 * s * s),
             lambda gen, size: gen.normal(mu, s, size),
             lambda k: ("gaussian", k * mu, k * s * s))
@@ -222,10 +273,7 @@ THREE_INTERVALS = lj.IncrementSummaries(m=[0.0, 0.7, -1.3],
 def test_closed_form_law_keeps_the_parent_bits(case):
     kind, a, b = case
     law = (lj.uniform_jumps if kind == "uniform" else lj.gaussian_jumps)(a, b)
-    density, cf, sampler, kfold_law = parent_hooks(kind, a, b)
-    lo, hi = law.support
-    y = np.concatenate((np.linspace(lo - 1.0, hi + 1.0, 41), [lo, hi]))
-    assert law.density(y).tobytes() == density(y).tobytes()
+    cf, sampler, kfold_law = parent_hooks(kind, a, b)
     u = np.array([-11.0, -2.0, -0.3, 0.0, 1e-9, 0.5, 3.0, 40.0])
     assert law.cf(u).tobytes() == cf(u).tobytes()
     assert [complex(law.cf(v)) for v in u] == [complex(cf(v)) for v in u]

@@ -116,6 +116,29 @@ class TestTotalMass:
         d = lj.increment_density_exact(s, law)
         assert abs(lj.total_mass(d) - 1.0) < 1e-10
 
+    def test_each_node_evaluates_the_table_once(self, monkeypatch):
+        nodes, evaluated = [], []
+        values, integrate = lj.MixtureTable.values, lj.oracle.integrate
+
+        def counted_values(table, x, rows):
+            evaluated.append(x.size)
+            return values(table, x, rows)
+
+        def counted_integrate(fn, *args, **kwargs):
+            def counted_fn(x, *rest):
+                nodes.append(x.size)
+                return fn(x, *rest)
+            return integrate(counted_fn, *args, **kwargs)
+
+        monkeypatch.setattr(lj.MixtureTable, "values", counted_values)
+        monkeypatch.setattr(lj.oracle, "integrate", counted_integrate)
+        s = lj.IncrementSummaries(m=[0.0, 0.3], sigma2=[0.04, 0.01],
+                                  lam=[0.2, 0.9])
+        mass = lj.total_mass(lj.increment_density_exact(
+            s, lj.uniform_jumps(-1.0, 1.5)))
+        assert np.all(np.abs(mass - 1.0) < 1e-10)
+        assert len(nodes) > 1 and evaluated == nodes
+
     def test_components_too_narrow_for_the_panel_edges_are_refused(self):
         # a 1e-20-sd spike falls between merged panel edges, where no
         # Kronrod node samples it: its mass would read 0

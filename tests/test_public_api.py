@@ -68,7 +68,9 @@ CALLER_FILES = [
 KEPT_WITHOUT_A_CALLER = {
     "hellinger_quadrature": "item 16 makes it the bracket's batch of one",
     "weighted_integral_statistic": "item 14(b)'s white-noise statistic",
-    "total_mass": "item 21: the unit tests' mass check, named in README",
+    "total_mass": ("the mass checks of test_laws, test_kernels, "
+                   "test_oracle and test_tables; item 26's oracle-mass "
+                   "property"),
 }
 
 

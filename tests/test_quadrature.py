@@ -1,9 +1,9 @@
 """The batched Gauss-Kronrod integrator against QUADPACK, its failure
 modes, and the import path it keeps free of scipy.
 
-This is the one test module that imports ``scipy.integrate``: QUADPACK's
-``quad`` is the independent reference the package's own integrator is
-checked against, panel by panel.
+QUADPACK's ``quad`` (``scipy.integrate``) is the independent reference
+the package's own integrator is checked against, panel by panel;
+``test_model`` checks antiderivatives and jump-law masses against it.
 """
 
 import math
@@ -71,15 +71,18 @@ class TestAgainstQuadpack:
         s = lj.IncrementSummaries(m=0.1, sigma2=1e-4, lam=0.2)
         d = lj.bernoulli_density(s, law)
         assert_matches_quad(d.pdf, *oracle_panels(d))
-        assert_matches_quad(law.density, [-2.0, -1.0, 1.0], [-1.0, 1.0, 2.0])
+        # the jump law's density, a step at each end of its support
+        assert_matches_quad(lambda y: np.where(np.abs(y) <= 1.0, 0.5, 0.0),
+                            [-2.0, -1.0, 1.0], [-1.0, 1.0, 2.0])
 
     def test_non_contiguous_and_nested_panels(self):
-        # the jump-mass bound integrates one jump density over nested
-        # windows [lo, 2 beta_i]; panels may also leave gaps
-        law = lj.gaussian_jumps(7.5, 0.5)
-        lo, hi = law.support
-        assert_matches_quad(law.density, [lo, lo, lo, 5.0, 9.0],
-                            [6.0, 7.5, 9.25, 6.5, hi])
+        # one density over nested windows [lo, x] of a Gaussian jump law's
+        # support; panels may also leave gaps
+        lo, hi = lj.gaussian_jumps(7.5, 0.5).support
+        assert_matches_quad(
+            lambda y: np.exp(-2.0 * (y - 7.5) ** 2) / (0.5 * math.sqrt(
+                2.0 * math.pi)), [lo, lo, lo, 5.0, 9.0],
+            [6.0, 7.5, 9.25, 6.5, hi])
 
     def test_shapes(self):
         got = integrate(lambda x: 2.0 * x, np.zeros((2, 3)), 1.0)
