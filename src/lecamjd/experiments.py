@@ -127,7 +127,7 @@ def run_convergence(spec: ModelSpec, n_values, jump_case: str,
     if jump_case_of(spec.jump_law) != jump_case:
         raise ValueError(f"{jump_case} case needs " + (
             "integer-lattice jumps" if jump_case == "lattice"
-            else "a jump size density"))
+            else "a continuous jump law"))
     if holder is None:
         holder = HolderClassParams(alpha=1.0)
     rows: list[ConvergenceRow] = []

@@ -44,16 +44,16 @@ __all__ = [
 
 def jump_case_of(law: JumpLaw) -> str:
     """``"lattice"`` for integer jumps, which the fractional-part map
-    erases; ``"continuous"`` for a jump density, which truncate-and-resample
-    erases.  Any other law (a Dirac jump off the integers) raises
-    ``ValueError``."""
+    erases; ``"continuous"`` for a continuous jump law, which
+    truncate-and-resample erases.  Any other law (a Dirac jump off the
+    integers) raises ``ValueError``."""
     if isinstance(law, LatticeJumps) or (
             isinstance(law, DiracJump) and float(law.location).is_integer()):
         return "lattice"
     if isinstance(law, ContinuousJumps):
         return "continuous"
     raise ValueError(f"no kernel erases the jumps of {law!r}: they need "
-                     "integer-lattice sizes or a jump size density")
+                     "integer-lattice sizes or a continuous jump law")
 
 
 def round_to_lattice(x):
@@ -68,7 +68,8 @@ def round_to_lattice(x):
 
 
 def _fold_table(t: MixtureTable) -> MixtureTable:
-    """Fold bare mixture rows onto the lattice cell, row by row.
+    """Fold bare mixture rows onto the lattice cell, row by row: the
+    result's rows are restricted to the cell, radius 1/2.
 
     Per row, in component order, a component joins the first earlier slot
     with the same sd whose center (mean minus its nearest integer) lies
@@ -110,20 +111,21 @@ def _fold_table(t: MixtureTable) -> MixtureTable:
     means, sds, weights = np.zeros(shape), np.ones(shape), np.zeros(shape)
     means[rr, col] = c[rr, ss] + (step - reach[rr, ss])
     sds[rr, col], weights[rr, col] = sd[rr, ss], w[rr, ss]
-    return MixtureTable(means, sds, weights, size=size, beta=0.5, fold=True)
+    return MixtureTable(means, sds, weights, size=size, beta=0.5)
 
 
 def fold_density_to_lattice_cell(d: Density) -> Density:
     """Pushforward of a density under the fractional-part map.
 
     The result lives on ``[-0.5, 0.5]`` and equals the sum of the input
-    over all integer shifts.  Bare Gaussian mixture rows are folded
-    structurally, row by row: components whose centers coincide modulo 1
-    (within a few ulps, to absorb the rounding of integer-shifted means)
-    are merged, so laws that the filter maps to the same wrapped Gaussian
-    produce literally identical component lists instead of agreeing only
-    up to floating-point noise.  Rows with an Irwin-Hall term, a
-    restriction or a top-up raise ``ValueError``.
+    over all integer shifts: a table restricted to that cell, whose rows
+    the oracle splits as any restricted row.  Bare Gaussian mixture rows
+    are folded structurally, row by row: components whose centers coincide
+    modulo 1 (within a few ulps, to absorb the rounding of integer-shifted
+    means) are merged, so laws that the filter maps to the same wrapped
+    Gaussian produce literally identical component lists instead of
+    agreeing only up to floating-point noise.  Rows with an Irwin-Hall
+    term, a restriction or a top-up raise ``ValueError``.
     """
     t = d.table
     if not (t.plain & ~t.boxed).all():
@@ -194,8 +196,8 @@ def truncate_resample_pushforward(d: Density,
     :meth:`~lecamjd.laws.MixtureTable.escaped_mass` of ``d``'s table, a
     sum of Gaussian tails and Irwin-Hall tail integrals.  A table is pushed
     forward row by row, with ``params.sigma_i`` holding one noise sd per
-    row; rows that are already restricted, topped up or folded raise
-    ``ValueError``.
+    row; rows that are already restricted (folded ones too) or topped up
+    raise ``ValueError``.
     """
     t = d.table
     return Density(replace(t, beta=params.beta,

@@ -101,10 +101,10 @@ class MixtureTable:
         box_weight[r, 0] * (Phi((x - box_lo[r, 0]) / box_sd[r])
                             - Phi((x - box_hi[r, 0]) / box_sd[r])).
 
-    ``beta`` is the restriction radius (inf: none); ``mass`` and
-    ``resample_sd`` are the escaped mass and resampling sd of the
-    truncate-and-resample output (0: none); ``fold`` marks rows folded
-    onto the lattice cell, which are restricted to radius 1/2.
+    ``beta`` is the restriction radius (inf: none; a row folded onto
+    the lattice cell is restricted to 1/2); ``mass`` and ``resample_sd``
+    are the escaped mass and resampling sd of the truncate-and-resample
+    output (0: none).
     A row's components need finite means and finite positive sds, and its
     padding must be ``(0, 1, 0)``, or the table raises ``ValueError``.
     Per-row fields may be given as scalars.  Every field is kept
@@ -120,7 +120,6 @@ class MixtureTable:
     beta: np.ndarray = math.inf
     mass: np.ndarray = 0.0
     resample_sd: np.ndarray = 0.0
-    fold: np.ndarray = False
     box_weight: np.ndarray = 0.0
     box_lo: np.ndarray = 0.0
     box_hi: np.ndarray = 0.0
@@ -135,9 +134,9 @@ class MixtureTable:
         for name, kind in (("means", float), ("sds", float),
                            ("weights", float), ("size", np.intp),
                            ("beta", float), ("mass", float),
-                           ("resample_sd", float), ("fold", bool),
-                           ("box_weight", float), ("box_lo", float),
-                           ("box_hi", float), ("box_sd", float)):
+                           ("resample_sd", float), ("box_weight", float),
+                           ("box_lo", float), ("box_hi", float),
+                           ("box_sd", float)):
             shape = ((rows, width) if name in ("means", "sds", "weights")
                      else (rows, *terms) if name in ("box_weight", "box_lo",
                                                      "box_hi")
@@ -160,9 +159,8 @@ class MixtureTable:
 
     @property
     def plain(self) -> np.ndarray:
-        """Rows with no restriction, top-up or fold (spline terms allowed)."""
-        return (np.isinf(self.beta) & (self.resample_sd == 0.0)
-                & ~self.fold)
+        """Rows with no restriction or top-up (spline terms allowed)."""
+        return np.isinf(self.beta) & (self.resample_sd == 0.0)
 
     @property
     def boxed(self) -> np.ndarray:
@@ -214,14 +212,10 @@ class MixtureTable:
         for c in self._terms:
             at = np.flatnonzero(self.box_weight[rows, c] > 0.0)
             r, xa = rows[at], x[at]
-            lo, hi, s = self.box_lo[r, c], self.box_hi[r, c], self.box_sd[r]
-            if c == 0:
-                cdf = _gauss.std_cdf(np.stack(((xa - lo) / s, (xa - hi) / s)))
-                out[at] += self.box_weight[r, c] * (cdf[0] - cdf[1])
-            else:
-                h = (hi - lo) / (c + 1)
-                out[at] += self.box_weight[r, c] * _pieces(
-                    _irwin_hall(c + 1)[0], (xa - lo) / h, s / h)
+            lo, hi = self.box_lo[r, c], self.box_hi[r, c]
+            h = (hi - lo) / (c + 1)
+            out[at] += self.box_weight[r, c] * _pieces(
+                _irwin_hall(c + 1)[0], (xa - lo) / h, self.box_sd[r] / h)
         if self._cut:
             out = np.where(np.abs(x) <= self.beta[rows], out, 0.0)
         if self._topped:
@@ -244,7 +238,8 @@ class MixtureTable:
         Irwin-Hall term adds its mass times its two tail probabilities,
         each Phi of the ball's distance from the term's end plus the
         pieces of its smoothed survival function.
-        Restricted, topped-up and folded rows raise ``ValueError``.
+        Restricted rows (folded ones too) and topped-up rows raise
+        ``ValueError``.
         """
         if not self.plain.all():
             raise ValueError("only unrestricted rows have an escaped mass")
@@ -298,8 +293,8 @@ class MixtureTable:
         breaks at each mean and its 6-sd shoulders; an Irwin-Hall term
         reaches 12 of its sds past each end and breaks at its knots, the
         ends of its pieces; a restricted row keeps the breakpoints inside
-        its ball and adds the ball's edges; a folded row is the cell
-        ``[-1/2, 1/2]``, broken at its components' centers.
+        its ball and adds the ball's edges.  A row folded onto the lattice
+        cell is such a row, restricted to ``[-1/2, 1/2]``.
         """
         m, s = self.means, self.sds
         real = np.arange(m.shape[1]) < self.size[:, None]
@@ -321,19 +316,14 @@ class MixtureTable:
             peaks.append(np.repeat(terms[:, c, None], c + 2, axis=1))
         pts, peaks = np.concatenate(knots, axis=1), np.concatenate(peaks, 1)
         ok = peaks & (pts > lo[:, None]) & (pts < hi[:, None])
-        beta, sd, fold = self.beta, self.resample_sd, self.fold
+        beta, sd = self.beta, self.resample_sd
         if self._cut:
-            cut = np.isfinite(beta) & ~fold
+            cut = np.isfinite(beta)
             lo = np.where(cut, np.minimum(-12.0 * sd, np.maximum(lo, -beta)),
                           lo)
             hi = np.where(cut, np.maximum(12.0 * sd, np.minimum(hi, beta)),
                           hi)
             ok &= ~cut[:, None] | (np.abs(pts) < beta[:, None])
-        if fold.any():
-            centers = np.zeros_like(ok)
-            centers[:, m.shape[1]:2 * m.shape[1]] = real
-            ok = np.where(fold[:, None], centers, ok)
-            lo, hi = np.where(fold, -0.5, lo), np.where(fold, 0.5, hi)
         pts = np.where(ok, pts, np.nan)
         if self._cut:
             pts = np.concatenate((pts, np.where(
@@ -422,19 +412,23 @@ def _pieces(coef: np.ndarray, u: np.ndarray, sd: np.ndarray) -> np.ndarray:
     """Per point, ``sum_j int_0^1 p_j(t) phi_sd(u - j - t) dt``, where
     ``coef[j, n]`` is the coefficient of ``t^n`` in piece ``j``.
 
-    For ``sd < 1`` by the moments ``K_n = int_0^1 t^n phi_sd(d - t) dt``,
-    ``d = u - j``: ``K_0`` is a difference of Phi, and integration by parts
-    gives ``K_n = d K_{n-1} + (n - 1) sd^2 K_{n-2} - sd^2 (psi(1) - [n = 1]
+    By the moments ``K_n = int_0^1 t^n phi_sd(d - t) dt``, ``d = u - j``:
+    ``K_0`` is a difference of Phi, and integration by parts gives
+    ``K_n = d K_{n-1} + (n - 1) sd^2 K_{n-2} - sd^2 (psi(1) - [n = 1]
     psi(0))`` with ``psi(t) = phi_sd(d - t)``.  That loses about ``sd^n``
-    of its digits, so for ``sd >= 1`` the Taylor series of
+    of its digits, so for ``sd >= 1`` a piece of degree 1 and up meets its
+    moments ``int_0^1 t^i p_j(t) dt`` with the Taylor series of
     ``phi_sd(d - t)`` in ``t``, ``sum_i He_i(z) phi(z) (t / sd)^i / (i! sd)``
-    at ``z = d / sd``, meets the piece's moments ``int_0^1 t^i p_j(t) dt``.
+    at ``z = d / sd``.  A constant piece takes ``K_0`` at every sd: it has
+    no step in which to lose digits, while the series loses relative
+    accuracy in far tails.
     Pieces more than ``_PIECE_REACH`` sds away are skipped; a point's
     pieces are summed in order.
     """
     out = np.empty(u.size)
-    for wide in np.unique(sd >= 1.0):
-        at = np.flatnonzero((sd >= 1.0) == wide)
+    series = (sd >= 1.0) & (coef.shape[1] > 1)
+    for wide in np.unique(series):
+        at = np.flatnonzero(series == wide)
         # distances in sds from each knot, and the pieces in reach
         z = (u[at, None] - np.arange(coef.shape[0] + 1.0)) / sd[at, None]
         near, j = np.nonzero((z[:, :-1] > -_PIECE_REACH)

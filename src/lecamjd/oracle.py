@@ -129,7 +129,7 @@ def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
     top = np.divide(1.0, p.resample_sd, out=np.zeros(p.rows),
                     where=p.resample_sd > 0.0)
     rows = [size] + [getattr(p, f) == getattr(q, f) for f in (
-        "beta", "fold", "mass", "resample_sd", "box_sd")] + [
+        "beta", "mass", "resample_sd", "box_sd")] + [
             np.isfinite(a) for a in (p.mass, top, p.box_sd)]
     # the Irwin-Hall columns both sides hold, and none past them
     k = min(p.box_weight.shape[1], q.box_weight.shape[1])

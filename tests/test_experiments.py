@@ -169,7 +169,7 @@ class TestRunConvergence:
                              jump_law=lj.gaussian_jumps(0.0, 1.0),
                              horizon=1.0),
                 [16, 32], "lattice")
-        with pytest.raises(ValueError, match="density"):
+        with pytest.raises(ValueError, match="a continuous jump law"):
             lj.run_convergence(LATTICE_SPEC, [16, 32], "continuous")
         with pytest.raises(ValueError, match="jump_case"):
             lj.run_convergence(LATTICE_SPEC, [16, 32], "poisson")

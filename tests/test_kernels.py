@@ -92,6 +92,17 @@ class TestFoldDensity:
         g = lj.fold_density_to_lattice_cell(lj.gaussian_density(0.0, 1e-4))
         assert lj.tv_quadrature(f, g) == 0.0
 
+    @pytest.mark.parametrize("s", [1e-4, 1e-5, 1e-6])
+    def test_narrow_folded_rows_keep_their_mass(self, s):
+        # a folded row is split as any restricted row, at its components'
+        # centers and 6-sd shoulders, so a spike far narrower than the cell
+        # is still sampled; the tails past its shoulders lie in a panel
+        # far wider than its sd and read about 2e-9 short (ROADMAP item 26)
+        fold = lj.fold_density_to_lattice_cell
+        p, q = (fold(lj.gaussian_density(m, s * s)) for m in (0.1, -0.2))
+        assert abs(lj.total_mass(p)[0] - 1.0) <= 1e-8
+        assert abs(lj.tv_quadrature(p, q)[0] - 1.0) <= 1e-8
+
     def test_mass_preserved_for_wide_gaussian(self):
         d = lj.gaussian_density(0.3, 4.0)
         f = lj.fold_density_to_lattice_cell(d)

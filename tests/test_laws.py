@@ -264,6 +264,19 @@ def smoothed_irwin_hall(k, u, sd):
     return total
 
 
+def smoothed_box(za, zb):
+    """``Phi(za) - Phi(zb)`` for ``za > zb``, from the smaller tails
+    (``math.erfc``), so that it keeps its relative accuracy past either
+    end of the box."""
+    def upper(v):
+        return 0.5 * math.erfc(v / math.sqrt(2.0))
+    if zb >= 0.0:
+        return upper(zb) - upper(za)
+    if za <= 0.0:
+        return upper(-za) - upper(-zb)
+    return 1.0 - upper(za) - upper(-zb)
+
+
 class TestIrwinHallTerms:
     @given(k=st.integers(1, 8), sd=st.floats(1e-3, 1.0),
            lo=st.floats(-2.0, 2.0), width=st.floats(0.05, 2.0),
@@ -292,8 +305,26 @@ class TestIrwinHallTerms:
         peak = scale * smoothed_irwin_hall(k, 0.5 * k, sd / h)
         assert np.all(np.abs(got - want) <= 1e-12 * peak)
         assert abs(t.escaped_mass(0.0)[0] - scale * h) <= 1e-15
-        if k == 1:
-            # today's smoothed box, bit for bit
-            box = scale * (_gauss.std_cdf((x - a) / sd)
-                           - _gauss.std_cdf((x - b) / sd))
-            assert got.tobytes() == box.tobytes()
+
+    @given(e=st.integers(-4, 4), ratio=st.floats(1e-3, 50.0),
+           right=st.booleans(),
+           z=st.lists(st.floats(-35.0, 35.0), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_one_jump_term_keeps_its_tails(self, e, ratio, right, z):
+        # the one-uniform term against the smoothed box from the smaller
+        # tails, at points up to 35 sds past either end and across it, with
+        # sd from 1/1000 to 50 jump widths; the box [h, 2h] is dyadic, so
+        # the argument reductions on both sides are exact and the tolerance
+        # measures the Phi differences, not the rounding of x
+        h = math.ldexp(1.0, e)
+        t = laws._kfold_table(summ(m=0.0, sigma2=(ratio * h) ** 2),
+                              lj.uniform_jumps(h, 2.0 * h),
+                              np.array([[0.0, 1.0]])).table
+        lo, hi, sd = t.box_lo[0, 0], t.box_hi[0, 0], t.box_sd[0]
+        assert (lo, hi) == (h, 2.0 * h)
+        x = (hi if right else lo) + np.array(z) * sd
+        got = t.values(x, np.zeros(x.size, dtype=np.intp))
+        want = t.box_weight[0, 0] * np.array(
+            [smoothed_box((v - lo) / sd, (v - hi) / sd) for v in x])
+        past = np.maximum(0.0, np.maximum((lo - x) / sd, (x - hi) / sd))
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + past ** 2) * want)

@@ -411,7 +411,6 @@ def test_every_table_field_is_read_only():
             "size": np.array([2, 1], dtype=np.intp),
             "beta": np.array([np.inf, 1.5]), "mass": np.zeros(2),
             "resample_sd": np.array([0.0, 0.3]),
-            "fold": np.array([False, True]),
             "box_weight": np.array([[0.0, 0.2], [0.0, 0.0]]),
             "box_lo": np.array([[1.0, 2.0], [0.0, 0.0]]),
             "box_hi": np.array([[2.0, 4.0], [0.0, 0.0]]),
