@@ -1191,21 +1191,23 @@ class TestExtremeJumpLaws:
             assert main([command, "--config", cfg]) == 0
             assert capsys.readouterr().out.count("\n") > 16
 
-    @pytest.mark.parametrize("epsilon_n", [1e-14, 1e-153, 1e-154])
+    @pytest.mark.parametrize("epsilon_n",
+                             [1e-10, 1e-12, 1e-14, 1e-153, 1e-154])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_noise_prints_no_numpy_warning(self, tmp_path, capsys,
                                                  epsilon_n):
-        # components this narrow slip between the oracle's merged panel
-        # edges, so it refuses them rather than print a 0.0 column; the
-        # squared distance in phi's exponent, which overflows for points
-        # some 1e154 sds from a component, warns on the way to neither
+        # components this narrow span too few floats at their means for
+        # any quadrature node to resolve, so the oracle refuses them rather
+        # than print a number no panel vouches for; the squared distance in
+        # phi's exponent, which overflows for points some 1e154 sds from a
+        # component, warns on the way to neither
         cfg = write_config(tmp_path, {"epsilon_n": epsilon_n, "jump_law": {
             "kind": "lattice", "values": [-1, 2], "probs": [0.5, 0.5]}})
         assert main(["convergence", "--config", cfg, "--n-list", "4,8"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: oracle row 0 ")
-        assert "panel-edge tolerance" in captured.err
+        assert "float spacings" in captured.err
         assert captured.err.count("\n") == 1
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
-from lecamjd.oracle import integrate_rows
+from lecamjd.oracle import _merged_points, integrate_rows
 
 
 def l1(p, q):
@@ -140,19 +140,46 @@ class TestTotalMass:
         assert np.all(np.abs(mass - 1.0) < 1e-10)
         assert len(nodes) > 1 and evaluated == nodes
 
-    def test_components_too_narrow_for_the_panel_edges_are_refused(self):
-        # a 1e-20-sd spike falls between merged panel edges, where no
-        # Kronrod node samples it: its mass would read 0
+    def test_components_too_narrow_for_their_float_spacing_are_refused(self):
+        # a 1e-20-sd spike at 1 is under one float spacing (2.2e-16) wide:
+        # the nodes' offsets from its mean round to 0 or to a spacing, and
+        # its mass would read anything
         with pytest.raises(lj.QuadratureError,
-                           match=r"oracle row 0 .*sd down to 1e-20"):
-            lj.total_mass(lj.gaussian_density(0.0, 1e-40))
+                           match=r"oracle row 0 .*sd down to 1e-20.*float "
+                                 "spacings"):
+            lj.total_mass(lj.gaussian_density(1.0, 1e-40))
         with pytest.raises(lj.QuadratureError, match="oracle row 1 "):
-            lj.tv_quadrature(lj.gaussian_density([0.0, 0.0], [1.0, 1e-40]),
-                             lj.gaussian_density([0.0, 0.0], [2.0, 2.0]))
+            lj.tv_quadrature(lj.gaussian_density([-1.0, -1.0], [1.0, 1e-40]),
+                             lj.gaussian_density([-1.0, -1.0], [2.0, 2.0]))
         # up to the absolute tolerance in weight, such spikes may go unseen
         spiked = lj.Density(lj.MixtureTable([0.0, 0.5], [1.0, 1e-20],
                                             [1.0 - 1e-12, 1e-12]))
         assert abs(lj.total_mass(spiked) - 1.0) < 2e-12
+
+    @pytest.mark.parametrize("sd", [1e-14, 1e-20])
+    def test_narrow_spikes_at_zero_are_integrated(self, sd):
+        # the floats near 0 are fine enough for any sd, and the spike's
+        # mean and shoulders are panel edges however close they lie
+        p = lj.gaussian_density(0.0, sd * sd)
+        assert abs(lj.total_mass(p)[0] - 1.0) <= 1e-12
+        q = lj.gaussian_density(0.0, 4.0)
+        assert abs(lj.tv_quadrature(p, q)[0] - 1.0) <= 1e-10
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 26: no panel edge "
+                       "at a narrow top-up Gaussian")
+    def test_a_narrow_top_up_keeps_its_mass(self):
+        # the truncate pushforward redraws its escaped mass, 0.11, from
+        # N(0, 5e-6^2); no breakpoint marks that spike, so no Kronrod node
+        # need land on it and the mass reads 0.88968789
+        spec = lj.ModelSpec(drift=lj.constant(1.2), sigma=lj.constant(1.0),
+                            epsilon_n=1e-5, intensity=lj.constant(0.5),
+                            horizon=1.0, jump_law=lj.gaussian_jumps(7.5, 0.5))
+        s = lj.build_increment_summaries(spec, lj.Grid.uniform(1.0, 4))
+        params = lj.TruncateResampleParams(L=1.0 / 3.0, epsilon=0.5,
+                                           sigma_i=s.sigma)
+        d = lj.truncate_resample_pushforward(
+            lj.bernoulli_density(s, spec.jump_law), params)
+        assert np.all(np.abs(lj.total_mass(d) - 1.0) <= 1e-9)
 
 
 class TestPanelSplitting:
@@ -172,6 +199,35 @@ class TestPanelSplitting:
         s = lj.IncrementSummaries(m=0.0, sigma2=1e-6, lam=0.1)
         d = lj.increment_density_exact(s, law)
         assert abs(lj.total_mass(d) - 1.0) < 1e-8
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edges_are_the_distinct_breakpoints(self, data):
+        # two sides' structures, per row, built from values that come in
+        # pairs 1 ulp to 1e-12 apart: each value is an edge of its own
+        sides = [([], [], []) for _ in range(2)]
+        for _ in range(data.draw(st.integers(1, 3))):
+            pool = []
+            for a in data.draw(st.lists(st.floats(-5.0, 5.0), min_size=2,
+                                        max_size=6)):
+                gap = data.draw(st.floats(0.0, 1e-12))
+                pool += [a, max(float(np.nextafter(a, np.inf)), a + gap)]
+            pool = data.draw(st.permutations(pool))
+            for s, (lo, hi, inner) in enumerate(sides):
+                a, b = sorted(pool[2 * s:2 * s + 2])
+                lo.append(a)
+                hi.append(b)
+                inner.append(pool[4 + s::2])
+        got = _merged_points(*[(np.array(lo), np.array(hi), np.array(
+            [p + [np.nan] * (max(map(len, inner)) - len(p)) for p in inner]))
+            for lo, hi, inner in sides])
+        for r, row in enumerate(got):
+            ends = [x for lo, hi, _ in sides for x in (lo[r], hi[r])]
+            low, high = min(ends), max(ends)
+            want = sorted(set(ends) | {x for _, _, inner in sides
+                                       for x in inner[r] if low < x < high})
+            assert row[:len(want)].tolist() == want
+            assert np.isnan(row[len(want):]).all()
 
 
 def _truncated_unit_gaussian():
@@ -325,15 +381,22 @@ def _assert_same_table(a, b):
                                           getattr(b, f.name), err_msg=f.name)
 
 
+#: the two paired distances, each of which reads equal rows as 0.0
+PAIRED = [lj.tv_quadrature, lj.hellinger_quadrature]
+
+
 class TestEqualRows:
-    """L1 rows whose two sides hold the same finite data read 0.0 without
-    quadrature; every other row, and every other integrand, integrates."""
+    """Paired rows whose two sides hold the same finite data read 0.0
+    without quadrature, for TV and Hellinger alike; every other row, and
+    ``total_mass``, integrates."""
 
     def test_equal_row_reads_zero_and_is_never_evaluated(
             self, evaluated_rows):
-        got = lj.tv_quadrature(_row(2), _row(2, beta=lambda a: a / 2.0))
-        assert got[0] == 0.0 and got[1] > 0.0
-        assert evaluated_rows == {1}
+        for distance in PAIRED:
+            evaluated_rows.clear()
+            got = distance(_row(2), _row(2, beta=lambda a: a / 2.0))
+            assert got[0] == 0.0 and got[1] > 0.0
+            assert evaluated_rows == {1}
 
     def test_a_batch_of_equal_rows_evaluates_nothing(self, evaluated_rows):
         # the lattice filter step: folding erases the unit jump
@@ -346,10 +409,12 @@ class TestEqualRows:
         # one ulp in the last component or field, or the padding taken in
         # as a component of weight 0
         edit = {"size": lambda a: a + 1}.get(field, _bump)
-        got = lj.tv_quadrature(_row(2), _row(2, **{field: edit}))
-        assert evaluated_rows == {1}
-        assert got[0] == 0.0
-        assert got[1] == lj.tv_quadrature(_row(), _row(**{field: edit}))[0]
+        for distance in PAIRED:
+            evaluated_rows.clear()
+            got = distance(_row(2), _row(2, **{field: edit}))
+            assert evaluated_rows == {1}
+            assert got[0] == 0.0
+            assert got[1] == distance(_row(), _row(**{field: edit}))[0]
 
     @pytest.mark.parametrize("change", [
         {"weights": lambda a: np.where(a > 0.0, np.inf, 0.0)},
@@ -386,13 +451,14 @@ class TestEqualRows:
             patch.setattr(lj.MixtureTable, "values", None)
             assert lj.tv_quadrature(p, q) == 0.0
 
-    def test_mass_and_hellinger_still_integrate(self, evaluated_rows):
+    def test_mass_integrates_and_hellinger_skips_equal_rows(
+            self, evaluated_rows):
         p = lj.gaussian_density(0.3, 0.5)
         assert abs(lj.total_mass(p) - 1.0) < 1e-10
         assert evaluated_rows == {0}
         evaluated_rows.clear()
         assert lj.hellinger_quadrature(p, p) == 0.0
-        assert evaluated_rows == {0}
+        assert evaluated_rows == set()
 
     @given(rows=st.lists(st.tuples(st.floats(-2.0, 2.0),
                                    st.floats(0.01, 0.25),
