@@ -71,11 +71,13 @@ def _fold_table(t: MixtureTable) -> MixtureTable:
     """Fold bare mixture rows onto the lattice cell, row by row: the
     result's rows are restricted to the cell, radius 1/2.
 
-    Per row, in component order, a component joins the first earlier slot
-    with the same sd whose center (mean minus its nearest integer) lies
-    within a few ulps of its own on the circle, so that centers +1/2 and
-    -1/2 meet, adding its weight; each slot then contributes its center
-    shifted by every integer up to 12 sds plus one.
+    Per row, in entry order, a component (an entry of positive weight)
+    joins the first earlier slot with the same sd whose center (mean minus
+    its nearest integer) lies within a few ulps of its own on the circle,
+    so that centers +1/2 and -1/2 meet, adding its weight; each slot then
+    contributes its center shifted by every integer up to 12 sds plus one.
+    A row with fewer shifted components than the widest is padded with
+    ``(0, 1, 0)``, of weight 0.
     """
     rows, width = t.means.shape
     centers = t.means - np.rint(t.means)
@@ -89,7 +91,7 @@ def _fold_table(t: MixtureTable) -> MixtureTable:
         match = ((np.arange(width) < used[:, None])
                  & (sd == t.sds[:, j, None])
                  & (np.abs(d - np.rint(d)) <= tol[:, j, None]))
-        real = j < t.size
+        real = t.weights[:, j] > 0.0
         hit = real & match.any(axis=1)
         r = everyone[hit]
         w[r, match[hit].argmax(axis=1)] += t.weights[hit, j]
@@ -100,18 +102,17 @@ def _fold_table(t: MixtureTable) -> MixtureTable:
     slot = np.arange(width) < used[:, None]
     reach = np.where(slot, np.ceil(12.0 * sd).astype(np.intp) + 1, 0)
     counts = np.where(slot, 2 * reach + 1, 0)
-    size = counts.sum(axis=1)
     # one entry per output component: its row, its slot and its shift
     r, s = np.nonzero(slot)
     n = counts[r, s]
     rr, ss = np.repeat(r, n), np.repeat(s, n)
     step = np.arange(rr.size) - np.repeat(np.cumsum(n) - n, n)
     col = np.repeat((np.cumsum(counts, axis=1) - counts)[r, s], n) + step
-    shape = (rows, int(size.max()))
+    shape = (rows, int(counts.sum(axis=1).max()))
     means, sds, weights = np.zeros(shape), np.ones(shape), np.zeros(shape)
     means[rr, col] = c[rr, ss] + (step - reach[rr, ss])
     sds[rr, col], weights[rr, col] = sd[rr, ss], w[rr, ss]
-    return MixtureTable(means, sds, weights, size=size, beta=0.5)
+    return MixtureTable(means, sds, weights, beta=0.5)
 
 
 def fold_density_to_lattice_cell(d: Density) -> Density:

@@ -19,11 +19,7 @@ Every density is data: a :class:`MixtureTable` holds one law per row (a
 finite Gaussian mixture plus Gaussian-smoothed Irwin-Hall terms, one per
 jump count, possibly restricted to a ball and topped up by a resampling
 Gaussian), its one evaluator gives every pdf, and a density built from a
-whole grid's summaries is one table with a row per interval.  Lattice-cell
-folding merges components whose centers coincide modulo 1, which is what
-keeps the folded comparison of a jump law against a pure Gaussian
-numerically exact instead of drowning in floating-point cancellation
-noise.
+whole grid's summaries is one table with a row per interval.
 """
 
 from __future__ import annotations
@@ -80,16 +76,16 @@ _SERIES_TERMS = 32
 
 @dataclass(frozen=True, eq=False)
 class MixtureTable:
-    """Finite Gaussian mixtures as padded arrays, one law per row.
+    """Finite Gaussian mixtures as arrays, one law per row.
 
     Row ``r`` is the density
 
         where(|x| <= beta[r], sum_k (w/s) phi((x - m)/s) + box(x), 0)
             + mass[r] * phi(x / sd[r]) / sd[r]
 
-    over the row's first ``size[r]`` entries ``(m, s, w)`` of ``means``,
-    ``sds`` and ``weights``; the rest of the row must be padding
-    ``(0, 1, 0)``.
+    over the row's entries ``(m, s, w)`` of ``means``, ``sds`` and
+    ``weights``.  An entry of weight 0 adds exact zeros, wherever it sits
+    in the row, so rows of fewer components are padded with weight 0.
     ``box`` sums smoothed Irwin-Hall terms, one per column ``c``: with
     ``k = c + 1``, ``lo, hi = box_lo[r, c], box_hi[r, c]`` and
     ``h = (hi - lo) / k``, term ``c`` is ``box_weight[r, c]`` times the
@@ -105,8 +101,9 @@ class MixtureTable:
     the lattice cell is restricted to 1/2); ``mass`` and ``resample_sd``
     are the escaped mass and resampling sd of the truncate-and-resample
     output (0: none).
-    A row's components need finite means and finite positive sds, and its
-    padding must be ``(0, 1, 0)``, or the table raises ``ValueError``.
+    Every entry needs a finite mean and a finite positive sd, and every
+    weight (``box_weight`` too) must be finite and non-negative, or the
+    table raises ``ValueError``.
     Per-row fields may be given as scalars.  Every field is kept
     read-only: a full-shape array of the right dtype as a view of the
     caller's array (not copied, and still writable there), a scalar as one
@@ -116,7 +113,6 @@ class MixtureTable:
     means: np.ndarray
     sds: np.ndarray
     weights: np.ndarray
-    size: np.ndarray | None = None
     beta: np.ndarray = math.inf
     mass: np.ndarray = 0.0
     resample_sd: np.ndarray = 0.0
@@ -128,30 +124,25 @@ class MixtureTable:
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
         rows, width = means.shape
-        if self.size is None:
-            object.__setattr__(self, "size", np.full(rows, width))
         terms = np.shape(self.box_weight)[1:2] or (1,)
-        for name, kind in (("means", float), ("sds", float),
-                           ("weights", float), ("size", np.intp),
-                           ("beta", float), ("mass", float),
-                           ("resample_sd", float), ("box_weight", float),
-                           ("box_lo", float), ("box_hi", float),
-                           ("box_sd", float)):
+        for name in ("means", "sds", "weights", "beta", "mass",
+                     "resample_sd", "box_weight", "box_lo", "box_hi",
+                     "box_sd"):
             shape = ((rows, width) if name in ("means", "sds", "weights")
                      else (rows, *terms) if name in ("box_weight", "box_lo",
                                                      "box_hi")
                      else (rows,))
             object.__setattr__(self, name, _read_only(
-                np.asarray(getattr(self, name), dtype=kind), shape))
-        pad = np.arange(width) >= self.size[:, None]
-        if not (np.isfinite(self.means) | pad).all():
+                np.asarray(getattr(self, name), dtype=float), shape))
+        if not np.isfinite(self.means).all():
             raise ValueError("component means must be finite")
-        if not (((self.sds > 0.0) & (self.sds < math.inf)) | pad).all():
+        if not ((self.sds > 0.0) & (self.sds < math.inf)).all():
             raise ValueError("component sds must be finite and positive")
-        if not (~pad | ((self.means == 0.0) & (self.sds == 1.0)
-                        & (self.weights == 0.0))).all():
-            raise ValueError("entries past a row's size must be padding "
-                             "(0, 1, 0)")
+        # an entry counts where its weight is positive: a negative one
+        # would be evaluated but lose its breakpoints
+        for w in (self.weights, self.box_weight):
+            if not ((w >= 0.0) & (w < math.inf)).all():
+                raise ValueError("weights must be finite and non-negative")
 
     @property
     def rows(self) -> int:
@@ -173,10 +164,8 @@ class MixtureTable:
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, ...]:
-        """Means, sds and weight/sd as (component, row) arrays as wide as
-        the largest row."""
-        w = int(self.size.max(initial=0))
-        return tuple(np.ascontiguousarray(a[:, :w].T)
+        """Means, sds and weight/sd as (component, row) arrays."""
+        return tuple(np.ascontiguousarray(a.T)
                      for a in (self.means, self.sds, self._scaled))
 
     @cached_property
@@ -233,11 +222,11 @@ class MixtureTable:
         (``beta`` a scalar or one radius per row), in closed form.
 
         Each component adds ``w (Phi((-beta - m)/s) + Phi((m - beta)/s))``,
-        in component order as in :meth:`_dense`, so padding adds exact
-        zeros and a row's bits do not depend on the other rows.  An
-        Irwin-Hall term adds its mass times its two tail probabilities,
-        each Phi of the ball's distance from the term's end plus the
-        pieces of its smoothed survival function.
+        in component order as in :meth:`_dense`, so an entry of weight 0
+        adds an exact zero and a row's bits do not depend on the other
+        rows.  An Irwin-Hall term adds its mass times its two tail
+        probabilities, each Phi of the ball's distance from the term's end
+        plus the pieces of its smoothed survival function.
         Restricted rows (folded ones too) and topped-up rows raise
         ``ValueError``.
         """
@@ -264,8 +253,8 @@ class MixtureTable:
         return out
 
     def _dense(self, x, rows):
-        """Sums over every component, in component order for each point,
-        so a row's padding adds exact zeros after its own terms."""
+        """Sums over every entry, in entry order for each point, so an
+        entry of weight 0 adds an exact zero wherever it sits."""
         columns = self._columns
         out = np.zeros(x.size)
         step = max(1, _BLOCK // max(1, columns[0].shape[0]))
@@ -290,14 +279,15 @@ class MixtureTable:
         no all-NaN column).
 
         A bare mixture spans its components' means plus/minus 12 sds and
-        breaks at each mean and its 6-sd shoulders; an Irwin-Hall term
-        reaches 12 of its sds past each end and breaks at its knots, the
-        ends of its pieces; a restricted row keeps the breakpoints inside
-        its ball and adds the ball's edges.  A row folded onto the lattice
-        cell is such a row, restricted to ``[-1/2, 1/2]``.
+        breaks at each mean and its 6-sd shoulders, entries of weight 0
+        left out; an Irwin-Hall term reaches 12 of its sds past each end
+        and breaks at its knots, the ends of its pieces; a restricted row
+        keeps the breakpoints inside its ball and adds the ball's edges.
+        A row folded onto the lattice cell is such a row, restricted to
+        ``[-1/2, 1/2]``.
         """
         m, s = self.means, self.sds
-        real = np.arange(m.shape[1]) < self.size[:, None]
+        real = self.weights > 0.0
         lo = np.where(real, m - 12.0 * s, np.inf).min(axis=1)
         hi = np.where(real, m + 12.0 * s, -np.inf).max(axis=1)
         knots, peaks = [m - 6.0 * s, m, m + 6.0 * s], [real] * 3
@@ -491,8 +481,7 @@ def _kfold_components(jump_law: JumpLaw, k: int, m: np.ndarray,
     entry of the arrays ``m`` and ``s2``.
 
     Returns ``(means, sds, weights, spline)``: (row, component) arrays
-    whose weights are positive and sum to 1 along each row, a row with
-    fewer components than the widest padded with weight 0; and
+    whose weights are positive and sum to 1 along each row; and
     ``spline``, ``None`` or an Irwin-Hall sum of ``k`` pieces as
     ``(height, lo, hi)`` with its ends shifted by each row's ``m`` (it
     then carries weight 1 alone), read from a continuous law's closed form
@@ -551,10 +540,10 @@ def _kfold_table(summaries: IncrementSummaries, jump_law: JumpLaw,
     """One table whose row ``i`` mixes the k-fold laws of interval ``i``
     with weights ``weights[i, k]``, k = 0, 1, ...
 
-    Terms of weight at most 1e-300 are dropped.  A row keeps its
-    components in k order, and within a term in the k-fold law's order,
-    so its sums do not depend on the other rows; padding ``(0, 1, 0)``
-    follows them.  An Irwin-Hall sum of ``k`` uniform jumps is column
+    Terms of weight at most 1e-300 are dropped: their entries are
+    ``(0, 1, 0)``, of weight 0.  A row keeps its components in k order,
+    and within a term in the k-fold law's order, so its sums do not depend
+    on the other rows.  An Irwin-Hall sum of ``k`` uniform jumps is column
     ``k - 1`` of the ``box_*`` fields.
     """
     m, s2 = summaries.m, summaries.sigma2
@@ -573,15 +562,10 @@ def _kfold_table(summaries: IncrementSummaries, jump_law: JumpLaw,
             box["box_weight"][:, k - 1] = np.where(live, wk * height, 0.0)
             box["box_lo"][:, k - 1], box["box_hi"][:, k - 1] = lo, hi
     means, sds, ws, real = (np.concatenate(a, axis=1) for a in zip(*parts))
-    size = real.sum(axis=1)
-    # a stable sort keeps each row's components in order, padding last
-    order = np.argsort(~real, axis=1, kind="stable")[:, :size.max()]
-    pad = np.arange(order.shape[1]) >= size[:, None]
-    means, sds, ws = (
-        np.where(pad, fill, np.take_along_axis(a, order, axis=1))
-        for a, fill in ((means, 0.0), (sds, 1.0), (ws, 0.0)))
+    means, sds, ws = (np.where(real, a, fill) for a, fill in (
+        (means, 0.0), (sds, 1.0), (ws, 0.0)))
     box = dict(box, box_sd=np.sqrt(s2)) if box else {}
-    return Density(MixtureTable(means, sds, ws, size=size, **box))
+    return Density(MixtureTable(means, sds, ws, **box))
 
 
 def increment_density_exact(summaries: IncrementSummaries,

@@ -370,6 +370,17 @@ class Grid:
 # model specification
 # ---------------------------------------------------------------------------
 
+def _finite_on(fn, probe, name: str, what: str) -> np.ndarray:
+    """``fn`` at the times ``probe``; the first non-finite value raises
+    ``ValueError`` naming it and its time."""
+    values = np.asarray(fn(probe), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{name}({probe[bad[0]]:g}) = "
+                         f"{values.flat[bad[0]]:g} is not a finite {what}")
+    return values
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Full description of one observation experiment.
@@ -423,11 +434,11 @@ class ModelSpec:
         if not isinstance(self.jump_law, JumpLaw):
             raise TypeError("jump_law must be a JumpLaw instance")
         probe = np.linspace(0.0, self.horizon, 257)
-        sig = np.asarray(self.sigma(probe), dtype=float)
-        if np.any(~np.isfinite(sig)) or np.any(sig <= 0):
+        sig = _finite_on(self.sigma, probe, "sigma", "volatility")
+        if np.any(sig <= 0):
             raise ValueError("sigma must be positive on [0, horizon]")
-        lam = np.asarray(self.intensity(probe), dtype=float)
-        if np.any(~np.isfinite(lam)) or np.any(lam < -1e-12):
+        lam = _finite_on(self.intensity, probe, "intensity", "rate")
+        if np.any(lam < -1e-12):
             raise ValueError("intensity must be non-negative on [0, horizon]")
         cap, peak = self.intensity_max, float(lam.max())
         if cap is not None and peak > cap * (1.0 + 1e-12):  # as thinning
@@ -445,12 +456,8 @@ class ModelSpec:
         non-finite scan value raises ``ValueError`` naming its time."""
         if self.intensity_max is not None:
             return float(self.intensity_max)
-        probe = np.linspace(0.0, self.horizon, 4097)
-        lam = np.asarray(self.intensity(probe), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(lam))
-        if bad.size:
-            raise ValueError(f"intensity({probe[bad[0]]:g}) = "
-                             f"{lam.flat[bad[0]]:g} is not a finite rate")
+        lam = _finite_on(self.intensity, np.linspace(0.0, self.horizon, 4097),
+                         "intensity", "rate")
         peak = float(lam.max())
         return max(peak, 0.0) * 1.05  # __post_init__ lets rates dip to -1e-12
 

@@ -42,10 +42,10 @@ and each bisection round evaluates each table once.  Panels converge
 on their own, and every sum on the way (Kronrod nodes, mixture
 components, a row's panels) runs in a fixed order, so a row's value is
 the same bits alone, in any grid and at any place in it.  A row whose
-two sides hold the same data (size, components and per-row fields, each
-factor of its evaluation finite) is 0.0 without quadrature, for TV and
-Hellinger alike: both integrands are 0 at every point.  The L1 distance
-is twice the TV.
+two sides hold the same data (entries and per-row fields, each factor of
+its evaluation finite) is 0.0 without quadrature, for TV and Hellinger
+alike: both integrands are 0 at every point.  The L1 distance is twice
+the TV.
 """
 
 from __future__ import annotations
@@ -105,17 +105,14 @@ def integrate_rows(fn, *sides) -> np.ndarray:
 
 
 def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
-    """Rows whose two sides hold the same size, components and per-row
-    fields, where every factor the evaluator forms from them is finite
-    (``beta`` aside, whose inf means no restriction)."""
-    size = p.size == q.size
-    if not size.any():
-        return size
-    # past an equal size both sides hold padding (0, 1, 0)
+    """Rows whose two sides hold the same entries and per-row fields,
+    where every factor the evaluator forms from them is finite (``beta``
+    aside, whose inf means no restriction); past the narrower side's
+    width, neither side may hold an entry of positive weight."""
     w = min(p.means.shape[1], q.means.shape[1])
     top = np.divide(1.0, p.resample_sd, out=np.zeros(p.rows),
                     where=p.resample_sd > 0.0)
-    rows = [size] + [getattr(p, f) == getattr(q, f) for f in (
+    rows = [getattr(p, f) == getattr(q, f) for f in (
         "beta", "mass", "resample_sd", "box_sd")] + [
             np.isfinite(a) for a in (p.mass, top, p.box_sd)]
     # the Irwin-Hall columns both sides hold, and none past them
@@ -125,6 +122,8 @@ def _same_rows(p: MixtureTable, q: MixtureTable) -> np.ndarray:
         rows.append(np.all((a == getattr(q, f)[:, :k]) & np.isfinite(a),
                            axis=1))
     rows += [~t.box_weight[:, k:].any(axis=1) for t in (p, q)]
+    # the entries both sides hold, and none of positive weight past them
+    rows += [~t.weights[:, w:].any(axis=1) for t in (p, q)]
     cols = [getattr(p, f)[:, :w] == getattr(q, f)[:, :w]
             for f in ("means", "sds", "weights")]
     cols.append(np.isfinite(p._scaled[:, :w]))

@@ -229,7 +229,8 @@ def parent_hooks(kind, a, b):
 def parent_table(summaries, kfold_law, weights):
     """The k-fold table as the parent's builder assembled it from a
     ``kfold_law``: each row's live terms in k order, padded with
-    ``(0, 1, 0)``, and an Irwin-Hall sum of k jumps in box column k - 1."""
+    ``(0, 1, 0)`` of weight 0, and an Irwin-Hall sum of k jumps in box
+    column k - 1."""
     m, s2 = summaries.m, summaries.sigma2
     rows = [[] for _ in range(m.size)]
     box = {}
@@ -253,8 +254,7 @@ def parent_table(summaries, kfold_law, weights):
     fields = np.array([row + [(0.0, 1.0, 0.0)] * (width - len(row))
                        for row in rows]).transpose(2, 0, 1)
     box = dict(box, box_sd=np.sqrt(s2)) if box else {}
-    return lj.MixtureTable(*fields, size=np.array([len(r) for r in rows]),
-                           **box)
+    return lj.MixtureTable(*fields, **box)
 
 
 #: three intervals: one with no jump mass, whose row is padded
@@ -355,6 +355,19 @@ class TestModelSpecValidation:
     def test_intensity_must_stay_nonnegative(self):
         with pytest.raises(ValueError, match="intensity"):
             make_spec(intensity=lj.linear(0.1, -1.0))
+
+    @pytest.mark.parametrize("name, what", [("intensity", "rate"),
+                                            ("sigma", "volatility")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probe_names_its_value_and_time(self, name, what,
+                                                       bad):
+        # 129/256 is the first of the 257 probes past 1/2; such a value
+        # used to read as a negative rate or a non-positive sigma
+        fn = lj.TimeFunction(
+            lambda t: np.where(np.asarray(t) > 0.5, bad, 1.0))
+        why = rf"{name}\(0.503906\) = {bad:g} is not a finite {what}"
+        with pytest.raises(ValueError, match=why):
+            make_spec(**{name: fn})
 
     @pytest.mark.parametrize("cap", [0.5, 0.0])
     def test_intensity_max_below_the_intensity_is_refused(self, cap):

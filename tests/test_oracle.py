@@ -312,12 +312,13 @@ class TestBatch:
             assert isinstance(got, np.ndarray) and got.shape == (0,)
 
     def test_non_finite_pair_names_its_panel(self):
-        # the middle row's integrand is NaN on all of [2, 3], whose first
-        # panel is [2, 2.25]; the whole call raises, so no row's value is
-        # returned
+        # the middle row's integrand is NaN on all of [2, 3], where a NaN
+        # escaped mass tops it up, and that span's first panel is
+        # [2, 2.25]; the whole call raises, so no row's value is returned
         p = lj.Density(lj.MixtureTable([[0.0], [2.5], [0.0]],
-                                       [[1.0], [1.0 / 24.0], [1.0]],
-                                       [[1.0], [math.nan], [1.0]]))
+                                       [[1.0], [1.0 / 24.0], [1.0]], 1.0,
+                                       mass=[0.0, math.nan, 0.0],
+                                       resample_sd=[0.0, 1.0, 0.0]))
         q = lj.Density(lj.MixtureTable([[1.0], [2.5], [40.0]],
                                        [[1.0], [1.0 / 24.0], [1.0]], 1.0))
         with pytest.raises(lj.QuadratureError,
@@ -327,11 +328,14 @@ class TestBatch:
 
 
 #: a row that sets every per-row field, so each can be told apart; its
-#: third entry is padding
+#: third entry is padding of weight 0
 FULL_ROW = dict(means=[[0.1, 0.4, 0.0]], sds=[[0.2, 0.3, 1.0]],
-                weights=[[0.6, 0.3, 0.0]], size=[2], beta=[2.0], mass=[0.05],
+                weights=[[0.6, 0.3, 0.0]], beta=[2.0], mass=[0.05],
                 resample_sd=[0.5], box_weight=[[0.05]], box_lo=[[-0.5]],
                 box_hi=[[0.5]], box_sd=[0.1])
+
+#: FULL_ROW's components, the entries before its padding
+COMPONENTS = 2
 
 
 def _row(rows=1, **change):
@@ -346,7 +350,7 @@ def _row(rows=1, **change):
 def _bump(a):
     """``a`` with its last component (or its one field) one ulp up."""
     a = a.copy()
-    at = (0, min(FULL_ROW["size"][0], a.shape[1]) - 1) if a.ndim == 2 else 0
+    at = (0, min(COMPONENTS, a.shape[1]) - 1) if a.ndim == 2 else 0
     a[at] = np.nextafter(a[at], np.inf)
     return a
 
@@ -381,6 +385,10 @@ def _assert_same_table(a, b):
                                           getattr(b, f.name), err_msg=f.name)
 
 
+#: a table refused where it is built, and a row refused by the oracle
+REFUSED = (ValueError, "weights must be finite and non-negative")
+NON_FINITE = (lj.QuadratureError, "non-finite")
+
 #: the two paired distances, each of which reads equal rows as 0.0
 PAIRED = [lj.tv_quadrature, lj.hellinger_quadrature]
 
@@ -404,30 +412,34 @@ class TestEqualRows:
         assert lj.tv_quadrature(p, q) == 0.0
         assert evaluated_rows == set()
 
-    @pytest.mark.parametrize("field", sorted(FULL_ROW))
+    @pytest.mark.parametrize("field", sorted(FULL_ROW) + ["padding"])
     def test_one_changed_field_is_integrated(self, field, evaluated_rows):
         # one ulp in the last component or field, or the padding taken in
-        # as a component of weight 0
-        edit = {"size": lambda a: a + 1}.get(field, _bump)
+        # as a component of weight 0.1
+        change = ({"weights": lambda a: np.where(a > 0.0, a, 0.1)}
+                  if field == "padding" else {field: _bump})
         for distance in PAIRED:
             evaluated_rows.clear()
-            got = distance(_row(2), _row(2, **{field: edit}))
+            got = distance(_row(2), _row(2, **change))
             assert evaluated_rows == {1}
             assert got[0] == 0.0
-            assert got[1] == distance(_row(), _row(**{field: edit}))[0]
+            assert got[1] == distance(_row(), _row(**change))[0]
 
     @pytest.mark.parametrize("change", [
-        {"weights": lambda a: np.where(a > 0.0, np.inf, 0.0)},
-        {"weights": lambda a: np.where(a > 0.0, np.nan, 0.0)},
-        {"mass": lambda a: np.full_like(a, np.inf)},
-        {"box_weight": lambda a: np.full_like(a, np.inf)},
+        # a weight that is not finite is refused where the table is built
+        ({"weights": lambda a: np.where(a > 0.0, np.inf, 0.0)}, REFUSED),
+        ({"weights": lambda a: np.where(a > 0.0, np.nan, 0.0)}, REFUSED),
+        ({"mass": lambda a: np.full_like(a, np.inf)}, NON_FINITE),
+        ({"box_weight": lambda a: np.full_like(a, np.inf)}, REFUSED),
         # finite fields whose weight / sd or 1 / resample_sd overflows
-        {"weights": lambda a: np.where(a > 0.0, 1e308, 0.0)},
-        {"resample_sd": lambda a: np.full_like(a, 1e-310)}])
+        ({"weights": lambda a: np.where(a > 0.0, 1e308, 0.0)}, NON_FINITE),
+        ({"resample_sd": lambda a: np.full_like(a, 1e-310)}, NON_FINITE)])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_self_pair_still_raises(self, change):
-        p = _row(**change)
-        with pytest.raises(lj.QuadratureError, match="non-finite"):
+        # never read as an equal row's 0.0
+        edit, (error, why) = change
+        with pytest.raises(error, match=why):
+            p = _row(**edit)
             lj.tv_quadrature(p, p)
 
     @pytest.mark.parametrize("m", [1.5, 0.5, -0.5, 2.5])
@@ -436,7 +448,7 @@ class TestEqualRows:
         # the Gaussian's center and the unit jump's lie at opposite ends
         # of the cell, +1/2 and -1/2, and still merge
         p, q = _folded_unit_jump_pair(m, 0.25, 0.3)
-        assert p.table.size[0] == q.table.size[0] == 15
+        assert np.count_nonzero(p.table.weights[0] > 0.0) == 15
         _assert_same_table(p.table, q.table)
         assert lj.tv_quadrature(p, q) == 0.0
         assert evaluated_rows == set()

@@ -130,11 +130,10 @@ def test_table_rows_equal_one_law_densities_bitwise(grid, x):
             assert (lo[r], hi[r]) == (one_lo, one_hi)
             assert breakpoints(pts[r]) == breakpoints(one_pts[0])
             t, one = many.table, alone.table
-            k = t.size[r]
-            assert k == one.size[0]
+            real, one_real = t.weights[r] > 0.0, one.weights[0] > 0.0
             for field in ("means", "sds", "weights"):
-                assert np.array_equal(getattr(t, field)[r, :k],
-                                      getattr(one, field)[0, :k])
+                assert np.array_equal(getattr(t, field)[r, real],
+                                      getattr(one, field)[0, one_real])
             assert t.boxed[r] == one.boxed[0]
             if t.boxed[r]:
                 # the row's Irwin-Hall columns, then zero-weight padding
@@ -301,15 +300,14 @@ def _dense_by_loop(table: MixtureTable, x, rows) -> np.ndarray:
        points=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_component_sums_equal_a_plain_loop_bitwise(k, tables, points, seed):
-    # any width, one point or many; signed weights give -0.0 terms where
-    # phi underflows, which a sum from 0 turns into 0.0
+    # any width, one point or many, with padding of weight 0
     gen = np.random.default_rng(seed)
     size = gen.integers(1, k + 1, tables)
     real = np.arange(k) < size[:, None]
     table = MixtureTable(
         np.where(real, gen.uniform(-20.0, 20.0, (tables, k)), 0.0),
         np.where(real, gen.uniform(1e-2, 2.0, (tables, k)), 1.0),
-        np.where(real, gen.uniform(-1.0, 1.0, (tables, k)), 0.0), size)
+        np.where(real, gen.uniform(0.0, 1.0, (tables, k)), 0.0))
     x = gen.uniform(-60.0, 60.0, points)
     rows = gen.integers(0, tables, points)
     assert (table._dense(x, rows).tobytes()
@@ -338,7 +336,7 @@ def test_mixed_width_rows_equal_their_one_row_tables_bitwise(sizes, seed, x):
     # pushforward rows (cut plus top-up), whether every row of their table
     # is topped or an untopped row shares it
     gen = np.random.default_rng(seed)
-    # means, sds and weights of the three rows, padded with (0, 1, 0)
+    # means, sds and weights of the three rows, padded with weight 0
     fields = np.zeros((3, 3, max(sizes)))
     fields[1] = 1.0
     for r, k in enumerate(sizes):
@@ -354,7 +352,7 @@ def test_mixed_width_rows_equal_their_one_row_tables_bitwise(sizes, seed, x):
     def table_of(rows, topped):
         """Rows ``rows`` in one table, those where ``topped`` is set cut
         and topped up."""
-        return MixtureTable(*fields[:, rows], size=np.take(sizes, rows),
+        return MixtureTable(*fields[:, rows],
                             **{f: np.where(topped, a[rows], untouched)
                                for (f, a), untouched in zip(
                                    cut.items(), (np.inf, 0.0, 0.0))})
@@ -408,7 +406,6 @@ def test_every_table_field_is_read_only():
     full = {"means": np.array([[0.0, 1.0], [2.0, 0.0]]),
             "sds": np.ones((2, 2)),
             "weights": np.array([[0.5, 0.5], [0.5, 0.0]]),
-            "size": np.array([2, 1], dtype=np.intp),
             "beta": np.array([np.inf, 1.5]), "mass": np.zeros(2),
             "resample_sd": np.array([0.0, 0.3]),
             "box_weight": np.array([[0.0, 0.2], [0.0, 0.0]]),
@@ -446,15 +443,64 @@ def test_components_need_a_finite_mean_and_a_finite_positive_sd(mean, sd):
         MixtureTable([[0.0, mean]], [[1.0, sd]], [[0.5, 0.5]])
 
 
-@pytest.mark.parametrize("entry", [(0.4, 0.3, 0.3), (0.4, 1.0, 0.0),
-                                   (0.0, 0.3, 0.0), (0.0, 1.0, 0.3)])
-def test_entries_past_a_rows_size_must_be_padding(entry):
-    # a row of size 1 with a second entry (0.4, 0.3, 0.3) read TV 0.15
-    # against its two-component form alone but 0.0 when batched with the
-    # two-component row itself: a wider row brought its entries in
-    mean, sd, weight = entry
-    with pytest.raises(ValueError, match=r"padding \(0, 1, 0\)"):
-        MixtureTable([[0.0, mean]], [[1.0, sd]], [[0.7, weight]], size=[1])
+@pytest.mark.parametrize("field", ["weights", "box_weight"])
+@pytest.mark.parametrize("weight", [-0.5, -1e-300, -np.inf, np.inf, np.nan])
+def test_weights_must_be_finite_and_non_negative(field, weight):
+    # an entry counts where its weight is positive: a negative one would
+    # be evaluated without its breakpoints
+    fields = dict(means=[[0.0, 1.0]], sds=[[1.0, 0.5]], weights=[[0.5, 0.3]],
+                  box_weight=[[0.1]], box_lo=[[-1.0]], box_hi=[[1.0]])
+    fields[field] = np.array(fields[field])
+    fields[field][0, -1] = weight
+    with pytest.raises(ValueError, match="weights must be finite and "
+                                         "non-negative"):
+        MixtureTable(**fields)
+
+
+@given(rows=st.lists(st.lists(st.tuples(st.floats(-5.0, 5.0),
+                                        st.floats(0.05, 2.0),
+                                        st.floats(0.01, 1.0)),
+                              min_size=1, max_size=4),
+                     min_size=1, max_size=3),
+       spots=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1),
+       x=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=20))
+@settings(max_examples=40, deadline=None)
+def test_entries_of_weight_zero_change_no_bit(rows, spots, seed, x):
+    # entries of weight 0, of any finite mean and positive sd, put
+    # anywhere in a row (between its components too) change no bit of
+    # any row: its values, escaped mass, breakpoints, fold, TV and mass
+    gen = np.random.default_rng(seed)
+    width = max(map(len, rows))
+    fields = np.array([row + [(0.0, 1.0, 0.0)] * (width - len(row))
+                       for row in rows]).transpose(2, 0, 1)
+    means, sds, weights = fields
+    for at in spots:
+        at = min(at, means.shape[1])
+        means = np.insert(means, at, gen.uniform(-1e3, 1e3, len(rows)), 1)
+        sds = np.insert(sds, at, np.exp(gen.uniform(-7.0, 7.0, len(rows))),
+                        1)
+        weights = np.insert(weights, at, 0.0, 1)
+    base, dead = MixtureTable(*fields), MixtureTable(means, sds, weights)
+    r = np.repeat(np.arange(len(rows)), len(x))
+    x = np.tile(x, len(rows))
+    assert base.values(x, r).tobytes() == dead.values(x, r).tobytes()
+    assert (base.escaped_mass(1.5).tobytes()
+            == dead.escaped_mass(1.5).tobytes())
+    (lo, hi, pts), (dlo, dhi, dpts) = base.structure(), dead.structure()
+    assert lo.tobytes() == dlo.tobytes() and hi.tobytes() == dhi.tobytes()
+    for a, b in zip(pts, dpts):
+        assert set(a[~np.isnan(a)].tolist()) == set(b[~np.isnan(b)].tolist())
+    folded, dead_folded = (lj.fold_density_to_lattice_cell(lj.Density(t))
+                           for t in (base, dead))
+    for f in dataclasses.fields(MixtureTable):
+        assert (getattr(folded.table, f.name).tobytes()
+                == getattr(dead_folded.table, f.name).tobytes()), f.name
+    target = lj.gaussian_density(np.full(len(rows), 0.5), 1.0)
+    p, q = lj.Density(base), lj.Density(dead)
+    assert (lj.tv_quadrature(p, target).tobytes()
+            == lj.tv_quadrature(q, target).tobytes())
+    assert lj.total_mass(p).tobytes() == lj.total_mass(q).tobytes()
 
 
 
@@ -465,5 +511,5 @@ def test_narrow_lattice_peaks_keep_their_mass():
     d = lj.increment_density_exact(
         lj.IncrementSummaries(m=0.0, sigma2=0.001, lam=1.125),
         lj.LatticeJumps([-1, 2], [0.25, 0.75]))
-    assert d.table.size[0] == 136
+    assert np.count_nonzero(d.table.weights[0] > 0.0) == 136
     assert abs(lj.total_mass(d) - d.table.weights.sum()) <= 1e-12
