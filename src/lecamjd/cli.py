@@ -46,15 +46,28 @@ Output is deterministic for fixed (config, seed, flags): floats are
 rendered with ``repr``, integers with ``str``, and rows are in index
 order.  A column whose cells are all bitwise identical is rendered once
 and repeated, and a float cell with the bits of the same row of an
-earlier float column reuses that cell's text.  ``--L 0`` is a config
-error where the truncate bound is computed (``bounds``, ``convergence``).
+earlier float column reuses that cell's text; the body is formatted and
+written 4,096 rows at a time.  ``--L 0`` is a config error where the
+truncate bound is computed (``bounds``, ``convergence``).
+
+Importing this module loads :mod:`lecamjd.model` alone, since configs
+are parsed into its types; a subcommand imports its own layers when it
+runs.  ``validate`` loads nothing more, ``simulate`` adds ``simulate``,
+``filter`` ``kernels`` (with ``laws`` and ``simulate``), ``bounds``
+``distances`` (with ``kernels``), and ``convergence`` and
+``risk-transfer`` ``experiments``, which imports every layer.  The
+library functions that ``bench/tracing.py`` wraps are called as
+attributes of this module (``_LATE``), so a rebinding made before a
+subcommand first runs is what it calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import importlib
 import io
 import itertools
 import json
@@ -64,21 +77,36 @@ import warnings
 
 import numpy as np
 
-from .distances import (bernoulli_aggregate_bound,
-                        continuous_kernel_aggregate_bound,
-                        discrete_kernel_aggregate_bound)
-from .experiments import (DEFAULT_EPSILON, DEFAULT_L, ConvergenceRow,
-                          RiskRow, default_drift_estimator, run_convergence,
-                          run_risk_transfer)
-from .kernels import (TruncateResampleParams, jump_case_of,
-                      round_to_lattice, truncate_resample)
 from .model import (DiracJump, Grid, LatticeJumps, ModelSpec,
                     QuadratureError, build_increment_summaries,
                     check_sigma_log_derivative, constant, gaussian_jumps,
                     linear, sine, uniform_jumps)
-from .simulate import RngStream, bin_jump_sums, sample_path
 
 __all__ = ["ConfigError", "parse_config", "load_config", "main"]
+
+
+#: library functions a handler calls as attributes of this module, by the
+#: module that defines each.  Each is imported on first access, so a
+#: subcommand loads only its own layers; a name rebound here before that
+#: (``bench/tracing.py`` wraps these to time the layers) is never replaced,
+#: and every call goes through the binding in place at the time.
+_LATE = {"sample_path": "simulate", "truncate_resample": "kernels",
+         "bernoulli_aggregate_bound": "distances",
+         "discrete_kernel_aggregate_bound": "distances",
+         "continuous_kernel_aggregate_bound": "distances"}
+
+
+def __getattr__(name: str):
+    if name not in _LATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_LATE[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+#: this module: ``_late.sample_path`` is the current binding of a
+#: ``_LATE`` name
+_late = sys.modules[__name__]
 
 
 class ConfigError(ValueError):
@@ -155,10 +183,11 @@ def _parse_kind(obj, key: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-#: largest grid a config or ``--n-list`` may ask for: ``simulate`` and
-#: ``bounds`` hold about 0.5 kB per interval (float arrays and the text
-#: of each CSV cell), so 2**24 intervals already need some 8 GB; past
-#: the cap a run would fail in an allocation, not with a config error
+#: largest grid a config or ``--n-list`` may ask for: ``simulate``,
+#: ``filter`` and ``bounds`` hold 40-95 bytes per interval (float arrays;
+#: the CSV text is formatted ``_BLOCK`` rows at a time), so 2**24
+#: intervals need up to some 1.6 GB; past the cap a run could fail in an
+#: allocation, not with a config error
 _MAX_N = 1 << 24
 
 
@@ -247,18 +276,24 @@ def _float_texts(values: np.ndarray, bits: np.ndarray, earlier: list) -> list:
     return texts.tolist()
 
 
+#: rows formatted per write: the cell texts of one block are all that
+#: is held as text at a time
+_BLOCK = 4096
+
+
 def _emit_csv(columns: dict, out_path: str | None, last_row=None) -> None:
     """Write equal-length named columns, plus an optional row of text.
 
     Floats are rendered with ``repr``, everything else with ``str``, and
-    text is quoted as ``csv.writer`` quotes it.  The body is one ``%``
-    format of a row template repeated once per row.  A column whose cells
-    are all bitwise identical is written into the template once, as
-    literal text; a float cell with the bits of the same row of an
-    earlier float column reuses that cell's text.
+    text is quoted as ``csv.writer`` quotes it.  The body is written in
+    blocks of ``_BLOCK`` rows, each one ``%`` format of a row template
+    repeated once per row.  A column whose cells are all bitwise
+    identical is written into the template once, as literal text; a float
+    cell with the bits of the same row of an earlier float column reuses
+    that cell's text.
     """
     alone = len(columns) == 1
-    fields, cells, floats, rows = [], [], [], 0
+    fields, varying, rows = [], [], 0
     for column in columns.values():
         arr = np.asarray(column)
         rows = arr.size
@@ -269,29 +304,30 @@ def _emit_csv(columns: dict, out_path: str | None, last_row=None) -> None:
         if rows and (bits == bits[0]).all():
             fields.append(_field(render(arr.item(0)), alone)
                           .replace("%", "%%"))
-            continue
-        fields.append("%s")
-        if kind == "f":
-            cells.append(_float_texts(arr, bits, floats))
-            floats.append((bits, cells[-1]))
-        elif kind in "biu":  # numbers are never quoted
-            cells.append(arr.tolist())
         else:
-            cells.append([_field(str(v), alone) for v in arr.tolist()])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+            fields.append("%s")
+            varying.append((arr, bits))
     template = ",".join(fields) + "\n"
-    buf.write((template * rows)
-              % tuple(itertools.chain.from_iterable(zip(*cells))))
-    if last_row is not None:
-        writer.writerow(last_row)
-    text = buf.getvalue()
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with (contextlib.nullcontext(sys.stdout) if out_path is None
+          else open(out_path, "w", encoding="utf-8", newline="")) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for start in range(0, rows, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            cells, floats = [], []
+            for arr, bits in varying:
+                arr, bits = arr[block], bits[block]
+                if arr.dtype.kind == "f":
+                    cells.append(_float_texts(arr, bits, floats))
+                    floats.append((bits, cells[-1]))
+                elif arr.dtype.kind in "biu":  # numbers are never quoted
+                    cells.append(arr.tolist())
+                else:
+                    cells.append([_field(str(v), alone) for v in arr.tolist()])
+            fh.write((template * min(_BLOCK, rows - start))
+                     % tuple(itertools.chain.from_iterable(zip(*cells))))
+        if last_row is not None:
+            writer.writerow(last_row)
 
 
 def _record_columns(records: list, cls) -> dict:
@@ -304,6 +340,7 @@ def _record_columns(records: list, cls) -> dict:
 def _jump_case(spec: ModelSpec) -> str:
     """The jump case of the config's law; a law no kernel erases is a
     config error."""
+    from .kernels import jump_case_of
     try:
         return jump_case_of(spec.jump_law)
     except ValueError as exc:
@@ -327,10 +364,11 @@ def _parse_n_list(raw: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    from .simulate import bin_jump_sums
     spec, n = load_config(args.config)
     grid = Grid.uniform(spec.horizon, n)
     summaries = build_increment_summaries(spec, grid)
-    path = sample_path(spec, grid, summaries, args.rng)
+    path = _late.sample_path(spec, grid, summaries, args.rng)
     counts = bin_jump_sums(grid.times, path.jump_times,
                            np.ones_like(path.jump_sizes))
     _emit_csv({"t_i": grid.times[1:], "increment": path.increments,
@@ -373,6 +411,7 @@ def _read_increment_csv(path: str):
 
 
 def _cmd_filter(args) -> int:
+    from .kernels import TruncateResampleParams, round_to_lattice
     inc, times = _read_increment_csv(args.input)
     bad = np.flatnonzero(~np.isfinite(inc))
     if bad.size:
@@ -399,7 +438,8 @@ def _cmd_filter(args) -> int:
         filtered = inc.copy()
         for i in np.flatnonzero(params.escaped(inc)):
             row = TruncateResampleParams(args.L, args.epsilon, sigma[i])
-            filtered[i] = truncate_resample(inc[i], row, args.rng.child(i))
+            filtered[i] = _late.truncate_resample(inc[i], row,
+                                                  args.rng.child(i))
     if times is None:
         times = np.arange(1, inc.size + 1, dtype=float)
     _emit_csv({"t_i": times, "filtered_increment": filtered}, args.out)
@@ -414,12 +454,12 @@ def _cmd_bounds(args) -> int:
     grid = Grid.uniform(spec.horizon, n)
     summaries = build_increment_summaries(spec, grid)
     if kernel == "round":
-        report = discrete_kernel_aggregate_bound(summaries)
+        report = _late.discrete_kernel_aggregate_bound(summaries)
     elif kernel == "truncate":
-        report = continuous_kernel_aggregate_bound(
+        report = _late.continuous_kernel_aggregate_bound(
             summaries, args.L, args.epsilon, spec.jump_law)
     else:
-        report = bernoulli_aggregate_bound(summaries)
+        report = _late.bernoulli_aggregate_bound(summaries)
     for note in report.warnings:
         print(f"warning: {note}", file=sys.stderr)
     aggregate = repr(float(report.aggregate))
@@ -427,13 +467,15 @@ def _cmd_bounds(args) -> int:
                "lambda_i": summaries.lam,
                "sigma_i": summaries.sigma, "m_i": summaries.m,
                "per_increment_bound": report.per_increment,
-               "formula_name": [report.formula_name] * summaries.n},
+               "formula_name": np.broadcast_to(report.formula_name,
+                                               summaries.n)},
               args.out, last_row=("aggregate", "", "", "", aggregate,
                                   report.formula_name))
     return 0
 
 
 def _cmd_convergence(args) -> int:
+    from .experiments import ConvergenceRow, run_convergence
     spec, _ = load_config(args.config)
     n_list = _parse_n_list(args.n_list)
     rows = run_convergence(spec, n_list, _jump_case(spec), L=args.L,
@@ -443,6 +485,8 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_risk_transfer(args) -> int:
+    from .experiments import (RiskRow, default_drift_estimator,
+                              run_risk_transfer)
     spec, _ = load_config(args.config)
     rows = run_risk_transfer(spec, default_drift_estimator,
                              _parse_n_list(args.n_list), args.reps, args.rng)
@@ -462,7 +506,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-#: every flag a subcommand can take, with its argparse settings
+#: every flag a subcommand can take, with its argparse settings; ``--L``
+#: and ``--epsilon`` default to None, which ``main`` reads as
+#: ``kernels.DEFAULT_L`` and ``DEFAULT_EPSILON`` once it loads ``kernels``
 _FLAGS = {
     "--config": dict(required=True, help="JSON config path"),
     "--seed": dict(type=int, default=0,
@@ -471,9 +517,8 @@ _FLAGS = {
                   help="write CSV here instead of standard output"),
     "--n-list": dict(required=True,
                      help="comma-separated grid sizes, strictly increasing"),
-    "--L": dict(type=float, default=DEFAULT_L,
-                help="drift cap for the truncate kernel"),
-    "--epsilon": dict(type=float, default=DEFAULT_EPSILON,
+    "--L": dict(type=float, help="drift cap for the truncate kernel"),
+    "--epsilon": dict(type=float,
                       help="radius exponent for the truncate kernel"),
 }
 
@@ -521,13 +566,19 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if "seed" in vars(args):
+            from .simulate import RngStream
             try:
                 args.rng = RngStream(args.seed)
             except ValueError:
                 raise ConfigError(f"--seed must be in [0, 2**64) "
                                   f"(got {args.seed})") from None
         if "L" in vars(args):  # the truncate kernel's options
-            TruncateResampleParams(args.L, args.epsilon, sigma_i=1.0)
+            from . import kernels
+            if args.L is None:
+                args.L = kernels.DEFAULT_L
+            if args.epsilon is None:
+                args.epsilon = kernels.DEFAULT_EPSILON
+            kernels.TruncateResampleParams(args.L, args.epsilon, sigma_i=1.0)
         return args.handler(args)
     except (QuadratureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -37,9 +37,9 @@ from .distances import (bernoulli_aggregate_bound,
                         continuous_kernel_aggregate_bound,
                         discrete_kernel_aggregate_bound,
                         hellinger_product_tv_bound, theorem_rate)
-from .kernels import (TruncateResampleParams, fold_density_to_lattice_cell,
-                      jump_case_of, transfer_estimator,
-                      truncate_resample_pushforward)
+from .kernels import (DEFAULT_EPSILON, DEFAULT_L, TruncateResampleParams,
+                      fold_density_to_lattice_cell, jump_case_of,
+                      transfer_estimator, truncate_resample_pushforward)
 from .laws import (bernoulli_density, gaussian_density,
                    increment_density_exact)
 from .model import (Grid, HolderClassParams, IncrementSummaries, ModelSpec,
@@ -55,10 +55,6 @@ __all__ = [
     "run_risk_transfer",
     "default_drift_estimator",
 ]
-
-#: default drift cap and exponent for the truncate-and-resample kernel
-DEFAULT_L = 1.0 / 3.0
-DEFAULT_EPSILON = 0.5
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,10 @@ __all__ = [
     "weighted_integral_statistic",
 ]
 
+#: default drift cap and exponent for the truncate-and-resample kernel
+DEFAULT_L = 1.0 / 3.0
+DEFAULT_EPSILON = 0.5
+
 
 def jump_case_of(law: JumpLaw) -> str:
     """``"lattice"`` for integer jumps, which the fractional-part map

@@ -74,6 +74,31 @@ _PIECE_REACH = 40.0
 _SERIES_TERMS = 32
 
 
+#: the tests of ``_FIELD_RULES``, each made of comparisons alone so that
+#: it takes a float or an array (elementwise); NaN passes none
+_FINITE = (lambda a: (a > -math.inf) & (a < math.inf), "finite")
+_POSITIVE = (lambda a: (a > 0.0) & (a < math.inf), "finite and positive")
+_NON_NEGATIVE = (lambda a: (a >= 0.0) & (a < math.inf),
+                 "finite and non-negative")
+
+#: each checked ``MixtureTable`` field: (name in the error, test, what
+#: the field must be).  A weight must not be negative, since an entry
+#: counts where its weight is positive and a negative one would be
+#: evaluated but lose its breakpoints.  ``mass`` is left to the oracle,
+#: which refuses a non-finite integrand.
+_FIELD_RULES = {
+    "means": ("component means", *_FINITE),
+    "sds": ("component sds", *_POSITIVE),
+    "weights": ("weights", *_NON_NEGATIVE),
+    "box_weight": ("weights", *_NON_NEGATIVE),
+    "box_lo": ("box_lo", *_FINITE),
+    "box_hi": ("box_hi", *_FINITE),
+    "box_sd": ("box_sd", *_POSITIVE),
+    "beta": ("beta", lambda a: a > 0.0, "positive (inf: no restriction)"),
+    "resample_sd": ("resample_sd", *_NON_NEGATIVE),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class MixtureTable:
     """Finite Gaussian mixtures as arrays, one law per row.
@@ -101,9 +126,11 @@ class MixtureTable:
     the lattice cell is restricted to 1/2); ``mass`` and ``resample_sd``
     are the escaped mass and resampling sd of the truncate-and-resample
     output (0: none).
-    Every entry needs a finite mean and a finite positive sd, and every
-    weight (``box_weight`` too) must be finite and non-negative, or the
-    table raises ``ValueError``.
+    Every entry needs a finite mean and a finite positive sd, every
+    weight (``box_weight`` too) must be finite and non-negative,
+    ``box_lo`` and ``box_hi`` finite, ``box_sd`` finite and positive,
+    ``beta`` positive (inf allowed) and ``resample_sd`` finite and
+    non-negative, or the table raises ``ValueError`` (``_FIELD_RULES``).
     Per-row fields may be given as scalars.  Every field is kept
     read-only: a full-shape array of the right dtype as a view of the
     caller's array (not copied, and still writable there), a scalar as one
@@ -132,17 +159,19 @@ class MixtureTable:
                      else (rows, *terms) if name in ("box_weight", "box_lo",
                                                      "box_hi")
                      else (rows,))
-            object.__setattr__(self, name, _read_only(
-                np.asarray(getattr(self, name), dtype=float), shape))
-        if not np.isfinite(self.means).all():
-            raise ValueError("component means must be finite")
-        if not ((self.sds > 0.0) & (self.sds < math.inf)).all():
-            raise ValueError("component sds must be finite and positive")
-        # an entry counts where its weight is positive: a negative one
-        # would be evaluated but lose its breakpoints
-        for w in (self.weights, self.box_weight):
-            if not ((w >= 0.0) & (w < math.inf)).all():
-                raise ValueError("weights must be finite and non-negative")
+            value = np.asarray(getattr(self, name), dtype=float)
+            if name in _FIELD_RULES:
+                # a scalar (the per-row defaults) is tested as a float:
+                # numpy's cost per call on a 0-d array made the lattice
+                # sweep, whose tables have only scalar per-row fields,
+                # about 3 % slower
+                label, test, rule = _FIELD_RULES[name]
+                if not (test(value.item()) if value.ndim == 0
+                        else test(value).all()):
+                    bad = value[~test(value)].flat[0]
+                    raise ValueError(
+                        f"{label} must be {rule} (got {float(bad)!r})")
+            object.__setattr__(self, name, _read_only(value, shape))
 
     @property
     def rows(self) -> int:

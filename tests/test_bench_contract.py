@@ -4,7 +4,9 @@
 and ``lecamjd.cli`` and wraps the ``pdf`` field of the densities they
 return.  A rebound name is timed only where the drivers call it by that
 name: the sweeps' oracle work is the two ``tv_quadrature`` calls per grid
-that ``run_convergence`` makes through ``lecamjd.experiments``.
+that ``run_convergence`` makes through ``lecamjd.experiments``.  The
+CLI imports a subcommand's layers when it first runs, so a rebinding made
+on ``lecamjd.cli`` before then must stand.
 ``bench/run.py`` reads ``lecamjd.experiments.worker_count``; and
 ``bench/workloads.py`` calls the two experiment drivers with positional
 arguments on the specs of ``bench/specs.py`` and reads fields of their
@@ -16,6 +18,7 @@ must fail no operation.
 
 import dataclasses
 import importlib.util
+import json
 import math
 import pathlib
 import sys
@@ -28,6 +31,13 @@ from lecamjd.laws import Density
 from lecamjd.simulate import RngStream
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+#: a small valid config for the CLI
+CLI_CONFIG = {"drift": {"kind": "constant", "value": 0.1},
+              "sigma": {"kind": "constant", "value": 1.0},
+              "intensity": {"kind": "constant", "value": 1.0},
+              "jump_law": {"kind": "dirac", "location": 1.0},
+              "epsilon_n": 0.05, "horizon": 1.0, "n": 8}
 
 
 def load_bench(name, monkeypatch=None, as_name=None):
@@ -50,6 +60,55 @@ def test_every_traced_name_exists():
         missing = [name for names in spans.values() for name in names
                    if not callable(getattr(module, name, None))]
         assert missing == [], f"{module.__name__} lacks {missing}"
+
+
+#: run in a fresh interpreter: rebind two of the names the CLI spans wrap
+#: before any subcommand has run, either reading each first (as
+#: ``monkeypatch.setattr`` and ``bench/tracing.py`` do) or setting it
+#: blind, run ``simulate``, then restore the originals and run it again
+REBIND_SCRIPT = """if True:
+    import importlib, json, sys
+    import lecamjd.cli as cli
+    read_first = sys.argv[1] == "read"
+    argv = ["simulate", "--config", sys.argv[2], "--out", sys.argv[3]]
+    assert "lecamjd.simulate" not in sys.modules
+    calls, saved = [], {}
+    for name, home in (("sample_path", "simulate"),
+                       ("build_increment_summaries", "model")):
+        if read_first:
+            original = getattr(cli, name)
+        else:
+            original = getattr(importlib.import_module(f"lecamjd.{home}"),
+                               name)
+        saved[name] = original
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        setattr(cli, name, counted)
+    assert cli.main(argv) == 0
+    wrapped = sorted(calls)
+    for name, original in saved.items():
+        setattr(cli, name, original)
+    calls.clear()
+    assert cli.main(argv) == 0
+    print(json.dumps([wrapped, calls, cli.sample_path
+                      is sys.modules["lecamjd.simulate"].sample_path]))
+"""
+
+
+@pytest.mark.parametrize("how", ["read", "blind"])
+def test_a_cli_rebinding_made_before_the_first_call_stands(run_python,
+                                                          tmp_path, how):
+    # the CLI imports a subcommand's layers when it runs; that import
+    # must not replace a wrapper already bound on lecamjd.cli
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CLI_CONFIG), encoding="utf-8")
+    proc = run_python("-c", REBIND_SCRIPT, how, str(cfg),
+                      str(tmp_path / "path.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["build_increment_summaries", "sample_path"], [], True]
 
 
 def test_worker_count_exists():

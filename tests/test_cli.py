@@ -18,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lecamjd as lj
-from lecamjd.cli import (ConfigError, _emit_csv, _read_increment_csv,
-                         load_config, main, parse_config)
+from lecamjd.cli import (_BLOCK, ConfigError, _emit_csv,
+                         _read_increment_csv, load_config, main,
+                         parse_config)
 
 BASE_CONFIG = {
     "drift": {"kind": "sine", "offset": 0.2, "amplitude": 0.1,
@@ -351,6 +352,50 @@ class TestEmitCsv:
     @settings(max_examples=300, deadline=None)
     def test_reused_float_texts_match_row_by_row_writer(self, columns):
         assert emitted_csv(columns) == reference_csv(columns)
+
+    def test_blocks_match_row_by_row_writer(self, tmp_path):
+        # rows past two blocks: constant columns (one of empty text), a
+        # column constant within each block only, and float cells that
+        # reuse an earlier column's text in some blocks and not others
+        rows = 2 * _BLOCK + 37
+        x = np.random.default_rng(3).standard_normal(rows)
+        columns = {
+            "x": x, "empty": [""] * rows, "quarter": np.full(rows, 0.25),
+            "stepped": np.repeat([1.5, -0.0, 2.5], [_BLOCK, _BLOCK, 37]),
+            "i": np.arange(rows),
+            "mirror": np.where(np.arange(rows) < _BLOCK + 5, x, -x),
+            "text": [f"{j % 3}%,\"" for j in range(rows)]}
+        last_row = ["aggregate", "", "1%"]
+        expected = reference_csv(columns, last_row)
+        assert emitted_csv(columns, last_row) == expected
+        out = tmp_path / "blocks.csv"
+        _emit_csv(columns, str(out), last_row)
+        assert out.read_bytes() == expected.encode()
+
+
+#: runs ``python -m lecamjd`` with this script's arguments, then prints
+#: the package's submodules that are loaded
+RUN_MAIN = """if True:
+    import runpy, sys
+    try:
+        runpy.run_module("lecamjd", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+    print(" ".join(sorted(m for m in sys.modules
+                          if m.startswith("lecamjd."))))
+"""
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["validate"], ["model"]),
+    (["simulate", "--out", os.devnull], ["model", "simulate"])])
+def test_a_subcommand_loads_only_its_layers(run_python, tmp_path, argv,
+                                             layers):
+    proc = run_python("-c", RUN_MAIN, *argv, "--config",
+                      write_config(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(
+        f"lecamjd.{m}" for m in ["_gauss", "_quadrature", "cli", *layers])
 
 
 class TestSimulateCommand:

@@ -46,12 +46,64 @@ def test_package_exports_the_library_modules_lists():
     assert sorted(lecamjd.__all__) == sorted(union)
 
 
-def test_import_leaves_the_command_line_out(run_python):
-    # the CLI and argparse load only when the command line runs
-    proc = run_python("-c", "import sys, lecamjd; print(sorted(m for m in "
-                      "('lecamjd.cli', 'argparse') if m in sys.modules))")
+#: a script that runs its first argument, then prints the package's
+#: submodules and the other watched modules that are loaded
+LOADED = ("import sys; exec(sys.argv[1]); print(' '.join(sorted("
+          "m for m in sys.modules if m.startswith('lecamjd.') "
+          "or m == 'argparse')))")
+
+
+def loaded_after(run_python, statements):
+    proc = run_python("-c", LOADED, statements)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout.split()
+
+
+def test_import_leaves_the_command_line_out(run_python):
+    # the package loads no library module until a name is used, and the
+    # CLI and argparse only when the command line runs
+    assert loaded_after(run_python, "import lecamjd") == []
+    # a dunder probe (as inspection tools make) loads nothing either
+    assert loaded_after(run_python, "import lecamjd; "
+                        "assert not hasattr(lecamjd, '__wrapped__')") == []
+    # every library layer, loaded through the exports, still leaves
+    # the CLI and argparse out
+    assert loaded_after(run_python, "from lecamjd import *") == sorted(
+        ["lecamjd._gauss", "lecamjd._quadrature"]
+        + [f"lecamjd.{name}" for name in LIBRARY])
+
+
+def test_a_name_loads_only_its_layer(run_python):
+    assert loaded_after(run_python, "import lecamjd as lj; lj.ModelSpec") == [
+        "lecamjd._gauss", "lecamjd._quadrature", "lecamjd.model"]
+    assert loaded_after(run_python, "import lecamjd as lj; lj.sample_path") \
+        == ["lecamjd._gauss", "lecamjd._quadrature", "lecamjd.model",
+            "lecamjd.simulate"]
+
+
+def test_lazy_names_submodules_and_dir_resolve(run_python):
+    proc = run_python("-c", """if True:
+        import sys
+        import lecamjd as lj
+        # each submodule named before anything imports it
+        assert lj._quadrature is sys.modules["lecamjd._quadrature"]
+        assert lj.oracle is sys.modules["lecamjd.oracle"]
+        assert lj.tv_quadrature is lj.oracle.tv_quadrature
+        assert lj.QuadratureError is lj._quadrature.QuadratureError
+        names = dir(lj)
+        assert set(lj.__all__) | {"oracle", "experiments", "__version__"} \
+            <= set(names), names
+        namespace = {}
+        exec("from lecamjd import *", namespace)
+        assert set(lj.__all__) <= namespace.keys()
+        try:
+            lj.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("no AttributeError")
+        """)
+    assert proc.returncode == 0, proc.stderr
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -320,9 +320,18 @@ def test_rounds_keep_the_bits_of_a_plain_loop(laws, panels, epsabs):
 
 
 def test_package_import_leaves_scipy_integrate_unloaded(run_python):
-    # numpy is the only runtime dependency: no scipy module at all
-    proc = run_python("-c", "import sys, lecamjd, lecamjd.cli; "
+    # numpy is the only runtime dependency: no scipy module at all, with
+    # every library layer (the star import resolves each lazy export)
+    # and the command line loaded
+    proc = run_python("-c", "import sys, lecamjd.cli; "
+                      "from lecamjd import *; "
                       "print(sorted(m for m in sys.modules "
-                      "if m.split('.')[0] == 'scipy'))")
+                      "if m.split('.')[0] == 'scipy')); "
+                      "print(' '.join(sorted(m for m in sys.modules "
+                      "if m.startswith('lecamjd.'))))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    scipy, loaded = proc.stdout.splitlines()
+    assert scipy == "[]"
+    assert {f"lecamjd.{name}" for name in (
+        "cli", "distances", "experiments", "kernels", "laws", "model",
+        "oracle", "simulate")} <= set(loaded.split())

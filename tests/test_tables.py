@@ -457,6 +457,24 @@ def test_weights_must_be_finite_and_non_negative(field, weight):
         MixtureTable(**fields)
 
 
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("field, value", [
+    *((f, v) for f in ("box_lo", "box_hi") for v in (np.nan, np.inf, -np.inf)),
+    *(("box_sd", v) for v in (np.nan, np.inf, 0.0, -1.0)),
+    *(("beta", v) for v in (np.nan, 0.0, -0.5, -np.inf)),
+    *(("resample_sd", v) for v in (np.nan, np.inf, -1e-300))])
+def test_per_row_and_spline_fields_are_checked(field, value, as_array):
+    # a NaN box_lo or box_sd gave NaN support ends, so the oracle
+    # integrated no panel: total_mass read 0.0, and a TV against N(3, 1)
+    # 0.739; a NaN beta or resample_sd read as no restriction or top-up
+    fields = dict(means=[[0.1]], sds=[[0.2]], weights=[[0.5]],
+                  box_weight=[[0.25]], box_lo=[[-1.0]], box_hi=[[1.0]])
+    shape = (1, 1) if field.startswith("box_") and field != "box_sd" else (1,)
+    fields[field] = np.full(shape, value) if as_array else value
+    with pytest.raises(ValueError, match=f"{field} must be .*got"):
+        MixtureTable(**fields)
+
+
 @given(rows=st.lists(st.lists(st.tuples(st.floats(-5.0, 5.0),
                                         st.floats(0.05, 2.0),
                                         st.floats(0.01, 1.0)),
